@@ -4,8 +4,12 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
+#include <vector>
+
+#include "qdcbir/core/crc32c.h"
 
 namespace qdcbir {
 
@@ -60,6 +64,32 @@ Status FileByteSource::ReadAt(std::uint64_t offset, std::size_t n,
     done += static_cast<std::size_t>(got);
   }
   return Status::Ok();
+}
+
+Status SliceByteSource::ReadAt(std::uint64_t offset, std::size_t n,
+                               char* out) const {
+  if (offset > length_ || n > length_ - offset) {
+    return Status::Truncated("read past end of section");
+  }
+  return base_.ReadAt(offset_ + offset, n, out);
+}
+
+StatusOr<std::uint32_t> Crc32cOfRange(const ByteSource& source,
+                                      std::uint64_t offset,
+                                      std::uint64_t length) {
+  constexpr std::size_t kWindowBytes = std::size_t{64} << 10;
+  std::vector<char> window(
+      static_cast<std::size_t>(std::min<std::uint64_t>(length, kWindowBytes)));
+  std::uint32_t crc = 0;
+  for (std::uint64_t done = 0; done < length;) {
+    const std::size_t n =
+        static_cast<std::size_t>(std::min<std::uint64_t>(length - done,
+                                                          window.size()));
+    QDCBIR_RETURN_IF_ERROR(source.ReadAt(offset + done, n, window.data()));
+    crc = Crc32c::Extend(crc, window.data(), n);
+    done += n;
+  }
+  return crc;
 }
 
 }  // namespace qdcbir

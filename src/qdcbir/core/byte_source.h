@@ -76,6 +76,33 @@ class FileByteSource : public ByteSource {
   std::string path_;
 };
 
+/// The window `[offset, offset + length)` of another source, addressed from
+/// 0: how an embedded section (a snapshot's RFS chunk) is decoded in place
+/// instead of being copied out first. Reads past `length` fail with
+/// `kTruncated` like any other source. Does not own `base`, which must
+/// outlive the slice.
+class SliceByteSource : public ByteSource {
+ public:
+  SliceByteSource(const ByteSource& base, std::uint64_t offset,
+                  std::uint64_t length)
+      : base_(base), offset_(offset), length_(length) {}
+
+  std::uint64_t Size() const override { return length_; }
+  Status ReadAt(std::uint64_t offset, std::size_t n,
+                char* out) const override;
+
+ private:
+  const ByteSource& base_;
+  std::uint64_t offset_;
+  std::uint64_t length_;
+};
+
+/// CRC32C of `[offset, offset + length)` of `source`, extended over
+/// fixed-size `ReadAt` windows so the range is never held in memory whole.
+StatusOr<std::uint32_t> Crc32cOfRange(const ByteSource& source,
+                                      std::uint64_t offset,
+                                      std::uint64_t length);
+
 }  // namespace qdcbir
 
 #endif  // QDCBIR_CORE_BYTE_SOURCE_H_

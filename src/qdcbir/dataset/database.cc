@@ -5,10 +5,13 @@
 
 namespace qdcbir {
 
-void ImageDatabase::RebuildFeatureBlocks() {
-  feature_blocks_ = FeatureBlockTable(features_);
-  for (int c = 0; c < kNumViewpointChannels; ++c) {
-    channel_blocks_[c] = FeatureBlockTable(channel_features_[c]);
+void ImageDatabase::InstallFeatures(
+    std::array<std::vector<FeatureVector>, kNumViewpointChannels> tables) {
+  stores_[0] = std::make_shared<const FeatureStore>(std::move(tables[0]));
+  for (int c = 1; c < kNumViewpointChannels; ++c) {
+    stores_[c] = tables[c].empty() ? FeatureStore::Empty()
+                                   : std::make_shared<const FeatureStore>(
+                                         std::move(tables[c]));
   }
 }
 

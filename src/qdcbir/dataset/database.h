@@ -3,11 +3,11 @@
 
 #include <array>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
-#include "qdcbir/core/feature_block.h"
-#include "qdcbir/core/feature_vector.h"
+#include "qdcbir/core/feature_store.h"
 #include "qdcbir/core/status.h"
 #include "qdcbir/core/types.h"
 #include "qdcbir/dataset/catalog.h"
@@ -29,17 +29,20 @@ struct ImageRecord {
 /// feature vectors for the main channel and (optionally) the three extra
 /// viewpoint channels used by the Multiple Viewpoints baseline.
 ///
+/// Each feature table lives in an immutable `FeatureStore` that the
+/// database shares rather than owns a copy of: viewpoint channel 0 aliases
+/// the main store, and an RFS tree loaded against this database adopts the
+/// same store (`feature_store()`), so the corpus features are held once.
+///
 /// Pixels are not retained: every image can be re-rendered deterministically
 /// from its record (`Render`), which keeps a 24k-image database small.
 class ImageDatabase {
  public:
-  ImageDatabase() = default;
+  ImageDatabase() { stores_.fill(FeatureStore::Empty()); }
 
   std::size_t size() const { return records_.size(); }
-  std::size_t feature_dim() const {
-    return features_.empty() ? 0 : features_.front().dim();
-  }
-  bool has_channel_features() const { return !channel_features_[1].empty(); }
+  std::size_t feature_dim() const { return stores_[0]->dim(); }
+  bool has_channel_features() const { return !stores_[1]->empty(); }
 
   const Catalog& catalog() const { return catalog_; }
   int image_width() const { return image_width_; }
@@ -49,28 +52,38 @@ class ImageDatabase {
   const std::vector<ImageRecord>& records() const { return records_; }
 
   /// Normalized feature vector of an image (main channel).
-  const FeatureVector& feature(ImageId id) const { return features_[id]; }
-  const std::vector<FeatureVector>& features() const { return features_; }
+  const FeatureVector& feature(ImageId id) const { return features()[id]; }
+  const std::vector<FeatureVector>& features() const {
+    return stores_[0]->rows();
+  }
 
   /// Normalized feature vector as seen through a viewpoint channel.
   const FeatureVector& channel_feature(ViewpointChannel channel,
                                        ImageId id) const {
-    return channel_features_[static_cast<int>(channel)][id];
+    return channel_features(channel)[id];
   }
   const std::vector<FeatureVector>& channel_features(
       ViewpointChannel channel) const {
-    return channel_features_[static_cast<int>(channel)];
+    return stores_[static_cast<int>(channel)]->rows();
   }
 
   /// Blocked SoA copy of the main-channel feature table, built once when
   /// the database is synthesized, subsampled, or loaded from a snapshot.
   /// The batched distance kernels scan this instead of `features()`.
-  const FeatureBlockTable& feature_blocks() const { return feature_blocks_; }
+  const FeatureBlockTable& feature_blocks() const {
+    return stores_[0]->blocks();
+  }
 
   /// Blocked copy of a viewpoint channel's table (empty when the channel
   /// was not extracted).
   const FeatureBlockTable& channel_blocks(ViewpointChannel channel) const {
-    return channel_blocks_[static_cast<int>(channel)];
+    return stores_[static_cast<int>(channel)]->blocks();
+  }
+
+  /// The shared main-channel store, for structures that index this
+  /// database's features without copying them (the RFS tree).
+  const std::shared_ptr<const FeatureStore>& feature_store() const {
+    return stores_[0];
   }
 
   /// Normalizer fitted on the raw main-channel features.
@@ -94,18 +107,19 @@ class ImageDatabase {
   friend class DatabaseSynthesizer;
   friend class DatabaseIo;
 
-  /// Rebuilds the blocked copies from the row-major tables. Every
-  /// construction path (synthesize / subsample / snapshot load) calls this
-  /// after the feature tables are final.
-  void RebuildFeatureBlocks();
+  /// Installs the feature tables as stores (`tables[0]` is the main
+  /// channel; an empty extra channel maps to the shared empty store).
+  /// Every construction path (synthesize / subsample / snapshot load) calls
+  /// this once the tables are final, so the blocked copies are built here
+  /// and channel 0 aliases the main store instead of copying it.
+  void InstallFeatures(
+      std::array<std::vector<FeatureVector>, kNumViewpointChannels> tables);
 
   Catalog catalog_;
   std::vector<ImageRecord> records_;
-  std::vector<FeatureVector> features_;
-  std::array<std::vector<FeatureVector>, kNumViewpointChannels>
-      channel_features_;
-  FeatureBlockTable feature_blocks_;
-  std::array<FeatureBlockTable, kNumViewpointChannels> channel_blocks_;
+  /// Feature store per viewpoint channel; `stores_[0]` is the main table.
+  std::array<std::shared_ptr<const FeatureStore>, kNumViewpointChannels>
+      stores_;
   FeatureNormalizer normalizer_;
   std::array<FeatureNormalizer, kNumViewpointChannels> channel_normalizers_;
   std::vector<std::vector<ImageId>> subconcept_images_;

@@ -1,5 +1,6 @@
 #include "qdcbir/dataset/database_io.h"
 
+#include <array>
 #include <cstring>
 #include <fstream>
 #include <functional>
@@ -406,13 +407,10 @@ struct Staging {
   std::vector<ImageRecord> records;
 
   bool has_table[kNumViewpointChannels] = {};
-  std::vector<FeatureVector> tables[kNumViewpointChannels];
+  std::array<std::vector<FeatureVector>, kNumViewpointChannels> tables;
 
   bool has_norm[kNumViewpointChannels] = {};
   FeatureNormalizer norms[kNumViewpointChannels];
-
-  bool has_rfs = false;
-  std::string rfs_blob;
 };
 
 struct IoLoadMetrics {
@@ -436,12 +434,34 @@ struct IoLoadMetrics {
   }
 };
 
+/// Verifies the RFS chunk's CRC32C by streaming it through `Crc32cOfRange`
+/// windows, so the section is never held in memory whole.
+Status VerifyRfsChunk(const ByteSource& src, const DirEntry& e) {
+  StatusOr<std::uint32_t> crc = Crc32cOfRange(src, e.offset, e.length);
+  if (!crc.ok()) return crc.status();
+  if (*crc != e.crc) {
+    IoLoadMetrics::Get().crc_failures.Add(1);
+    return Status::Corrupt("chunk RFS0 checksum mismatch");
+  }
+  return Status::Ok();
+}
+
 /// Reads one chunk's payload from `src`, verifies its CRC32C and decodes it
 /// into `st`. Runs on a pool lane during async loads; touches only this
 /// chunk's staging slot.
 Status ReadAndDecodeChunk(const ByteSource& src, const DirEntry& e,
                           bool verify, Staging* st) {
   IoLoadMetrics& metrics = IoLoadMetrics::Get();
+  if (e.id == kChunkRfs) {
+    // The RFS section is not part of the database: `RfsSerializer` decodes
+    // it straight from the source. The database load only vouches for its
+    // checksum, without reading it into memory.
+    metrics.chunks_skipped.Add(1);
+    if (!verify) return Status::Ok();
+    QDCBIR_SPAN("io.load.crc");
+    metrics.bytes.Add(e.length);
+    return VerifyRfsChunk(src, e);
+  }
   std::string payload;
   payload.resize(e.length);
   {
@@ -483,9 +503,6 @@ Status ReadAndDecodeChunk(const ByteSource& src, const DirEntry& e,
       return malformed();
     }
     st->has_records = true;
-  } else if (e.id == kChunkRfs) {
-    st->rfs_blob = std::move(payload);
-    st->has_rfs = true;
   } else {
     known = false;
     for (int c = 0; c < kNumViewpointChannels; ++c) {
@@ -633,13 +650,14 @@ std::string DatabaseIo::SerializeDatabase(const ImageDatabase& db,
   }
   {
     Writer w;
-    WriteFeatureTable(w, db.features_);
+    WriteFeatureTable(w, db.features());
     chunks.emplace_back(FeatureChunkId(0), w.Take());
   }
   if (channels) {
     for (int c = 1; c < kNumViewpointChannels; ++c) {
       Writer w;
-      WriteFeatureTable(w, db.channel_features_[c]);
+      WriteFeatureTable(w,
+                        db.channel_features(static_cast<ViewpointChannel>(c)));
       chunks.emplace_back(FeatureChunkId(c), w.Take());
     }
   }
@@ -689,12 +707,13 @@ std::string DatabaseIo::SerializeDatabaseV1(const ImageDatabase& db) {
     w.Pod(rec.category);
     w.Pod(rec.render_seed);
   }
-  WriteFeatureTable(w, db.features_);
+  WriteFeatureTable(w, db.features());
   const std::uint8_t has_channels = db.has_channel_features() ? 1 : 0;
   w.Pod(has_channels);
   if (has_channels) {
     for (int c = 1; c < kNumViewpointChannels; ++c) {
-      WriteFeatureTable(w, db.channel_features_[c]);
+      WriteFeatureTable(w,
+                        db.channel_features(static_cast<ViewpointChannel>(c)));
     }
   }
   w.Str(db.normalizer_.Serialize());
@@ -782,8 +801,6 @@ StatusOr<ImageDatabase> DatabaseIo::LoadDatabaseFrom(
   if (st.tables[0].size() != db.records_.size()) {
     return Status::Corrupt("feature table size mismatch");
   }
-  db.features_ = std::move(st.tables[0]);
-  db.channel_features_[0] = db.features_;
   db.normalizer_ = std::move(st.norms[0]);
   db.channel_normalizers_[0] = db.normalizer_;
 
@@ -796,7 +813,6 @@ StatusOr<ImageDatabase> DatabaseIo::LoadDatabaseFrom(
       if (st.tables[c].size() != db.records_.size()) {
         return Status::Corrupt("channel feature table size mismatch");
       }
-      db.channel_features_[c] = std::move(st.tables[c]);
       db.channel_normalizers_[c] = std::move(st.norms[c]);
     }
   }
@@ -805,7 +821,7 @@ StatusOr<ImageDatabase> DatabaseIo::LoadDatabaseFrom(
   // here, not lazily on the first query.
   {
     QDCBIR_SPAN("io.load.feature_blocks");
-    db.RebuildFeatureBlocks();
+    db.InstallFeatures(std::move(st.tables));
   }
   return db;
 }
@@ -837,28 +853,15 @@ StatusOr<ImageDatabase> DatabaseIo::LoadDatabase(
   return LoadDatabaseFrom(**source, options);
 }
 
-StatusOr<std::string> DatabaseIo::LoadEmbeddedRfsBlob(const std::string& path) {
-  StatusOr<std::unique_ptr<FileByteSource>> source =
-      FileByteSource::Open(path);
-  if (!source.ok()) return source.status();
-  return LoadEmbeddedRfsBlobFrom(**source);
-}
-
-StatusOr<std::string> DatabaseIo::LoadEmbeddedRfsBlobFrom(
+StatusOr<SnapshotChunkInfo> DatabaseIo::FindEmbeddedRfs(
     const ByteSource& source) {
   StatusOr<Directory> dir = ReadDirectory(source);
   if (!dir.ok()) return dir.status();
-  if (dir->version == 1) {
-    return Status::NotFound("v1 snapshots carry no embedded RFS section");
-  }
   for (const DirEntry& e : dir->entries) {
     if (e.id != kChunkRfs) continue;
-    std::string payload(e.length, '\0');
-    QDCBIR_RETURN_IF_ERROR(source.ReadAt(e.offset, e.length, payload.data()));
-    if (Crc32c::Compute(payload) != e.crc) {
-      return Status::Corrupt("chunk RFS0 checksum mismatch");
-    }
-    return payload;
+    QDCBIR_RETURN_IF_ERROR(VerifyRfsChunk(source, e));
+    return SnapshotChunkInfo{ChunkIdToString(e.id), e.offset, e.length, e.crc,
+                             /*crc_ok=*/true};
   }
   return Status::NotFound("snapshot has no embedded RFS section");
 }
@@ -875,9 +878,9 @@ StatusOr<SnapshotInfo> DatabaseIo::InspectSnapshot(const ByteSource& source) {
     chunk.offset = e.offset;
     chunk.length = e.length;
     chunk.crc32c = e.crc;
-    std::string payload(e.length, '\0');
-    const Status read = source.ReadAt(e.offset, e.length, payload.data());
-    chunk.crc_ok = read.ok() && Crc32c::Compute(payload) == e.crc;
+    const StatusOr<std::uint32_t> crc =
+        Crc32cOfRange(source, e.offset, e.length);
+    chunk.crc_ok = crc.ok() && *crc == e.crc;
     info.chunks.push_back(std::move(chunk));
   }
   return info;

@@ -71,7 +71,7 @@ class DatabaseIo {
   /// normalizers, all feature tables). Pixels are not stored; `Render`
   /// reproduces them on demand. When `rfs_blob` is non-null, the opaque
   /// pre-serialized RFS bytes (see `RfsSerializer`) ride along in their own
-  /// chunk and can be recovered with `LoadEmbeddedRfsBlob`.
+  /// chunk, which `RfsSerializer::LoadForSnapshot` decodes in place.
   static std::string SerializeDatabase(const ImageDatabase& db,
                                        const std::string* rfs_blob = nullptr);
 
@@ -94,11 +94,11 @@ class DatabaseIo {
   static StatusOr<ImageDatabase> LoadDatabaseFrom(
       const ByteSource& source, const SnapshotLoadOptions& options);
 
-  /// Extracts the embedded RFS chunk (checksum-verified) from a v2
-  /// snapshot. `kNotFound` when the snapshot carries none.
-  static StatusOr<std::string> LoadEmbeddedRfsBlob(const std::string& path);
-  static StatusOr<std::string> LoadEmbeddedRfsBlobFrom(
-      const ByteSource& source);
+  /// Locates the embedded RFS chunk of a v2 snapshot and verifies its
+  /// CRC32C over streamed windows, without holding the chunk in memory.
+  /// `kNotFound` when the snapshot carries none. `RfsSerializer` decodes
+  /// the chunk in place through a `SliceByteSource` over the same source.
+  static StatusOr<SnapshotChunkInfo> FindEmbeddedRfs(const ByteSource& source);
 
   /// Walks the chunk directory and recomputes every chunk's checksum
   /// without decoding payloads — the `qdcbir_tool snapshot` inspector.

@@ -103,8 +103,6 @@ StatusOr<ImageDatabase> DatabaseSynthesizer::Synthesize(
 
   QDCBIR_RETURN_IF_ERROR(db.normalizer_.Fit(raw_main));
   QDCBIR_RETURN_IF_ERROR(db.normalizer_.TransformInPlace(raw_main));
-  db.features_ = std::move(raw_main);
-  db.channel_features_[0] = db.features_;
   db.channel_normalizers_[0] = db.normalizer_;
 
   if (options.extract_viewpoint_channels) {
@@ -112,10 +110,10 @@ StatusOr<ImageDatabase> DatabaseSynthesizer::Synthesize(
       QDCBIR_RETURN_IF_ERROR(db.channel_normalizers_[c].Fit(raw_channels[c]));
       QDCBIR_RETURN_IF_ERROR(
           db.channel_normalizers_[c].TransformInPlace(raw_channels[c]));
-      db.channel_features_[c] = std::move(raw_channels[c]);
     }
   }
-  db.RebuildFeatureBlocks();
+  raw_channels[0] = std::move(raw_main);
+  db.InstallFeatures(std::move(raw_channels));
   return db;
 }
 
@@ -166,21 +164,19 @@ StatusOr<ImageDatabase> DatabaseSynthesizer::Subsample(
     selected = std::move(trimmed);
   }
 
-  const bool channels = db.has_channel_features();
+  const int channels = db.has_channel_features() ? kNumViewpointChannels : 1;
+  std::array<std::vector<FeatureVector>, kNumViewpointChannels> tables;
   for (const ImageId old_id : selected) {
     ImageRecord rec = db.records_[old_id];
     rec.id = static_cast<ImageId>(out.records_.size());
-    out.features_.push_back(db.features_[old_id]);
-    if (channels) {
-      for (int c = 1; c < kNumViewpointChannels; ++c) {
-        out.channel_features_[c].push_back(db.channel_features_[c][old_id]);
-      }
+    for (int c = 0; c < channels; ++c) {
+      tables[c].push_back(
+          db.channel_feature(static_cast<ViewpointChannel>(c), old_id));
     }
     out.subconcept_images_[rec.subconcept].push_back(rec.id);
     out.records_.push_back(rec);
   }
-  out.channel_features_[0] = out.features_;
-  out.RebuildFeatureBlocks();
+  out.InstallFeatures(std::move(tables));
   return out;
 }
 

@@ -133,7 +133,7 @@ Status RfsBuilder::SelectAllRepresentatives(
       RepresentativeOptions node_options = options;
       node_options.seed = options.seed ^ (0x9e3779b97f4a7c15ULL * (nid + 1));
       StatusOr<SelectedRepresentatives> selected =
-          SelectRepresentatives(candidates[ni], rfs.features_, target,
+          SelectRepresentatives(candidates[ni], rfs.features(), target,
                                 node_options);
       if (!selected.ok()) {
         node_status[ni] = selected.status();

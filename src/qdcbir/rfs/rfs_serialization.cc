@@ -1,8 +1,12 @@
 #include "qdcbir/rfs/rfs_serialization.h"
 
+#include <algorithm>
 #include <cstring>
 #include <fstream>
-#include <sstream>
+#include <unordered_map>
+
+#include "qdcbir/dataset/database_io.h"
+#include "qdcbir/obs/span.h"
 
 namespace qdcbir {
 
@@ -10,6 +14,9 @@ namespace {
 
 constexpr char kMagic[] = "QDRFS001";
 constexpr std::size_t kMagicLen = 8;
+/// Decode buffer size: large enough that a 15k-image RFS file costs a few
+/// hundred reads, small next to the tree it decodes into.
+constexpr std::size_t kBufferBytes = std::size_t{64} << 10;
 
 class Writer {
  public:
@@ -33,28 +40,85 @@ class Writer {
   std::string out_;
 };
 
+/// Sequential cursor over a `ByteSource`, read through one fixed-size
+/// buffer so a decode never holds more than `kBufferBytes` of the source.
+/// The first failure sticks in `status()` (`kTruncated` when a field or a
+/// declared count runs past the end, or the source's own read error) and
+/// every later read fails fast.
 class Reader {
  public:
-  explicit Reader(const std::string& bytes) : bytes_(bytes) {}
+  explicit Reader(const ByteSource& source)
+      : source_(source),
+        size_(source.Size()),
+        buffer_(static_cast<std::size_t>(
+            std::min<std::uint64_t>(size_, kBufferBytes))) {}
+
+  std::uint64_t Remaining() const { return size_ - pos_; }
+  const Status& status() const { return status_; }
 
   bool Raw(void* data, std::size_t n) {
-    if (pos_ + n > bytes_.size()) return false;
-    std::memcpy(data, bytes_.data() + pos_, n);
-    pos_ += n;
+    if (!status_.ok()) return false;
+    if (n > Remaining()) {
+      return Fail(Status::Truncated("RFS blob ends inside a field"));
+    }
+    char* out = static_cast<char*>(data);
+    while (n > 0) {
+      if (pos_ == window_end_ && !Refill()) return false;
+      const std::size_t take = static_cast<std::size_t>(
+          std::min<std::uint64_t>(n, window_end_ - pos_));
+      std::memcpy(out, buffer_.data() + (pos_ - window_start_), take);
+      out += take;
+      pos_ += take;
+      n -= take;
+    }
     return true;
   }
   template <typename T>
   bool Pod(T* v) {
     return Raw(v, sizeof(T));
   }
-  bool Doubles(std::vector<double>* v, std::size_t n) {
-    v->resize(n);
-    return Raw(v->data(), n * sizeof(double));
+  /// Reads an element count and rejects it when that many elements, at
+  /// `min_bytes_each` bytes apiece, cannot fit in the bytes left — before
+  /// the caller allocates for them.
+  bool Count(std::uint64_t* n, std::uint64_t min_bytes_each) {
+    if (!Pod(n)) return false;
+    if (*n > Remaining() / min_bytes_each) {
+      return Fail(Status::Truncated("RFS blob declares " +
+                                    std::to_string(*n) +
+                                    " elements past its end"));
+    }
+    return true;
+  }
+  bool Doubles(std::vector<double>* v, std::uint64_t n) {
+    if (n > Remaining() / sizeof(double)) {
+      return Fail(Status::Truncated("RFS blob ends inside a vector"));
+    }
+    v->resize(static_cast<std::size_t>(n));
+    return Raw(v->data(), v->size() * sizeof(double));
   }
 
  private:
-  const std::string& bytes_;
-  std::size_t pos_ = 0;
+  bool Fail(Status status) {
+    if (status_.ok()) status_ = std::move(status);
+    return false;
+  }
+  bool Refill() {
+    const std::size_t n = static_cast<std::size_t>(
+        std::min<std::uint64_t>(buffer_.size(), Remaining()));
+    Status read = source_.ReadAt(pos_, n, buffer_.data());
+    if (!read.ok()) return Fail(std::move(read));
+    window_start_ = pos_;
+    window_end_ = pos_ + n;
+    return true;
+  }
+
+  const ByteSource& source_;
+  const std::uint64_t size_;
+  std::vector<char> buffer_;
+  std::uint64_t pos_ = 0;           ///< source offset of the next byte
+  std::uint64_t window_start_ = 0;  ///< source offset of buffer_[0]
+  std::uint64_t window_end_ = 0;    ///< one past the buffered bytes
+  Status status_;
 };
 
 }  // namespace
@@ -64,11 +128,9 @@ std::string RfsSerializer::Serialize(const RfsTree& tree) {
   w.Raw(kMagic, kMagicLen);
 
   // Features.
-  const std::uint64_t num_images = tree.features_.size();
-  const std::uint64_t dim = tree.feature_dim();
-  w.U64(num_images);
-  w.U64(dim);
-  for (const FeatureVector& f : tree.features_) w.Doubles(f.values());
+  w.U64(tree.num_images());
+  w.U64(tree.feature_dim());
+  for (const FeatureVector& f : tree.features()) w.Doubles(f.values());
 
   // Index options and shape.
   const RStarTree& index = tree.index_;
@@ -113,41 +175,68 @@ std::string RfsSerializer::Serialize(const RfsTree& tree) {
   return w.Take();
 }
 
-StatusOr<RfsTree> RfsSerializer::Deserialize(const std::string& bytes) {
-  Reader r(bytes);
+StatusOr<RfsTree> RfsSerializer::Decode(
+    const ByteSource& source, std::shared_ptr<const FeatureStore> shared) {
+  QDCBIR_SPAN("rfs.load");
+  Reader r(source);
+  const auto corrupt = [](const std::string& what) {
+    return Status::Corrupt("RFS blob: " + what);
+  };
   char magic[kMagicLen];
-  if (!r.Raw(magic, kMagicLen) || std::memcmp(magic, kMagic, kMagicLen) != 0) {
-    return Status::IoError("not an RFS blob (bad magic)");
+  if (!r.Raw(magic, kMagicLen)) return r.status();
+  if (std::memcmp(magic, kMagic, kMagicLen) != 0) {
+    return Status::Corrupt("not an RFS blob (bad magic)");
   }
-  const auto corrupt = [] { return Status::IoError("truncated RFS blob"); };
 
+  // Features: decoded into a store of the tree's own, or compared row by
+  // row against `shared` and not kept at all.
   std::uint64_t num_images = 0, dim = 0;
-  if (!r.Pod(&num_images) || !r.Pod(&dim)) return corrupt();
-  std::vector<FeatureVector> features;
-  features.reserve(num_images);
+  if (!r.Pod(&num_images) || !r.Count(&dim, sizeof(double))) {
+    return r.status();
+  }
+  if (num_images > 0 && dim == 0) return corrupt("zero feature dimension");
+  if (dim > 0 && num_images > r.Remaining() / (dim * sizeof(double))) {
+    return Status::Truncated("RFS blob declares more features than it holds");
+  }
+  const auto disagree = [] {
+    return Status::Corrupt("RFS features disagree with snapshot");
+  };
+  if (shared != nullptr && shared->size() != num_images) return disagree();
+  std::vector<FeatureVector> rows;
+  if (shared == nullptr) rows.reserve(num_images);
+  std::vector<double> row;
   for (std::uint64_t i = 0; i < num_images; ++i) {
-    std::vector<double> values;
-    if (!r.Doubles(&values, dim)) return corrupt();
-    features.emplace_back(std::move(values));
+    if (!r.Doubles(&row, dim)) return r.status();
+    if (shared == nullptr) {
+      rows.emplace_back(std::move(row));
+      continue;
+    }
+    const FeatureVector& expected = shared->rows()[i];
+    if (expected.dim() != dim ||
+        std::memcmp(expected.data(), row.data(), dim * sizeof(double)) != 0) {
+      return disagree();
+    }
   }
 
+  // Index options and shape.
   RStarTreeOptions options;
   std::uint64_t max_entries = 0, min_entries = 0;
   if (!r.Pod(&max_entries) || !r.Pod(&min_entries) ||
       !r.Pod(&options.reinsert_fraction)) {
-    return corrupt();
+    return r.status();
   }
   options.max_entries = max_entries;
   options.min_entries = min_entries;
-  QDCBIR_RETURN_IF_ERROR(options.Validate());
-
-  std::uint64_t node_slots = 0;
-  std::uint32_t root = 0;
-  std::uint64_t tree_size = 0;
-  if (!r.Pod(&node_slots) || !r.Pod(&root) || !r.Pod(&tree_size)) {
-    return corrupt();
+  if (const Status valid = options.Validate(); !valid.ok()) {
+    return corrupt(valid.message());
   }
 
+  std::uint64_t node_slots = 0;  // a free slot is one byte
+  std::uint32_t root = 0;
+  std::uint64_t tree_size = 0;
+  if (!r.Count(&node_slots, 1) || !r.Pod(&root) || !r.Pod(&tree_size)) {
+    return r.status();
+  }
   RStarTree index(dim, options);
   index.nodes_.clear();
   index.parent_.clear();
@@ -155,19 +244,25 @@ StatusOr<RfsTree> RfsSerializer::Deserialize(const std::string& bytes) {
   index.nodes_.resize(node_slots);
   index.parent_.assign(node_slots, kInvalidNodeId);
 
+  const std::uint64_t entry_bytes = 8 + 2 * dim * sizeof(double);
+  std::size_t present_nodes = 0;
   for (std::uint64_t i = 0; i < node_slots; ++i) {
     std::uint8_t present = 0;
-    if (!r.Pod(&present)) return corrupt();
+    if (!r.Pod(&present)) return r.status();
+    if (present > 1) return corrupt("bad node presence flag");
     if (!present) {
       index.free_nodes_.push_back(static_cast<NodeId>(i));
       continue;
     }
+    ++present_nodes;
     auto node = std::make_unique<RStarTree::Node>();
     std::uint32_t parent = 0;
     std::uint64_t entry_count = 0;
-    if (!r.Pod(&node->level) || !r.Pod(&parent) || !r.Pod(&entry_count)) {
-      return corrupt();
+    if (!r.Pod(&node->level) || !r.Pod(&parent) ||
+        !r.Count(&entry_count, entry_bytes)) {
+      return r.status();
     }
+    if (node->level < 0) return corrupt("negative node level");
     index.parent_[i] = parent;
     node->entries.reserve(entry_count);
     for (std::uint64_t e = 0; e < entry_count; ++e) {
@@ -175,54 +270,98 @@ StatusOr<RfsTree> RfsSerializer::Deserialize(const std::string& bytes) {
       std::vector<double> lo, hi;
       if (!r.Pod(&entry.child) || !r.Pod(&entry.data) ||
           !r.Doubles(&lo, dim) || !r.Doubles(&hi, dim)) {
-        return corrupt();
+        return r.status();
+      }
+      if (node->IsLeaf() && entry.data >= num_images) {
+        return corrupt("leaf entry image out of range");
       }
       entry.rect = Rect(std::move(lo), std::move(hi));
       node->entries.push_back(std::move(entry));
     }
     index.nodes_[i] = std::move(node);
   }
-  if (root >= node_slots || index.nodes_[root] == nullptr) {
-    return Status::IoError("RFS blob has an invalid root");
+  const auto present = [&index](NodeId id) {
+    return id < index.nodes_.size() && index.nodes_[id] != nullptr;
+  };
+  if (!present(root)) return corrupt("invalid root");
+  // Children sit exactly one level down, so no walk can cycle.
+  for (std::size_t i = 0; i < index.nodes_.size(); ++i) {
+    const RStarTree::Node* node = index.nodes_[i].get();
+    if (node == nullptr) continue;
+    if (index.parent_[i] != kInvalidNodeId && !present(index.parent_[i])) {
+      return corrupt("node parent out of range");
+    }
+    if (node->IsLeaf()) continue;
+    for (const RStarTree::Entry& e : node->entries) {
+      if (!present(e.child) ||
+          index.nodes_[e.child]->level != node->level - 1) {
+        return corrupt("entry child is not a node one level down");
+      }
+    }
   }
   index.root_ = root;
   index.size_ = tree_size;
 
-  RfsTree tree(std::move(index), std::move(features));
-
+  // Per-node RFS annotations; every present node must carry exactly one.
+  std::unordered_map<NodeId, RfsTree::NodeInfo> infos;
   std::uint64_t info_count = 0;
-  if (!r.Pod(&info_count)) return corrupt();
+  if (!r.Count(&info_count, 44 + dim * sizeof(double))) return r.status();
   for (std::uint64_t i = 0; i < info_count; ++i) {
     std::uint32_t id = 0;
     RfsTree::NodeInfo info;
     std::uint64_t child_count = 0, rep_count = 0;
     if (!r.Pod(&id) || !r.Pod(&info.level) || !r.Pod(&info.parent) ||
-        !r.Pod(&child_count)) {
-      return corrupt();
+        !r.Count(&child_count, sizeof(NodeId))) {
+      return r.status();
+    }
+    if (!present(id) || infos.count(id) > 0) {
+      return corrupt("annotation for a missing or repeated node");
+    }
+    if (info.parent != kInvalidNodeId && !present(info.parent)) {
+      return corrupt("annotation parent out of range");
     }
     info.children.resize(child_count);
     for (auto& c : info.children) {
-      if (!r.Pod(&c)) return corrupt();
+      if (!r.Pod(&c)) return r.status();
+      if (!present(c)) return corrupt("annotation child out of range");
     }
-    if (!r.Pod(&rep_count)) return corrupt();
+    if (!r.Count(&rep_count, sizeof(ImageId) + sizeof(NodeId))) {
+      return r.status();
+    }
     info.representatives.resize(rep_count);
     info.rep_origin.resize(rep_count);
     for (auto& rep : info.representatives) {
-      if (!r.Pod(&rep)) return corrupt();
+      if (!r.Pod(&rep)) return r.status();
+      if (rep >= num_images) return corrupt("representative out of range");
     }
     for (auto& origin : info.rep_origin) {
-      if (!r.Pod(&origin)) return corrupt();
+      if (!r.Pod(&origin)) return r.status();
+      if (!present(origin)) return corrupt("representative origin invalid");
     }
     std::vector<double> center;
     if (!r.Doubles(&center, dim) || !r.Pod(&info.diagonal) ||
         !r.Pod(&info.subtree_size)) {
-      return corrupt();
+      return r.status();
     }
     info.center = FeatureVector(std::move(center));
-    tree.info_[id] = std::move(info);
+    infos.emplace(id, std::move(info));
   }
+  if (infos.size() != present_nodes) {
+    return corrupt("annotations do not cover every node");
+  }
+  if (r.Remaining() != 0) return corrupt("trailing bytes");
+
+  RfsTree tree(std::move(index),
+               shared != nullptr
+                   ? std::move(shared)
+                   : std::make_shared<const FeatureStore>(std::move(rows)));
+  tree.info_ = std::move(infos);
   tree.RebuildLeafMap();
   return tree;
+}
+
+StatusOr<RfsTree> RfsSerializer::Deserialize(const std::string& bytes) {
+  return Decode(MemoryByteSource(bytes));
 }
 
 Status RfsSerializer::SaveToFile(const RfsTree& tree, const std::string& path) {
@@ -235,11 +374,22 @@ Status RfsSerializer::SaveToFile(const RfsTree& tree, const std::string& path) {
 }
 
 StatusOr<RfsTree> RfsSerializer::LoadFromFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IoError("cannot open for reading: " + path);
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  return Deserialize(ss.str());
+  StatusOr<std::unique_ptr<FileByteSource>> file = FileByteSource::Open(path);
+  if (!file.ok()) return file.status();
+  return Decode(**file);
+}
+
+StatusOr<RfsTree> RfsSerializer::LoadForSnapshot(
+    const std::string& db_path, const std::string& rfs_path,
+    std::shared_ptr<const FeatureStore> shared) {
+  StatusOr<std::unique_ptr<FileByteSource>> file =
+      FileByteSource::Open(rfs_path.empty() ? db_path : rfs_path);
+  if (!file.ok()) return file.status();
+  if (!rfs_path.empty()) return Decode(**file, std::move(shared));
+  StatusOr<SnapshotChunkInfo> chunk = DatabaseIo::FindEmbeddedRfs(**file);
+  if (!chunk.ok()) return chunk.status();
+  return Decode(SliceByteSource(**file, chunk->offset, chunk->length),
+                std::move(shared));
 }
 
 }  // namespace qdcbir

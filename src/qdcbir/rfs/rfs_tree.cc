@@ -6,7 +6,7 @@
 namespace qdcbir {
 
 void RfsTree::RebuildLeafMap() {
-  leaf_of_.assign(features_.size(), kInvalidNodeId);
+  leaf_of_.assign(num_images(), kInvalidNodeId);
   const auto levels = index_.NodesByLevel();
   for (const NodeId leaf : levels[0]) {
     for (const RStarTree::Entry& e : index_.node(leaf).entries) {

@@ -1,11 +1,11 @@
 #ifndef QDCBIR_RFS_RFS_TREE_H_
 #define QDCBIR_RFS_RFS_TREE_H_
 
+#include <memory>
 #include <unordered_map>
 #include <vector>
 
-#include "qdcbir/core/feature_block.h"
-#include "qdcbir/core/feature_vector.h"
+#include "qdcbir/core/feature_store.h"
 #include "qdcbir/core/rng.h"
 #include "qdcbir/core/status.h"
 #include "qdcbir/core/types.h"
@@ -23,9 +23,12 @@ namespace qdcbir {
 /// representatives. Representative counts are proportional to cluster sizes
 /// (about 5% of the database overall in the paper's prototype).
 ///
-/// The structure is self-contained: it owns the index and a copy of the
-/// feature vectors, so relevance-feedback processing needs nothing else —
-/// the property that lets the paper run feedback on client machines.
+/// The structure is self-contained: it owns the index and shares an
+/// immutable feature store, so relevance-feedback processing needs nothing
+/// else — the property that lets the paper run feedback on client machines.
+/// A tree built or decoded on its own holds a store of its own; a tree
+/// loaded against a database (`RfsSerializer::LoadForSnapshot`) shares the
+/// database's store, so the corpus features exist once in the process.
 class RfsTree {
  public:
   /// Per-node annotation.
@@ -43,10 +46,14 @@ class RfsTree {
     std::size_t subtree_size = 0;  ///< images in the subtree
   };
 
+  /// A tree over a fresh store built from `features`.
   RfsTree(RStarTree index, std::vector<FeatureVector> features)
-      : index_(std::move(index)),
-        features_(std::move(features)),
-        feature_blocks_(features_) {}
+      : RfsTree(std::move(index), std::make_shared<const FeatureStore>(
+                                      std::move(features))) {}
+
+  /// A tree sharing an existing store (image id i = row i).
+  RfsTree(RStarTree index, std::shared_ptr<const FeatureStore> store)
+      : index_(std::move(index)), store_(std::move(store)) {}
 
   RfsTree(const RfsTree&) = delete;
   RfsTree& operator=(const RfsTree&) = delete;
@@ -56,18 +63,20 @@ class RfsTree {
   const RStarTree& index() const { return index_; }
   NodeId root() const { return index_.root(); }
   int height() const { return index_.height(); }
-  std::size_t num_images() const { return features_.size(); }
-  std::size_t feature_dim() const {
-    return features_.empty() ? 0 : features_.front().dim();
+  std::size_t num_images() const { return store_->size(); }
+  std::size_t feature_dim() const { return store_->dim(); }
+
+  const FeatureVector& feature(ImageId id) const { return features()[id]; }
+  const std::vector<FeatureVector>& features() const { return store_->rows(); }
+
+  /// Blocked SoA copy of the feature table, built once with the store.
+  /// Consumed by the batched localized-scan kernels.
+  const FeatureBlockTable& feature_blocks() const { return store_->blocks(); }
+
+  /// The shared store behind `features()` and `feature_blocks()`.
+  const std::shared_ptr<const FeatureStore>& feature_store() const {
+    return store_;
   }
-
-  const FeatureVector& feature(ImageId id) const { return features_[id]; }
-  const std::vector<FeatureVector>& features() const { return features_; }
-
-  /// Blocked SoA copy of the feature table, built once at construction —
-  /// both the builder and the deserializer hand features to the
-  /// constructor. Consumed by the batched localized-scan kernels.
-  const FeatureBlockTable& feature_blocks() const { return feature_blocks_; }
 
   bool has_info(NodeId id) const { return info_.count(id) > 0; }
   const NodeInfo& info(NodeId id) const { return info_.at(id); }
@@ -114,8 +123,7 @@ class RfsTree {
   friend class RfsSerializer;
 
   RStarTree index_;
-  std::vector<FeatureVector> features_;
-  FeatureBlockTable feature_blocks_;
+  std::shared_ptr<const FeatureStore> store_;
   std::unordered_map<NodeId, NodeInfo> info_;
   std::vector<NodeId> leaf_of_;  ///< containing leaf per image id
 };

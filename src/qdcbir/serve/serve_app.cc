@@ -2,9 +2,7 @@
 
 #include <chrono>
 #include <cstdlib>
-#include <fstream>
 #include <functional>
-#include <sstream>
 #include <string_view>
 #include <thread>
 #include <utility>
@@ -124,15 +122,6 @@ bool ParseCountParam(const std::string& query, std::size_t fallback,
   if (end == nullptr || *end != '\0' || value == 0) return false;
   *out = static_cast<std::size_t>(value);
   return true;
-}
-
-StatusOr<std::string> ReadFileBytes(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IoError("cannot open " + path);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  if (!in.good() && !in.eof()) return Status::IoError("cannot read " + path);
-  return std::move(buffer).str();
 }
 
 /// Stamps the session's trace identity onto a response: the `traceparent`
@@ -445,31 +434,20 @@ void ServeApp::LoadInBackground() {
     SetReadiness(Readiness::kFailed);
   };
 
-  // The snapshot decode and the RFS byte read overlap on the query pool;
-  // the snapshot loader additionally fans its chunks out on the same pool
-  // (nested batches are safe).
-  ThreadPool& pool = QueryPool();
-  StatusOr<ImageDatabase> db = Status::Internal("snapshot load not run");
-  StatusOr<std::string> rfs_blob = Status::Internal("rfs load not run");
-  std::vector<std::function<void()>> tasks;
-  tasks.push_back([this, &pool, &db] {
-    SnapshotLoadOptions load_options;
-    load_options.pool = &pool;
-    load_options.verify_checksums = options_.verify_checksums;
-    db = DatabaseIo::LoadDatabase(options_.db_path, load_options);
-  });
-  tasks.push_back([this, &rfs_blob] {
-    rfs_blob = options_.rfs_path.empty()
-                   ? DatabaseIo::LoadEmbeddedRfsBlob(options_.db_path)
-                   : ReadFileBytes(options_.rfs_path);
-  });
-  pool.Run(std::move(tasks));
-
+  // The snapshot loads first (its chunks fan out on the query pool); the
+  // RFS then streams from `--rfs` or the embedded chunk and adopts the
+  // snapshot's feature store, so the corpus features are held once and no
+  // RFS blob is ever read into memory whole.
+  SnapshotLoadOptions load_options;
+  load_options.pool = &QueryPool();
+  load_options.verify_checksums = options_.verify_checksums;
+  StatusOr<ImageDatabase> db =
+      DatabaseIo::LoadDatabase(options_.db_path, load_options);
   if (!db.ok()) return fail(db.status());
-  if (!rfs_blob.ok()) return fail(rfs_blob.status());
 
   SetReadiness(Readiness::kBuildingRfs);
-  StatusOr<RfsTree> rfs = RfsSerializer::Deserialize(*rfs_blob);
+  StatusOr<RfsTree> rfs = RfsSerializer::LoadForSnapshot(
+      options_.db_path, options_.rfs_path, db->feature_store());
   if (!rfs.ok()) return fail(rfs.status());
 
   db_.emplace(std::move(*db));

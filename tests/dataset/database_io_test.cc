@@ -307,13 +307,30 @@ TEST_F(DatabaseIoTest, EmbeddedRfsBlobRoundTrips) {
   ASSERT_TRUE(restored.ok()) << restored.status().ToString();
   EXPECT_EQ(DatabaseIo::SerializeDatabase(*restored), without_rfs);
 
-  StatusOr<std::string> blob =
-      DatabaseIo::LoadEmbeddedRfsBlobFrom(MemoryByteSource(with_rfs));
-  ASSERT_TRUE(blob.ok()) << blob.status().ToString();
-  EXPECT_EQ(*blob, rfs_payload);
+  // The chunk is located and checksummed in place; a slice over the same
+  // source reads back exactly the embedded bytes.
+  const MemoryByteSource source(with_rfs);
+  StatusOr<SnapshotChunkInfo> chunk = DatabaseIo::FindEmbeddedRfs(source);
+  ASSERT_TRUE(chunk.ok()) << chunk.status().ToString();
+  EXPECT_EQ(chunk->id, "RFS0");
+  EXPECT_TRUE(chunk->crc_ok);
+  const SliceByteSource slice(source, chunk->offset, chunk->length);
+  std::string blob(slice.Size(), '\0');
+  ASSERT_TRUE(slice.ReadAt(0, blob.size(), blob.data()).ok());
+  EXPECT_EQ(blob, rfs_payload);
+  EXPECT_EQ(slice.ReadAt(1, blob.size(), blob.data()).code(),
+            StatusCode::kTruncated);
 
-  StatusOr<std::string> missing =
-      DatabaseIo::LoadEmbeddedRfsBlobFrom(MemoryByteSource(without_rfs));
+  // A flipped payload bit fails the streamed checksum.
+  std::string damaged = with_rfs;
+  damaged[chunk->offset + 2] ^= 0x04;
+  EXPECT_EQ(DatabaseIo::FindEmbeddedRfs(MemoryByteSource(damaged))
+                .status()
+                .code(),
+            StatusCode::kCorrupt);
+
+  StatusOr<SnapshotChunkInfo> missing =
+      DatabaseIo::FindEmbeddedRfs(MemoryByteSource(without_rfs));
   ASSERT_FALSE(missing.ok());
   EXPECT_EQ(missing.status().code(), StatusCode::kNotFound);
 }

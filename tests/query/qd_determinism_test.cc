@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "qdcbir/cache/cache_manager.h"
+#include "qdcbir/core/byte_source.h"
 #include "qdcbir/obs/quality_stats.h"
 #include "qdcbir/obs/wide_event.h"
 #include "qdcbir/core/thread_pool.h"
@@ -42,21 +43,30 @@ class QdDeterminismTest : public ::testing::Test {
     build.tree.max_entries = 40;
     build.tree.min_entries = 16;
     rfs_ = new RfsTree(RfsBuilder::Build(db_->features(), build).value());
+    // The same tree decoded against the database: it adopts the
+    // database's feature store instead of owning a copy.
+    shared_rfs_ = new RfsTree(
+        RfsSerializer::Decode(MemoryByteSource(RfsSerializer::Serialize(*rfs_)),
+                              db_->feature_store())
+            .value());
   }
   static void TearDownTestSuite() {
+    delete shared_rfs_;
     delete rfs_;
     delete db_;
   }
 
-  /// Drives one scripted QD session: 2 feedback rounds marking the first
-  /// two representatives of every display group, then Finalize(k).
+  /// Drives one scripted QD session over `tree` (default: the owning
+  /// tree): 2 feedback rounds marking the first two representatives of
+  /// every display group, then Finalize(k).
   static QdResult RunScriptedSession(ThreadPool* pool, QdSessionStats* stats,
-                                     cache::CacheManager* cache = nullptr) {
+                                     cache::CacheManager* cache = nullptr,
+                                     const RfsTree* tree = nullptr) {
     QdOptions options;
     options.seed = 4242;
     options.pool = pool;
     options.cache = cache;
-    QdSession session(rfs_, options);
+    QdSession session(tree != nullptr ? tree : rfs_, options);
     std::vector<DisplayGroup> display = session.Start();
     for (int round = 0; round < 2; ++round) {
       std::vector<ImageId> picks;
@@ -74,10 +84,12 @@ class QdDeterminismTest : public ::testing::Test {
 
   static const ImageDatabase* db_;
   static const RfsTree* rfs_;
+  static const RfsTree* shared_rfs_;
 };
 
 const ImageDatabase* QdDeterminismTest::db_ = nullptr;
 const RfsTree* QdDeterminismTest::rfs_ = nullptr;
+const RfsTree* QdDeterminismTest::shared_rfs_ = nullptr;
 
 void ExpectIdenticalResults(const QdResult& a, const QdResult& b) {
   ASSERT_EQ(a.groups.size(), b.groups.size());
@@ -158,6 +170,37 @@ void ExpectIdenticalStats(const QdSessionStats& a, const QdSessionStats& b) {
   EXPECT_EQ(a.localized_subqueries, b.localized_subqueries);
   EXPECT_EQ(a.knn_candidates, b.knn_candidates);
   EXPECT_EQ(a.knn_nodes_visited, b.knn_nodes_visited);
+}
+
+TEST_F(QdDeterminismTest, SharedStoreTreeMatchesOwningTreeAcrossThreads) {
+  // Adopting the database's store changes where the features live, not
+  // what the engine computes: ranked ids, groups and cost counters match
+  // the owning tree byte for byte at every width, cached or not.
+  ASSERT_EQ(&shared_rfs_->features(), &db_->features());
+  ASSERT_EQ(&shared_rfs_->feature_blocks(), &db_->feature_blocks());
+  ASSERT_NE(&rfs_->features(), &db_->features());
+
+  ThreadPool sequential(1);
+  QdSessionStats baseline_stats;
+  const QdResult baseline = RunScriptedSession(&sequential, &baseline_stats);
+
+  for (std::size_t threads : {1u, 2u, 4u, 8u}) {
+    ThreadPool pool(threads);
+    for (const bool cached : {false, true}) {
+      // With the cache on, the second pass is served warm.
+      cache::CacheManager cache(cache::CacheManager::Options{});
+      for (int pass = 0; pass < (cached ? 2 : 1); ++pass) {
+        SCOPED_TRACE(::testing::Message() << "threads=" << threads
+                                          << " cache=" << cached
+                                          << " pass=" << pass);
+        QdSessionStats stats;
+        const QdResult result = RunScriptedSession(
+            &pool, &stats, cached ? &cache : nullptr, shared_rfs_);
+        ExpectIdenticalResults(baseline, result);
+        ExpectIdenticalStats(baseline_stats, stats);
+      }
+    }
+  }
 }
 
 TEST_F(QdDeterminismTest, QualityTelemetryAndWideEventsAreInvisible) {

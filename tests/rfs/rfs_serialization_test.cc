@@ -1,27 +1,41 @@
 #include "qdcbir/rfs/rfs_serialization.h"
 
 #include <cstdio>
+#include <cstring>
+#include <set>
 
 #include <gtest/gtest.h>
 
 #include "qdcbir/core/rng.h"
+#include "qdcbir/dataset/database_io.h"
+#include "qdcbir/dataset/synthesizer.h"
 #include "qdcbir/rfs/rfs_builder.h"
+#include "support/fault_stream.h"
 
 namespace qdcbir {
 namespace {
 
-RfsTree MakeTree(std::uint64_t seed) {
+using testsupport::FaultInjectingSource;
+using testsupport::FaultSpec;
+using testsupport::SampleOffsets;
+using testsupport::TruncateAt;
+
+RfsTree MakeTree(std::uint64_t seed, int points_count = 400, int dim = 3) {
   Rng rng(seed);
   std::vector<FeatureVector> points;
-  for (int i = 0; i < 400; ++i) {
-    points.push_back(FeatureVector{rng.UniformDouble(-10, 10),
-                                   rng.UniformDouble(-10, 10),
-                                   rng.UniformDouble(-10, 10)});
+  for (int i = 0; i < points_count; ++i) {
+    FeatureVector p(static_cast<std::size_t>(dim));
+    for (int d = 0; d < dim; ++d) p[d] = rng.UniformDouble(-10, 10);
+    points.push_back(std::move(p));
   }
   RfsBuildOptions options;
   options.tree.max_entries = 12;
   options.tree.min_entries = 5;
   return RfsBuilder::Build(std::move(points), options).value();
+}
+
+StatusCode DecodeCode(const std::string& bytes) {
+  return RfsSerializer::Deserialize(bytes).status().code();
 }
 
 TEST(RfsSerializationTest, RoundTripPreservesEverything) {
@@ -107,6 +121,316 @@ TEST(RfsSerializationTest, SaveToUnwritablePathFails) {
   EXPECT_FALSE(
       RfsSerializer::SaveToFile(tree, "/nonexistent/dir/file.bin").ok());
   EXPECT_FALSE(RfsSerializer::LoadFromFile("/nonexistent/file.bin").ok());
+}
+
+/// Byte offsets of the fixed fields of a serialized tree, for forging them.
+struct BlobLayout {
+  std::size_t features = 24;  ///< after magic, num_images, dim
+  std::size_t index = 0;      ///< max_entries; node_slots at +24, root +32
+  std::size_t first_node = 0; ///< presence byte of slot 0
+  std::size_t info = 0;       ///< info_count
+};
+
+BlobLayout LayoutOf(const RfsTree& tree, const std::string& blob) {
+  BlobLayout layout;
+  const std::size_t dim = tree.feature_dim();
+  layout.index = 24 + tree.num_images() * dim * sizeof(double);
+  layout.first_node = layout.index + 44;
+  std::size_t info_bytes = 8;
+  const auto levels = tree.index().NodesByLevel();
+  for (const auto& nodes : levels) {
+    for (const NodeId id : nodes) {
+      const RfsTree::NodeInfo& info = tree.info(id);
+      info_bytes += 44 + 4 * info.children.size() +
+                    8 * info.representatives.size() + 8 * dim;
+    }
+  }
+  layout.info = blob.size() - info_bytes;
+  return layout;
+}
+
+template <typename T>
+std::string Forge(std::string blob, std::size_t offset, T value) {
+  std::memcpy(blob.data() + offset, &value, sizeof(T));
+  return blob;
+}
+
+template <typename T>
+T Peek(const std::string& blob, std::size_t offset) {
+  T value;
+  std::memcpy(&value, blob.data() + offset, sizeof(T));
+  return value;
+}
+
+/// The corruption contract of the streaming decoder: damaged RFS bytes
+/// yield a typed error — `kTruncated` when they end early or declare more
+/// than they hold, `kCorrupt` when a field breaks the structure — and
+/// never a crash or an allocation sized by a hostile field.
+class RfsCorruptionTest : public ::testing::Test {
+ protected:
+  static void SetUpTestSuite() {
+    // 1500 x 12 doubles of features alone span several decode buffers.
+    tree_ = new RfsTree(MakeTree(17, 1500, 12));
+    blob_ = new std::string(RfsSerializer::Serialize(*tree_));
+    layout_ = new BlobLayout(LayoutOf(*tree_, *blob_));
+  }
+  static void TearDownTestSuite() {
+    delete layout_;
+    delete blob_;
+    delete tree_;
+  }
+
+  static const RfsTree* tree_;
+  static const std::string* blob_;
+  static const BlobLayout* layout_;
+};
+
+const RfsTree* RfsCorruptionTest::tree_ = nullptr;
+const std::string* RfsCorruptionTest::blob_ = nullptr;
+const BlobLayout* RfsCorruptionTest::layout_ = nullptr;
+
+TEST_F(RfsCorruptionTest, LayoutMatchesTheWriter) {
+  // Guards the forging tests below: the computed offsets land on the
+  // fields they name.
+  EXPECT_EQ(Peek<std::uint64_t>(*blob_, 8), tree_->num_images());
+  EXPECT_EQ(Peek<std::uint64_t>(*blob_, 16), tree_->feature_dim());
+  EXPECT_EQ(Peek<std::uint32_t>(*blob_, layout_->index + 32), tree_->root());
+  EXPECT_EQ(Peek<std::uint8_t>(*blob_, layout_->first_node), 1u);
+  EXPECT_EQ(Peek<std::uint64_t>(*blob_, layout_->info),
+            tree_->ComputeStats().node_count);
+  ASSERT_TRUE(RfsSerializer::Deserialize(*blob_).ok());
+}
+
+TEST_F(RfsCorruptionTest, TruncationAnywhereIsExactlyTruncated) {
+  std::set<std::size_t> cuts = {0,  4,  8,  16, 24, layout_->index,
+                                layout_->index + 24, layout_->first_node,
+                                layout_->info, layout_->info + 8,
+                                blob_->size() - 1};
+  Rng rng(2026);
+  for (const std::size_t off : SampleOffsets(rng, blob_->size(), 64)) {
+    cuts.insert(off);
+  }
+  const MemoryByteSource base(*blob_);
+  for (const std::size_t cut : cuts) {
+    SCOPED_TRACE("cut at " + std::to_string(cut));
+    EXPECT_EQ(DecodeCode(TruncateAt(*blob_, cut)), StatusCode::kTruncated);
+    FaultSpec spec;
+    spec.truncate_at = static_cast<std::int64_t>(cut);
+    const FaultInjectingSource cut_source(base, spec);
+    const StatusOr<RfsTree> tree =
+        RfsSerializer::Decode(cut_source, tree_->feature_store());
+    ASSERT_FALSE(tree.ok());
+    EXPECT_EQ(tree.status().code(), StatusCode::kTruncated)
+        << tree.status().ToString();
+  }
+}
+
+TEST_F(RfsCorruptionTest, ForgedDimIsRejected) {
+  const std::uint64_t dim = tree_->feature_dim();
+  for (const std::uint64_t forged :
+       {std::uint64_t{0}, dim - 1, dim + 1, 2 * dim, std::uint64_t{1} << 40,
+        ~std::uint64_t{0}}) {
+    SCOPED_TRACE("dim " + std::to_string(forged));
+    const std::string bytes = Forge(*blob_, 16, forged);
+    const StatusCode code = DecodeCode(bytes);
+    EXPECT_TRUE(code == StatusCode::kTruncated || code == StatusCode::kCorrupt)
+        << StatusCodeToString(code);
+    // Against the store it was built over, a wrong dim disagrees up front.
+    const StatusOr<RfsTree> shared = RfsSerializer::Decode(
+        MemoryByteSource(bytes), tree_->feature_store());
+    ASSERT_FALSE(shared.ok());
+    EXPECT_TRUE(shared.status().code() == StatusCode::kTruncated ||
+                shared.status().code() == StatusCode::kCorrupt);
+  }
+  EXPECT_EQ(DecodeCode(Forge(*blob_, 16, std::uint64_t{0})),
+            StatusCode::kCorrupt);
+  EXPECT_EQ(DecodeCode(Forge(*blob_, 16, std::uint64_t{1} << 40)),
+            StatusCode::kTruncated);
+}
+
+TEST_F(RfsCorruptionTest, ForgedCountsAreTruncatedBeforeAllocating) {
+  // Each count claims far more elements than the bytes left could hold;
+  // the decoder must refuse before sizing anything by it.
+  const std::uint64_t huge = std::uint64_t{1} << 60;
+  const std::size_t first_info_children = layout_->info + 8 + 12;
+  const std::size_t first_entry_count = layout_->first_node + 9;
+  for (const std::size_t offset :
+       {std::size_t{8}, layout_->index + 24, first_entry_count, layout_->info,
+        first_info_children}) {
+    SCOPED_TRACE("count at " + std::to_string(offset));
+    EXPECT_EQ(DecodeCode(Forge(*blob_, offset, huge)), StatusCode::kTruncated);
+    EXPECT_EQ(DecodeCode(Forge(*blob_, offset, ~std::uint64_t{0})),
+              StatusCode::kTruncated);
+  }
+}
+
+TEST_F(RfsCorruptionTest, OutOfRangeIdsAreCorrupt) {
+  const std::uint64_t slots = Peek<std::uint64_t>(*blob_, layout_->index + 24);
+  const auto forged_u32 = [&](std::size_t offset, std::uint32_t value) {
+    return DecodeCode(Forge(*blob_, offset, value));
+  };
+  // The root, past the slot table.
+  EXPECT_EQ(forged_u32(layout_->index + 32,
+                       static_cast<std::uint32_t>(slots) + 3),
+            StatusCode::kCorrupt);
+  // Slot 0's first entry: an image past the table (leaf) or a node past
+  // the slots (internal).
+  const bool leaf = Peek<std::int32_t>(*blob_, layout_->first_node + 1) == 0;
+  const std::size_t first_entry = layout_->first_node + 17;
+  EXPECT_EQ(leaf ? forged_u32(first_entry + 4,
+                              static_cast<std::uint32_t>(tree_->num_images()))
+                 : forged_u32(first_entry,
+                              static_cast<std::uint32_t>(slots) + 1),
+            StatusCode::kCorrupt);
+  // The first annotation: its node id and its first representative.
+  const std::size_t info = layout_->info + 8;
+  EXPECT_EQ(forged_u32(info, static_cast<std::uint32_t>(slots) + 7),
+            StatusCode::kCorrupt);
+  const NodeId first_id = Peek<std::uint32_t>(*blob_, info);
+  const std::size_t first_rep =
+      info + 20 + 4 * tree_->info(first_id).children.size() + 8;
+  EXPECT_EQ(forged_u32(first_rep,
+                       static_cast<std::uint32_t>(tree_->num_images()) + 9),
+            StatusCode::kCorrupt);
+  // A presence flag that is neither 0 nor 1, and trailing garbage.
+  EXPECT_EQ(DecodeCode(Forge(*blob_, layout_->first_node, std::uint8_t{7})),
+            StatusCode::kCorrupt);
+  EXPECT_EQ(DecodeCode(*blob_ + "x"), StatusCode::kCorrupt);
+  EXPECT_EQ(DecodeCode("BADMAGIC" + blob_->substr(8)), StatusCode::kCorrupt);
+}
+
+TEST_F(RfsCorruptionTest, FailedAndShortReadsPropagate) {
+  const MemoryByteSource base(*blob_);
+  const FaultInjectingSource clean(base, FaultSpec{});
+  ASSERT_TRUE(RfsSerializer::Decode(clean).ok());
+  const std::uint64_t total_ops = clean.ops();
+  ASSERT_GT(total_ops, 3u) << "the blob should span several buffers";
+  for (std::uint64_t op = 0; op < total_ops; ++op) {
+    SCOPED_TRACE("read operation " + std::to_string(op));
+    FaultSpec fail;
+    fail.fail_op = static_cast<std::int64_t>(op);
+    EXPECT_EQ(RfsSerializer::Decode(FaultInjectingSource(base, fail))
+                  .status()
+                  .code(),
+              StatusCode::kIoError);
+    FaultSpec short_read;
+    short_read.short_read_op = static_cast<std::int64_t>(op);
+    EXPECT_EQ(RfsSerializer::Decode(FaultInjectingSource(base, short_read))
+                  .status()
+                  .code(),
+              StatusCode::kTruncated);
+  }
+}
+
+/// A snapshot with its RFS, saved both embedded and standalone, plus the
+/// same-size RFS of a corpus synthesized from another seed.
+class RfsSharedStoreTest : public ::testing::Test {
+ protected:
+  static ImageDatabase Synthesize(std::uint64_t seed) {
+    CatalogOptions catalog_options;
+    catalog_options.num_categories = 12;
+    SynthesizerOptions options;
+    options.total_images = 300;
+    options.image_width = 24;
+    options.image_height = 24;
+    options.seed = seed;
+    return DatabaseSynthesizer::Synthesize(
+               Catalog::Build(catalog_options).value(), options)
+        .value();
+  }
+  static std::string BuildRfsBlob(const ImageDatabase& db) {
+    RfsBuildOptions build;
+    build.tree.max_entries = 40;
+    build.tree.min_entries = 16;
+    return RfsSerializer::Serialize(
+        RfsBuilder::Build(db.features(), build).value());
+  }
+  static void WriteFile(const std::string& path, const std::string& bytes) {
+    std::FILE* f = std::fopen(path.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f), bytes.size());
+    std::fclose(f);
+  }
+
+  static void SetUpTestSuite() {
+    const ImageDatabase db = Synthesize(7);
+    const std::string rfs = BuildRfsBlob(db);
+    db_path_ = new std::string(::testing::TempDir() + "rfs_shared.qdb");
+    rfs_path_ = new std::string(::testing::TempDir() + "rfs_shared.rfs");
+    other_rfs_path_ = new std::string(::testing::TempDir() + "rfs_other.rfs");
+    ASSERT_TRUE(DatabaseIo::SaveDatabase(db, *db_path_, &rfs).ok());
+    WriteFile(*rfs_path_, rfs);
+    WriteFile(*other_rfs_path_, BuildRfsBlob(Synthesize(8)));
+  }
+  static void TearDownTestSuite() {
+    for (std::string* path : {db_path_, rfs_path_, other_rfs_path_}) {
+      std::remove(path->c_str());
+      delete path;
+    }
+  }
+
+  static std::string* db_path_;
+  static std::string* rfs_path_;
+  static std::string* other_rfs_path_;
+};
+
+std::string* RfsSharedStoreTest::db_path_ = nullptr;
+std::string* RfsSharedStoreTest::rfs_path_ = nullptr;
+std::string* RfsSharedStoreTest::other_rfs_path_ = nullptr;
+
+TEST_F(RfsSharedStoreTest, LoadedPairHoldsTheFeaturesOnce) {
+  const ImageDatabase db = DatabaseIo::LoadDatabase(*db_path_).value();
+  // Viewpoint channel 0 aliases the main store.
+  EXPECT_EQ(&db.channel_features(ViewpointChannel::kOriginal), &db.features());
+  EXPECT_EQ(&db.channel_blocks(ViewpointChannel::kOriginal),
+            &db.feature_blocks());
+  ASSERT_TRUE(db.has_channel_features());
+  EXPECT_NE(&db.channel_features(ViewpointChannel::kGray), &db.features());
+
+  // Embedded chunk and standalone file alike adopt the database's store.
+  for (const std::string& rfs_path : {std::string(), *rfs_path_}) {
+    SCOPED_TRACE(rfs_path.empty() ? "embedded" : "standalone");
+    const StatusOr<RfsTree> rfs =
+        RfsSerializer::LoadForSnapshot(*db_path_, rfs_path, db.feature_store());
+    ASSERT_TRUE(rfs.ok()) << rfs.status().ToString();
+    EXPECT_EQ(&rfs->features(), &db.features());
+    EXPECT_EQ(&rfs->feature_blocks(), &db.feature_blocks());
+    EXPECT_EQ(rfs->feature_store(), db.feature_store());
+    EXPECT_TRUE(rfs->CheckInvariants().ok());
+    // Sharing changes where the features live, not the tree.
+    const StatusOr<RfsTree> owning = RfsSerializer::LoadFromFile(*rfs_path_);
+    ASSERT_TRUE(owning.ok());
+    EXPECT_NE(&owning->features(), &db.features());
+    EXPECT_EQ(RfsSerializer::Serialize(*rfs),
+              RfsSerializer::Serialize(*owning));
+  }
+}
+
+TEST_F(RfsSharedStoreTest, MismatchedPairIsCorrupt) {
+  const ImageDatabase db = DatabaseIo::LoadDatabase(*db_path_).value();
+  const StatusOr<RfsTree> other = RfsSerializer::LoadForSnapshot(
+      *db_path_, *other_rfs_path_, db.feature_store());
+  ASSERT_FALSE(other.ok());
+  EXPECT_EQ(other.status().code(), StatusCode::kCorrupt);
+  EXPECT_EQ(other.status().message(), "RFS features disagree with snapshot");
+  // Unpaired, the same file decodes fine.
+  EXPECT_TRUE(RfsSerializer::LoadFromFile(*other_rfs_path_).ok());
+
+  // A store of another size disagrees too.
+  const ImageDatabase half = DatabaseSynthesizer::Subsample(db, 150).value();
+  EXPECT_EQ(RfsSerializer::LoadForSnapshot(*db_path_, "", half.feature_store())
+                .status()
+                .code(),
+            StatusCode::kCorrupt);
+}
+
+TEST_F(RfsSharedStoreTest, MissingEmbeddedChunkIsNotFound) {
+  const std::string bare = ::testing::TempDir() + "rfs_bare.qdb";
+  const ImageDatabase db = DatabaseIo::LoadDatabase(*db_path_).value();
+  ASSERT_TRUE(DatabaseIo::SaveDatabase(db, bare).ok());
+  EXPECT_EQ(RfsSerializer::LoadForSnapshot(bare, "", nullptr).status().code(),
+            StatusCode::kNotFound);
+  std::remove(bare.c_str());
 }
 
 }  // namespace

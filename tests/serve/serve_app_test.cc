@@ -182,6 +182,48 @@ TEST_F(ServeAppTest, MissingSnapshotReachesFailedAndReadyzAnswers503) {
   app.Stop();
 }
 
+TEST_F(ServeAppTest, RfsFromAnotherCorpusFailsTheLoad) {
+  // Same size, different seed: the RFS would index features the snapshot
+  // does not hold. The load must refuse the pair rather than serve it.
+  CatalogOptions catalog_options;
+  catalog_options.num_categories = 12;
+  SynthesizerOptions options;
+  options.total_images = 300;
+  options.image_width = 32;
+  options.image_height = 32;
+  options.seed = 99;
+  const ImageDatabase other = DatabaseSynthesizer::Synthesize(
+      Catalog::Build(catalog_options).value(), options).value();
+  RfsBuildOptions build;
+  build.tree.max_entries = 40;
+  build.tree.min_entries = 16;
+  const std::string rfs_path = ::testing::TempDir() + "serve_test_other.rfs";
+  ASSERT_TRUE(RfsSerializer::SaveToFile(
+                  RfsBuilder::Build(other.features(), build).value(), rfs_path)
+                  .ok());
+
+  ThreadPool pool(2);
+  ServeOptions serve_options;
+  serve_options.db_path = *db_path_;
+  serve_options.rfs_path = rfs_path;
+  serve_options.pool = &pool;
+  ServeApp app(std::move(serve_options));
+  std::string error;
+  ASSERT_TRUE(app.Start(&error)) << error;
+  EXPECT_FALSE(app.WaitUntilReady(30000));
+  EXPECT_EQ(app.readiness(), Readiness::kFailed);
+  EXPECT_NE(app.load_error().find("Corrupt"), std::string::npos)
+      << app.load_error();
+  EXPECT_NE(app.load_error().find("RFS features disagree with snapshot"),
+            std::string::npos)
+      << app.load_error();
+  const std::string readyz = Get(app.port(), "/readyz");
+  EXPECT_NE(readyz.find("503"), std::string::npos);
+  EXPECT_NE(readyz.find("failed: "), std::string::npos) << readyz;
+  app.Stop();
+  std::remove(rfs_path.c_str());
+}
+
 TEST_F(ServeAppTest, FullFeedbackSessionOverHttp) {
   ThreadPool pool(4);
   ServeOptions options;

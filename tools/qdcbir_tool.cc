@@ -251,7 +251,8 @@ int CmdQuery(int argc, char** argv) {
 
   StatusOr<RunOutcome> outcome = Status::Internal("unset");
   if (engine_name == "qd") {
-    StatusOr<RfsTree> rfs = RfsSerializer::LoadFromFile(rfs_path);
+    StatusOr<RfsTree> rfs =
+        RfsSerializer::LoadForSnapshot(db_path, rfs_path, db->feature_store());
     if (!rfs.ok()) return Fail(rfs.status());
     QdOptions qd_options;
     qd_options.cache = run_cache.get();
@@ -394,7 +395,8 @@ int CmdExportReps(int argc, char** argv) {
 
   StatusOr<ImageDatabase> db = DatabaseIo::LoadDatabase(db_path);
   if (!db.ok()) return Fail(db.status());
-  StatusOr<RfsTree> rfs = RfsSerializer::LoadFromFile(rfs_path);
+  StatusOr<RfsTree> rfs =
+      RfsSerializer::LoadForSnapshot(db_path, rfs_path, db->feature_store());
   if (!rfs.ok()) return Fail(rfs.status());
 
   const NodeId node = node_flag == "root"
@@ -425,16 +427,10 @@ int CmdExportReps(int argc, char** argv) {
 }
 
 /// Loads the RFS tree (standalone `rfs_path`, or the snapshot's embedded
-/// blob when empty) and prints the tree-shape digest shared with /indexz.
+/// chunk when empty) and prints the tree-shape digest shared with /indexz.
 int PrintTreeShape(const std::string& db_path, const std::string& rfs_path) {
-  StatusOr<RfsTree> rfs = Status::Internal("rfs load not run");
-  if (!rfs_path.empty()) {
-    rfs = RfsSerializer::LoadFromFile(rfs_path);
-  } else {
-    StatusOr<std::string> blob = DatabaseIo::LoadEmbeddedRfsBlob(db_path);
-    if (!blob.ok()) return Fail(blob.status());
-    rfs = RfsSerializer::Deserialize(*blob);
-  }
+  StatusOr<RfsTree> rfs =
+      RfsSerializer::LoadForSnapshot(db_path, rfs_path, nullptr);
   if (!rfs.ok()) return Fail(rfs.status());
   std::printf("%s", RenderIndexTreeText(SummarizeIndexTree(*rfs)).c_str());
   return 0;
@@ -539,14 +535,8 @@ int CmdIndexz(int argc, char** argv) {
   const std::size_t hot_n =
       static_cast<std::size_t>(IntFlag(argc, argv, "hot", 16));
 
-  StatusOr<RfsTree> rfs = Status::Internal("rfs load not run");
-  if (!rfs_path.empty()) {
-    rfs = RfsSerializer::LoadFromFile(rfs_path);
-  } else {
-    StatusOr<std::string> blob = DatabaseIo::LoadEmbeddedRfsBlob(db_path);
-    if (!blob.ok()) return Fail(blob.status());
-    rfs = RfsSerializer::Deserialize(*blob);
-  }
+  StatusOr<RfsTree> rfs =
+      RfsSerializer::LoadForSnapshot(db_path, rfs_path, nullptr);
   if (!rfs.ok()) return Fail(rfs.status());
 
   const IndexTreeSummary summary = SummarizeIndexTree(*rfs);
@@ -585,7 +575,8 @@ int CmdProfile(int argc, char** argv) {
 
   StatusOr<ImageDatabase> db = DatabaseIo::LoadDatabase(db_path);
   if (!db.ok()) return Fail(db.status());
-  StatusOr<RfsTree> rfs = RfsSerializer::LoadFromFile(rfs_path);
+  StatusOr<RfsTree> rfs =
+      RfsSerializer::LoadForSnapshot(db_path, rfs_path, db->feature_store());
   if (!rfs.ok()) return Fail(rfs.status());
 
   // The workload: full simulated RF sessions cycling through the catalog's
