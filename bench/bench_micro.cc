@@ -184,14 +184,14 @@ BENCHMARK(BM_BruteForceKnn)->Arg(1000)->Arg(5000)->Arg(15000);
 
 void BM_RStarTreeKnn(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
-  const auto table = RandomPoints(n, kPaperFeatureDim, 4);
+  const auto store = std::make_shared<const FeatureStore>(
+      RandomPoints(n, kPaperFeatureDim, 4));
   std::vector<ImageId> ids(n);
   for (std::size_t i = 0; i < n; ++i) ids[i] = static_cast<ImageId>(i);
   RStarTreeOptions options;
   options.max_entries = 100;
   options.min_entries = 40;
-  const RStarTree tree =
-      BulkLoadRStarTree(table, ids, kPaperFeatureDim, options).value();
+  const RStarTree tree = BulkLoadRStarTree(store, ids, options).value();
   const auto query = RandomPoints(1, kPaperFeatureDim, 5)[0];
   for (auto _ : state) {
     benchmark::DoNotOptimize(tree.KnnSearch(query, 20));
@@ -200,15 +200,15 @@ void BM_RStarTreeKnn(benchmark::State& state) {
 BENCHMARK(BM_RStarTreeKnn)->Arg(1000)->Arg(5000)->Arg(15000);
 
 void BM_RStarTreeInsert(benchmark::State& state) {
-  const auto points = RandomPoints(2000, 8, 6);
+  const auto store =
+      std::make_shared<const FeatureStore>(RandomPoints(2000, 8, 6));
   for (auto _ : state) {
     RStarTreeOptions options;
     options.max_entries = 32;
     options.min_entries = 13;
-    RStarTree tree(8, options);
-    for (std::size_t i = 0; i < points.size(); ++i) {
-      benchmark::DoNotOptimize(
-          tree.Insert(points[i], static_cast<ImageId>(i)));
+    RStarTree tree(store, options);
+    for (ImageId id = 0; id < store->size(); ++id) {
+      benchmark::DoNotOptimize(tree.Insert(id));
     }
   }
   state.SetItemsProcessed(state.iterations() * 2000);

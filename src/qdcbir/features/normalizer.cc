@@ -87,11 +87,15 @@ StatusOr<FeatureNormalizer> FeatureNormalizer::Deserialize(
   }
   std::uint64_t dim = 0;
   std::memcpy(&dim, bytes.data(), sizeof(dim));
-  const std::size_t expected = sizeof(dim) + 2 * dim * sizeof(double);
-  if (bytes.size() != expected) {
+  // Bound `dim` by the bytes left before multiplying: a forged value would
+  // otherwise wrap the size check and drive the resize below.
+  const std::size_t left = bytes.size() - sizeof(dim);
+  if (dim > left / (2 * sizeof(double)) ||
+      left != 2 * dim * sizeof(double)) {
     return Status::IoError("normalizer blob size mismatch");
   }
   FeatureNormalizer n;
+  if (dim == 0) return n;
   n.mean_.resize(dim);
   n.stddev_.resize(dim);
   const char* p = bytes.data() + sizeof(dim);

@@ -82,6 +82,19 @@ void Rect::Extend(const Rect& other) {
   }
 }
 
+void Rect::Extend(const FeatureVector& point) {
+  if (empty()) {
+    lo_ = point.values();
+    hi_ = point.values();
+    return;
+  }
+  assert(dim() == point.dim());
+  for (std::size_t i = 0; i < dim(); ++i) {
+    lo_[i] = std::min(lo_[i], point[i]);
+    hi_[i] = std::max(hi_[i], point[i]);
+  }
+}
+
 Rect Rect::Union(const Rect& a, const Rect& b) {
   Rect out = a;
   out.Extend(b);
@@ -105,13 +118,18 @@ double Rect::Diagonal() const {
 
 double Rect::MinDistSquared(const FeatureVector& point) const {
   assert(dim() == point.dim());
+  return MinDistSquared(lo_.data(), hi_.data(), point);
+}
+
+double Rect::MinDistSquared(const double* lo, const double* hi,
+                            const FeatureVector& point) {
   double sum = 0.0;
-  for (std::size_t i = 0; i < dim(); ++i) {
+  for (std::size_t i = 0; i < point.dim(); ++i) {
     double d = 0.0;
-    if (point[i] < lo_[i]) {
-      d = lo_[i] - point[i];
-    } else if (point[i] > hi_[i]) {
-      d = point[i] - hi_[i];
+    if (point[i] < lo[i]) {
+      d = lo[i] - point[i];
+    } else if (point[i] > hi[i]) {
+      d = point[i] - hi[i];
     }
     sum += d * d;
   }

@@ -48,8 +48,10 @@ class Rect {
   /// Whether this rect intersects `other`.
   bool Intersects(const Rect& other) const;
 
-  /// Extends this rect to cover `other`.
+  /// Extends this rect to cover `other` / `point` (the latter exactly as
+  /// `Extend(Rect(point))`, without building the degenerate rect).
   void Extend(const Rect& other);
+  void Extend(const FeatureVector& point);
 
   /// Smallest rect covering both inputs.
   static Rect Union(const Rect& a, const Rect& b);
@@ -64,6 +66,13 @@ class Rect {
   /// MINDIST: squared Euclidean distance from `point` to the nearest point
   /// of the rect (0 when inside). Drives best-first k-NN search.
   double MinDistSquared(const FeatureVector& point) const;
+
+  /// MINDIST from `point` to the box with bounds `lo`/`hi` (each
+  /// `point.dim()` long). The member above is this over the rect's own
+  /// bounds; an R*-tree leaf entry passes its stored point as both bounds,
+  /// so point and box distances share one arithmetic bit for bit.
+  static double MinDistSquared(const double* lo, const double* hi,
+                               const FeatureVector& point);
 
   std::string ToString() const;
 

@@ -37,8 +37,10 @@ Status RStarTreeOptions::Validate() const {
   return Status::Ok();
 }
 
-RStarTree::RStarTree(std::size_t dim, const RStarTreeOptions& options)
-    : dim_(dim), options_(options) {
+RStarTree::RStarTree(std::shared_ptr<const FeatureStore> store,
+                     const RStarTreeOptions& options)
+    : store_(std::move(store)), options_(options) {
+  assert(store_ != nullptr);
   assert(options_.Validate().ok());
   root_ = AllocateNode(/*level=*/0);
 }
@@ -72,23 +74,27 @@ const RStarTree::Node& RStarTree::node(NodeId id) const {
 
 Rect RStarTree::ComputeNodeRect(const Node& n) const {
   Rect rect;
-  for (const Entry& e : n.entries) rect.Extend(e.rect);
+  if (n.IsLeaf()) {
+    for (const Entry& e : n.entries) rect.Extend(point(e.data));
+  } else {
+    for (const Entry& e : n.entries) rect.Extend(e.rect);
+  }
   return rect;
+}
+
+Rect RStarTree::EntryRect(const Entry& entry, int level) const {
+  return level == 0 ? Rect(point(entry.data)) : entry.rect;
 }
 
 Rect RStarTree::NodeRect(NodeId id) const { return ComputeNodeRect(node(id)); }
 
 int RStarTree::height() const { return node(root_).level + 1; }
 
-Status RStarTree::Insert(const FeatureVector& point, ImageId id) {
-  if (point.dim() != dim_) {
-    return Status::InvalidArgument("point dimensionality mismatch");
-  }
-  if (id == kInvalidImageId) {
-    return Status::InvalidArgument("invalid image id");
+Status RStarTree::Insert(ImageId id) {
+  if (id >= store_->size()) {
+    return Status::InvalidArgument("image id is not a row of the store");
   }
   Entry entry;
-  entry.rect = Rect(point);
   entry.data = id;
   // One flag per level: forced reinsertion happens at most once per level
   // for a single top-level insertion (Beckmann et al. §4.3).
@@ -180,7 +186,8 @@ void RStarTree::ReparentChildren(NodeId id) {
 void RStarTree::InsertEntry(const Entry& entry, int target_level,
                             std::vector<bool>& reinsert_done) {
   std::vector<NodeId> path;
-  const NodeId nid = ChooseSubtree(entry.rect, target_level, path);
+  const NodeId nid =
+      ChooseSubtree(EntryRect(entry, target_level), target_level, path);
   Node& n = mutable_node(nid);
   n.entries.push_back(entry);
   if (entry.child != kInvalidNodeId) parent_[entry.child] = nid;
@@ -207,12 +214,15 @@ void RStarTree::ForcedReinsert(NodeId node_id, std::vector<NodeId>& path,
   Node& n = mutable_node(node_id);
   const FeatureVector center = ComputeNodeRect(n).Center();
 
-  // Sort entries by the distance of their rect centers from the node center.
+  // Sort entries by the distance of their rect centers from the node center
+  // (a leaf entry's center is its point).
   std::vector<std::size_t> order(n.entries.size());
   std::iota(order.begin(), order.end(), 0u);
   std::vector<double> dist(n.entries.size());
   for (std::size_t i = 0; i < n.entries.size(); ++i) {
-    dist[i] = SquaredL2(n.entries[i].rect.Center(), center);
+    const Entry& e = n.entries[i];
+    dist[i] = n.IsLeaf() ? SquaredL2(point(e.data), center)
+                         : SquaredL2(e.rect.Center(), center);
   }
   std::sort(order.begin(), order.end(),
             [&](std::size_t a, std::size_t b) { return dist[a] > dist[b]; });
@@ -253,13 +263,13 @@ void RStarTree::ForcedReinsert(NodeId node_id, std::vector<NodeId>& path,
   }
 }
 
-void RStarTree::ChooseSplitAxisAndIndex(const std::vector<Entry>& entries,
+void RStarTree::ChooseSplitAxisAndIndex(const std::vector<Rect>& rects,
                                         std::size_t min_entries,
                                         std::size_t* split_axis,
                                         std::size_t* split_index,
                                         std::vector<std::size_t>* order) {
-  const std::size_t total = entries.size();
-  const std::size_t dim = entries.front().rect.dim();
+  const std::size_t total = rects.size();
+  const std::size_t dim = rects.front().dim();
   assert(min_entries >= 1 && 2 * min_entries <= total);
   const std::size_t num_dists = total - 2 * min_entries + 1;
 
@@ -271,12 +281,12 @@ void RStarTree::ChooseSplitAxisAndIndex(const std::vector<Entry>& entries,
     std::vector<std::size_t> ord(total);
     std::iota(ord.begin(), ord.end(), 0u);
     std::sort(ord.begin(), ord.end(), [&](std::size_t a, std::size_t b) {
-      const double ka = by_hi ? entries[a].rect.hi(axis) : entries[a].rect.lo(axis);
-      const double kb = by_hi ? entries[b].rect.hi(axis) : entries[b].rect.lo(axis);
+      const double ka = by_hi ? rects[a].hi(axis) : rects[a].lo(axis);
+      const double kb = by_hi ? rects[b].hi(axis) : rects[b].lo(axis);
       if (ka != kb) return ka < kb;
       // Tie-break on the other bound for determinism.
-      const double ta = by_hi ? entries[a].rect.lo(axis) : entries[a].rect.hi(axis);
-      const double tb = by_hi ? entries[b].rect.lo(axis) : entries[b].rect.hi(axis);
+      const double ta = by_hi ? rects[a].lo(axis) : rects[a].hi(axis);
+      const double tb = by_hi ? rects[b].lo(axis) : rects[b].hi(axis);
       return ta < tb;
     });
     return ord;
@@ -290,12 +300,12 @@ void RStarTree::ChooseSplitAxisAndIndex(const std::vector<Entry>& entries,
     suffix.assign(total, Rect());
     Rect acc;
     for (std::size_t i = 0; i < total; ++i) {
-      acc.Extend(entries[ord[i]].rect);
+      acc.Extend(rects[ord[i]]);
       prefix[i] = acc;
     }
     acc = Rect();
     for (std::size_t i = total; i-- > 0;) {
-      acc.Extend(entries[ord[i]].rect);
+      acc.Extend(rects[ord[i]]);
       suffix[i] = acc;
     }
   };
@@ -351,9 +361,14 @@ void RStarTree::Split(NodeId node_id, std::vector<NodeId>& path,
   Node& n = mutable_node(node_id);
   const std::size_t min_entries = EffectiveMinEntries(options_);
 
+  // The heuristics compare entry rects many times over; a leaf's M+1 point
+  // rects are materialised once here and dropped when the split is done.
+  std::vector<Rect> rects;
+  rects.reserve(n.entries.size());
+  for (const Entry& e : n.entries) rects.push_back(EntryRect(e, n.level));
   std::size_t axis = 0, index = 0;
   std::vector<std::size_t> order;
-  ChooseSplitAxisAndIndex(n.entries, min_entries, &axis, &index, &order);
+  ChooseSplitAxisAndIndex(rects, min_entries, &axis, &index, &order);
 
   const NodeId sibling_id = AllocateNode(n.level);
   // AllocateNode may reallocate the arena; re-fetch the node reference.
@@ -408,11 +423,13 @@ void RStarTree::Split(NodeId node_id, std::vector<NodeId>& path,
   }
 }
 
-Status RStarTree::Delete(const FeatureVector& point, ImageId id) {
-  if (point.dim() != dim_) {
-    return Status::InvalidArgument("point dimensionality mismatch");
+Status RStarTree::Delete(ImageId id) {
+  if (id >= store_->size()) {
+    return Status::InvalidArgument("image id is not a row of the store");
   }
-  // Locate the leaf containing the exact (point, id) entry.
+  const FeatureVector& target = point(id);
+  // Locate the leaf holding the entry, descending only into children whose
+  // MBR contains the row's point.
   NodeId found_leaf = kInvalidNodeId;
   std::size_t found_index = 0;
   std::vector<NodeId> stack = {root_};
@@ -422,8 +439,7 @@ Status RStarTree::Delete(const FeatureVector& point, ImageId id) {
     const Node& n = node(nid);
     if (n.IsLeaf()) {
       for (std::size_t i = 0; i < n.entries.size(); ++i) {
-        if (n.entries[i].data == id &&
-            n.entries[i].rect.ContainsPoint(point)) {
+        if (n.entries[i].data == id) {
           found_leaf = nid;
           found_index = i;
           break;
@@ -431,12 +447,12 @@ Status RStarTree::Delete(const FeatureVector& point, ImageId id) {
       }
     } else {
       for (const Entry& e : n.entries) {
-        if (e.rect.ContainsPoint(point)) stack.push_back(e.child);
+        if (e.rect.ContainsPoint(target)) stack.push_back(e.child);
       }
     }
   }
   if (found_leaf == kInvalidNodeId) {
-    return Status::NotFound("no such (point, id) entry");
+    return Status::NotFound("image id is not indexed");
   }
 
   Node& leaf = mutable_node(found_leaf);
@@ -445,9 +461,9 @@ Status RStarTree::Delete(const FeatureVector& point, ImageId id) {
   --size_;
 
   // Condense: walk upward; dissolve underfull nodes, collecting their data
-  // points for reinsertion (subtrees are flattened to points, which is
+  // ids for reinsertion (subtrees are flattened to points, which is
   // always level-correct).
-  std::vector<std::pair<FeatureVector, ImageId>> orphans;
+  std::vector<ImageId> orphans;
   const std::size_t min_entries = EffectiveMinEntries(options_);
   NodeId nid = found_leaf;
   while (nid != root_) {
@@ -460,9 +476,7 @@ Status RStarTree::Delete(const FeatureVector& point, ImageId id) {
         sub.pop_back();
         const Node& sn = node(s);
         if (sn.IsLeaf()) {
-          for (const Entry& e : sn.entries) {
-            orphans.emplace_back(e.rect.Center(), e.data);
-          }
+          for (const Entry& e : sn.entries) orphans.push_back(e.data);
         } else {
           for (const Entry& e : sn.entries) sub.push_back(e.child);
         }
@@ -494,9 +508,8 @@ Status RStarTree::Delete(const FeatureVector& point, ImageId id) {
     FreeNode(old_root);
   }
 
-  for (auto& [p, data_id] : orphans) {
+  for (const ImageId data_id : orphans) {
     Entry entry;
-    entry.rect = Rect(p);
     entry.data = data_id;
     std::vector<bool> reinsert_done(static_cast<std::size_t>(height()) + 2,
                                     false);
@@ -513,10 +526,9 @@ std::vector<ImageId> RStarTree::RangeSearch(const Rect& range) const {
     stack.pop_back();
     const Node& n = node(nid);
     for (const Entry& e : n.entries) {
-      if (!range.Intersects(e.rect)) continue;
       if (n.IsLeaf()) {
-        out.push_back(e.data);
-      } else {
+        if (range.ContainsPoint(point(e.data))) out.push_back(e.data);
+      } else if (range.Intersects(e.rect)) {
         stack.push_back(e.child);
       }
     }
@@ -533,7 +545,7 @@ std::vector<KnnMatch> RStarTree::KnnSearchInSubtree(
     NodeId subtree, const FeatureVector& query, std::size_t k,
     SearchStats* stats) const {
   std::vector<KnnMatch> results;
-  if (k == 0 || query.dim() != dim_) return results;
+  if (k == 0 || query.dim() != dim()) return results;
 
   struct Item {
     double dist;
@@ -562,11 +574,14 @@ std::vector<KnnMatch> RStarTree::KnnSearchInSubtree(
       stats->entries_scanned += n.entries.size();
     }
     for (const Entry& e : n.entries) {
-      const double d = e.rect.MinDistSquared(query);
       if (n.IsLeaf()) {
-        heap.push(Item{d, true, kInvalidNodeId, e.data});
+        // MINDIST to the degenerate rect of the stored point.
+        const double* p = point(e.data).data();
+        heap.push(Item{Rect::MinDistSquared(p, p, query), true,
+                       kInvalidNodeId, e.data});
       } else {
-        heap.push(Item{d, false, e.child, kInvalidImageId});
+        heap.push(Item{e.rect.MinDistSquared(query), false, e.child,
+                       kInvalidImageId});
       }
     }
   }
@@ -646,8 +661,11 @@ Status RStarTree::CheckInvariants() const {
 
     for (const Entry& e : n.entries) {
       if (n.IsLeaf()) {
-        if (e.data == kInvalidImageId) {
-          return Status::Internal("leaf entry without data id");
+        if (e.data >= store_->size()) {
+          return Status::Internal("leaf entry is not a row of the store");
+        }
+        if (!e.rect.empty()) {
+          return Status::Internal("leaf entry carries a rect");
         }
         ++data_count;
       } else {

@@ -5,6 +5,7 @@
 #include <memory>
 #include <vector>
 
+#include "qdcbir/core/feature_store.h"
 #include "qdcbir/core/feature_vector.h"
 #include "qdcbir/core/status.h"
 #include "qdcbir/core/types.h"
@@ -42,6 +43,13 @@ struct SearchStats {
 /// R*-tree (Beckmann, Kriegel, Schneider, Seeger; SIGMOD'90) over point data
 /// in a feature space of fixed (but runtime-chosen) dimensionality.
 ///
+/// The tree indexes a shared feature store; leaf entries are row ids. A
+/// leaf entry holds only its image id, which is the row of `store()` that
+/// is its point, so indexing a corpus adds no copy of its features. Every
+/// use of leaf geometry (MINDIST, range tests, split and reinsert
+/// heuristics, `NodeRect`) reads the store row. Internal entries hold their
+/// child's MBR.
+///
 /// This is the hierarchical clustering substrate of the paper's RFS
 /// structure: every tree node is a cluster of images, and the RFS builder
 /// walks `root()` / `node_*` accessors to attach representative images.
@@ -52,9 +60,9 @@ class RStarTree {
  public:
   /// An entry of an internal node (child subtree) or leaf node (data point).
   struct Entry {
-    Rect rect;
-    NodeId child = kInvalidNodeId;  ///< valid for internal entries
-    ImageId data = kInvalidImageId; ///< valid for leaf entries
+    Rect rect;                       ///< child MBR; empty on leaf entries
+    NodeId child = kInvalidNodeId;   ///< valid for internal entries
+    ImageId data = kInvalidImageId;  ///< valid for leaf entries: store row
   };
 
   /// A tree node. `level` 0 means leaf.
@@ -64,7 +72,9 @@ class RStarTree {
     bool IsLeaf() const { return level == 0; }
   };
 
-  explicit RStarTree(std::size_t dim,
+  /// An empty tree over `store`, whose rows all have `store->dim()`
+  /// dimensions. The tree indexes only the rows inserted into it.
+  explicit RStarTree(std::shared_ptr<const FeatureStore> store,
                      const RStarTreeOptions& options = RStarTreeOptions());
 
   RStarTree(const RStarTree&) = delete;
@@ -72,19 +82,23 @@ class RStarTree {
   RStarTree(RStarTree&&) = default;
   RStarTree& operator=(RStarTree&&) = default;
 
-  std::size_t dim() const { return dim_; }
+  std::size_t dim() const { return store_->dim(); }
   const RStarTreeOptions& options() const { return options_; }
   std::size_t size() const { return size_; }
   int height() const;  ///< number of levels (1 for a root-only tree)
 
-  /// Inserts a point with the given id. Duplicate ids are rejected only by
-  /// Delete semantics (the tree itself does not index ids); callers keep ids
-  /// unique.
-  Status Insert(const FeatureVector& point, ImageId id);
+  /// The feature store whose rows the leaf entries name.
+  const std::shared_ptr<const FeatureStore>& store() const { return store_; }
+  /// The point of a leaf entry: row `id` of the store.
+  const FeatureVector& point(ImageId id) const { return store_->rows()[id]; }
 
-  /// Removes the entry with the given point and id. Returns NotFound if the
-  /// exact (point, id) pair is absent.
-  Status Delete(const FeatureVector& point, ImageId id);
+  /// Indexes store row `id`. InvalidArgument when `id` is not a row of the
+  /// store. The tree does not deduplicate ids; callers keep them unique.
+  Status Insert(ImageId id);
+
+  /// Removes the leaf entry of store row `id`. InvalidArgument when `id` is
+  /// not a row of the store, NotFound when the row is not indexed.
+  Status Delete(ImageId id);
 
   /// All data ids whose points fall inside `range`.
   std::vector<ImageId> RangeSearch(const Rect& range) const;
@@ -130,8 +144,9 @@ class RStarTree {
   friend class RfsSerializer;
   friend class ClusteredTreeBuilder;
   friend StatusOr<RStarTree> BulkLoadRStarTree(
-      const std::vector<FeatureVector>& points, const std::vector<ImageId>& ids,
-      std::size_t dim, const RStarTreeOptions& options, double fill_factor);
+      std::shared_ptr<const FeatureStore> store,
+      const std::vector<ImageId>& ids, const RStarTreeOptions& options,
+      double fill_factor);
 
   NodeId AllocateNode(int level);
   void FreeNode(NodeId id);
@@ -161,8 +176,12 @@ class RStarTree {
   void Split(NodeId node_id, std::vector<NodeId>& path,
              std::vector<bool>& reinsert_done);
 
-  /// R* split heuristics.
-  static void ChooseSplitAxisAndIndex(const std::vector<Entry>& entries,
+  /// The rect of an entry of a node at `level`: the child MBR, or the
+  /// degenerate rect of the leaf entry's store row (built on demand).
+  Rect EntryRect(const Entry& entry, int level) const;
+
+  /// R* split heuristics over the rects of the overflowing node's entries.
+  static void ChooseSplitAxisAndIndex(const std::vector<Rect>& rects,
                                       std::size_t min_entries,
                                       std::size_t* split_axis,
                                       std::size_t* split_index,
@@ -176,7 +195,7 @@ class RStarTree {
 
   Rect ComputeNodeRect(const Node& n) const;
 
-  std::size_t dim_;
+  std::shared_ptr<const FeatureStore> store_;
   RStarTreeOptions options_;
   std::vector<std::unique_ptr<Node>> nodes_;
   std::vector<NodeId> free_nodes_;

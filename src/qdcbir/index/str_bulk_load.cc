@@ -57,26 +57,24 @@ void PartitionBalanced(std::vector<std::size_t>& indices, std::size_t begin,
 
 }  // namespace
 
-StatusOr<RStarTree> BulkLoadRStarTree(const std::vector<FeatureVector>& points,
+StatusOr<RStarTree> BulkLoadRStarTree(std::shared_ptr<const FeatureStore> store,
                                       const std::vector<ImageId>& ids,
-                                      std::size_t dim,
                                       const RStarTreeOptions& options,
                                       double fill_factor) {
   QDCBIR_RETURN_IF_ERROR(options.Validate());
-  if (points.empty() || points.size() != ids.size()) {
-    return Status::InvalidArgument(
-        "bulk load requires equal-length, non-empty points and ids");
+  if (store == nullptr || ids.empty()) {
+    return Status::InvalidArgument("bulk load requires a store and ids");
   }
-  for (const FeatureVector& p : points) {
-    if (p.dim() != dim) {
-      return Status::InvalidArgument("point dimensionality mismatch");
+  for (const ImageId id : ids) {
+    if (id >= store->size()) {
+      return Status::InvalidArgument("image id is not a row of the store");
     }
   }
   if (fill_factor <= 0.0 || fill_factor > 1.0) {
     return Status::InvalidArgument("fill_factor must be in (0, 1]");
   }
 
-  RStarTree tree(dim, options);
+  RStarTree tree(std::move(store), options);
   tree.nodes_.clear();
   tree.parent_.clear();
   tree.free_nodes_.clear();
@@ -96,13 +94,15 @@ StatusOr<RStarTree> BulkLoadRStarTree(const std::vector<FeatureVector>& points,
   };
 
   // --- Leaf level ------------------------------------------------------
-  std::vector<const FeatureVector*> point_ptrs(points.size());
-  for (std::size_t i = 0; i < points.size(); ++i) point_ptrs[i] = &points[i];
-  std::vector<std::size_t> indices(points.size());
+  std::vector<const FeatureVector*> point_ptrs(ids.size());
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    point_ptrs[i] = &tree.point(ids[i]);
+  }
+  std::vector<std::size_t> indices(ids.size());
   std::iota(indices.begin(), indices.end(), 0u);
 
   std::vector<std::pair<std::size_t, std::size_t>> bounds;
-  PartitionBalanced(indices, 0, indices.size(), group_count(points.size()),
+  PartitionBalanced(indices, 0, indices.size(), group_count(ids.size()),
                     point_ptrs, bounds);
 
   std::vector<NodeId> level_nodes;
@@ -112,7 +112,6 @@ StatusOr<RStarTree> BulkLoadRStarTree(const std::vector<FeatureVector>& points,
     RStarTree::Node& n = tree.mutable_node(nid);
     for (std::size_t i = begin; i < end; ++i) {
       RStarTree::Entry e;
-      e.rect = Rect(points[indices[i]]);
       e.data = ids[indices[i]];
       n.entries.push_back(std::move(e));
     }
@@ -156,7 +155,7 @@ StatusOr<RStarTree> BulkLoadRStarTree(const std::vector<FeatureVector>& points,
 
   tree.root_ = level_nodes.front();
   tree.parent_[tree.root_] = kInvalidNodeId;
-  tree.size_ = points.size();
+  tree.size_ = ids.size();
   return tree;
 }
 

@@ -1,16 +1,17 @@
 #ifndef QDCBIR_INDEX_STR_BULK_LOAD_H_
 #define QDCBIR_INDEX_STR_BULK_LOAD_H_
 
+#include <memory>
 #include <vector>
 
-#include "qdcbir/core/feature_vector.h"
+#include "qdcbir/core/feature_store.h"
 #include "qdcbir/core/status.h"
 #include "qdcbir/core/types.h"
 #include "qdcbir/index/rstar_tree.h"
 
 namespace qdcbir {
 
-/// Bulk-loads an R*-tree from a point set.
+/// Bulk-loads an R*-tree over the rows `ids` of `store`.
 ///
 /// Strategy: top-down greedy partitioning (TGS/VAMSplit style, a
 /// high-dimensional generalization of Sort-Tile-Recursive): points are
@@ -23,11 +24,11 @@ namespace qdcbir {
 /// `fill_factor` in (0, 1] controls target leaf occupancy relative to
 /// `options.max_entries`.
 ///
-/// `points` and `ids` must have equal, non-zero length; all points must have
-/// dimensionality `dim`.
+/// `ids` must be non-empty and name rows of `store`; the leaf entries are
+/// those ids (the tree holds no copy of the points).
 StatusOr<RStarTree> BulkLoadRStarTree(
-    const std::vector<FeatureVector>& points, const std::vector<ImageId>& ids,
-    std::size_t dim, const RStarTreeOptions& options = RStarTreeOptions(),
+    std::shared_ptr<const FeatureStore> store, const std::vector<ImageId>& ids,
+    const RStarTreeOptions& options = RStarTreeOptions(),
     double fill_factor = 0.85);
 
 }  // namespace qdcbir

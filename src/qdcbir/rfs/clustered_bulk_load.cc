@@ -151,17 +151,17 @@ StatusOr<std::vector<Group>> GroupLevel(
 }  // namespace
 
 StatusOr<RStarTree> ClusteredTreeBuilder::Build(
-    const std::vector<FeatureVector>& points, const std::vector<ImageId>& ids,
-    std::size_t dim, const RStarTreeOptions& tree_options,
+    std::shared_ptr<const FeatureStore> store, const std::vector<ImageId>& ids,
+    const RStarTreeOptions& tree_options,
     const ClusteredBulkLoadOptions& options) {
   QDCBIR_RETURN_IF_ERROR(tree_options.Validate());
-  if (points.empty() || points.size() != ids.size()) {
+  if (store == nullptr || ids.empty()) {
     return Status::InvalidArgument(
-        "clustered bulk load requires equal-length, non-empty points and ids");
+        "clustered bulk load requires a store and ids");
   }
-  for (const FeatureVector& p : points) {
-    if (p.dim() != dim) {
-      return Status::InvalidArgument("point dimensionality mismatch");
+  for (const ImageId id : ids) {
+    if (id >= store->size()) {
+      return Status::InvalidArgument("image id is not a row of the store");
     }
   }
   if (options.fill_factor <= 0.0 || options.fill_factor > 1.0) {
@@ -176,7 +176,12 @@ StatusOr<RStarTree> ClusteredTreeBuilder::Build(
   const std::size_t min_fill = std::min(tree_options.min_entries,
                                         (tree_options.max_entries + 1) / 2);
 
-  RStarTree tree(dim, tree_options);
+  // The leaf level clusters a build-time copy of the indexed rows.
+  std::vector<FeatureVector> points;
+  points.reserve(ids.size());
+  for (const ImageId id : ids) points.push_back(store->rows()[id]);
+
+  RStarTree tree(std::move(store), tree_options);
   tree.nodes_.clear();
   tree.parent_.clear();
   tree.free_nodes_.clear();
@@ -194,7 +199,6 @@ StatusOr<RStarTree> ClusteredTreeBuilder::Build(
     RStarTree::Node& node = tree.mutable_node(nid);
     for (const std::size_t i : g.members) {
       RStarTree::Entry e;
-      e.rect = Rect(points[i]);
       e.data = ids[i];
       node.entries.push_back(std::move(e));
     }
@@ -234,7 +238,7 @@ StatusOr<RStarTree> ClusteredTreeBuilder::Build(
 
   tree.root_ = level_nodes.front();
   tree.parent_[tree.root_] = kInvalidNodeId;
-  tree.size_ = points.size();
+  tree.size_ = ids.size();
   return tree;
 }
 

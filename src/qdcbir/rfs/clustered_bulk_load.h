@@ -2,9 +2,10 @@
 #define QDCBIR_RFS_CLUSTERED_BULK_LOAD_H_
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
-#include "qdcbir/core/feature_vector.h"
+#include "qdcbir/core/feature_store.h"
 #include "qdcbir/core/status.h"
 #include "qdcbir/core/types.h"
 #include "qdcbir/index/rstar_tree.h"
@@ -43,9 +44,11 @@ struct ClusteredBulkLoadOptions {
 /// what makes localized multipoint k-NN precise.
 class ClusteredTreeBuilder {
  public:
+  /// Builds the tree over the rows `ids` of `store` (non-empty, each a row
+  /// of the store); the leaf entries are those ids.
   static StatusOr<RStarTree> Build(
-      const std::vector<FeatureVector>& points,
-      const std::vector<ImageId>& ids, std::size_t dim,
+      std::shared_ptr<const FeatureStore> store,
+      const std::vector<ImageId>& ids,
       const RStarTreeOptions& tree_options = RStarTreeOptions(),
       const ClusteredBulkLoadOptions& options = ClusteredBulkLoadOptions());
 };

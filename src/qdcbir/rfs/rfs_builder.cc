@@ -20,52 +20,59 @@ const char* RfsBuildStrategyName(RfsBuildStrategy strategy) {
   return "unknown";
 }
 
+namespace {
+
+/// Stage 1 of the build, "data clustering": the R*-tree over every row of
+/// `store`, by `options.strategy`.
+StatusOr<RStarTree> BuildIndex(std::shared_ptr<const FeatureStore> store,
+                               const RfsBuildOptions& options,
+                               ThreadPool& pool) {
+  QDCBIR_SPAN("rfs.build.cluster");
+  std::vector<ImageId> ids(store->size());
+  std::iota(ids.begin(), ids.end(), 0u);
+  switch (options.strategy) {
+    case RfsBuildStrategy::kClustered: {
+      ClusteredBulkLoadOptions clustering = options.clustering;
+      if (clustering.pool == nullptr) clustering.pool = &pool;
+      return ClusteredTreeBuilder::Build(std::move(store), ids, options.tree,
+                                         clustering);
+    }
+    case RfsBuildStrategy::kTgsBulkLoad:
+      return BulkLoadRStarTree(std::move(store), ids, options.tree,
+                               options.bulk_fill_factor);
+    case RfsBuildStrategy::kInsertion: {
+      RStarTree index(std::move(store), options.tree);
+      for (const ImageId id : ids) QDCBIR_RETURN_IF_ERROR(index.Insert(id));
+      return index;
+    }
+  }
+  return Status::InvalidArgument("unknown RFS build strategy");
+}
+
+}  // namespace
+
 StatusOr<RfsTree> RfsBuilder::Build(std::vector<FeatureVector> features,
                                     const RfsBuildOptions& options) {
   if (features.empty()) {
     return Status::InvalidArgument("cannot build RFS over an empty database");
   }
-  const std::size_t dim = features.front().dim();
+  for (const FeatureVector& f : features) {
+    if (f.dim() != features.front().dim()) {
+      return Status::InvalidArgument("point dimensionality mismatch");
+    }
+  }
   QDCBIR_RETURN_IF_ERROR(options.tree.Validate());
   QDCBIR_SPAN("rfs.build");
-
-  std::vector<ImageId> ids(features.size());
-  std::iota(ids.begin(), ids.end(), 0u);
 
   ThreadPool& pool = options.pool != nullptr ? *options.pool
                                              : ThreadPool::Global();
 
-  // Stage 1: data clustering via the R*-tree.
-  RStarTree index(dim, options.tree);
-  {
-    QDCBIR_SPAN("rfs.build.cluster");
-    switch (options.strategy) {
-    case RfsBuildStrategy::kClustered: {
-      ClusteredBulkLoadOptions clustering = options.clustering;
-      if (clustering.pool == nullptr) clustering.pool = &pool;
-      StatusOr<RStarTree> loaded = ClusteredTreeBuilder::Build(
-          features, ids, dim, options.tree, clustering);
-      if (!loaded.ok()) return loaded.status();
-      index = std::move(loaded).value();
-      break;
-    }
-    case RfsBuildStrategy::kTgsBulkLoad: {
-      StatusOr<RStarTree> loaded = BulkLoadRStarTree(
-          features, ids, dim, options.tree, options.bulk_fill_factor);
-      if (!loaded.ok()) return loaded.status();
-      index = std::move(loaded).value();
-      break;
-    }
-    case RfsBuildStrategy::kInsertion: {
-      for (std::size_t i = 0; i < features.size(); ++i) {
-        QDCBIR_RETURN_IF_ERROR(index.Insert(features[i], ids[i]));
-      }
-      break;
-    }
-    }
-  }
-
-  RfsTree rfs(std::move(index), std::move(features));
+  // The features move into the one store the index and the tree share.
+  StatusOr<RStarTree> index = BuildIndex(
+      std::make_shared<const FeatureStore>(std::move(features)), options,
+      pool);
+  if (!index.ok()) return index.status();
+  RfsTree rfs(std::move(index).value());
 
   rfs.RebuildLeafMap();
 

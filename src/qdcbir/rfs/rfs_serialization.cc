@@ -152,8 +152,15 @@ std::string RfsSerializer::Serialize(const RfsTree& tree) {
     for (const RStarTree::Entry& e : node.entries) {
       w.U32(e.child);
       w.U32(e.data);
-      w.Doubles(e.rect.lo());
-      w.Doubles(e.rect.hi());
+      if (node.IsLeaf()) {
+        // The format keeps a leaf entry's degenerate rect: lo == hi == the
+        // entry's feature row.
+        w.Doubles(index.point(e.data).values());
+        w.Doubles(index.point(e.data).values());
+      } else {
+        w.Doubles(e.rect.lo());
+        w.Doubles(e.rect.hi());
+      }
     }
   }
 
@@ -217,6 +224,9 @@ StatusOr<RfsTree> RfsSerializer::Decode(
       return disagree();
     }
   }
+  std::shared_ptr<const FeatureStore> store =
+      shared != nullptr ? std::move(shared)
+                        : std::make_shared<const FeatureStore>(std::move(rows));
 
   // Index options and shape.
   RStarTreeOptions options;
@@ -237,7 +247,7 @@ StatusOr<RfsTree> RfsSerializer::Decode(
   if (!r.Count(&node_slots, 1) || !r.Pod(&root) || !r.Pod(&tree_size)) {
     return r.status();
   }
-  RStarTree index(dim, options);
+  RStarTree index(store, options);
   index.nodes_.clear();
   index.parent_.clear();
   index.free_nodes_.clear();
@@ -245,6 +255,8 @@ StatusOr<RfsTree> RfsSerializer::Decode(
   index.parent_.assign(node_slots, kInvalidNodeId);
 
   const std::uint64_t entry_bytes = 8 + 2 * dim * sizeof(double);
+  const std::size_t row_bytes = static_cast<std::size_t>(dim) * sizeof(double);
+  std::vector<double> scratch(static_cast<std::size_t>(dim));
   std::size_t present_nodes = 0;
   for (std::uint64_t i = 0; i < node_slots; ++i) {
     std::uint8_t present = 0;
@@ -267,16 +279,27 @@ StatusOr<RfsTree> RfsSerializer::Decode(
     node->entries.reserve(entry_count);
     for (std::uint64_t e = 0; e < entry_count; ++e) {
       RStarTree::Entry entry;
-      std::vector<double> lo, hi;
-      if (!r.Pod(&entry.child) || !r.Pod(&entry.data) ||
-          !r.Doubles(&lo, dim) || !r.Doubles(&hi, dim)) {
-        return r.status();
+      if (!r.Pod(&entry.child) || !r.Pod(&entry.data)) return r.status();
+      if (!node->IsLeaf()) {
+        std::vector<double> lo, hi;
+        if (!r.Doubles(&lo, dim) || !r.Doubles(&hi, dim)) return r.status();
+        entry.rect = Rect(std::move(lo), std::move(hi));
+        node->entries.push_back(std::move(entry));
+        continue;
       }
-      if (node->IsLeaf() && entry.data >= num_images) {
+      // A leaf entry is its image id: the stored lo and hi must both equal
+      // that image's feature row, and neither is kept.
+      if (entry.data >= num_images) {
         return corrupt("leaf entry image out of range");
       }
-      entry.rect = Rect(std::move(lo), std::move(hi));
-      node->entries.push_back(std::move(entry));
+      const double* expected = store->rows()[entry.data].data();
+      for (int bound = 0; bound < 2; ++bound) {
+        if (!r.Raw(scratch.data(), row_bytes)) return r.status();
+        if (std::memcmp(scratch.data(), expected, row_bytes) != 0) {
+          return corrupt("leaf entry point disagrees with features");
+        }
+      }
+      node->entries.push_back(entry);
     }
     index.nodes_[i] = std::move(node);
   }
@@ -302,6 +325,60 @@ StatusOr<RfsTree> RfsSerializer::Decode(
   index.root_ = root;
   index.size_ = tree_size;
 
+  // Walk down from the root: every present node must be reached exactly
+  // once, through the parent its own parent field names, and every image
+  // must sit in exactly one leaf entry. Query decomposition relies on both
+  // (`LeafOf`, the parent walks of boundary expansion). The walk numbers
+  // the nodes in pre-order, so the subtree of `n` is the nodes numbered
+  // [enter[n], end[n]).
+  if (index.parent_[root] != kInvalidNodeId) {
+    return corrupt("root has a parent");
+  }
+  std::vector<NodeId> leaf_of(static_cast<std::size_t>(num_images),
+                              kInvalidNodeId);
+  constexpr std::size_t kUnreached = static_cast<std::size_t>(-1);
+  std::vector<std::size_t> enter(static_cast<std::size_t>(node_slots),
+                                 kUnreached);
+  std::vector<NodeId> order;  // nodes in walk order
+  std::uint64_t leaf_entries = 0;
+  std::vector<NodeId> stack = {root};
+  while (!stack.empty()) {
+    const NodeId nid = stack.back();
+    stack.pop_back();
+    if (enter[nid] != kUnreached) {
+      return corrupt("node reached twice from the root");
+    }
+    enter[nid] = order.size();
+    order.push_back(nid);
+    const RStarTree::Node& node = *index.nodes_[nid];
+    for (const RStarTree::Entry& e : node.entries) {
+      if (!node.IsLeaf()) {
+        if (index.parent_[e.child] != nid) {
+          return corrupt("node parent disagrees with the tree");
+        }
+        stack.push_back(e.child);
+      } else if (leaf_of[e.data] != kInvalidNodeId) {
+        return corrupt("image in more than one leaf entry");
+      } else {
+        leaf_of[e.data] = nid;
+        ++leaf_entries;
+      }
+    }
+  }
+  if (order.size() != present_nodes) {
+    return corrupt("node unreachable from the root");
+  }
+  if (tree_size != num_images || leaf_entries != num_images) {
+    return corrupt("leaves do not hold every image once");
+  }
+  // Subtree node counts, children before parents, then shifted to ends.
+  std::vector<std::size_t> end(static_cast<std::size_t>(node_slots), 0);
+  for (auto it = order.rbegin(); it != order.rend(); ++it) {
+    end[*it] += 1;
+    if (*it != root) end[index.parent_[*it]] += end[*it];
+  }
+  for (const NodeId nid : order) end[nid] += enter[nid];
+
   // Per-node RFS annotations; every present node must carry exactly one.
   std::unordered_map<NodeId, RfsTree::NodeInfo> infos;
   std::uint64_t info_count = 0;
@@ -317,8 +394,8 @@ StatusOr<RfsTree> RfsSerializer::Decode(
     if (!present(id) || infos.count(id) > 0) {
       return corrupt("annotation for a missing or repeated node");
     }
-    if (info.parent != kInvalidNodeId && !present(info.parent)) {
-      return corrupt("annotation parent out of range");
+    if (info.parent != index.parent_[id]) {
+      return corrupt("annotation parent disagrees with the tree");
     }
     info.children.resize(child_count);
     for (auto& c : info.children) {
@@ -333,6 +410,12 @@ StatusOr<RfsTree> RfsSerializer::Decode(
     for (auto& rep : info.representatives) {
       if (!r.Pod(&rep)) return r.status();
       if (rep >= num_images) return corrupt("representative out of range");
+      // Every image has a leaf (checked above); it must be numbered inside
+      // the subtree of `id`.
+      const std::size_t at = enter[leaf_of[rep]];
+      if (at < enter[id] || at >= end[id]) {
+        return corrupt("representative outside its subtree");
+      }
     }
     for (auto& origin : info.rep_origin) {
       if (!r.Pod(&origin)) return r.status();
@@ -351,12 +434,9 @@ StatusOr<RfsTree> RfsSerializer::Decode(
   }
   if (r.Remaining() != 0) return corrupt("trailing bytes");
 
-  RfsTree tree(std::move(index),
-               shared != nullptr
-                   ? std::move(shared)
-                   : std::make_shared<const FeatureStore>(std::move(rows)));
+  RfsTree tree(std::move(index));
   tree.info_ = std::move(infos);
-  tree.RebuildLeafMap();
+  tree.leaf_of_ = std::move(leaf_of);
   return tree;
 }
 

@@ -23,12 +23,14 @@ namespace qdcbir {
 /// representatives. Representative counts are proportional to cluster sizes
 /// (about 5% of the database overall in the paper's prototype).
 ///
-/// The structure is self-contained: it owns the index and shares an
-/// immutable feature store, so relevance-feedback processing needs nothing
-/// else — the property that lets the paper run feedback on client machines.
-/// A tree built or decoded on its own holds a store of its own; a tree
-/// loaded against a database (`RfsSerializer::LoadForSnapshot`) shares the
-/// database's store, so the corpus features exist once in the process.
+/// The structure is self-contained: it owns the index, and the index
+/// indexes a shared feature store; leaf entries are row ids. So
+/// relevance-feedback processing needs nothing else — the property that
+/// lets the paper run feedback on client machines — and the features are
+/// held once, in the store. A tree built or decoded on its own holds a
+/// store of its own; a tree loaded against a database
+/// (`RfsSerializer::LoadForSnapshot`) shares the database's store, so the
+/// corpus features exist once in the process.
 class RfsTree {
  public:
   /// Per-node annotation.
@@ -46,14 +48,9 @@ class RfsTree {
     std::size_t subtree_size = 0;  ///< images in the subtree
   };
 
-  /// A tree over a fresh store built from `features`.
-  RfsTree(RStarTree index, std::vector<FeatureVector> features)
-      : RfsTree(std::move(index), std::make_shared<const FeatureStore>(
-                                      std::move(features))) {}
-
-  /// A tree sharing an existing store (image id i = row i).
-  RfsTree(RStarTree index, std::shared_ptr<const FeatureStore> store)
-      : index_(std::move(index)), store_(std::move(store)) {}
+  /// A tree over `index`, which indexes every row of its store (image id
+  /// i = row i).
+  explicit RfsTree(RStarTree index) : index_(std::move(index)) {}
 
   RfsTree(const RfsTree&) = delete;
   RfsTree& operator=(const RfsTree&) = delete;
@@ -63,19 +60,24 @@ class RfsTree {
   const RStarTree& index() const { return index_; }
   NodeId root() const { return index_.root(); }
   int height() const { return index_.height(); }
-  std::size_t num_images() const { return store_->size(); }
-  std::size_t feature_dim() const { return store_->dim(); }
+  std::size_t num_images() const { return feature_store()->size(); }
+  std::size_t feature_dim() const { return feature_store()->dim(); }
 
   const FeatureVector& feature(ImageId id) const { return features()[id]; }
-  const std::vector<FeatureVector>& features() const { return store_->rows(); }
+  const std::vector<FeatureVector>& features() const {
+    return feature_store()->rows();
+  }
 
   /// Blocked SoA copy of the feature table, built once with the store.
   /// Consumed by the batched localized-scan kernels.
-  const FeatureBlockTable& feature_blocks() const { return store_->blocks(); }
+  const FeatureBlockTable& feature_blocks() const {
+    return feature_store()->blocks();
+  }
 
-  /// The shared store behind `features()` and `feature_blocks()`.
+  /// The shared store behind `features()` and `feature_blocks()`: the one
+  /// the index reads its leaf points from.
   const std::shared_ptr<const FeatureStore>& feature_store() const {
-    return store_;
+    return index_.store();
   }
 
   bool has_info(NodeId id) const { return info_.count(id) > 0; }
@@ -123,7 +125,6 @@ class RfsTree {
   friend class RfsSerializer;
 
   RStarTree index_;
-  std::shared_ptr<const FeatureStore> store_;
   std::unordered_map<NodeId, NodeInfo> info_;
   std::vector<NodeId> leaf_of_;  ///< containing leaf per image id
 };

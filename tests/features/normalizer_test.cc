@@ -1,5 +1,8 @@
 #include "qdcbir/features/normalizer.h"
 
+#include <cstring>
+#include <utility>
+
 #include <gtest/gtest.h>
 
 #include "qdcbir/core/rng.h"
@@ -97,6 +100,27 @@ TEST(NormalizerTest, DeserializeRejectsCorruptBlobs) {
   std::string blob = n.Serialize();
   blob.pop_back();
   EXPECT_FALSE(FeatureNormalizer::Deserialize(blob).ok());
+}
+
+TEST(NormalizerTest, DeserializeBoundsDimBeforeAllocating) {
+  // dim 0 is an unfitted normalizer, with nothing to copy.
+  const std::string empty(sizeof(std::uint64_t), '\0');
+  EXPECT_EQ(FeatureNormalizer().Serialize(), empty);
+  StatusOr<FeatureNormalizer> restored = FeatureNormalizer::Deserialize(empty);
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+  EXPECT_FALSE(restored->fitted());
+  // Forged dims whose 16 bytes per dimension wrap to exactly the payload
+  // present are refused before any resize.
+  const std::uint64_t wrap = std::uint64_t{1} << 60;
+  for (const auto& [dim, payload] :
+       {std::pair<std::uint64_t, std::size_t>{wrap, 0},
+        std::pair<std::uint64_t, std::size_t>{wrap + 1, 16}}) {
+    std::string forged(sizeof(dim) + payload, '\0');
+    std::memcpy(forged.data(), &dim, sizeof(dim));
+    EXPECT_EQ(FeatureNormalizer::Deserialize(forged).status().code(),
+              StatusCode::kIoError)
+        << dim;
+  }
 }
 
 }  // namespace

@@ -3,7 +3,6 @@
 // every step boundary. Failures print the seed for replay.
 
 #include <algorithm>
-#include <map>
 #include <set>
 
 #include <gtest/gtest.h>
@@ -29,15 +28,6 @@ TEST_P(RStarFuzzTest, MixedWorkloadKeepsInvariantsAndAnswers) {
   const FuzzConfig config = GetParam();
   Rng rng(config.seed);
 
-  RStarTreeOptions options;
-  options.max_entries = config.max_entries;
-  options.min_entries = config.min_entries;
-  RStarTree tree(config.dim, options);
-
-  // Reference state: id -> point.
-  std::map<ImageId, FeatureVector> reference;
-  ImageId next_id = 0;
-
   auto random_point = [&] {
     FeatureVector p(config.dim);
     for (std::size_t d = 0; d < config.dim; ++d) {
@@ -46,20 +36,34 @@ TEST_P(RStarFuzzTest, MixedWorkloadKeepsInvariantsAndAnswers) {
     return p;
   };
 
+  // Every point the run may insert, drawn up front: row `id` of the store
+  // is the point of image `id`.
+  std::vector<FeatureVector> rows;
+  for (int i = 0; i < config.operations; ++i) rows.push_back(random_point());
+  const auto store = std::make_shared<const FeatureStore>(std::move(rows));
+
+  RStarTreeOptions options;
+  options.max_entries = config.max_entries;
+  options.min_entries = config.min_entries;
+  RStarTree tree(store, options);
+
+  // Reference state: the indexed ids.
+  std::set<ImageId> reference;
+  ImageId next_id = 0;
+
   for (int op = 0; op < config.operations; ++op) {
     const bool do_insert =
         reference.empty() || rng.UniformDouble() < 0.65;
     if (do_insert) {
-      const FeatureVector p = random_point();
       const ImageId id = next_id++;
-      ASSERT_TRUE(tree.Insert(p, id).ok()) << "seed " << config.seed;
-      reference.emplace(id, p);
+      ASSERT_TRUE(tree.Insert(id).ok()) << "seed " << config.seed;
+      reference.insert(id);
     } else {
       // Delete a random existing entry.
       const std::size_t pick = rng.UniformInt(reference.size());
       auto it = reference.begin();
       std::advance(it, static_cast<std::ptrdiff_t>(pick));
-      ASSERT_TRUE(tree.Delete(it->second, it->first).ok())
+      ASSERT_TRUE(tree.Delete(*it).ok())
           << "seed " << config.seed << " op " << op;
       reference.erase(it);
     }
@@ -76,8 +80,8 @@ TEST_P(RStarFuzzTest, MixedWorkloadKeepsInvariantsAndAnswers) {
         const FeatureVector q = random_point();
         const std::size_t k = 1 + rng.UniformInt(10);
         std::vector<double> expected;
-        for (const auto& [id, p] : reference) {
-          expected.push_back(SquaredL2(p, q));
+        for (const ImageId id : reference) {
+          expected.push_back(SquaredL2(store->rows()[id], q));
         }
         std::sort(expected.begin(), expected.end());
         expected.resize(std::min(k, expected.size()));
@@ -98,8 +102,8 @@ TEST_P(RStarFuzzTest, MixedWorkloadKeepsInvariantsAndAnswers) {
         }
         const Rect range(lo, hi);
         std::set<ImageId> expected_ids;
-        for (const auto& [id, p] : reference) {
-          if (range.ContainsPoint(p)) expected_ids.insert(id);
+        for (const ImageId id : reference) {
+          if (range.ContainsPoint(store->rows()[id])) expected_ids.insert(id);
         }
         const auto found = tree.RangeSearch(range);
         const std::set<ImageId> actual_ids(found.begin(), found.end());

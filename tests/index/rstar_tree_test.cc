@@ -1,6 +1,7 @@
 #include "qdcbir/index/rstar_tree.h"
 
 #include <algorithm>
+#include <cstring>
 #include <set>
 
 #include <gtest/gtest.h>
@@ -23,6 +24,10 @@ std::vector<FeatureVector> RandomPoints(std::size_t n, std::size_t dim,
   return out;
 }
 
+std::shared_ptr<const FeatureStore> StoreOf(std::vector<FeatureVector> rows) {
+  return std::make_shared<const FeatureStore>(std::move(rows));
+}
+
 std::vector<KnnMatch> BruteKnn(const std::vector<FeatureVector>& points,
                                const FeatureVector& q, std::size_t k) {
   std::vector<KnnMatch> all;
@@ -43,6 +48,18 @@ RStarTreeOptions SmallNodes() {
   return options;
 }
 
+/// A tree indexing every row of `points`, inserted in row order.
+RStarTree InsertAll(std::vector<FeatureVector> points,
+                    const RStarTreeOptions& options = SmallNodes()) {
+  RStarTree tree(StoreOf(std::move(points)), options);
+  for (ImageId id = 0; id < tree.store()->size(); ++id) {
+    EXPECT_TRUE(tree.Insert(id).ok()) << "insert " << id;
+  }
+  return tree;
+}
+
+bool SameBits(double a, double b) { return std::memcmp(&a, &b, sizeof a) == 0; }
+
 TEST(RStarOptionsTest, Validation) {
   RStarTreeOptions options;
   EXPECT_TRUE(options.Validate().ok());
@@ -60,25 +77,25 @@ TEST(RStarOptionsTest, Validation) {
 }
 
 TEST(RStarTreeTest, EmptyTree) {
-  RStarTree tree(2, SmallNodes());
+  RStarTree tree(StoreOf(RandomPoints(3, 2, 1)), SmallNodes());
   EXPECT_EQ(tree.size(), 0u);
+  EXPECT_EQ(tree.dim(), 2u);
   EXPECT_EQ(tree.height(), 1);
   EXPECT_TRUE(tree.CheckInvariants().ok());
   EXPECT_TRUE(tree.KnnSearch(FeatureVector{0.0, 0.0}, 5).empty());
 }
 
-TEST(RStarTreeTest, InsertRejectsWrongDimAndInvalidId) {
-  RStarTree tree(2, SmallNodes());
-  EXPECT_FALSE(tree.Insert(FeatureVector{1.0}, 0).ok());
-  EXPECT_FALSE(tree.Insert(FeatureVector{1.0, 2.0}, kInvalidImageId).ok());
+TEST(RStarTreeTest, InsertRejectsIdsOutsideTheStore) {
+  RStarTree tree(StoreOf(RandomPoints(3, 2, 1)), SmallNodes());
+  EXPECT_EQ(tree.Insert(3).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(tree.Insert(kInvalidImageId).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(tree.size(), 0u);
 }
 
 TEST(RStarTreeTest, SmallInsertAndExactSearch) {
-  RStarTree tree(2, SmallNodes());
   const auto points = RandomPoints(5, 2, 1);
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    ASSERT_TRUE(tree.Insert(points[i], static_cast<ImageId>(i)).ok());
-  }
+  const RStarTree tree = InsertAll(points);
   EXPECT_EQ(tree.size(), 5u);
   EXPECT_EQ(tree.height(), 1);  // fits in the root leaf
   const auto matches = tree.KnnSearch(points[3], 1);
@@ -87,11 +104,22 @@ TEST(RStarTreeTest, SmallInsertAndExactSearch) {
   EXPECT_EQ(matches[0].distance_squared, 0.0);
 }
 
+TEST(RStarTreeTest, LeafEntriesAreStoreRows) {
+  const RStarTree tree = InsertAll(RandomPoints(100, 3, 3));
+  const auto levels = tree.NodesByLevel();
+  for (const NodeId leaf : levels[0]) {
+    for (const RStarTree::Entry& e : tree.node(leaf).entries) {
+      EXPECT_TRUE(e.rect.empty());
+      EXPECT_EQ(e.child, kInvalidNodeId);
+      EXPECT_EQ(&tree.point(e.data), &tree.store()->rows()[e.data]);
+    }
+  }
+}
+
 TEST(RStarTreeTest, GrowsAndKeepsInvariants) {
-  RStarTree tree(3, SmallNodes());
-  const auto points = RandomPoints(300, 3, 2);
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    ASSERT_TRUE(tree.Insert(points[i], static_cast<ImageId>(i)).ok());
+  RStarTree tree(StoreOf(RandomPoints(300, 3, 2)), SmallNodes());
+  for (ImageId i = 0; i < 300; ++i) {
+    ASSERT_TRUE(tree.Insert(i).ok());
     if (i % 50 == 0) {
       ASSERT_TRUE(tree.CheckInvariants().ok())
           << tree.CheckInvariants().ToString() << " at insert " << i;
@@ -109,10 +137,7 @@ class KnnEquivalenceTest
 TEST_P(KnnEquivalenceTest, KnnMatchesBruteForce) {
   const auto [n, dim, k] = GetParam();
   const auto points = RandomPoints(n, dim, 42 + n + dim);
-  RStarTree tree(dim, SmallNodes());
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    ASSERT_TRUE(tree.Insert(points[i], static_cast<ImageId>(i)).ok());
-  }
+  const RStarTree tree = InsertAll(points);
   Rng rng(7);
   for (int q = 0; q < 10; ++q) {
     FeatureVector query(dim);
@@ -135,12 +160,63 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_tuple(300, 16, 7),
                       std::make_tuple(1000, 3, 50)));
 
+TEST(RStarTreeTest, LeafDistancesAreDegenerateRectMinDistBitForBit) {
+  // Coordinates on a coarse grid, with whole rows repeated: many exact
+  // duplicates and distance ties. The index reads leaf points from the
+  // store, yet every distance it reports must be the bits of
+  // `Rect(point).MinDistSquared`, and its ranking a sort by that key.
+  Rng rng(29);
+  std::vector<FeatureVector> points;
+  for (int i = 0; i < 400; ++i) {
+    if (i > 0 && rng.UniformDouble() < 0.25) {
+      points.push_back(points[rng.UniformInt(points.size())]);
+      continue;
+    }
+    FeatureVector p(5);
+    for (std::size_t d = 0; d < 5; ++d) {
+      p[d] = 0.1 * static_cast<double>(rng.UniformInt(7));
+    }
+    points.push_back(std::move(p));
+  }
+  const RStarTree tree = InsertAll(points);
+  ASSERT_GT(tree.height(), 2);
+
+  const auto check = [&](NodeId subtree, const FeatureVector& query,
+                         std::size_t k) {
+    std::vector<double> expected;
+    for (const ImageId id : tree.CollectSubtree(subtree)) {
+      expected.push_back(Rect(points[id]).MinDistSquared(query));
+    }
+    std::sort(expected.begin(), expected.end());
+    expected.resize(std::min(k, expected.size()));
+    const auto actual = tree.KnnSearchInSubtree(subtree, query, k);
+    ASSERT_EQ(actual.size(), expected.size());
+    std::set<ImageId> seen;
+    for (std::size_t i = 0; i < actual.size(); ++i) {
+      EXPECT_TRUE(SameBits(actual[i].distance_squared, expected[i])) << i;
+      EXPECT_TRUE(SameBits(actual[i].distance_squared,
+                           Rect(points[actual[i].id]).MinDistSquared(query)));
+      EXPECT_TRUE(seen.insert(actual[i].id).second) << "repeated id";
+    }
+  };
+  std::vector<NodeId> subtrees = {tree.root()};
+  for (const RStarTree::Entry& e : tree.node(tree.root()).entries) {
+    subtrees.push_back(e.child);
+  }
+  for (int q = 0; q < 20; ++q) {
+    // Half the queries are rows themselves, so zero distances tie too.
+    const FeatureVector query =
+        q % 2 == 0 ? points[rng.UniformInt(points.size())]
+                   : RandomPoints(1, 5, 300 + q)[0];
+    for (const NodeId subtree : subtrees) {
+      check(subtree, query, 1 + rng.UniformInt(60));
+    }
+  }
+}
+
 TEST(RStarTreeTest, RangeSearchMatchesLinearScan) {
   const auto points = RandomPoints(400, 3, 9);
-  RStarTree tree(3, SmallNodes());
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    ASSERT_TRUE(tree.Insert(points[i], static_cast<ImageId>(i)).ok());
-  }
+  const RStarTree tree = InsertAll(points);
   const Rect range({-3.0, -3.0, -3.0}, {3.0, 3.0, 3.0});
   std::set<ImageId> expected;
   for (std::size_t i = 0; i < points.size(); ++i) {
@@ -154,20 +230,13 @@ TEST(RStarTreeTest, RangeSearchMatchesLinearScan) {
 }
 
 TEST(RStarTreeTest, KnnWithKLargerThanSize) {
-  const auto points = RandomPoints(10, 2, 11);
-  RStarTree tree(2, SmallNodes());
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    ASSERT_TRUE(tree.Insert(points[i], static_cast<ImageId>(i)).ok());
-  }
+  const RStarTree tree = InsertAll(RandomPoints(10, 2, 11));
   EXPECT_EQ(tree.KnnSearch(FeatureVector{0.0, 0.0}, 100).size(), 10u);
 }
 
 TEST(RStarTreeTest, KnnResultsSortedAscending) {
   const auto points = RandomPoints(150, 4, 13);
-  RStarTree tree(4, SmallNodes());
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    ASSERT_TRUE(tree.Insert(points[i], static_cast<ImageId>(i)).ok());
-  }
+  const RStarTree tree = InsertAll(points);
   const auto matches = tree.KnnSearch(points[0], 20);
   for (std::size_t i = 1; i < matches.size(); ++i) {
     EXPECT_LE(matches[i - 1].distance_squared, matches[i].distance_squared);
@@ -175,11 +244,7 @@ TEST(RStarTreeTest, KnnResultsSortedAscending) {
 }
 
 TEST(RStarTreeTest, SubtreeSearchOnlySeesSubtree) {
-  const auto points = RandomPoints(400, 2, 15);
-  RStarTree tree(2, SmallNodes());
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    ASSERT_TRUE(tree.Insert(points[i], static_cast<ImageId>(i)).ok());
-  }
+  const RStarTree tree = InsertAll(RandomPoints(400, 2, 15));
   // Pick a child of the root; every result must come from its subtree.
   const auto& root = tree.node(tree.root());
   ASSERT_FALSE(root.IsLeaf());
@@ -195,11 +260,7 @@ TEST(RStarTreeTest, SubtreeSearchOnlySeesSubtree) {
 }
 
 TEST(RStarTreeTest, CollectSubtreeFromRootReturnsAll) {
-  const auto points = RandomPoints(120, 2, 17);
-  RStarTree tree(2, SmallNodes());
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    ASSERT_TRUE(tree.Insert(points[i], static_cast<ImageId>(i)).ok());
-  }
+  const RStarTree tree = InsertAll(RandomPoints(120, 2, 17));
   const auto all = tree.CollectSubtree(tree.root());
   EXPECT_EQ(all.size(), 120u);
   const std::set<ImageId> unique(all.begin(), all.end());
@@ -207,11 +268,7 @@ TEST(RStarTreeTest, CollectSubtreeFromRootReturnsAll) {
 }
 
 TEST(RStarTreeTest, NodesByLevelPartitionsNodes) {
-  const auto points = RandomPoints(300, 3, 19);
-  RStarTree tree(3, SmallNodes());
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    ASSERT_TRUE(tree.Insert(points[i], static_cast<ImageId>(i)).ok());
-  }
+  const RStarTree tree = InsertAll(RandomPoints(300, 3, 19));
   const auto levels = tree.NodesByLevel();
   EXPECT_EQ(static_cast<int>(levels.size()), tree.height());
   EXPECT_EQ(levels.back().size(), 1u);  // root level
@@ -223,15 +280,10 @@ TEST(RStarTreeTest, NodesByLevelPartitionsNodes) {
 }
 
 TEST(RStarTreeTest, DeleteRemovesAndKeepsInvariants) {
-  const auto points = RandomPoints(200, 2, 21);
-  RStarTree tree(2, SmallNodes());
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    ASSERT_TRUE(tree.Insert(points[i], static_cast<ImageId>(i)).ok());
-  }
+  RStarTree tree = InsertAll(RandomPoints(200, 2, 21));
   // Delete half the points.
-  for (std::size_t i = 0; i < 100; ++i) {
-    ASSERT_TRUE(tree.Delete(points[i], static_cast<ImageId>(i)).ok())
-        << "delete " << i;
+  for (ImageId i = 0; i < 100; ++i) {
+    ASSERT_TRUE(tree.Delete(i).ok()) << "delete " << i;
     if (i % 25 == 0) {
       ASSERT_TRUE(tree.CheckInvariants().ok())
           << tree.CheckInvariants().ToString();
@@ -240,51 +292,38 @@ TEST(RStarTreeTest, DeleteRemovesAndKeepsInvariants) {
   EXPECT_EQ(tree.size(), 100u);
   EXPECT_TRUE(tree.CheckInvariants().ok());
   // Deleted points are gone; the rest are findable.
-  EXPECT_FALSE(tree.Delete(points[0], 0).ok());
-  const auto matches = tree.KnnSearch(points[150], 1);
+  EXPECT_FALSE(tree.Delete(0).ok());
+  const auto matches = tree.KnnSearch(tree.point(150), 1);
   ASSERT_EQ(matches.size(), 1u);
   EXPECT_EQ(matches[0].id, 150u);
 }
 
 TEST(RStarTreeTest, DeleteToEmpty) {
-  const auto points = RandomPoints(50, 2, 23);
-  RStarTree tree(2, SmallNodes());
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    ASSERT_TRUE(tree.Insert(points[i], static_cast<ImageId>(i)).ok());
-  }
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    ASSERT_TRUE(tree.Delete(points[i], static_cast<ImageId>(i)).ok());
-  }
+  RStarTree tree = InsertAll(RandomPoints(50, 2, 23));
+  for (ImageId i = 0; i < 50; ++i) ASSERT_TRUE(tree.Delete(i).ok());
   EXPECT_EQ(tree.size(), 0u);
   EXPECT_TRUE(tree.KnnSearch(FeatureVector{0.0, 0.0}, 5).empty());
 }
 
 TEST(RStarTreeTest, DeleteNotFound) {
-  RStarTree tree(2, SmallNodes());
-  ASSERT_TRUE(tree.Insert(FeatureVector{1.0, 1.0}, 7).ok());
-  EXPECT_EQ(tree.Delete(FeatureVector{2.0, 2.0}, 7).code(),
-            StatusCode::kNotFound);
-  EXPECT_EQ(tree.Delete(FeatureVector{1.0, 1.0}, 8).code(),
-            StatusCode::kNotFound);
+  RStarTree tree(StoreOf({FeatureVector{1.0, 1.0}, FeatureVector{2.0, 2.0}}),
+                 SmallNodes());
+  ASSERT_TRUE(tree.Insert(0).ok());
+  EXPECT_EQ(tree.Delete(1).code(), StatusCode::kNotFound);
+  EXPECT_EQ(tree.Delete(2).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(tree.size(), 1u);
 }
 
 TEST(RStarTreeTest, DuplicatePointsAreSupported) {
-  RStarTree tree(2, SmallNodes());
   const FeatureVector p{1.0, 1.0};
-  for (ImageId id = 0; id < 30; ++id) {
-    ASSERT_TRUE(tree.Insert(p, id).ok());
-  }
+  const RStarTree tree = InsertAll(std::vector<FeatureVector>(30, p));
   EXPECT_EQ(tree.size(), 30u);
   EXPECT_TRUE(tree.CheckInvariants().ok());
   EXPECT_EQ(tree.KnnSearch(p, 30).size(), 30u);
 }
 
 TEST(RStarTreeTest, StatsReflectStructure) {
-  const auto points = RandomPoints(300, 2, 25);
-  RStarTree tree(2, SmallNodes());
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    ASSERT_TRUE(tree.Insert(points[i], static_cast<ImageId>(i)).ok());
-  }
+  const RStarTree tree = InsertAll(RandomPoints(300, 2, 25));
   const RStarTree::Stats stats = tree.ComputeStats();
   EXPECT_EQ(stats.height, tree.height());
   EXPECT_GT(stats.leaf_count, 0u);
@@ -299,11 +338,7 @@ TEST(RStarTreeTest, PaperNodeCapacityConfiguration) {
   options.max_entries = 100;
   options.min_entries = 70;
   ASSERT_TRUE(options.Validate().ok());
-  const auto points = RandomPoints(1000, 4, 27);
-  RStarTree tree(4, options);
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    ASSERT_TRUE(tree.Insert(points[i], static_cast<ImageId>(i)).ok());
-  }
+  const RStarTree tree = InsertAll(RandomPoints(1000, 4, 27), options);
   EXPECT_TRUE(tree.CheckInvariants().ok())
       << tree.CheckInvariants().ToString();
   EXPECT_GE(tree.height(), 2);

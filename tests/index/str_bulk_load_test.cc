@@ -23,6 +23,10 @@ std::vector<FeatureVector> RandomPoints(std::size_t n, std::size_t dim,
   return out;
 }
 
+std::shared_ptr<const FeatureStore> StoreOf(std::vector<FeatureVector> rows) {
+  return std::make_shared<const FeatureStore>(std::move(rows));
+}
+
 std::vector<ImageId> Iota(std::size_t n) {
   std::vector<ImageId> ids(n);
   for (std::size_t i = 0; i < n; ++i) ids[i] = static_cast<ImageId>(i);
@@ -30,20 +34,21 @@ std::vector<ImageId> Iota(std::size_t n) {
 }
 
 TEST(BulkLoadTest, RejectsBadInputs) {
-  EXPECT_FALSE(BulkLoadRStarTree({}, {}, 2).ok());
-  const auto points = RandomPoints(5, 2, 1);
-  EXPECT_FALSE(BulkLoadRStarTree(points, Iota(4), 2).ok());
-  EXPECT_FALSE(BulkLoadRStarTree(points, Iota(5), 3).ok());
+  EXPECT_FALSE(BulkLoadRStarTree(nullptr, Iota(1)).ok());
+  const auto store = StoreOf(RandomPoints(5, 2, 1));
+  EXPECT_FALSE(BulkLoadRStarTree(store, {}).ok());
+  EXPECT_EQ(BulkLoadRStarTree(store, {0, 5}).status().code(),
+            StatusCode::kInvalidArgument);
   EXPECT_FALSE(
-      BulkLoadRStarTree(points, Iota(5), 2, RStarTreeOptions(), 0.0).ok());
+      BulkLoadRStarTree(store, Iota(5), RStarTreeOptions(), 0.0).ok());
   EXPECT_FALSE(
-      BulkLoadRStarTree(points, Iota(5), 2, RStarTreeOptions(), 1.5).ok());
+      BulkLoadRStarTree(store, Iota(5), RStarTreeOptions(), 1.5).ok());
 }
 
 TEST(BulkLoadTest, SinglePoint) {
-  const std::vector<FeatureVector> points = {FeatureVector{1.0, 2.0}};
-  const RStarTree tree =
-      BulkLoadRStarTree(points, {42}, 2).value();
+  // One row of a larger store: the tree indexes only the ids it is given.
+  const auto points = RandomPoints(43, 2, 1);
+  const RStarTree tree = BulkLoadRStarTree(StoreOf(points), {42}).value();
   EXPECT_EQ(tree.size(), 1u);
   EXPECT_EQ(tree.height(), 1);
   EXPECT_TRUE(tree.CheckInvariants().ok());
@@ -56,12 +61,12 @@ class BulkLoadSizeTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(BulkLoadSizeTest, InvariantsAndCompleteness) {
   const std::size_t n = static_cast<std::size_t>(GetParam());
-  const auto points = RandomPoints(n, 5, 100 + n);
   RStarTreeOptions options;
   options.max_entries = 16;
   options.min_entries = 6;
   const RStarTree tree =
-      BulkLoadRStarTree(points, Iota(n), 5, options).value();
+      BulkLoadRStarTree(StoreOf(RandomPoints(n, 5, 100 + n)), Iota(n), options)
+          .value();
   EXPECT_EQ(tree.size(), n);
   EXPECT_TRUE(tree.CheckInvariants().ok())
       << tree.CheckInvariants().ToString();
@@ -74,7 +79,7 @@ INSTANTIATE_TEST_SUITE_P(Sizes, BulkLoadSizeTest,
 
 TEST(BulkLoadTest, KnnMatchesBruteForce) {
   const auto points = RandomPoints(600, 6, 31);
-  const RStarTree tree = BulkLoadRStarTree(points, Iota(600), 6).value();
+  const RStarTree tree = BulkLoadRStarTree(StoreOf(points), Iota(600)).value();
   Rng rng(5);
   for (int q = 0; q < 10; ++q) {
     FeatureVector query(6);
@@ -92,31 +97,29 @@ TEST(BulkLoadTest, KnnMatchesBruteForce) {
 }
 
 TEST(BulkLoadTest, ProducesHighOccupancy) {
-  const auto points = RandomPoints(2000, 4, 37);
   RStarTreeOptions options;
   options.max_entries = 50;
   options.min_entries = 20;
-  const RStarTree tree =
-      BulkLoadRStarTree(points, Iota(2000), 4, options, 0.85).value();
+  const RStarTree tree = BulkLoadRStarTree(StoreOf(RandomPoints(2000, 4, 37)),
+                                           Iota(2000), options, 0.85)
+                             .value();
   const RStarTree::Stats stats = tree.ComputeStats();
   EXPECT_GT(stats.avg_leaf_occupancy, 0.6);
 }
 
 TEST(BulkLoadTest, TreeSupportsSubsequentInsertsAndDeletes) {
-  auto points = RandomPoints(200, 3, 41);
+  // The store holds the 200 bulk-loaded rows and 100 inserted afterwards.
+  auto rows = RandomPoints(200, 3, 41);
+  for (FeatureVector& p : RandomPoints(100, 3, 43)) rows.push_back(std::move(p));
   RStarTreeOptions options;
   options.max_entries = 10;
   options.min_entries = 4;
-  RStarTree tree = BulkLoadRStarTree(points, Iota(200), 3, options).value();
+  RStarTree tree =
+      BulkLoadRStarTree(StoreOf(std::move(rows)), Iota(200), options).value();
 
   // Mixed workload on top of the bulk-loaded structure.
-  const auto extra = RandomPoints(100, 3, 43);
-  for (std::size_t i = 0; i < extra.size(); ++i) {
-    ASSERT_TRUE(tree.Insert(extra[i], static_cast<ImageId>(200 + i)).ok());
-  }
-  for (std::size_t i = 0; i < 50; ++i) {
-    ASSERT_TRUE(tree.Delete(points[i], static_cast<ImageId>(i)).ok());
-  }
+  for (ImageId id = 200; id < 300; ++id) ASSERT_TRUE(tree.Insert(id).ok());
+  for (ImageId id = 0; id < 50; ++id) ASSERT_TRUE(tree.Delete(id).ok());
   EXPECT_EQ(tree.size(), 250u);
   EXPECT_TRUE(tree.CheckInvariants().ok())
       << tree.CheckInvariants().ToString();
@@ -125,12 +128,12 @@ TEST(BulkLoadTest, TreeSupportsSubsequentInsertsAndDeletes) {
 TEST(BulkLoadTest, PaperScaleConfiguration) {
   // 15k points with the paper's 70..100 node capacity builds a shallow tree
   // (the paper reports 3 levels at this scale).
-  const auto points = RandomPoints(5000, 8, 47);
   RStarTreeOptions options;
   options.max_entries = 100;
   options.min_entries = 70;
   const RStarTree tree =
-      BulkLoadRStarTree(points, Iota(5000), 8, options).value();
+      BulkLoadRStarTree(StoreOf(RandomPoints(5000, 8, 47)), Iota(5000), options)
+          .value();
   EXPECT_TRUE(tree.CheckInvariants().ok());
   EXPECT_LE(tree.height(), 3);
 }

@@ -35,6 +35,10 @@ Blobs MakeBlobs(int blobs, int per_blob, std::uint64_t seed) {
   return out;
 }
 
+std::shared_ptr<const FeatureStore> StoreOf(std::vector<FeatureVector> rows) {
+  return std::make_shared<const FeatureStore>(std::move(rows));
+}
+
 RStarTreeOptions SmallNodes() {
   RStarTreeOptions options;
   options.max_entries = 40;
@@ -43,24 +47,24 @@ RStarTreeOptions SmallNodes() {
 }
 
 TEST(ClusteredBulkLoadTest, RejectsBadInputs) {
-  EXPECT_FALSE(ClusteredTreeBuilder::Build({}, {}, 3).ok());
+  EXPECT_FALSE(ClusteredTreeBuilder::Build(nullptr, {0}).ok());
   const Blobs blobs = MakeBlobs(2, 10, 1);
-  std::vector<ImageId> short_ids(blobs.ids.begin(), blobs.ids.end() - 1);
-  EXPECT_FALSE(
-      ClusteredTreeBuilder::Build(blobs.points, short_ids, 3).ok());
-  EXPECT_FALSE(ClusteredTreeBuilder::Build(blobs.points, blobs.ids, 5).ok());
+  const auto store = StoreOf(blobs.points);
+  EXPECT_FALSE(ClusteredTreeBuilder::Build(store, {}).ok());
+  EXPECT_EQ(ClusteredTreeBuilder::Build(store, {0, 20}).status().code(),
+            StatusCode::kInvalidArgument);
   ClusteredBulkLoadOptions bad;
   bad.fill_factor = 0.0;
   EXPECT_FALSE(
-      ClusteredTreeBuilder::Build(blobs.points, blobs.ids, 3,
-                                  RStarTreeOptions(), bad)
+      ClusteredTreeBuilder::Build(store, blobs.ids, RStarTreeOptions(), bad)
           .ok());
 }
 
 TEST(ClusteredBulkLoadTest, InvariantsAndCompleteness) {
   const Blobs blobs = MakeBlobs(12, 30, 3);
   const RStarTree tree =
-      ClusteredTreeBuilder::Build(blobs.points, blobs.ids, 3, SmallNodes())
+      ClusteredTreeBuilder::Build(StoreOf(blobs.points), blobs.ids,
+                                  SmallNodes())
           .value();
   EXPECT_EQ(tree.size(), blobs.points.size());
   EXPECT_TRUE(tree.CheckInvariants().ok())
@@ -73,7 +77,8 @@ TEST(ClusteredBulkLoadTest, InvariantsAndCompleteness) {
 TEST(ClusteredBulkLoadTest, SmallInputBecomesSingleLeaf) {
   const Blobs blobs = MakeBlobs(1, 10, 5);
   const RStarTree tree =
-      ClusteredTreeBuilder::Build(blobs.points, blobs.ids, 3, SmallNodes())
+      ClusteredTreeBuilder::Build(StoreOf(blobs.points), blobs.ids,
+                                  SmallNodes())
           .value();
   EXPECT_EQ(tree.height(), 1);
   EXPECT_TRUE(tree.CheckInvariants().ok());
@@ -84,7 +89,8 @@ TEST(ClusteredBulkLoadTest, LeavesKeepTightClustersIntact) {
   // entirely inside one leaf. Blobs of 30 fit well under max_entries 40.
   const Blobs blobs = MakeBlobs(10, 30, 7);
   const RStarTree tree =
-      ClusteredTreeBuilder::Build(blobs.points, blobs.ids, 3, SmallNodes())
+      ClusteredTreeBuilder::Build(StoreOf(blobs.points), blobs.ids,
+                                  SmallNodes())
           .value();
 
   // Map every point to its leaf.
@@ -112,7 +118,8 @@ TEST(ClusteredBulkLoadTest, LeavesKeepTightClustersIntact) {
 TEST(ClusteredBulkLoadTest, KnnMatchesBruteForce) {
   const Blobs blobs = MakeBlobs(8, 40, 9);
   const RStarTree tree =
-      ClusteredTreeBuilder::Build(blobs.points, blobs.ids, 3, SmallNodes())
+      ClusteredTreeBuilder::Build(StoreOf(blobs.points), blobs.ids,
+                                  SmallNodes())
           .value();
   Rng rng(11);
   for (int q = 0; q < 5; ++q) {
@@ -132,12 +139,11 @@ TEST(ClusteredBulkLoadTest, KnnMatchesBruteForce) {
 
 TEST(ClusteredBulkLoadTest, DeterministicForFixedSeed) {
   const Blobs blobs = MakeBlobs(6, 25, 13);
+  const auto store = StoreOf(blobs.points);
   const RStarTree a =
-      ClusteredTreeBuilder::Build(blobs.points, blobs.ids, 3, SmallNodes())
-          .value();
+      ClusteredTreeBuilder::Build(store, blobs.ids, SmallNodes()).value();
   const RStarTree b =
-      ClusteredTreeBuilder::Build(blobs.points, blobs.ids, 3, SmallNodes())
-          .value();
+      ClusteredTreeBuilder::Build(store, blobs.ids, SmallNodes()).value();
   EXPECT_EQ(a.height(), b.height());
   EXPECT_EQ(a.ComputeStats().node_count, b.ComputeStats().node_count);
   const auto ma = a.KnnSearch(blobs.points[0], 5);
@@ -147,21 +153,21 @@ TEST(ClusteredBulkLoadTest, DeterministicForFixedSeed) {
 }
 
 TEST(ClusteredBulkLoadTest, SupportsSubsequentDynamicUpdates) {
-  Blobs blobs = MakeBlobs(6, 30, 15);
-  RStarTree tree =
-      ClusteredTreeBuilder::Build(blobs.points, blobs.ids, 3, SmallNodes())
-          .value();
-  for (ImageId id = 0; id < 40; ++id) {
-    ASSERT_TRUE(tree.Delete(blobs.points[id], id).ok());
-  }
+  const Blobs blobs = MakeBlobs(6, 30, 15);
+  // The store also holds the 50 rows inserted after the build.
+  std::vector<FeatureVector> rows = blobs.points;
   Rng rng(17);
-  for (ImageId id = 1000; id < 1050; ++id) {
-    ASSERT_TRUE(tree.Insert(FeatureVector{rng.Gaussian(), rng.Gaussian(),
-                                          rng.Gaussian()},
-                            id)
-                    .ok());
+  for (int i = 0; i < 50; ++i) {
+    rows.push_back(FeatureVector{rng.Gaussian(), rng.Gaussian(),
+                                 rng.Gaussian()});
   }
-  EXPECT_EQ(tree.size(), 180u - 40u + 50u + 0u);
+  RStarTree tree =
+      ClusteredTreeBuilder::Build(StoreOf(std::move(rows)), blobs.ids,
+                                  SmallNodes())
+          .value();
+  for (ImageId id = 0; id < 40; ++id) ASSERT_TRUE(tree.Delete(id).ok());
+  for (ImageId id = 180; id < 230; ++id) ASSERT_TRUE(tree.Insert(id).ok());
+  EXPECT_EQ(tree.size(), 180u - 40u + 50u);
   EXPECT_TRUE(tree.CheckInvariants().ok())
       << tree.CheckInvariants().ToString();
 }
@@ -180,8 +186,9 @@ TEST_P(ClusteredLoadSizeTest, InvariantsAcrossSizes) {
   options.max_entries = 10;
   options.min_entries = 4;
   const RStarTree tree =
-      ClusteredTreeBuilder::Build(points, ids, 2, options).value();
-  EXPECT_EQ(tree.size(), points.size());
+      ClusteredTreeBuilder::Build(StoreOf(std::move(points)), ids, options)
+          .value();
+  EXPECT_EQ(tree.size(), ids.size());
   EXPECT_TRUE(tree.CheckInvariants().ok())
       << GetParam() << ": " << tree.CheckInvariants().ToString();
 }

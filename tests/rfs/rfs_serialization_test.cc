@@ -20,7 +20,8 @@ using testsupport::FaultSpec;
 using testsupport::SampleOffsets;
 using testsupport::TruncateAt;
 
-RfsTree MakeTree(std::uint64_t seed, int points_count = 400, int dim = 3) {
+RfsTree MakeTree(std::uint64_t seed, int points_count = 400, int dim = 3,
+                 RfsBuildStrategy strategy = RfsBuildStrategy::kClustered) {
   Rng rng(seed);
   std::vector<FeatureVector> points;
   for (int i = 0; i < points_count; ++i) {
@@ -31,6 +32,7 @@ RfsTree MakeTree(std::uint64_t seed, int points_count = 400, int dim = 3) {
   RfsBuildOptions options;
   options.tree.max_entries = 12;
   options.tree.min_entries = 5;
+  options.strategy = strategy;
   return RfsBuilder::Build(std::move(points), options).value();
 }
 
@@ -90,6 +92,41 @@ TEST(RfsSerializationTest, RestoredTreeAnswersIdenticalKnnQueries) {
       EXPECT_EQ(a[i].id, b[i].id);
       EXPECT_DOUBLE_EQ(a[i].distance_squared, b[i].distance_squared);
     }
+  }
+}
+
+TEST(RfsSerializationTest, SerializeOfDecodeReproducesTheBytes) {
+  // Leaf entries hold only image ids in memory; the writer rebuilds each
+  // leaf's lo/hi from the store, so a decoded tree writes the index bytes
+  // it was read from, whether it owns its store or shares one.
+  for (const RfsBuildStrategy strategy :
+       {RfsBuildStrategy::kClustered, RfsBuildStrategy::kTgsBulkLoad,
+        RfsBuildStrategy::kInsertion}) {
+    SCOPED_TRACE(RfsBuildStrategyName(strategy));
+    const RfsTree tree = MakeTree(19, 300, 4, strategy);
+    const std::string bytes = RfsSerializer::Serialize(tree);
+    // Everything before the annotations, whose order follows map
+    // iteration, must come back byte for byte.
+    const auto index_section = [](const RfsTree& t) {
+      const std::string b = RfsSerializer::Serialize(t);
+      std::size_t annotations = 8;
+      for (const auto& nodes : t.index().NodesByLevel()) {
+        for (const NodeId id : nodes) {
+          annotations += 44 + 4 * t.info(id).children.size() +
+                         8 * t.info(id).representatives.size() +
+                         8 * t.feature_dim();
+        }
+      }
+      return b.substr(0, b.size() - annotations);
+    };
+    const StatusOr<RfsTree> owning = RfsSerializer::Deserialize(bytes);
+    ASSERT_TRUE(owning.ok()) << owning.status().ToString();
+    EXPECT_EQ(RfsSerializer::Serialize(*owning).size(), bytes.size());
+    EXPECT_EQ(index_section(*owning), index_section(tree));
+    const StatusOr<RfsTree> shared = RfsSerializer::Decode(
+        MemoryByteSource(bytes), tree.feature_store());
+    ASSERT_TRUE(shared.ok()) << shared.status().ToString();
+    EXPECT_EQ(index_section(*shared), index_section(tree));
   }
 }
 
@@ -160,6 +197,25 @@ T Peek(const std::string& blob, std::size_t offset) {
   T value;
   std::memcpy(&value, blob.data() + offset, sizeof(T));
   return value;
+}
+
+/// Offset of the first entry of the first leaf node, walking the node
+/// slots: a free slot is its presence byte; a node is 17 header bytes
+/// (presence, level, parent, entry count) followed by its entries.
+std::size_t FirstLeafEntry(const RfsTree& tree, const std::string& blob,
+                           const BlobLayout& layout) {
+  const std::size_t entry_bytes = 8 + 2 * tree.feature_dim() * sizeof(double);
+  const std::uint64_t slots = Peek<std::uint64_t>(blob, layout.index + 24);
+  std::size_t slot = layout.first_node;
+  for (std::uint64_t s = 0; s < slots; ++s) {
+    if (Peek<std::uint8_t>(blob, slot) == 0) {
+      ++slot;
+      continue;
+    }
+    if (Peek<std::int32_t>(blob, slot + 1) == 0) return slot + 17;
+    slot += 17 + Peek<std::uint64_t>(blob, slot + 9) * entry_bytes;
+  }
+  return 0;
 }
 
 /// The corruption contract of the streaming decoder: damaged RFS bytes
@@ -297,6 +353,195 @@ TEST_F(RfsCorruptionTest, OutOfRangeIdsAreCorrupt) {
             StatusCode::kCorrupt);
   EXPECT_EQ(DecodeCode(*blob_ + "x"), StatusCode::kCorrupt);
   EXPECT_EQ(DecodeCode("BADMAGIC" + blob_->substr(8)), StatusCode::kCorrupt);
+}
+
+TEST_F(RfsCorruptionTest, LeafEntryPointMustEqualItsFeatureRow) {
+  // A leaf entry's lo and hi are its image's feature row, written from the
+  // store; one flipped bit in either disagrees with the features.
+  const std::size_t first = FirstLeafEntry(*tree_, *blob_, *layout_);
+  ASSERT_NE(first, 0u);
+  const std::size_t row_bytes = tree_->feature_dim() * sizeof(double);
+  const ImageId image = Peek<std::uint32_t>(*blob_, first + 4);
+  ASSERT_EQ(std::memcmp(blob_->data() + first + 8,
+                        tree_->feature(image).data(), row_bytes),
+            0);
+  for (const std::size_t offset :
+       {first + 8, first + 8 + row_bytes, first + 7 + 2 * row_bytes}) {
+    SCOPED_TRACE("bit flip at " + std::to_string(offset));
+    std::string bytes = *blob_;
+    bytes[offset] ^= 0x01;
+    const Status owning = RfsSerializer::Deserialize(bytes).status();
+    EXPECT_EQ(owning.code(), StatusCode::kCorrupt);
+    EXPECT_EQ(owning.message(),
+              "RFS blob: leaf entry point disagrees with features");
+    EXPECT_EQ(RfsSerializer::Decode(MemoryByteSource(bytes),
+                                    tree_->feature_store())
+                  .status()
+                  .code(),
+              StatusCode::kCorrupt);
+  }
+}
+
+TEST_F(RfsCorruptionTest, LeavesMustHoldEveryImageOnce) {
+  // The leaf's second entry becomes a copy of its first (image, lo and hi):
+  // each entry still matches its feature row, but one image now sits in
+  // two leaf entries and another in none.
+  const std::size_t first = FirstLeafEntry(*tree_, *blob_, *layout_);
+  ASSERT_NE(first, 0u);
+  ASSERT_GE(Peek<std::uint64_t>(*blob_, first - 8), 2u);
+  const std::size_t entry_bytes =
+      8 + 2 * tree_->feature_dim() * sizeof(double);
+  std::string bytes = *blob_;
+  bytes.replace(first + entry_bytes + 4, entry_bytes - 4, *blob_, first + 4,
+                entry_bytes - 4);
+  Status status = RfsSerializer::Deserialize(bytes).status();
+  EXPECT_EQ(status.code(), StatusCode::kCorrupt);
+  EXPECT_EQ(status.message(), "RFS blob: image in more than one leaf entry");
+  // A tree size other than the image count.
+  status = RfsSerializer::Deserialize(
+               Forge(*blob_, layout_->index + 36,
+                     static_cast<std::uint64_t>(tree_->num_images() + 1)))
+               .status();
+  EXPECT_EQ(status.code(), StatusCode::kCorrupt);
+  EXPECT_EQ(status.message(), "RFS blob: leaves do not hold every image once");
+}
+
+TEST_F(RfsCorruptionTest, RepresentativeOutsideItsSubtreeIsCorrupt) {
+  // The first leaf annotation's first representative becomes an image of
+  // another leaf: in range, but outside the node's subtree, where finalize
+  // would find no leaf to expand from.
+  const std::size_t dim = tree_->feature_dim();
+  for (std::size_t info = layout_->info + 8; info < blob_->size();) {
+    const NodeId id = Peek<std::uint32_t>(*blob_, info);
+    const RfsTree::NodeInfo& node = tree_->info(id);
+    const std::size_t first_rep = info + 28 + 4 * node.children.size();
+    if (node.level == 0) {
+      ImageId outsider = 0;
+      while (tree_->LeafOf(outsider) == id) ++outsider;
+      const Status status =
+          RfsSerializer::Deserialize(Forge(*blob_, first_rep, outsider))
+              .status();
+      EXPECT_EQ(status.code(), StatusCode::kCorrupt);
+      EXPECT_EQ(status.message(),
+                "RFS blob: representative outside its subtree");
+      return;
+    }
+    info = first_rep + 8 * node.representatives.size() + 8 * dim + 16;
+  }
+  FAIL() << "no leaf annotation in the blob";
+}
+
+/// An RFS over two one-dimensional images whose root has two chains of
+/// `depth` one-entry nodes below it, each ending in a leaf with one image.
+/// Every annotation lists `reps` copies of its chain's image (both images
+/// at the root), except that the top of chain `forged_chain` (if 0 or 1)
+/// lists the other chain's image.
+std::string ChainBlob(std::uint32_t depth, std::uint64_t reps,
+                      int forged_chain) {
+  std::string b;
+  const auto put = [&b](auto value) {
+    b.append(reinterpret_cast<const char*>(&value), sizeof(value));
+  };
+  b.append("QDRFS001", 8);
+  put(std::uint64_t{2});  // images
+  put(std::uint64_t{1});  // dim
+  put(0.0);
+  put(1.0);
+  put(std::uint64_t{4});  // max_entries
+  put(std::uint64_t{2});  // min_entries
+  put(0.3);               // reinsert_fraction
+  // Node 0 is the root; chain c holds nodes 1 + c * depth + k, k = 0 at
+  // the top, k = depth - 1 the leaf with image c.
+  const auto node_of = [depth](std::uint32_t c, std::uint32_t k) {
+    return static_cast<NodeId>(1 + c * depth + k);
+  };
+  const auto parent_of = [&](std::uint32_t c, std::uint32_t k) {
+    return k == 0 ? NodeId{0} : node_of(c, k - 1);
+  };
+  put(std::uint64_t{1} + 2 * depth);  // node slots
+  put(NodeId{0});                     // root
+  put(std::uint64_t{2});              // tree size
+  put(std::uint8_t{1});
+  put(static_cast<std::int32_t>(depth));
+  put(kInvalidNodeId);
+  put(std::uint64_t{2});
+  for (std::uint32_t c = 0; c < 2; ++c) {
+    put(node_of(c, 0));
+    put(ImageId{0});
+    put(0.0);  // lo
+    put(1.0);  // hi
+  }
+  for (std::uint32_t c = 0; c < 2; ++c) {
+    for (std::uint32_t k = 0; k < depth; ++k) {
+      put(std::uint8_t{1});
+      put(static_cast<std::int32_t>(depth - 1 - k));
+      put(parent_of(c, k));
+      put(std::uint64_t{1});
+      put(k + 1 < depth ? node_of(c, k + 1) : kInvalidNodeId);
+      put(static_cast<ImageId>(c));
+      put(static_cast<double>(c));
+      put(static_cast<double>(c));
+    }
+  }
+  put(std::uint64_t{1} + 2 * depth);  // annotations
+  const auto annotate = [&](NodeId id, std::int32_t level, NodeId parent,
+                            std::vector<NodeId> children,
+                            std::vector<ImageId> rep_list) {
+    put(id);
+    put(level);
+    put(parent);
+    put(static_cast<std::uint64_t>(children.size()));
+    for (const NodeId c : children) put(c);
+    put(static_cast<std::uint64_t>(rep_list.size()));
+    for (const ImageId r : rep_list) put(r);
+    for (std::size_t i = 0; i < rep_list.size(); ++i) put(id);  // origins
+    put(0.5);  // center
+    put(1.0);  // diagonal
+    put(std::uint64_t{1});
+  };
+  std::vector<ImageId> both;
+  for (std::uint64_t i = 0; i < reps; ++i) {
+    both.push_back(0);
+    both.push_back(1);
+  }
+  annotate(0, static_cast<std::int32_t>(depth), kInvalidNodeId,
+           {node_of(0, 0), node_of(1, 0)}, both);
+  for (std::uint32_t c = 0; c < 2; ++c) {
+    for (std::uint32_t k = 0; k < depth; ++k) {
+      const bool forged = k == 0 && static_cast<int>(c) == forged_chain;
+      const ImageId rep = static_cast<ImageId>(forged ? 1 - c : c);
+      annotate(node_of(c, k), static_cast<std::int32_t>(depth - 1 - k),
+               parent_of(c, k),
+               k + 1 < depth ? std::vector<NodeId>{node_of(c, k + 1)}
+                             : std::vector<NodeId>{},
+               std::vector<ImageId>(reps, rep));
+    }
+  }
+  return b;
+}
+
+TEST(RfsDeepChainTest, SubtreeCheckHoldsOnDeepChains) {
+  // Representatives listed at every node of chains thousands of nodes
+  // deep: the check costs O(1) per representative, not a walk up the
+  // chain, so these decode at once.
+  constexpr std::uint32_t kDepth = 3000;
+  constexpr std::uint64_t kReps = 50;
+  StatusOr<RfsTree> tree =
+      RfsSerializer::Deserialize(ChainBlob(kDepth, kReps, /*forged_chain=*/-1));
+  ASSERT_TRUE(tree.ok()) << tree.status().ToString();
+  EXPECT_EQ(tree->LeafOf(0), static_cast<NodeId>(kDepth));
+  EXPECT_EQ(tree->LeafOf(1), static_cast<NodeId>(2 * kDepth));
+  // The top of either chain lists the other chain's image, whose leaf the
+  // walk reaches before the forged subtree for one chain and after it for
+  // the other.
+  for (const int chain : {0, 1}) {
+    SCOPED_TRACE("forged chain " + std::to_string(chain));
+    const Status status =
+        RfsSerializer::Deserialize(ChainBlob(kDepth, kReps, chain)).status();
+    EXPECT_EQ(status.code(), StatusCode::kCorrupt);
+    EXPECT_EQ(status.message(),
+              "RFS blob: representative outside its subtree");
+  }
 }
 
 TEST_F(RfsCorruptionTest, FailedAndShortReadsPropagate) {
