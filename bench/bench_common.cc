@@ -177,6 +177,13 @@ StatusOr<ImageDatabase> GetDatabase(std::size_t total_images,
   return db;
 }
 
+void BuildScanTables(const ImageDatabase& db) {
+  db.feature_blocks();
+  for (int c = 1; c < kNumViewpointChannels; ++c) {
+    db.channel_blocks(static_cast<ViewpointChannel>(c));
+  }
+}
+
 StatusOr<RfsTree> GetRfs(const ImageDatabase& db,
                          const RfsBuildOptions& options,
                          const std::string& cache_key,

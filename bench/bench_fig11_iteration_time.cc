@@ -99,6 +99,7 @@ int Run(int argc, char** argv) {
     std::fprintf(stderr, "database: %s\n", full.status().ToString().c_str());
     return 1;
   }
+  BuildScanTables(*full);
 
   TablePrinter table({"DB size", "QD iteration (ms)",
                       "MV/global-kNN iteration (ms)", "speedup"});
@@ -109,6 +110,7 @@ int Run(int argc, char** argv) {
         step == steps ? std::move(full).value()
                       : DatabaseSynthesizer::Subsample(*full, size).value();
     if (!db.ok()) return 1;
+    BuildScanTables(*db);
     StatusOr<RfsTree> rfs = GetRfs(*db, PaperRfsOptions(), "paper", cache);
     if (!rfs.ok()) return 1;
 

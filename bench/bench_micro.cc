@@ -22,6 +22,7 @@
 #include "qdcbir/core/distance.h"
 #include "qdcbir/core/distance_kernels.h"
 #include "qdcbir/core/feature_block.h"
+#include "qdcbir/core/feature_store.h"
 #include "qdcbir/core/rng.h"
 #include "qdcbir/core/thread_pool.h"
 #include "qdcbir/dataset/database_io.h"
@@ -154,16 +155,16 @@ void BM_SquaredL2BlockedAvx2(benchmark::State& state) {
 BENCHMARK(BM_SquaredL2BlockedAvx2);
 
 void BM_GatherTile(benchmark::State& state) {
-  const auto points = RandomPoints(kKernelBenchTable, kPaperFeatureDim, 21);
-  const FeatureBlockTable table(points);
+  const FeatureStore store(
+      RandomPoints(kKernelBenchTable, kPaperFeatureDim, 21));
   std::vector<ImageId> ids(kBlockWidth);
   Rng rng(29);
   for (ImageId& id : ids) {
     id = static_cast<ImageId>(rng.UniformInt(kKernelBenchTable));
   }
-  std::vector<double> tile(table.dim() * kBlockWidth);
+  std::vector<double> tile(store.dim() * kBlockWidth);
   for (auto _ : state) {
-    table.GatherTile(ids.data(), ids.size(), tile.data());
+    store.GatherTile(ids.data(), ids.size(), tile.data());
     benchmark::DoNotOptimize(tile.data());
   }
   state.SetItemsProcessed(state.iterations() *

@@ -69,20 +69,4 @@ FeatureBlockTable& FeatureBlockTable::operator=(
   return *this;
 }
 
-void FeatureBlockTable::GatherTile(const ImageId* ids, std::size_t count,
-                                   double* tile) const {
-  assert(count <= kBlockWidth);
-  obs::CountTileGathers(1);
-  std::memset(tile, 0, dim_ * kBlockWidth * sizeof(double));
-  for (std::size_t lane = 0; lane < count; ++lane) {
-    const std::size_t i = ids[lane];
-    assert(i < size_);
-    const double* src = block(i / kBlockWidth);
-    const std::size_t src_lane = i % kBlockWidth;
-    for (std::size_t d = 0; d < dim_; ++d) {
-      tile[d * kBlockWidth + lane] = src[d * kBlockWidth + src_lane];
-    }
-  }
-}
-
 }  // namespace qdcbir

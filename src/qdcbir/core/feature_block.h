@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "qdcbir/core/feature_vector.h"
-#include "qdcbir/core/types.h"
 
 namespace qdcbir {
 
@@ -29,9 +28,11 @@ inline constexpr std::size_t kBlockWidth = 8;
 /// unit-stride, 64-byte-aligned loads. The last block is zero-padded in the
 /// lanes past `size()`; callers must ignore those lanes' outputs.
 ///
-/// The table is an immutable snapshot: it is built once (at snapshot load /
-/// RFS construction) from the row-major `FeatureVector` table, which stays
-/// authoritative for per-vector access.
+/// The table is an immutable snapshot of a row-major `FeatureVector`
+/// table, which stays authoritative for per-vector access. A corpus builds
+/// it on the first whole-table sweep (`FeatureStore::blocks()`); scans over
+/// arbitrary id sets gather from the rows instead
+/// (`FeatureStore::GatherTile`).
 class FeatureBlockTable {
  public:
   FeatureBlockTable() = default;
@@ -80,12 +81,6 @@ class FeatureBlockTable {
   double at(std::size_t i, std::size_t d) const {
     return block(i / kBlockWidth)[d * kBlockWidth + i % kBlockWidth];
   }
-
-  /// Packs the vectors named by `ids` into `tile` (dim-major, kBlockWidth
-  /// lanes, zero-padded past `count`). `tile` must hold `dim * kBlockWidth`
-  /// doubles and `count` must be at most kBlockWidth. This is the batching
-  /// path for scans over arbitrary id sets (localized subtree scans).
-  void GatherTile(const ImageId* ids, std::size_t count, double* tile) const;
 
   /// Bytes of the blocked storage (capacity accounting).
   std::size_t MemoryBytes() const {

@@ -67,15 +67,15 @@ class ImageDatabase {
     return stores_[static_cast<int>(channel)]->rows();
   }
 
-  /// Blocked SoA copy of the main-channel feature table, built once when
-  /// the database is synthesized, subsampled, or loaded from a snapshot.
-  /// The batched distance kernels scan this instead of `features()`.
+  /// Blocked SoA copy of the main-channel feature table, which the
+  /// whole-table sweeps (global k-NN, QPM, Qcluster, Fagin) scan instead of
+  /// `features()`. Built on the first call, once per store.
   const FeatureBlockTable& feature_blocks() const {
     return stores_[0]->blocks();
   }
 
-  /// Blocked copy of a viewpoint channel's table (empty when the channel
-  /// was not extracted).
+  /// Blocked copy of a viewpoint channel's table (MV's channel sweeps),
+  /// built on the first call; empty when the channel was not extracted.
   const FeatureBlockTable& channel_blocks(ViewpointChannel channel) const {
     return stores_[static_cast<int>(channel)]->blocks();
   }
@@ -110,8 +110,8 @@ class ImageDatabase {
   /// Installs the feature tables as stores (`tables[0]` is the main
   /// channel; an empty extra channel maps to the shared empty store).
   /// Every construction path (synthesize / subsample / snapshot load) calls
-  /// this once the tables are final, so the blocked copies are built here
-  /// and channel 0 aliases the main store instead of copying it.
+  /// this once the tables are final, and channel 0 aliases the main store
+  /// instead of copying it.
   void InstallFeatures(
       std::array<std::vector<FeatureVector>, kNumViewpointChannels> tables);
 

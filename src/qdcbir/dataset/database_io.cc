@@ -816,13 +816,7 @@ StatusOr<ImageDatabase> DatabaseIo::LoadDatabaseFrom(
       db.channel_normalizers_[c] = std::move(st.norms[c]);
     }
   }
-  // Snapshot load is where the scan-side data layout is established: the
-  // blocked SoA tables the batched distance kernels consume are built once
-  // here, not lazily on the first query.
-  {
-    QDCBIR_SPAN("io.load.feature_blocks");
-    db.InstallFeatures(std::move(st.tables));
-  }
+  db.InstallFeatures(std::move(st.tables));
   return db;
 }
 

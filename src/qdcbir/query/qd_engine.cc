@@ -10,7 +10,7 @@
 #include "qdcbir/cache/cache_manager.h"
 #include "qdcbir/core/distance.h"
 #include "qdcbir/core/distance_kernels.h"
-#include "qdcbir/core/feature_block.h"
+#include "qdcbir/core/feature_store.h"
 #include "qdcbir/core/thread_pool.h"
 #include "qdcbir/obs/access_stats.h"
 #include "qdcbir/obs/metrics.h"
@@ -165,7 +165,10 @@ std::vector<DisplayGroup> QdSession::MakeDisplay() {
   if (options_.display_size > used && total > 0) {
     const std::size_t spare = options_.display_size - used;
     for (std::size_t i = 0; i < frontier_.size(); ++i) {
-      alloc[i] += spare * sizes[i] / total;
+      // floor(spare * sizes[i] / total) without the wide product, which
+      // wraps for a client-sized display; exact since sizes[i] <= total.
+      alloc[i] += (spare / total) * sizes[i] +
+                  (spare % total) * sizes[i] / total;
     }
   }
   for (std::size_t i = 0; i < frontier_.size(); ++i) {
@@ -280,11 +283,11 @@ Ranking QdSession::LocalizedSearchUncached(NodeId node,
     obs::CountLeafVisits(search_stats.nodes_visited);
     obs::CountDistanceEvals(search_stats.entries_scanned);
     obs::CountFeatureBytes(search_stats.entries_scanned *
-                           rfs_->feature_blocks().dim() * sizeof(double));
+                           rfs_->feature_dim() * sizeof(double));
     obs::CountLeafScan(static_cast<obs::AccessLeafId>(node),
                        search_stats.entries_scanned,
-                       search_stats.entries_scanned *
-                           rfs_->feature_blocks().dim() * sizeof(double));
+                       search_stats.entries_scanned * rfs_->feature_dim() *
+                           sizeof(double));
     return ranking;
   }
   // Weighted ranking: scan the (small) localized subtree under the
@@ -304,20 +307,20 @@ Ranking QdSession::LocalizedSearchUncached(NodeId node,
     }
   }
   const std::vector<ImageId> members = rfs_->index().CollectSubtree(node);
-  const FeatureBlockTable& blocks = rfs_->feature_blocks();
+  const FeatureStore& store = *rfs_->feature_store();
+  const std::size_t dim = store.dim();
   const DistanceKernels& kernels = ActiveKernels();
   Ranking ranking(members.size());
   obs::CountContainerAlloc(members.size() * sizeof(KnnMatch));
-  std::vector<double> tile(blocks.dim() * kBlockWidth);
+  std::vector<double> tile(dim * kBlockWidth);
   obs::CountContainerAlloc(tile.size() * sizeof(double));
   double out[kBlockWidth];
   std::size_t batches = 0;
   for (std::size_t base = 0; base < members.size(); base += kBlockWidth) {
     const std::size_t count = std::min(kBlockWidth, members.size() - base);
-    blocks.GatherTile(members.data() + base, count, tile.data());
+    store.GatherTile(members.data() + base, count, tile.data());
     kernels.weighted_l2(tile.data(), query_point.data(),
-                        options_.feature_weights.data(), blocks.dim(),
-                        out);
+                        options_.feature_weights.data(), dim, out);
     for (std::size_t lane = 0; lane < count; ++lane) {
       ranking[base + lane] = KnnMatch{members[base + lane], out[lane]};
     }
@@ -325,9 +328,9 @@ Ranking QdSession::LocalizedSearchUncached(NodeId node,
   }
   AddBlockBatches(batches);
   obs::CountDistanceEvals(members.size());
-  obs::CountFeatureBytes(members.size() * blocks.dim() * sizeof(double));
+  obs::CountFeatureBytes(members.size() * dim * sizeof(double));
   obs::CountLeafScan(static_cast<obs::AccessLeafId>(node), members.size(),
-                     members.size() * blocks.dim() * sizeof(double));
+                     members.size() * dim * sizeof(double));
   std::sort(ranking.begin(), ranking.end(),
             [](const KnnMatch& a, const KnnMatch& b) {
               if (a.distance_squared != b.distance_squared) {

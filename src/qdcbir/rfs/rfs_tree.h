@@ -68,14 +68,8 @@ class RfsTree {
     return feature_store()->rows();
   }
 
-  /// Blocked SoA copy of the feature table, built once with the store.
-  /// Consumed by the batched localized-scan kernels.
-  const FeatureBlockTable& feature_blocks() const {
-    return feature_store()->blocks();
-  }
-
-  /// The shared store behind `features()` and `feature_blocks()`: the one
-  /// the index reads its leaf points from.
+  /// The shared store behind `features()`: the one the index reads its
+  /// leaf points from and weighted localized scans gather tiles from.
   const std::shared_ptr<const FeatureStore>& feature_store() const {
     return index_.store();
   }

@@ -1,6 +1,7 @@
 #include "qdcbir/serve/json_mini.h"
 
 #include <cctype>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 
@@ -215,13 +216,21 @@ const JsonValue* JsonValue::Find(std::string_view key) const {
   return nullptr;
 }
 
+bool JsonValue::ToUint(std::uint64_t max, std::uint64_t* out) const {
+  if (!is_number() || !(number >= 0.0) ||
+      number > static_cast<double>(max) || number != std::floor(number)) {
+    return false;
+  }
+  *out = static_cast<std::uint64_t>(number);
+  return true;
+}
+
 std::uint64_t JsonValue::U64Field(std::string_view key,
                                   std::uint64_t fallback) const {
   const JsonValue* value = Find(key);
-  if (value == nullptr || !value->is_number() || value->number < 0) {
-    return fallback;
-  }
-  return static_cast<std::uint64_t>(value->number);
+  std::uint64_t out = fallback;
+  if (value != nullptr) value->ToUint(kMaxJsonInteger, &out);
+  return out;
 }
 
 StatusOr<JsonValue> ParseJson(std::string_view text) {

@@ -12,6 +12,10 @@
 namespace qdcbir {
 namespace serve {
 
+/// Largest integer a request may carry in a count, seed or session id:
+/// 2^53, the end of the range in which a double holds every integer.
+inline constexpr std::uint64_t kMaxJsonInteger = std::uint64_t{1} << 53;
+
 /// A minimal JSON document model for the admin server's request bodies.
 /// Covers all of RFC 8259 except that numbers are held as doubles (the
 /// API's ids and seeds fit a double's 53-bit integer range). Not a
@@ -31,8 +35,15 @@ struct JsonValue {
   /// nullptr when absent or not an object.
   const JsonValue* Find(std::string_view key) const;
 
-  /// The field's numeric value clamped to u64, or `fallback` when the
-  /// field is absent / not a number / negative.
+  /// The one checked number-to-integer conversion: true, with `*out` set,
+  /// when this is a number with no fractional part in [0, max]; false, with
+  /// `*out` untouched, for anything else. The range is checked on the
+  /// double, so no value reaches an out-of-range cast. `max` must be at
+  /// most kMaxJsonInteger.
+  bool ToUint(std::uint64_t max, std::uint64_t* out) const;
+
+  /// The field as an integer in [0, kMaxJsonInteger], or `fallback` when
+  /// the field is absent or holds anything else.
   std::uint64_t U64Field(std::string_view key, std::uint64_t fallback) const;
 
   bool is_object() const { return kind == Kind::kObject; }

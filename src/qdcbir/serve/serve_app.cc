@@ -104,6 +104,15 @@ std::vector<std::uint64_t> RankedIds(const std::vector<ImageId>& ranked) {
   return std::vector<std::uint64_t>(ranked.begin(), ranked.end());
 }
 
+/// Reads the optional integer field `key` of a request body: absent keeps
+/// `*out`, an integer in [0, max] sets it. Anything else returns false, and
+/// the handler answers 400.
+bool ReadUintField(const JsonValue& body, std::string_view key,
+                   std::uint64_t max, std::uint64_t* out) {
+  const JsonValue* value = body.Find(key);
+  return value == nullptr || value->ToUint(max, out);
+}
+
 /// `?n=` limit of /queryz and /logz. Absent keeps `fallback`; a positive
 /// decimal integer sets `*out`; anything else (garbage, zero, negative)
 /// returns false so the handler can answer 400.
@@ -503,9 +512,17 @@ obs::HttpResponse ServeApp::HandleApiQuery(const obs::HttpRequest& request) {
     body = std::move(*parsed);
   }
 
+  std::uint64_t display_size = options_.display_size;
+  std::uint64_t seed = 0;
+  const JsonValue* seed_field = body.Find("seed");
+  if (!ReadUintField(body, "display_size", kMaxJsonInteger, &display_size) ||
+      !ReadUintField(body, "seed", kMaxJsonInteger, &seed)) {
+    return JsonError(400, "\"display_size\" and \"seed\" must be integers "
+                          "in [0, 2^53]");
+  }
+
   QdOptions qd_options;
-  qd_options.display_size = static_cast<std::size_t>(
-      body.U64Field("display_size", options_.display_size));
+  qd_options.display_size = static_cast<std::size_t>(display_size);
   qd_options.boundary_threshold = options_.boundary_threshold;
   qd_options.pool = &QueryPool();
   qd_options.cache = cache_.get();
@@ -537,7 +554,7 @@ obs::HttpResponse ServeApp::HandleApiQuery(const obs::HttpRequest& request) {
     }
     session_id = next_session_id_++;
     const std::uint64_t opened = sessions_opened_++;
-    qd_options.seed = body.U64Field("seed", session_id);
+    qd_options.seed = seed_field != nullptr ? seed : session_id;
     session = std::make_shared<Session>(QdSession(&*rfs_, qd_options));
     session->seed = qd_options.seed;
     session->label = "http";
@@ -598,8 +615,11 @@ obs::HttpResponse ServeApp::HandleApiFeedback(
   if (!parsed.ok()) return JsonError(400, parsed.status().ToString());
   const JsonValue& body = *parsed;
 
-  const std::uint64_t session_id = body.U64Field("session", 0);
-  if (session_id == 0) return JsonError(400, "missing \"session\"");
+  std::uint64_t session_id = 0;
+  if (!ReadUintField(body, "session", kMaxJsonInteger, &session_id) ||
+      session_id == 0) {
+    return JsonError(400, "missing or invalid \"session\"");
+  }
   std::shared_ptr<Session> session;
   {
     std::lock_guard<std::mutex> lock(sessions_mu_);
@@ -636,13 +656,22 @@ obs::HttpResponse ServeApp::HandleApiFeedback(
   std::vector<ImageId> relevant;
   if (const JsonValue* ids = body.Find("relevant")) {
     if (!ids->is_array()) return JsonError(400, "\"relevant\" must be an array");
-    for (const JsonValue& id : ids->items) {
-      if (!id.is_number() || id.number < 0) {
+    for (const JsonValue& item : ids->items) {
+      std::uint64_t id = 0;
+      if (!item.ToUint(kInvalidImageId - 1, &id)) {
         return JsonError(400, "\"relevant\" must hold image ids");
       }
-      relevant.push_back(static_cast<ImageId>(id.number));
+      relevant.push_back(static_cast<ImageId>(id));
     }
   }
+  // A present "finalize" closes the session with k results; 0 asks for the
+  // server's default k.
+  const JsonValue* finalize = body.Find("finalize");
+  std::uint64_t k = 0;
+  if (finalize != nullptr && !finalize->ToUint(kMaxJsonInteger, &k)) {
+    return JsonError(400, "\"finalize\" must be an integer in [0, 2^53]");
+  }
+  if (k == 0) k = options_.default_k;
 
   std::uint64_t start_ns = obs::MonotonicNanos();
   StatusOr<std::vector<DisplayGroup>> next = [&] {
@@ -661,7 +690,6 @@ obs::HttpResponse ServeApp::HandleApiFeedback(
   session->quality.ObserveRound(DisplayIds(*next),
                                 session->qd.stats().localized_subqueries);
 
-  const JsonValue* finalize = body.Find("finalize");
   if (finalize == nullptr) {
     std::string out = "{\"session\":" + std::to_string(session_id) +
                       ",\"round\":" + std::to_string(session->qd.round()) +
@@ -672,10 +700,6 @@ obs::HttpResponse ServeApp::HandleApiFeedback(
                      session->trace);
   }
 
-  std::size_t k = options_.default_k;
-  if (finalize->is_number() && finalize->number > 0) {
-    k = static_cast<std::size_t>(finalize->number);
-  }
   start_ns = obs::MonotonicNanos();
   StatusOr<QdResult> result = [&] {
     QDCBIR_SPAN("serve.api.feedback");

@@ -79,25 +79,6 @@ TEST(FeatureBlockTableTest, AtMatchesSourceVectors) {
   }
 }
 
-TEST(FeatureBlockTableTest, GatherTileCollectsArbitraryIdsAndZeroPads) {
-  const std::vector<FeatureVector> features = RandomFeatures(40, 6, 3);
-  const FeatureBlockTable table(features);
-
-  const ImageId ids[] = {39, 0, 17, 17, 8};
-  const std::size_t count = 5;
-  std::vector<double> tile(table.dim() * kBlockWidth, -1.0);
-  table.GatherTile(ids, count, tile.data());
-
-  for (std::size_t d = 0; d < table.dim(); ++d) {
-    for (std::size_t lane = 0; lane < kBlockWidth; ++lane) {
-      const double expect =
-          lane < count ? features[ids[lane]][d] : 0.0;  // padded lanes zeroed
-      EXPECT_EQ(tile[d * kBlockWidth + lane], expect)
-          << "d=" << d << " lane=" << lane;
-    }
-  }
-}
-
 TEST(FeatureBlockTableTest, CopyAndMovePreserveContents) {
   const std::vector<FeatureVector> features = RandomFeatures(11, 5, 7);
   FeatureBlockTable table(features);

@@ -177,7 +177,7 @@ TEST_F(QdDeterminismTest, SharedStoreTreeMatchesOwningTreeAcrossThreads) {
   // what the engine computes: ranked ids, groups and cost counters match
   // the owning tree byte for byte at every width, cached or not.
   ASSERT_EQ(&shared_rfs_->features(), &db_->features());
-  ASSERT_EQ(&shared_rfs_->feature_blocks(), &db_->feature_blocks());
+  ASSERT_EQ(shared_rfs_->feature_store(), db_->feature_store());
   ASSERT_NE(&rfs_->features(), &db_->features());
 
   ThreadPool sequential(1);

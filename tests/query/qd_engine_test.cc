@@ -1,5 +1,7 @@
 #include "qdcbir/query/qd_engine.h"
 
+#include <cstdint>
+#include <limits>
 #include <set>
 
 #include <gtest/gtest.h>
@@ -72,6 +74,25 @@ TEST(QdSessionTest, StartDisplaysRootRepresentatives) {
     EXPECT_TRUE(reps.count(id) > 0);
   }
   EXPECT_EQ(session.round(), 0);
+}
+
+TEST(QdSessionTest, HugeDisplaySizeShowsEveryRootRepresentative) {
+  const RfsTree tree = MakeClusteredTree(4, 30, 2);
+  const std::size_t subtree = tree.info(tree.root()).subtree_size;
+  ASSERT_GE(subtree, 2u);
+  // 1 + ceil(2^64 / subtree): the spare slots times the subtree size is at
+  // least 2^64, the first display size whose slot product wraps.
+  QdOptions options = TestOptions();
+  options.display_size =
+      std::numeric_limits<std::uint64_t>::max() / subtree + 2;
+  QdSession session(&tree, options);
+  const auto display = session.Start();
+  ASSERT_EQ(display.size(), 1u);
+  const auto& root_reps = tree.info(tree.root()).representatives;
+  ASSERT_GT(root_reps.size(), 1u);
+  const std::set<ImageId> shown(display[0].images.begin(),
+                                display[0].images.end());
+  EXPECT_EQ(shown, std::set<ImageId>(root_reps.begin(), root_reps.end()));
 }
 
 TEST(QdSessionTest, FinalizeWithoutFeedbackFails) {

@@ -639,7 +639,6 @@ TEST_F(RfsSharedStoreTest, LoadedPairHoldsTheFeaturesOnce) {
         RfsSerializer::LoadForSnapshot(*db_path_, rfs_path, db.feature_store());
     ASSERT_TRUE(rfs.ok()) << rfs.status().ToString();
     EXPECT_EQ(&rfs->features(), &db.features());
-    EXPECT_EQ(&rfs->feature_blocks(), &db.feature_blocks());
     EXPECT_EQ(rfs->feature_store(), db.feature_store());
     EXPECT_TRUE(rfs->CheckInvariants().ok());
     // Sharing changes where the features live, not the tree.

@@ -399,6 +399,81 @@ TEST_F(ServeAppTest, ApiRejectsMalformedRequests) {
   app.Stop();
 }
 
+TEST_F(ServeAppTest, ApiRejectsNumbersOutsideTheirRange) {
+  ThreadPool pool(2);
+  ServeOptions options;
+  options.db_path = *db_path_;
+  options.pool = &pool;
+  ServeApp app(std::move(options));
+  std::string error;
+  ASSERT_TRUE(app.Start(&error)) << error;
+  ASSERT_TRUE(app.WaitUntilReady(30000)) << app.load_error();
+
+  const auto status_of = [&](const std::string& path,
+                             const std::string& body) {
+    const std::string response = Post(app.port(), path, body);
+    return response.substr(0, response.find("\r\n"));
+  };
+  const std::string open_body =
+      BodyOf(Post(app.port(), "/api/query", "{\"seed\":11}"));
+  StatusOr<JsonValue> open = ParseJson(open_body);
+  ASSERT_TRUE(open.ok()) << open_body;
+  const std::string session =
+      "{\"session\":" + std::to_string(open->U64Field("session", 0));
+
+  // Too large to cast, fractional, negative: every field answers 400 and
+  // leaves the session usable.
+  for (const std::string bad : {"1e300", "3.7", "-1"}) {
+    SCOPED_TRACE(bad);
+    EXPECT_NE(status_of("/api/query", "{\"display_size\":" + bad + "}")
+                  .find("400"),
+              std::string::npos);
+    EXPECT_NE(status_of("/api/query", "{\"seed\":" + bad + "}").find("400"),
+              std::string::npos);
+    EXPECT_NE(status_of("/api/feedback", "{\"session\":" + bad + "}")
+                  .find("400"),
+              std::string::npos);
+    EXPECT_NE(status_of("/api/feedback",
+                        session + ",\"relevant\":[" + bad + "]}")
+                  .find("400"),
+              std::string::npos);
+    EXPECT_NE(status_of("/api/feedback",
+                        session + ",\"relevant\":[],\"finalize\":" + bad +
+                            "}")
+                  .find("400"),
+              std::string::npos);
+  }
+  // 2^32 is past every image id, but a fine count, seed or session id.
+  const std::string two_32 = "4294967296";
+  EXPECT_NE(status_of("/api/feedback", session + ",\"relevant\":[" + two_32 +
+                                           "]}")
+                .find("400"),
+            std::string::npos);
+  EXPECT_NE(status_of("/api/feedback", session + ",\"relevant\":[4294967295]}")
+                .find("400"),
+            std::string::npos);
+  EXPECT_NE(status_of("/api/query", "{\"display_size\":" + two_32 + "}")
+                .find("200"),
+            std::string::npos);
+  EXPECT_NE(status_of("/api/query", "{\"seed\":" + two_32 + "}").find("200"),
+            std::string::npos);
+  EXPECT_NE(status_of("/api/feedback", "{\"session\":" + two_32 + "}")
+                .find("404"),
+            std::string::npos);
+  // Seeds end at 2^53, the last integer every double in range still holds.
+  EXPECT_NE(status_of("/api/query", "{\"seed\":9007199254740992}").find("200"),
+            std::string::npos);
+  EXPECT_NE(status_of("/api/query", "{\"seed\":9007199254740994}").find("400"),
+            std::string::npos);
+
+  // None of the rejected requests ran a round of the open session.
+  StatusOr<JsonValue> round =
+      ParseJson(BodyOf(Post(app.port(), "/api/feedback", session + "}")));
+  ASSERT_TRUE(round.ok());
+  EXPECT_EQ(round->U64Field("round", 0), 1u);
+  app.Stop();
+}
+
 TEST_F(ServeAppTest, SameSeedYieldsIdenticalFirstDisplay) {
   ThreadPool pool(2);
   ServeOptions options;
