@@ -9,6 +9,7 @@
 #include "qdcbir/dataset/database_io.h"
 #include "qdcbir/dataset/synthesizer.h"
 #include "qdcbir/obs/clock.h"
+#include "qdcbir/obs/json.h"
 #include "qdcbir/obs/metrics.h"
 #include "qdcbir/rfs/rfs_serialization.h"
 
@@ -66,22 +67,6 @@ std::vector<std::int64_t> Flags::IntList(
   return values.empty() ? fallback : values;
 }
 
-namespace {
-
-/// Escapes the characters that may plausibly appear in a bench label; the
-/// writer is for machine-diffable result files, not arbitrary text.
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c == '\n' ? ' ' : c);
-  }
-  return out;
-}
-
-}  // namespace
-
 Status AppendBenchJson(const std::string& path,
                        const std::vector<BenchRecord>& records) {
   std::ofstream out(path, std::ios::app);
@@ -92,19 +77,21 @@ Status AppendBenchJson(const std::string& path,
   // invocation comparable (counters are cumulative across the process).
   const std::string obs_snapshot =
       obs::MetricsRegistry::Global().SnapshotJson();
+  std::string line;
   for (const BenchRecord& r : records) {
-    out << "{\"bench\":\"" << JsonEscape(r.bench) << "\""
-        << ",\"config\":\"" << JsonEscape(r.config) << "\""
-        << ",\"threads\":" << r.threads;
-    char wall[64];
-    std::snprintf(wall, sizeof(wall), "%.9g", r.wall_seconds);
-    out << ",\"wall_seconds\":" << wall;
+    line.clear();
+    obs::JsonWriter w(&line);
+    w.BeginObject();
+    w.Key("bench").String(r.bench);
+    w.Key("config").String(r.config);
+    w.Key("threads").Uint(r.threads);
+    w.Key("wall_seconds").Double(r.wall_seconds, "%.9g");
     for (const auto& [key, value] : r.metrics) {
-      char num[64];
-      std::snprintf(num, sizeof(num), "%.9g", value);
-      out << ",\"" << JsonEscape(key) << "\":" << num;
+      w.Key(key).Double(value, "%.9g");
     }
-    out << ",\"obs\":" << obs_snapshot << "}\n";
+    w.Key("obs").Raw(obs_snapshot);
+    w.EndObject();
+    out << line << '\n';
   }
   out.flush();
   if (!out) return Status::Internal("write failed: " + path);

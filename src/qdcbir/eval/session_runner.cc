@@ -84,22 +84,8 @@ void RecordAudit(std::string_view engine, const QueryGroundTruth& gt,
   record.rounds_ns = rounds_ns;
   record.finalize_ns = SecondsToNanos(outcome.finalize_seconds);
   record.total_ns = SecondsToNanos(outcome.total_seconds);
-  record.distance_evals = usage.distance_evals;
-  record.feature_bytes = usage.feature_bytes;
-  record.leaves_visited = usage.leaves_visited;
-  record.tiles_gathered = usage.tiles_gathered;
-  record.container_allocs = usage.container_allocs;
-  record.alloc_bytes = usage.alloc_bytes;
-  record.cache_hits = usage.cache_hits;
-  record.cache_misses = usage.cache_misses;
-  record.quality_jaccard_permille = quality.last_jaccard_permille;
-  record.quality_rank_churn = quality.last_rank_churn;
-  record.quality_rounds_to_stability = quality.rounds_to_stability;
-  record.quality_outcome = static_cast<std::uint64_t>(quality.outcome);
-  if (quality.oracle_precision_defined) {
-    record.quality_oracle_precision_permille_plus1 =
-        quality.oracle_precision_permille + 1;
-  }
+  record.SetUsage(usage);
+  record.SetQuality(quality);
   // Batch runs carry a trace id too when the caller installed one (the
   // serve layer always does; CLI runs leave it zero → rendered as "").
   const obs::TraceContext& trace = obs::CurrentTraceContext();

@@ -5,6 +5,7 @@
 #include <cstring>
 
 #include "qdcbir/obs/clock.h"
+#include "qdcbir/obs/json.h"
 #include "qdcbir/obs/metrics.h"
 #include "qdcbir/obs/trace_context.h"
 
@@ -23,29 +24,6 @@ std::uint64_t UnixMillis() {
 const char* Basename(const char* path) {
   const char* slash = std::strrchr(path, '/');
   return slash != nullptr ? slash + 1 : path;
-}
-
-void AppendJsonString(std::string* out, const std::string& s) {
-  out->push_back('"');
-  for (const char c : s) {
-    switch (c) {
-      case '"': *out += "\\\""; break;
-      case '\\': *out += "\\\\"; break;
-      case '\n': *out += "\\n"; break;
-      case '\r': *out += "\\r"; break;
-      case '\t': *out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          *out += buf;
-        } else {
-          out->push_back(c);
-        }
-    }
-  }
-  out->push_back('"');
 }
 
 }  // namespace
@@ -126,28 +104,25 @@ std::string LogRing::RenderJson(std::size_t limit) const {
     entries.erase(entries.begin(),
                   entries.end() - static_cast<std::ptrdiff_t>(limit));
   }
-  std::string out = "{\"capacity\":" + std::to_string(kCapacity);
-  out += ",\"total\":" + std::to_string(total());
-  out += ",\"entries\":[";
-  bool first = true;
+  std::string out;
+  JsonWriter w(&out);
+  w.BeginObject();
+  w.Key("capacity").Uint(kCapacity);
+  w.Key("total").Uint(total());
+  w.Key("entries").BeginArray();
   for (const LogEntry& entry : entries) {
-    if (!first) out.push_back(',');
-    first = false;
-    out += "{\"sequence\":" + std::to_string(entry.sequence);
-    out += ",\"unix_ms\":" + std::to_string(entry.unix_ms);
-    out += ",\"mono_ns\":" + std::to_string(entry.mono_ns);
-    out += ",\"level\":";
-    AppendJsonString(&out, LogLevelName(entry.level));
-    out += ",\"trace\":";
-    AppendJsonString(&out, entry.trace_id);
-    out += ",\"site\":";
-    AppendJsonString(&out, entry.site);
-    out += ",\"message\":";
-    AppendJsonString(&out, entry.message);
-    out += ",\"suppressed\":" + std::to_string(entry.suppressed);
-    out.push_back('}');
+    w.BeginObject();
+    w.Key("sequence").Uint(entry.sequence);
+    w.Key("unix_ms").Uint(entry.unix_ms);
+    w.Key("mono_ns").Uint(entry.mono_ns);
+    w.Key("level").String(LogLevelName(entry.level));
+    w.Key("trace").String(entry.trace_id);
+    w.Key("site").String(entry.site);
+    w.Key("message").String(entry.message);
+    w.Key("suppressed").Uint(entry.suppressed);
+    w.EndObject();
   }
-  out += "]}";
+  w.EndArray().EndObject();
   return out;
 }
 

@@ -1,7 +1,6 @@
 #include "qdcbir/obs/metrics.h"
 
 #include <bit>
-#include <cstdio>
 
 namespace qdcbir {
 namespace obs {
@@ -223,77 +222,43 @@ MetricsRegistry::RegistrySnapshot MetricsRegistry::Snapshot() const {
   return snap;
 }
 
-namespace {
-
-void AppendEscaped(std::string& out, const std::string& s) {
-  for (const char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c == '\n' ? ' ' : c);
-  }
-}
-
-void AppendNumber(std::string& out, double value) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.9g", value);
-  out += buf;
-}
-
-}  // namespace
-
 std::string MetricsRegistry::SnapshotJson() const {
-  const RegistrySnapshot snap = Snapshot();
-  std::string out = "{\"counters\":{";
-  bool first = true;
-  for (const auto& [name, value] : snap.counters) {
-    if (!first) out.push_back(',');
-    first = false;
-    out.push_back('"');
-    AppendEscaped(out, name);
-    out += "\":";
-    out += std::to_string(value);
-  }
-  out += "},\"gauges\":{";
-  first = true;
-  for (const auto& [name, value_max] : snap.gauges) {
-    if (!first) out.push_back(',');
-    first = false;
-    out.push_back('"');
-    AppendEscaped(out, name);
-    out += "\":{\"value\":";
-    out += std::to_string(value_max.first);
-    out += ",\"max\":";
-    out += std::to_string(value_max.second);
-    out.push_back('}');
-  }
-  out += "},\"histograms\":{";
-  first = true;
-  for (const auto& [name, h] : snap.histograms) {
-    if (!first) out.push_back(',');
-    first = false;
-    out.push_back('"');
-    AppendEscaped(out, name);
-    out += "\":{\"count\":";
-    out += std::to_string(h.count);
-    out += ",\"sum\":";
-    out += std::to_string(h.sum);
-    out += ",\"min\":";
-    out += std::to_string(h.min);
-    out += ",\"max\":";
-    out += std::to_string(h.max);
-    out += ",\"mean\":";
-    AppendNumber(out, h.mean());
-    out += ",\"p50\":";
-    AppendNumber(out, h.p50);
-    out += ",\"p90\":";
-    AppendNumber(out, h.p90);
-    out += ",\"p95\":";
-    AppendNumber(out, h.p95);
-    out += ",\"p99\":";
-    AppendNumber(out, h.p99);
-    out.push_back('}');
-  }
-  out += "}}";
+  std::string out;
+  JsonWriter w(&out);
+  w.BeginObject();
+  WriteSnapshotFields(&w);
+  w.EndObject();
   return out;
+}
+
+void MetricsRegistry::WriteSnapshotFields(JsonWriter* w) const {
+  const RegistrySnapshot snap = Snapshot();
+  w->Key("counters").BeginObject();
+  for (const auto& [name, value] : snap.counters) w->Key(name).Uint(value);
+  w->EndObject();
+  w->Key("gauges").BeginObject();
+  for (const auto& [name, value_max] : snap.gauges) {
+    w->Key(name).BeginObject();
+    w->Key("value").Int(value_max.first);
+    w->Key("max").Int(value_max.second);
+    w->EndObject();
+  }
+  w->EndObject();
+  w->Key("histograms").BeginObject();
+  for (const auto& [name, h] : snap.histograms) {
+    w->Key(name).BeginObject();
+    w->Key("count").Uint(h.count);
+    w->Key("sum").Uint(h.sum);
+    w->Key("min").Uint(h.min);
+    w->Key("max").Uint(h.max);
+    w->Key("mean").Double(h.mean(), "%.9g");
+    w->Key("p50").Double(h.p50, "%.9g");
+    w->Key("p90").Double(h.p90, "%.9g");
+    w->Key("p95").Double(h.p95, "%.9g");
+    w->Key("p99").Double(h.p99, "%.9g");
+    w->EndObject();
+  }
+  w->EndObject();
 }
 
 void MetricsRegistry::Reset() {

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "qdcbir/obs/clock.h"
+#include "qdcbir/obs/json.h"
 
 namespace qdcbir {
 namespace obs {
@@ -258,6 +259,10 @@ class MetricsRegistry {
   /// Embedded verbatim in bench records and dumped by the tools' /
   /// benches' `--metrics-json` paths.
   std::string SnapshotJson() const;
+
+  /// The three sections of `SnapshotJson` as fields of an open object, so
+  /// `/varz` can put its build object in front of them.
+  void WriteSnapshotFields(JsonWriter* w) const;
 
   /// Zeroes every registered metric (registrations survive). For tests and
   /// per-section bench deltas; not safe against concurrent writers that

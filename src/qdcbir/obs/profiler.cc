@@ -11,8 +11,10 @@
 #include <unordered_map>
 #include <vector>
 
+#include "qdcbir/obs/json.h"
 #include "qdcbir/obs/metrics.h"
 #include "qdcbir/obs/span_stack.h"
+#include "qdcbir/obs/trace_context.h"
 
 #if defined(__linux__)
 #include <cxxabi.h>
@@ -326,27 +328,6 @@ std::string SymbolizePc(std::uintptr_t pc, bool is_return_address,
   return name;
 }
 
-void AppendJsonString(std::string* out, const std::string& value) {
-  out->push_back('"');
-  for (const char c : value) {
-    switch (c) {
-      case '"': *out += "\\\""; break;
-      case '\\': *out += "\\\\"; break;
-      case '\n': *out += "\\n"; break;
-      case '\t': *out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof(buffer), "\\u%04x", c);
-          *out += buffer;
-        } else {
-          out->push_back(c);
-        }
-    }
-  }
-  out->push_back('"');
-}
-
 }  // namespace
 
 Profiler& Profiler::Global() {
@@ -396,7 +377,8 @@ bool Profiler::Start(const ProfilerOptions& options, std::string* error) {
   }
   if (!InstallHandlerLocked(state, error)) return false;
   EnsureRing();
-  const int hz = std::clamp(options.hz, 1, 2000);
+  const int hz = std::clamp(options.hz, ProfilerOptions::kMinHz,
+                            ProfilerOptions::kMaxHz);
   std::size_t armed = 0;
   for (ThreadEntry* entry : state.threads) {
     if (ArmTimerLocked(entry, hz)) ++armed;
@@ -487,14 +469,18 @@ std::vector<ProfileSample> Profiler::CollectSince(
   return samples;
 }
 
-std::string Profiler::RenderCollapsed(
+namespace {
+
+/// Samples folded into collapsed stacks — the span root, then the frames
+/// root-first — with their counts.
+std::map<std::string, std::uint64_t> CollapseStacks(
     const std::vector<ProfileSample>& samples) {
   std::unordered_map<std::uintptr_t, std::string> symbol_cache;
   std::map<std::string, std::uint64_t> stacks;
   for (const ProfileSample& sample : samples) {
     std::string line =
         sample.span != nullptr ? SanitizeFrameName(sample.span) : "(no-span)";
-    // Collapsed stacks read root-first; frames are captured innermost-first.
+    // Frames are captured innermost-first.
     for (std::uint32_t i = sample.num_frames; i > 0; --i) {
       line.push_back(';');
       line += SymbolizePc(sample.frames[i - 1], /*is_return_address=*/i > 1,
@@ -502,8 +488,15 @@ std::string Profiler::RenderCollapsed(
     }
     ++stacks[line];
   }
+  return stacks;
+}
+
+}  // namespace
+
+std::string Profiler::RenderCollapsed(
+    const std::vector<ProfileSample>& samples) {
   std::string out;
-  for (const auto& [stack, count] : stacks) {
+  for (const auto& [stack, count] : CollapseStacks(samples)) {
     out += stack;
     out.push_back(' ');
     out += std::to_string(count);
@@ -520,66 +513,38 @@ std::string Profiler::RenderJson(const std::vector<ProfileSample>& samples,
   for (const ProfileSample& sample : samples) {
     ++span_totals[sample.span != nullptr ? sample.span : "(no-span)"];
     if ((sample.trace_hi | sample.trace_lo) != 0) {
-      char trace_id[33];
-      std::snprintf(trace_id, sizeof(trace_id), "%016" PRIx64 "%016" PRIx64,
-                    sample.trace_hi, sample.trace_lo);
-      ++trace_totals[trace_id];
+      ++trace_totals[TraceIdHex(sample.trace_hi, sample.trace_lo)];
     }
   }
-  std::string out = "{";
-  out += "\"hz\":" + std::to_string(hz);
-  char seconds_buffer[32];
-  std::snprintf(seconds_buffer, sizeof(seconds_buffer), "%.3f", seconds);
-  out += ",\"seconds\":";
-  out += seconds_buffer;
-  out += ",\"samples\":" + std::to_string(samples.size());
-  out += ",\"dropped\":" + std::to_string(dropped);
-  out += ",\"spans\":{";
-  bool first = true;
-  for (const auto& [span, count] : span_totals) {
-    if (!first) out.push_back(',');
-    first = false;
-    AppendJsonString(&out, span);
-    out.push_back(':');
-    out += std::to_string(count);
-  }
-  out += "},\"traces\":{";
-  first = true;
-  for (const auto& [trace, count] : trace_totals) {
-    if (!first) out.push_back(',');
-    first = false;
-    AppendJsonString(&out, trace);
-    out.push_back(':');
-    out += std::to_string(count);
-  }
-  out += "},\"stacks\":[";
+  std::string out;
+  JsonWriter w(&out);
+  w.BeginObject();
+  w.Key("hz").Int(hz);
+  w.Key("seconds").Double(seconds, "%.3f");
+  w.Key("samples").Uint(samples.size());
+  w.Key("dropped").Uint(dropped);
+  w.Key("spans").BeginObject();
+  for (const auto& [span, count] : span_totals) w.Key(span).Uint(count);
+  w.EndObject();
+  w.Key("traces").BeginObject();
+  for (const auto& [trace, count] : trace_totals) w.Key(trace).Uint(count);
+  w.EndObject();
   // Top stacks by weight, collapsed-rendered for readability.
-  std::unordered_map<std::uintptr_t, std::string> symbol_cache;
-  std::map<std::string, std::uint64_t> stacks;
-  for (const ProfileSample& sample : samples) {
-    std::string line =
-        sample.span != nullptr ? SanitizeFrameName(sample.span) : "(no-span)";
-    for (std::uint32_t i = sample.num_frames; i > 0; --i) {
-      line.push_back(';');
-      line += SymbolizePc(sample.frames[i - 1], i > 1, &symbol_cache);
-    }
-    ++stacks[line];
-  }
+  const std::map<std::string, std::uint64_t> stacks = CollapseStacks(samples);
   std::vector<std::pair<std::string, std::uint64_t>> ranked(stacks.begin(),
                                                             stacks.end());
   std::sort(ranked.begin(), ranked.end(),
             [](const auto& a, const auto& b) { return a.second > b.second; });
   constexpr std::size_t kMaxStacks = 200;
   if (ranked.size() > kMaxStacks) ranked.resize(kMaxStacks);
-  first = true;
+  w.Key("stacks").BeginArray();
   for (const auto& [stack, count] : ranked) {
-    if (!first) out.push_back(',');
-    first = false;
-    out += "{\"stack\":";
-    AppendJsonString(&out, stack);
-    out += ",\"count\":" + std::to_string(count) + "}";
+    w.BeginObject();
+    w.Key("stack").String(stack);
+    w.Key("count").Uint(count);
+    w.EndObject();
   }
-  out += "]}";
+  w.EndArray().EndObject();
   return out;
 }
 

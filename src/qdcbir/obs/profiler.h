@@ -27,8 +27,12 @@ struct ProfileSample {
 };
 
 struct ProfilerOptions {
-  /// Per-thread CPU-time sampling rate. Clamped to [1, 2000]. 99 is the
-  /// conventional "odd so it doesn't beat against periodic work" rate;
+  /// Bounds `Profiler::Start` clamps `hz` to.
+  static constexpr int kMinHz = 1;
+  static constexpr int kMaxHz = 2000;
+
+  /// Per-thread CPU-time sampling rate, clamped to [kMinHz, kMaxHz]. 99 is
+  /// the conventional "odd so it doesn't beat against periodic work" rate;
   /// `kBackgroundHz` is the low always-on default for `--profile-hz`.
   int hz = 99;
 };

@@ -1,11 +1,10 @@
 #include "qdcbir/obs/query_log.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <cstring>
 
 #include "qdcbir/obs/metrics.h"
-#include "qdcbir/obs/quality_stats.h"
+#include "qdcbir/obs/trace_context.h"
 
 namespace qdcbir {
 namespace obs {
@@ -13,7 +12,13 @@ namespace obs {
 namespace {
 
 void CopyTruncated(char* dst, std::size_t dst_size, std::string_view src) {
-  const std::size_t n = src.size() < dst_size ? src.size() : dst_size;
+  std::size_t n = src.size() < dst_size ? src.size() : dst_size;
+  // A cut inside a multi-byte character drops the whole character: back
+  // off while the first byte left out is a UTF-8 continuation byte.
+  while (n > 0 && n < src.size() &&
+         (static_cast<unsigned char>(src[n]) & 0xC0) == 0x80) {
+    --n;
+  }
   std::memset(dst, 0, dst_size);
   std::memcpy(dst, src.data(), n);
 }
@@ -22,39 +27,6 @@ std::string_view ViewOf(const char* data, std::size_t max) {
   std::size_t len = 0;
   while (len < max && data[len] != '\0') ++len;
   return std::string_view(data, len);
-}
-
-void AppendJsonString(std::string* out, std::string_view s) {
-  out->push_back('"');
-  for (const char c : s) {
-    switch (c) {
-      case '"': *out += "\\\""; break;
-      case '\\': *out += "\\\\"; break;
-      case '\n': *out += "\\n"; break;
-      case '\r': *out += "\\r"; break;
-      case '\t': *out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          *out += buf;
-        } else {
-          out->push_back(c);
-        }
-    }
-  }
-  out->push_back('"');
-}
-
-void AppendField(std::string* out, const char* name, std::uint64_t value,
-                 bool* first) {
-  if (!*first) out->push_back(',');
-  *first = false;
-  *out += '"';
-  *out += name;
-  *out += "\":";
-  *out += std::to_string(value);
 }
 
 }  // namespace
@@ -76,15 +48,71 @@ std::string_view QueryAuditRecord::label_view() const {
 }
 
 std::string QueryAuditRecord::trace_hex() const {
-  if ((trace_hi | trace_lo) == 0) return "";
-  char buf[33];
-  std::snprintf(buf, sizeof(buf), "%016llx%016llx",
-                static_cast<unsigned long long>(trace_hi),
-                static_cast<unsigned long long>(trace_lo));
-  return std::string(buf, 32);
+  return TraceIdHex(trace_hi, trace_lo);
 }
 
-void QueryLog::Record(QueryAuditRecord record) {
+void QueryAuditRecord::SetUsage(const ResourceUsage& usage) {
+  distance_evals = usage.distance_evals;
+  feature_bytes = usage.feature_bytes;
+  leaves_visited = usage.leaves_visited;
+  tiles_gathered = usage.tiles_gathered;
+  container_allocs = usage.container_allocs;
+  alloc_bytes = usage.alloc_bytes;
+  cache_hits = usage.cache_hits;
+  cache_misses = usage.cache_misses;
+}
+
+void QueryAuditRecord::SetQuality(const SessionQuality& quality) {
+  quality_jaccard_permille = quality.last_jaccard_permille;
+  quality_rank_churn = quality.last_rank_churn;
+  quality_rounds_to_stability = quality.rounds_to_stability;
+  quality_outcome = static_cast<std::uint64_t>(quality.outcome);
+  quality_oracle_precision_permille_plus1 =
+      quality.oracle_precision_defined ? quality.oracle_precision_permille + 1
+                                       : 0;
+}
+
+void WriteAuditFields(const QueryAuditRecord& record, std::string_view label,
+                      JsonWriter* w) {
+  w->Key("sequence").Uint(record.sequence);
+  w->Key("engine").String(record.engine_view());
+  w->Key("label").String(label);
+  w->Key("seed").Uint(record.seed);
+  w->Key("rounds").Uint(record.rounds);
+  w->Key("picks").Uint(record.picks);
+  w->Key("results").Uint(record.results);
+  w->Key("subqueries").Uint(record.subqueries);
+  w->Key("boundary_expansions").Uint(record.boundary_expansions);
+  w->Key("expanded_subqueries").Uint(record.expanded_subqueries);
+  w->Key("nodes_visited").Uint(record.nodes_visited);
+  w->Key("candidates_scored").Uint(record.candidates_scored);
+  w->Key("nodes_touched").Uint(record.nodes_touched);
+  w->Key("distinct_nodes_sampled").Uint(record.distinct_nodes_sampled);
+  w->Key("rounds_ns").Uint(record.rounds_ns);
+  w->Key("finalize_ns").Uint(record.finalize_ns);
+  w->Key("total_ns").Uint(record.total_ns);
+  w->Key("distance_evals").Uint(record.distance_evals);
+  w->Key("feature_bytes").Uint(record.feature_bytes);
+  w->Key("leaves_visited").Uint(record.leaves_visited);
+  w->Key("tiles_gathered").Uint(record.tiles_gathered);
+  w->Key("container_allocs").Uint(record.container_allocs);
+  w->Key("alloc_bytes").Uint(record.alloc_bytes);
+  w->Key("cache_hits").Uint(record.cache_hits);
+  w->Key("cache_misses").Uint(record.cache_misses);
+  w->Key("quality_jaccard_permille").Uint(record.quality_jaccard_permille);
+  w->Key("quality_rank_churn").Uint(record.quality_rank_churn);
+  w->Key("quality_rounds_to_stability")
+      .Uint(record.quality_rounds_to_stability);
+  w->Key("outcome").String(SessionOutcomeName(
+      static_cast<SessionOutcome>(record.quality_outcome)));
+  if (record.quality_oracle_precision_permille_plus1 > 0) {
+    w->Key("oracle_precision_permille")
+        .Uint(record.quality_oracle_precision_permille_plus1 - 1);
+  }
+  w->Key("trace").String(record.trace_hex());
+}
+
+std::uint64_t QueryLog::Record(QueryAuditRecord record) {
   const std::uint64_t seq = head_.fetch_add(1, std::memory_order_relaxed);
   record.sequence = seq;
   Slot& slot = slots_[seq % kCapacity];
@@ -100,7 +128,7 @@ void QueryLog::Record(QueryAuditRecord record) {
         "querylog.dropped",
         "Session audit records dropped on a query-log slot collision");
     dropped_counter.Add(1);
-    return;
+    return seq;
   }
 
   std::uint64_t words[kWords];
@@ -109,6 +137,7 @@ void QueryLog::Record(QueryAuditRecord record) {
     slot.words[w].store(words[w], std::memory_order_relaxed);
   }
   slot.version.store(version + 2, std::memory_order_release);
+  return seq;
 }
 
 std::vector<QueryAuditRecord> QueryLog::Snapshot() const {
@@ -147,64 +176,19 @@ std::string QueryLog::RenderJson(std::size_t limit) const {
     records.erase(records.begin(),
                   records.end() - static_cast<std::ptrdiff_t>(limit));
   }
-  std::string out = "{\"capacity\":" + std::to_string(kCapacity);
-  out += ",\"total_recorded\":" + std::to_string(total_recorded());
-  out += ",\"dropped\":" + std::to_string(dropped());
-  out += ",\"records\":[";
-  bool first_record = true;
+  std::string out;
+  JsonWriter w(&out);
+  w.BeginObject();
+  w.Key("capacity").Uint(kCapacity);
+  w.Key("total_recorded").Uint(total_recorded());
+  w.Key("dropped").Uint(dropped());
+  w.Key("records").BeginArray();
   for (const QueryAuditRecord& record : records) {
-    if (!first_record) out.push_back(',');
-    first_record = false;
-    out.push_back('{');
-    bool first = true;
-    AppendField(&out, "sequence", record.sequence, &first);
-    out += ",\"engine\":";
-    AppendJsonString(&out, record.engine_view());
-    out += ",\"label\":";
-    AppendJsonString(&out, record.label_view());
-    AppendField(&out, "seed", record.seed, &first);
-    AppendField(&out, "rounds", record.rounds, &first);
-    AppendField(&out, "picks", record.picks, &first);
-    AppendField(&out, "results", record.results, &first);
-    AppendField(&out, "subqueries", record.subqueries, &first);
-    AppendField(&out, "boundary_expansions", record.boundary_expansions,
-                &first);
-    AppendField(&out, "expanded_subqueries", record.expanded_subqueries,
-                &first);
-    AppendField(&out, "nodes_visited", record.nodes_visited, &first);
-    AppendField(&out, "candidates_scored", record.candidates_scored, &first);
-    AppendField(&out, "nodes_touched", record.nodes_touched, &first);
-    AppendField(&out, "distinct_nodes_sampled",
-                record.distinct_nodes_sampled, &first);
-    AppendField(&out, "rounds_ns", record.rounds_ns, &first);
-    AppendField(&out, "finalize_ns", record.finalize_ns, &first);
-    AppendField(&out, "total_ns", record.total_ns, &first);
-    AppendField(&out, "distance_evals", record.distance_evals, &first);
-    AppendField(&out, "feature_bytes", record.feature_bytes, &first);
-    AppendField(&out, "leaves_visited", record.leaves_visited, &first);
-    AppendField(&out, "tiles_gathered", record.tiles_gathered, &first);
-    AppendField(&out, "container_allocs", record.container_allocs, &first);
-    AppendField(&out, "alloc_bytes", record.alloc_bytes, &first);
-    AppendField(&out, "cache_hits", record.cache_hits, &first);
-    AppendField(&out, "cache_misses", record.cache_misses, &first);
-    AppendField(&out, "quality_jaccard_permille",
-                record.quality_jaccard_permille, &first);
-    AppendField(&out, "quality_rank_churn", record.quality_rank_churn,
-                &first);
-    AppendField(&out, "quality_rounds_to_stability",
-                record.quality_rounds_to_stability, &first);
-    out += ",\"outcome\":";
-    AppendJsonString(&out, SessionOutcomeName(static_cast<SessionOutcome>(
-                               record.quality_outcome)));
-    if (record.quality_oracle_precision_permille_plus1 > 0) {
-      AppendField(&out, "oracle_precision_permille",
-                  record.quality_oracle_precision_permille_plus1 - 1, &first);
-    }
-    out += ",\"trace\":";
-    AppendJsonString(&out, record.trace_hex());
-    out.push_back('}');
+    w.BeginObject();
+    WriteAuditFields(record, record.label_view(), &w);
+    w.EndObject();
   }
-  out += "]}";
+  w.EndArray().EndObject();
   return out;
 }
 

@@ -8,6 +8,10 @@
 #include <string_view>
 #include <vector>
 
+#include "qdcbir/obs/json.h"
+#include "qdcbir/obs/quality_stats.h"
+#include "qdcbir/obs/resource_stats.h"
+
 namespace qdcbir {
 namespace obs {
 
@@ -68,16 +72,30 @@ struct QueryAuditRecord {
   /// (serve has no ground truth; eval/bench paths fill it in).
   std::uint64_t quality_oracle_precision_permille_plus1 = 0;
 
+  /// Copy `name` into the fixed field, cut at a UTF-8 character boundary
+  /// when it does not fit.
   void set_engine(std::string_view name);
   void set_label(std::string_view name);
   std::string_view engine_view() const;
   std::string_view label_view() const;
   /// 32-hex trace id, "" when zero.
   std::string trace_hex() const;
+
+  /// Copies the session's physical-work totals.
+  void SetUsage(const ResourceUsage& usage);
+  /// Copies the session's quality summary: last-round overlap and churn,
+  /// rounds to stability, outcome, and oracle precision when defined.
+  void SetQuality(const SessionQuality& quality);
 };
 
 static_assert(sizeof(QueryAuditRecord) % sizeof(std::uint64_t) == 0,
               "record must pack into whole atomic words");
+
+/// Writes the record's fields into an open JSON object: the one schema of
+/// `/queryz` rows and wide events. `label` stands in for the record's
+/// truncated copy (wide events carry the session's full label).
+void WriteAuditFields(const QueryAuditRecord& record, std::string_view label,
+                      JsonWriter* w);
 
 /// A fixed-capacity lock-free ring of the most recent completed sessions.
 /// Writers claim a slot by sequence number and publish through a per-slot
@@ -97,8 +115,8 @@ class QueryLog {
   QueryLog& operator=(const QueryLog&) = delete;
 
   /// Assigns the next sequence number and publishes a copy of `record`
-  /// (with `sequence` filled in) into the ring.
-  void Record(QueryAuditRecord record);
+  /// (with `sequence` filled in) into the ring. Returns the sequence.
+  std::uint64_t Record(QueryAuditRecord record);
 
   /// A consistent copy of every stable record, ascending by sequence.
   /// Records being overwritten concurrently are skipped, never torn.

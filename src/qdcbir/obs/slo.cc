@@ -1,15 +1,18 @@
 #include "qdcbir/obs/slo.h"
 
 #include <algorithm>
-#include <cstdio>
 
 #include "qdcbir/obs/clock.h"
+#include "qdcbir/obs/json.h"
 #include "qdcbir/obs/log.h"
 
 namespace qdcbir {
 namespace obs {
 
 namespace {
+
+/// Window-sample resolution: one second against 5 min / 1 h windows.
+constexpr std::uint64_t kSampleSpacingNs = 1000ull * 1000 * 1000;
 
 std::uint64_t CounterValue(const MetricsRegistry::RegistrySnapshot& snap,
                            const std::string& name) {
@@ -42,12 +45,6 @@ std::pair<std::uint64_t, std::uint64_t> HistogramGoodAtOrBelow(
     return {good, total};
   }
   return {0, 0};
-}
-
-void AppendDouble(std::string& out, double value) {
-  char buffer[32];
-  std::snprintf(buffer, sizeof(buffer), "%.6g", value);
-  out += buffer;
 }
 
 }  // namespace
@@ -161,9 +158,13 @@ double SloEngine::BurnOver(const TrackedSlo& slo, std::uint64_t now_ns,
 }
 
 void SloEngine::Evaluate() {
+  // The clock reading and the snapshot are taken under the lock: callers
+  // racing here (sessions finishing on several lanes) then append samples
+  // in time order with non-decreasing counts, and the monotonic guard
+  // below only fires on a real clock or registry reset.
+  std::lock_guard<std::mutex> lock(mu_);
   const std::uint64_t now_ns = clock_();
   const MetricsRegistry::RegistrySnapshot snap = registry_->Snapshot();
-  std::lock_guard<std::mutex> lock(mu_);
   for (TrackedSlo& slo : slos_) {
     const WindowSample sample = Sample(snap, slo.def, now_ns);
     // Monotonic guard: a clock hiccup or reset registry must not make the
@@ -174,7 +175,17 @@ void SloEngine::Evaluate() {
          sample.good < slo.samples.back().good)) {
       slo.samples.clear();
     }
-    slo.samples.push_back(sample);
+    // At most two samples per kSampleSpacingNs: a sample that lands within
+    // the spacing of the one before the newest replaces the newest. The
+    // newest reading stays exact, a window's baseline moves by less than
+    // the spacing, and a busy server no longer grows the vector by one
+    // sample per finalize.
+    const std::size_t n = slo.samples.size();
+    if (n >= 2 && sample.at_ns - slo.samples[n - 2].at_ns < kSampleSpacingNs) {
+      slo.samples.back() = sample;
+    } else {
+      slo.samples.push_back(sample);
+    }
     // Prune to the slow window, keeping one baseline sample beyond it.
     const std::uint64_t horizon =
         now_ns > slo.def.slow_window_ns ? now_ns - slo.def.slow_window_ns : 0;
@@ -236,28 +247,24 @@ std::vector<SloStatus> SloEngine::Snapshot() const {
 }
 
 std::string SloEngine::RenderJson() const {
-  const std::vector<SloStatus> statuses = Snapshot();
-  std::string out = "{\"slos\":[";
-  bool first = true;
-  for (const SloStatus& status : statuses) {
-    if (!first) out.push_back(',');
-    first = false;
-    out += "{\"name\":\"" + status.name + "\"";
-    out += ",\"kind\":\"" + std::string(SloKindName(status.kind)) + "\"";
-    out += ",\"state\":\"" + std::string(SloStateName(status.state)) + "\"";
-    out += ",\"objective\":";
-    AppendDouble(out, status.objective);
-    out += ",\"threshold\":";
-    AppendDouble(out, status.threshold);
-    out += ",\"fast_burn\":";
-    AppendDouble(out, status.fast_burn);
-    out += ",\"slow_burn\":";
-    AppendDouble(out, status.slow_burn);
-    out += ",\"good\":" + std::to_string(status.good);
-    out += ",\"total\":" + std::to_string(status.total);
-    out.push_back('}');
+  std::string out;
+  JsonWriter w(&out);
+  w.BeginObject();
+  w.Key("slos").BeginArray();
+  for (const SloStatus& status : Snapshot()) {
+    w.BeginObject();
+    w.Key("name").String(status.name);
+    w.Key("kind").String(SloKindName(status.kind));
+    w.Key("state").String(SloStateName(status.state));
+    w.Key("objective").Double(status.objective, "%.6g");
+    w.Key("threshold").Double(status.threshold, "%.6g");
+    w.Key("fast_burn").Double(status.fast_burn, "%.6g");
+    w.Key("slow_burn").Double(status.slow_burn, "%.6g");
+    w.Key("good").Uint(status.good);
+    w.Key("total").Uint(status.total);
+    w.EndObject();
   }
-  out += "]}";
+  w.EndArray().EndObject();
   return out;
 }
 

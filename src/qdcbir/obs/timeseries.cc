@@ -2,51 +2,12 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
 
 #include "qdcbir/obs/clock.h"
+#include "qdcbir/obs/json.h"
 
 namespace qdcbir {
 namespace obs {
-
-namespace {
-
-void AppendJsonString(std::string* out, const std::string& value) {
-  out->push_back('"');
-  for (const char c : value) {
-    switch (c) {
-      case '"': *out += "\\\""; break;
-      case '\\': *out += "\\\\"; break;
-      case '\n': *out += "\\n"; break;
-      case '\r': *out += "\\r"; break;
-      case '\t': *out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof(buffer), "\\u%04x",
-                        static_cast<unsigned>(c));
-          *out += buffer;
-        } else {
-          out->push_back(c);
-        }
-    }
-  }
-  out->push_back('"');
-}
-
-void AppendNumber(std::string* out, double value) {
-  char buffer[40];
-  if (value == static_cast<double>(static_cast<long long>(value)) &&
-      value < 9.2e18 && value > -9.2e18) {
-    std::snprintf(buffer, sizeof(buffer), "%lld",
-                  static_cast<long long>(value));
-  } else {
-    std::snprintf(buffer, sizeof(buffer), "%.6g", value);
-  }
-  *out += buffer;
-}
-
-}  // namespace
 
 FlightRecorder::FlightRecorder(Options options, MetricsRegistry* registry,
                                Clock clock)
@@ -115,12 +76,15 @@ std::size_t FlightRecorder::SeriesIdLocked(const std::string& name,
 }
 
 void FlightRecorder::SampleNow() {
-  const MetricsRegistry::RegistrySnapshot snap = registry_->Snapshot();
-  const std::uint64_t now_ns = clock_();
-
   std::uint64_t dropped_delta = 0;
   {
+    // The clock reading and the snapshot are taken under the lock, so
+    // concurrent callers (the sampler thread and the slow-trace hook)
+    // append samples in time order and each sample's values are at least
+    // those of the one before it.
     std::lock_guard<std::mutex> lock(mu_);
+    const MetricsRegistry::RegistrySnapshot snap = registry_->Snapshot();
+    const std::uint64_t now_ns = clock_();
     const std::uint64_t dropped_before = series_dropped_;
     Sample& slot = ring_[ring_head_];
     slot.t_ns = now_ns;
@@ -244,65 +208,42 @@ std::vector<FlightRecorder::EventMark> FlightRecorder::Events(
 std::string FlightRecorder::RenderJson(const std::string& metric,
                                        std::uint64_t window_ns) const {
   const Series series = Query(metric, window_ns);
-  std::string out = "{\"metric\":";
-  AppendJsonString(&out, metric);
-  out += ",\"known\":";
-  out += series.known ? "true" : "false";
+  std::string out;
+  JsonWriter w(&out);
+  w.BeginObject();
+  w.Key("metric").String(metric);
+  w.Key("known").Bool(series.known);
   if (series.known) {
-    out += ",\"type\":\"";
-    out += series.is_counter ? "counter" : "gauge";
-    out += "\"";
+    w.Key("type").String(series.is_counter ? "counter" : "gauge");
   }
-  char buffer[64];
-  std::snprintf(buffer, sizeof(buffer), ",\"interval_ms\":%llu",
-                static_cast<unsigned long long>(options_.interval_ns /
-                                                1000000ull));
-  out += buffer;
-  std::snprintf(buffer, sizeof(buffer), ",\"window_ns\":%llu",
-                static_cast<unsigned long long>(window_ns));
-  out += buffer;
-  out += ",\"points\":[";
-  bool first = true;
+  w.Key("interval_ms").Uint(options_.interval_ns / 1000000ull);
+  w.Key("window_ns").Uint(window_ns);
+  w.Key("points").BeginArray();
   for (const Point& point : series.points) {
-    if (!first) out += ",";
-    first = false;
-    std::snprintf(buffer, sizeof(buffer), "{\"t_ns\":%llu,\"value\":",
-                  static_cast<unsigned long long>(point.t_ns));
-    out += buffer;
-    AppendNumber(&out, point.value);
-    out += ",\"delta\":";
-    AppendNumber(&out, point.delta);
-    out += ",\"rate\":";
-    AppendNumber(&out, point.rate);
-    out += "}";
+    w.BeginObject();
+    w.Key("t_ns").Uint(point.t_ns);
+    w.Key("value").Number(point.value, "%.6g");
+    w.Key("delta").Number(point.delta, "%.6g");
+    w.Key("rate").Number(point.rate, "%.6g");
+    w.EndObject();
   }
-  out += "],\"events\":[";
-  first = true;
+  w.EndArray();
+  w.Key("events").BeginArray();
   for (const EventMark& mark : Events(window_ns)) {
-    if (!first) out += ",";
-    first = false;
-    std::snprintf(buffer, sizeof(buffer), "{\"t_ns\":%llu,\"label\":",
-                  static_cast<unsigned long long>(mark.t_ns));
-    out += buffer;
-    AppendJsonString(&out, mark.label);
-    out += "}";
+    w.BeginObject();
+    w.Key("t_ns").Uint(mark.t_ns);
+    w.Key("label").String(mark.label);
+    w.EndObject();
   }
-  out += "]";
+  w.EndArray();
   if (!series.known) {
-    out += ",\"series\":[";
-    first = true;
-    for (const std::string& name : SeriesNames()) {
-      if (!first) out += ",";
-      first = false;
-      AppendJsonString(&out, name);
-    }
-    out += "]";
+    w.Key("series").BeginArray();
+    for (const std::string& name : SeriesNames()) w.String(name);
+    w.EndArray();
   }
-  std::snprintf(buffer, sizeof(buffer),
-                ",\"samples_taken\":%llu,\"series_dropped\":%llu}",
-                static_cast<unsigned long long>(samples_taken()),
-                static_cast<unsigned long long>(series_dropped()));
-  out += buffer;
+  w.Key("samples_taken").Uint(samples_taken());
+  w.Key("series_dropped").Uint(series_dropped());
+  w.EndObject();
   return out;
 }
 

@@ -5,6 +5,7 @@
 #include <fstream>
 
 #include "qdcbir/obs/clock.h"
+#include "qdcbir/obs/json.h"
 
 namespace qdcbir {
 namespace obs {
@@ -107,20 +108,26 @@ bool Tracer::Stop(std::string* error) {
   }
 
   out << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n";
+  std::string line;
   bool first = true;
   for (std::size_t i = 0; i < events_.size(); ++i) {
     if (skip[i]) continue;
     const Event& e = events_[i];
+    line.assign(first ? "" : ",\n");
+    first = false;
+    JsonWriter w(&line);
+    w.BeginObject();
+    w.Key("name").String(e.name);
+    w.Key("cat").String("qdcbir");
+    w.Key("ph").String(std::string_view(&e.ph, 1));
     // Timestamps are microseconds (Chrome's unit) relative to Start(),
     // with nanosecond resolution kept in the fraction.
-    const double ts_us =
-        static_cast<double>(e.ts_ns - start_ns_) / 1e3;
-    char ts[48];
-    std::snprintf(ts, sizeof(ts), "%.3f", ts_us);
-    out << (first ? "" : ",\n") << "{\"name\":\"" << e.name
-        << "\",\"cat\":\"qdcbir\",\"ph\":\"" << e.ph << "\",\"ts\":" << ts
-        << ",\"pid\":1,\"tid\":" << e.tid << "}";
-    first = false;
+    w.Key("ts").Double(static_cast<double>(e.ts_ns - start_ns_) / 1e3,
+                       "%.3f");
+    w.Key("pid").Uint(1);
+    w.Key("tid").Uint(e.tid);
+    w.EndObject();
+    out << line;
   }
   out << "\n]}\n";
   out.flush();
@@ -134,120 +141,14 @@ bool Tracer::Stop(std::string* error) {
 
 namespace {
 
-/// Minimal JSON scanner for the validator: walks the document, yielding
-/// the flat key/primitive pairs of each object inside `traceEvents`.
-/// Tolerates any whitespace and extra top-level keys; rejects structural
-/// garbage (unterminated strings/arrays).
-class EventScanner {
- public:
-  explicit EventScanner(const std::string& text) : text_(text) {}
-
-  bool FindEventsArray(std::string* error) {
-    const std::size_t key = text_.find("\"traceEvents\"");
-    if (key == std::string::npos) {
-      *error = "no \"traceEvents\" key";
-      return false;
-    }
-    pos_ = text_.find('[', key);
-    if (pos_ == std::string::npos) {
-      *error = "\"traceEvents\" is not an array";
-      return false;
-    }
-    ++pos_;
-    return true;
-  }
-
-  /// Parses the next event object into `fields`; returns false at the end
-  /// of the array (`done` true) or on malformed input (`done` false).
-  bool NextEvent(std::map<std::string, std::string>* fields, bool* done,
-                 std::string* error) {
-    *done = false;
-    SkipWs();
-    if (pos_ >= text_.size()) {
-      *error = "unterminated traceEvents array";
-      return false;
-    }
-    if (text_[pos_] == ',') {
-      ++pos_;
-      SkipWs();
-    }
-    if (pos_ < text_.size() && text_[pos_] == ']') {
-      *done = true;
-      return false;
-    }
-    if (pos_ >= text_.size() || text_[pos_] != '{') {
-      *error = "expected event object at offset " + std::to_string(pos_);
-      return false;
-    }
-    ++pos_;
-    fields->clear();
-    for (;;) {
-      SkipWs();
-      if (pos_ < text_.size() && text_[pos_] == '}') {
-        ++pos_;
-        return true;
-      }
-      if (pos_ < text_.size() && text_[pos_] == ',') {
-        ++pos_;
-        continue;
-      }
-      std::string key, value;
-      if (!ParseString(&key, error)) return false;
-      SkipWs();
-      if (pos_ >= text_.size() || text_[pos_] != ':') {
-        *error = "expected ':' after key \"" + key + "\"";
-        return false;
-      }
-      ++pos_;
-      SkipWs();
-      if (pos_ < text_.size() && text_[pos_] == '"') {
-        if (!ParseString(&value, error)) return false;
-      } else {
-        while (pos_ < text_.size() && text_[pos_] != ',' &&
-               text_[pos_] != '}') {
-          value.push_back(text_[pos_++]);
-        }
-        while (!value.empty() &&
-               (value.back() == ' ' || value.back() == '\n')) {
-          value.pop_back();
-        }
-      }
-      (*fields)[key] = value;
-    }
-  }
-
- private:
-  void SkipWs() {
-    while (pos_ < text_.size() &&
-           (text_[pos_] == ' ' || text_[pos_] == '\n' ||
-            text_[pos_] == '\r' || text_[pos_] == '\t')) {
-      ++pos_;
-    }
-  }
-
-  bool ParseString(std::string* out, std::string* error) {
-    SkipWs();
-    if (pos_ >= text_.size() || text_[pos_] != '"') {
-      *error = "expected string at offset " + std::to_string(pos_);
-      return false;
-    }
-    ++pos_;
-    out->clear();
-    while (pos_ < text_.size() && text_[pos_] != '"') {
-      if (text_[pos_] == '\\' && pos_ + 1 < text_.size()) ++pos_;
-      out->push_back(text_[pos_++]);
-    }
-    if (pos_ >= text_.size()) {
-      *error = "unterminated string";
-      return false;
-    }
-    ++pos_;
-    return true;
-  }
-
-  const std::string& text_;
-  std::size_t pos_ = 0;
-};
+/// A tid as the validator keys and reports it: the number's shortest
+/// decimal form, or the string itself.
+std::string TidText(const JsonValue& tid) {
+  if (!tid.is_number()) return tid.string;
+  std::string out;
+  JsonWriter(&out).Double(tid.number, "%.17g");
+  return out;
+}
 
 }  // namespace
 
@@ -256,35 +157,41 @@ bool ValidateChromeTrace(const std::string& json, std::string* error,
   std::string local_error;
   if (error == nullptr) error = &local_error;
 
-  EventScanner scanner(json);
-  if (!scanner.FindEventsArray(error)) return false;
+  JsonValue doc;
+  if (!ParseJson(json, &doc, error)) return false;
+  const JsonValue* events = doc.Find("traceEvents");
+  if (events == nullptr) {
+    *error = "no \"traceEvents\" key";
+    return false;
+  }
+  if (!events->is_array()) {
+    *error = "\"traceEvents\" is not an array";
+    return false;
+  }
 
   std::map<std::string, std::vector<std::string>> stacks;  // tid → B names
   std::map<std::string, double> last_ts;                   // tid → last ts
   std::map<std::string, std::size_t> counts;
-  std::map<std::string, std::string> fields;
-  std::size_t index = 0;
-  for (;;) {
-    bool done = false;
-    if (!scanner.NextEvent(&fields, &done, error)) {
-      if (done) break;
+  for (std::size_t index = 0; index < events->items.size(); ++index) {
+    const JsonValue& event = events->items[index];
+    const std::string at = " (event " + std::to_string(index) + ")";
+    if (!event.is_object()) {
+      *error = "expected event object" + at;
       return false;
     }
-    const std::string at = " (event " + std::to_string(index) + ")";
-    ++index;
     for (const char* required : {"name", "ph", "ts", "tid"}) {
-      if (fields.count(required) == 0) {
+      if (event.Find(required) == nullptr) {
         *error = std::string("event missing \"") + required + "\"" + at;
         return false;
       }
     }
-    const std::string& ph = fields["ph"];
-    const std::string& name = fields["name"];
-    const std::string& tid = fields["tid"];
-    char* end = nullptr;
-    const double ts = std::strtod(fields["ts"].c_str(), &end);
-    if (end == fields["ts"].c_str() || ts < 0.0) {
-      *error = "bad ts \"" + fields["ts"] + "\"" + at;
+    const std::string& ph = event.Find("ph")->string;
+    const std::string& name = event.Find("name")->string;
+    const std::string tid = TidText(*event.Find("tid"));
+    const JsonValue& ts_value = *event.Find("ts");
+    const double ts = ts_value.number;
+    if (!ts_value.is_number() || !(ts >= 0.0)) {
+      *error = "bad ts" + at;
       return false;
     }
     const auto it = last_ts.find(tid);

@@ -90,13 +90,17 @@ std::string FormatTraceparent(const TraceContext& context) {
   return out;
 }
 
-std::string TraceIdHex(const TraceContext& context) {
-  if (!context.has_trace_id()) return "";
+std::string TraceIdHex(std::uint64_t trace_hi, std::uint64_t trace_lo) {
+  if ((trace_hi | trace_lo) == 0) return "";
   std::string out;
   out.reserve(32);
-  AppendHex(&out, context.trace_hi);
-  AppendHex(&out, context.trace_lo);
+  AppendHex(&out, trace_hi);
+  AppendHex(&out, trace_lo);
   return out;
+}
+
+std::string TraceIdHex(const TraceContext& context) {
+  return TraceIdHex(context.trace_hi, context.trace_lo);
 }
 
 }  // namespace obs

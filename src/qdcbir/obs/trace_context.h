@@ -88,8 +88,11 @@ bool ParseTraceparent(std::string_view header, TraceContext* out);
 /// all-zero parent ids).
 std::string FormatTraceparent(const TraceContext& context);
 
-/// The 32-lowercase-hex trace id, or "" when the context has none.
+/// The 32-lowercase-hex trace id, or "" when the context has none. The
+/// one formatter of trace ids: audit records and profile samples carry the
+/// two halves and format through the second overload.
 std::string TraceIdHex(const TraceContext& context);
+std::string TraceIdHex(std::uint64_t trace_hi, std::uint64_t trace_lo);
 
 }  // namespace obs
 }  // namespace qdcbir

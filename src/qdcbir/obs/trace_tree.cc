@@ -3,28 +3,11 @@
 #include <algorithm>
 #include <map>
 
+#include "qdcbir/obs/json.h"
 #include "qdcbir/obs/metrics.h"
 
 namespace qdcbir {
 namespace obs {
-
-namespace {
-
-void AppendJsonString(std::string* out, const char* s) {
-  out->push_back('"');
-  for (; s != nullptr && *s != '\0'; ++s) {
-    const char c = *s;
-    if (c == '"' || c == '\\') out->push_back('\\');
-    out->push_back(static_cast<unsigned char>(c) < 0x20 ? ' ' : c);
-  }
-  out->push_back('"');
-}
-
-void AppendJsonString(std::string* out, const std::string& s) {
-  AppendJsonString(out, s.c_str());
-}
-
-}  // namespace
 
 void TraceBuffer::Append(const SpanRecord& record) {
   std::lock_guard<std::mutex> lock(mu_);
@@ -103,8 +86,8 @@ namespace {
 /// Renders the subtree rooted at span index `idx` (children in start-time
 /// order), computing self time as duration minus the direct children's
 /// summed durations.
-void AppendSpanTree(
-    std::string* out, const CompletedTrace& trace, std::size_t idx,
+void WriteSpanTree(
+    JsonWriter* w, const CompletedTrace& trace, std::size_t idx,
     const std::multimap<std::uint64_t, std::size_t>& children_of,
     const std::multimap<std::uint64_t, const SpanAnnotation*>& notes_of) {
   const SpanRecord& span = trace.spans[idx];
@@ -131,49 +114,41 @@ void AppendSpanTree(
   // wall time; self time clamps at zero rather than going negative.
   const std::uint64_t self_ns = child_ns < duration ? duration - child_ns : 0;
 
-  *out += "{\"name\":";
-  AppendJsonString(out, span.name);
-  *out += ",\"span_id\":" + std::to_string(span.span_id);
-  *out += ",\"tid\":" + std::to_string(span.tid);
-  *out += ",\"start_ns\":" + std::to_string(span.start_ns);
-  *out += ",\"duration_ns\":" + std::to_string(duration);
-  *out += ",\"self_ns\":" + std::to_string(self_ns);
+  w->BeginObject();
+  w->Key("name").String(span.name != nullptr ? span.name : "");
+  w->Key("span_id").Uint(span.span_id);
+  w->Key("tid").Uint(span.tid);
+  w->Key("start_ns").Uint(span.start_ns);
+  w->Key("duration_ns").Uint(duration);
+  w->Key("self_ns").Uint(self_ns);
 
   const auto [nlo, nhi] = notes_of.equal_range(span.span_id);
   if (nlo != nhi) {
-    *out += ",\"annotations\":{";
-    bool first = true;
+    w->Key("annotations").BeginObject();
     for (auto it = nlo; it != nhi; ++it) {
-      if (!first) out->push_back(',');
-      first = false;
-      AppendJsonString(out, it->second->key);
-      out->push_back(':');
-      *out += std::to_string(it->second->value);
+      w->Key(it->second->key != nullptr ? it->second->key : "")
+          .Int(it->second->value);
     }
-    out->push_back('}');
+    w->EndObject();
   }
 
-  *out += ",\"children\":[";
-  bool first = true;
+  w->Key("children").BeginArray();
   for (const std::size_t kid : kids) {
-    if (!first) out->push_back(',');
-    first = false;
-    AppendSpanTree(out, trace, kid, children_of, notes_of);
+    WriteSpanTree(w, trace, kid, children_of, notes_of);
   }
-  *out += "]}";
+  w->EndArray().EndObject();
 }
 
 }  // namespace
 
 std::string TraceStore::RenderJson() const {
   const std::vector<CompletedTrace> traces = Snapshot();
-  std::string out = "{\"total_published\":" +
-                    std::to_string(total_published()) + ",\"traces\":[";
-  bool first_trace = true;
+  std::string out;
+  JsonWriter w(&out);
+  w.BeginObject();
+  w.Key("total_published").Uint(total_published());
+  w.Key("traces").BeginArray();
   for (const CompletedTrace& trace : traces) {
-    if (!first_trace) out.push_back(',');
-    first_trace = false;
-
     // span_id → index, then children grouped by parent. Spans whose parent
     // never closed (or was dropped) surface as roots instead of vanishing.
     std::map<std::uint64_t, std::size_t> by_id;
@@ -202,25 +177,20 @@ std::string TraceStore::RenderJson() const {
       notes_of.emplace(note.span_id, &note);
     }
 
-    out += "{\"trace_id\":";
-    AppendJsonString(&out, trace.trace_id);
-    out += ",\"label\":";
-    AppendJsonString(&out, trace.label);
-    out += ",\"reason\":";
-    AppendJsonString(&out, trace.reason);
-    out += ",\"total_ns\":" + std::to_string(trace.total_ns);
-    out += ",\"span_count\":" + std::to_string(trace.spans.size());
-    out += ",\"dropped_spans\":" + std::to_string(trace.dropped_spans);
-    out += ",\"spans\":[";
-    bool first_root = true;
+    w.BeginObject();
+    w.Key("trace_id").String(trace.trace_id);
+    w.Key("label").String(trace.label);
+    w.Key("reason").String(trace.reason);
+    w.Key("total_ns").Uint(trace.total_ns);
+    w.Key("span_count").Uint(trace.spans.size());
+    w.Key("dropped_spans").Uint(trace.dropped_spans);
+    w.Key("spans").BeginArray();
     for (const std::size_t root : roots) {
-      if (!first_root) out.push_back(',');
-      first_root = false;
-      AppendSpanTree(&out, trace, root, children_of, notes_of);
+      WriteSpanTree(&w, trace, root, children_of, notes_of);
     }
-    out += "]}";
+    w.EndArray().EndObject();
   }
-  out += "]}";
+  w.EndArray().EndObject();
   return out;
 }
 

@@ -1,7 +1,5 @@
 #include "qdcbir/obs/wide_event.h"
 
-#include <cstdio>
-
 #include <filesystem>
 #include <fstream>
 #include <system_error>
@@ -33,27 +31,6 @@ struct WideEventMetrics {
     return *m;
   }
 };
-
-void AppendEscaped(std::string& out, const std::string& value) {
-  for (const char c : value) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof(buffer), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buffer;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-}
 
 }  // namespace
 
@@ -112,56 +89,6 @@ std::uint64_t WideEventSink::rotations() const {
   std::lock_guard<std::mutex> lock(mu_);
   return rotations_;
 }
-
-void WideEventBuilder::Key(const std::string& key) {
-  body_ += body_.empty() ? "\"" : ",\"";
-  AppendEscaped(body_, key);
-  body_ += "\":";
-}
-
-WideEventBuilder& WideEventBuilder::Add(const std::string& key,
-                                        const std::string& value) {
-  Key(key);
-  body_.push_back('"');
-  AppendEscaped(body_, value);
-  body_.push_back('"');
-  return *this;
-}
-
-WideEventBuilder& WideEventBuilder::Add(const std::string& key,
-                                        const char* value) {
-  return Add(key, std::string(value));
-}
-
-WideEventBuilder& WideEventBuilder::Add(const std::string& key,
-                                        std::uint64_t value) {
-  Key(key);
-  body_ += std::to_string(value);
-  return *this;
-}
-
-WideEventBuilder& WideEventBuilder::Add(const std::string& key,
-                                        std::int64_t value) {
-  Key(key);
-  body_ += std::to_string(value);
-  return *this;
-}
-
-WideEventBuilder& WideEventBuilder::Add(const std::string& key, double value) {
-  Key(key);
-  char buffer[32];
-  std::snprintf(buffer, sizeof(buffer), "%.6g", value);
-  body_ += buffer;
-  return *this;
-}
-
-WideEventBuilder& WideEventBuilder::Add(const std::string& key, bool value) {
-  Key(key);
-  body_ += value ? "true" : "false";
-  return *this;
-}
-
-std::string WideEventBuilder::Build() const { return "{" + body_ + "}"; }
 
 }  // namespace obs
 }  // namespace qdcbir

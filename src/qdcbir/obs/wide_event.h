@@ -2,10 +2,11 @@
 #define QDCBIR_OBS_WIDE_EVENT_H_
 
 /// \file
-/// Wide-event session export: one JSON line per completed feedback session,
-/// joining the trace id, engine configuration, resource accounting, cache
-/// behavior, quality telemetry, and SLO state — everything an offline tool
-/// needs to slice sessions without re-joining five metric surfaces.
+/// Wide-event session export: one JSON line per completed feedback session.
+/// An event is the session's `/queryz` audit record (obs/query_log.h,
+/// `WriteAuditFields`) plus the serve-side extras — engine configuration,
+/// leaves touched, the quality means — and SLO state: everything an offline
+/// tool needs to slice sessions without re-joining five metric surfaces.
 ///
 /// `WideEventSink` is an append-only JSON-lines file with size-capped
 /// rotation (the live file rolls to `<path>.1`, replacing the previous
@@ -14,9 +15,7 @@
 /// purely observational — emission happens after the ranked response is
 /// built, so ranked output is byte-identical with the sink on or off.
 ///
-/// `WideEventBuilder` assembles one event; callers add typed fields and
-/// take the rendered line. `qdcbir_tool events summarize` aggregates these
-/// files offline.
+/// `qdcbir_tool events summarize` aggregates these files offline.
 
 #include <cstdint>
 #include <mutex>
@@ -53,26 +52,6 @@ class WideEventSink {
   std::uint64_t emitted_ = 0;
   std::uint64_t dropped_ = 0;
   std::uint64_t rotations_ = 0;
-};
-
-/// Incremental builder for one flat JSON event object. Strings are escaped;
-/// doubles render with %.6g; field order is insertion order (deterministic
-/// for a fixed call sequence).
-class WideEventBuilder {
- public:
-  WideEventBuilder& Add(const std::string& key, const std::string& value);
-  WideEventBuilder& Add(const std::string& key, const char* value);
-  WideEventBuilder& Add(const std::string& key, std::uint64_t value);
-  WideEventBuilder& Add(const std::string& key, std::int64_t value);
-  WideEventBuilder& Add(const std::string& key, double value);
-  WideEventBuilder& Add(const std::string& key, bool value);
-
-  /// The finished `{...}` object (no trailing newline).
-  std::string Build() const;
-
- private:
-  void Key(const std::string& key);
-  std::string body_;
 };
 
 }  // namespace obs

@@ -3,35 +3,21 @@
 #include <algorithm>
 #include <cstdio>
 
+#include "qdcbir/obs/json.h"
+
 namespace qdcbir {
 
 namespace {
 
-void AppendU64(std::string* out, std::uint64_t value) {
-  char buffer[24];
-  std::snprintf(buffer, sizeof(buffer), "%llu",
-                static_cast<unsigned long long>(value));
-  *out += buffer;
-}
-
-void AppendDouble(std::string* out, double value) {
-  char buffer[32];
-  std::snprintf(buffer, sizeof(buffer), "%.6g", value);
-  *out += buffer;
-}
-
-void AppendCounts(std::string* out, const obs::LeafAccessCounts& counts) {
-  *out += "{\"scans\":";
-  AppendU64(out, counts.scans);
-  *out += ",\"distance_evals\":";
-  AppendU64(out, counts.distance_evals);
-  *out += ",\"feature_bytes\":";
-  AppendU64(out, counts.feature_bytes);
-  *out += ",\"cache_hits\":";
-  AppendU64(out, counts.cache_hits);
-  *out += ",\"cache_misses\":";
-  AppendU64(out, counts.cache_misses);
-  *out += "}";
+void WriteCounts(obs::JsonWriter* w, const char* key,
+                 const obs::LeafAccessCounts& counts) {
+  w->Key(key).BeginObject();
+  w->Key("scans").Uint(counts.scans);
+  w->Key("distance_evals").Uint(counts.distance_evals);
+  w->Key("feature_bytes").Uint(counts.feature_bytes);
+  w->Key("cache_hits").Uint(counts.cache_hits);
+  w->Key("cache_misses").Uint(counts.cache_misses);
+  w->EndObject();
 }
 
 /// Gini coefficient over `values` (ascending-sorted in place), in permille.
@@ -125,59 +111,44 @@ std::string RenderIndexzJson(const IndexTreeSummary& tree,
     return obs::LeafAccessCounts{};
   };
 
-  std::string out = "{\"generation\":";
-  AppendU64(&out, join.generation);
+  std::string out;
+  obs::JsonWriter w(&out);
+  w.BeginObject();
+  w.Key("generation").Uint(join.generation);
 
-  out += ",\"tree\":{\"height\":";
-  AppendU64(&out, static_cast<std::uint64_t>(tree.height));
-  out += ",\"nodes\":";
-  AppendU64(&out, tree.node_count);
-  out += ",\"internal\":";
-  AppendU64(&out, tree.internal_count);
-  out += ",\"leaves\":";
-  AppendU64(&out, tree.leaf_count);
-  out += ",\"images\":";
-  AppendU64(&out, tree.total_images);
-  out += ",\"feature_dim\":";
-  AppendU64(&out, tree.feature_dim);
-  out += ",\"leaf_representatives\":";
-  AppendU64(&out, tree.leaf_representatives);
-  out += ",\"fanout\":{\"min\":";
-  AppendU64(&out, tree.min_fanout);
-  out += ",\"max\":";
-  AppendU64(&out, tree.max_fanout);
-  out += ",\"mean\":";
-  AppendDouble(&out, tree.mean_fanout);
-  out += "},\"leaf_entries\":{\"min\":";
-  AppendU64(&out, tree.min_leaf_entries);
-  out += ",\"max\":";
-  AppendU64(&out, tree.max_leaf_entries);
-  out += ",\"mean\":";
-  AppendDouble(&out, tree.mean_leaf_entries);
-  out += "},\"leaf_feature_bytes\":";
-  AppendU64(&out, tree.leaf_feature_bytes);
-  out += "}";
+  w.Key("tree").BeginObject();
+  w.Key("height").Uint(static_cast<std::uint64_t>(tree.height));
+  w.Key("nodes").Uint(tree.node_count);
+  w.Key("internal").Uint(tree.internal_count);
+  w.Key("leaves").Uint(tree.leaf_count);
+  w.Key("images").Uint(tree.total_images);
+  w.Key("feature_dim").Uint(tree.feature_dim);
+  w.Key("leaf_representatives").Uint(tree.leaf_representatives);
+  w.Key("fanout").BeginObject();
+  w.Key("min").Uint(tree.min_fanout);
+  w.Key("max").Uint(tree.max_fanout);
+  w.Key("mean").Double(tree.mean_fanout, "%.6g");
+  w.EndObject();
+  w.Key("leaf_entries").BeginObject();
+  w.Key("min").Uint(tree.min_leaf_entries);
+  w.Key("max").Uint(tree.max_leaf_entries);
+  w.Key("mean").Double(tree.mean_leaf_entries, "%.6g");
+  w.EndObject();
+  w.Key("leaf_feature_bytes").Uint(tree.leaf_feature_bytes);
+  w.EndObject();
 
-  out += ",\"leaves\":[";
-  bool first = true;
+  w.Key("leaves").BeginArray();
   for (const IndexLeafShape& leaf : tree.leaves) {
-    if (!first) out += ",";
-    first = false;
-    out += "{\"id\":";
-    AppendU64(&out, leaf.id);
-    out += ",\"entries\":";
-    AppendU64(&out, leaf.entries);
-    out += ",\"representatives\":";
-    AppendU64(&out, leaf.representatives);
-    out += ",\"feature_bytes\":";
-    AppendU64(&out, leaf.feature_bytes);
-    out += ",\"diagonal\":";
-    AppendDouble(&out, leaf.diagonal);
-    out += ",\"access\":";
-    AppendCounts(&out, access_of(leaf.id));
-    out += "}";
+    w.BeginObject();
+    w.Key("id").Uint(leaf.id);
+    w.Key("entries").Uint(leaf.entries);
+    w.Key("representatives").Uint(leaf.representatives);
+    w.Key("feature_bytes").Uint(leaf.feature_bytes);
+    w.Key("diagonal").Double(leaf.diagonal, "%.6g");
+    WriteCounts(&w, "access", access_of(leaf.id));
+    w.EndObject();
   }
-  out += "]";
+  w.EndArray();
 
   // Access rollup: totals, the table-scan bucket (flat-scan engines), the
   // hot-leaf table, and the skew summary over *tree* leaves (untouched
@@ -212,51 +183,37 @@ std::string RenderIndexzJson(const IndexTreeSummary& tree,
   const std::uint64_t top_share_permille =
       totals.scans == 0 ? 0 : top_scans * 1000 / totals.scans;
 
-  out += ",\"access\":{\"sessions\":";
-  AppendU64(&out, join.sessions);
-  out += ",\"totals\":";
-  AppendCounts(&out, totals);
-  out += ",\"table_scan\":";
-  AppendCounts(&out, table_scan);
-  out += ",\"hot_leaves\":[";
-  first = true;
+  w.Key("access").BeginObject();
+  w.Key("sessions").Uint(join.sessions);
+  WriteCounts(&w, "totals", totals);
+  WriteCounts(&w, "table_scan", table_scan);
+  w.Key("hot_leaves").BeginArray();
   for (std::size_t i = 0; i < hot.size() && i < hot_n; ++i) {
-    if (!first) out += ",";
-    first = false;
-    out += "{\"id\":";
-    AppendU64(&out, hot[i].second);
-    out += ",\"scans\":";
-    AppendU64(&out, hot[i].first);
-    out += "}";
+    w.BeginObject();
+    w.Key("id").Uint(hot[i].second);
+    w.Key("scans").Uint(hot[i].first);
+    w.EndObject();
   }
-  out += "],\"skew\":{\"top_n\":";
-  AppendU64(&out, hot_n);
-  out += ",\"top_share_permille\":";
-  AppendU64(&out, top_share_permille);
-  out += ",\"gini_permille\":";
-  AppendU64(&out, GiniPermille(std::move(leaf_scans)));
-  out += "}}";
+  w.EndArray();
+  w.Key("skew").BeginObject();
+  w.Key("top_n").Uint(hot_n);
+  w.Key("top_share_permille").Uint(top_share_permille);
+  w.Key("gini_permille").Uint(GiniPermille(std::move(leaf_scans)));
+  w.EndObject().EndObject();
 
-  out += ",\"coaccess\":{\"sets\":";
-  AppendU64(&out, join.coaccess_sets);
-  out += ",\"evictions\":";
-  AppendU64(&out, join.coaccess_evictions);
-  out += ",\"leaves_truncated\":";
-  AppendU64(&out, join.coaccess_truncated);
-  out += ",\"pairs\":[";
-  first = true;
+  w.Key("coaccess").BeginObject();
+  w.Key("sets").Uint(join.coaccess_sets);
+  w.Key("evictions").Uint(join.coaccess_evictions);
+  w.Key("leaves_truncated").Uint(join.coaccess_truncated);
+  w.Key("pairs").BeginArray();
   for (const obs::CoAccessTracker::PairCount& pair : join.coaccess) {
-    if (!first) out += ",";
-    first = false;
-    out += "{\"a\":";
-    AppendU64(&out, pair.a);
-    out += ",\"b\":";
-    AppendU64(&out, pair.b);
-    out += ",\"count\":";
-    AppendU64(&out, pair.count);
-    out += "}";
+    w.BeginObject();
+    w.Key("a").Uint(pair.a);
+    w.Key("b").Uint(pair.b);
+    w.Key("count").Uint(pair.count);
+    w.EndObject();
   }
-  out += "]}}";
+  w.EndArray().EndObject().EndObject();
   return out;
 }
 

@@ -1,6 +1,8 @@
 #include "qdcbir/serve/serve_app.h"
 
+#include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdlib>
 #include <functional>
 #include <string_view>
@@ -14,6 +16,7 @@
 #include "qdcbir/obs/access_stats.h"
 #include "qdcbir/obs/build_info.h"
 #include "qdcbir/obs/clock.h"
+#include "qdcbir/obs/json.h"
 #include "qdcbir/obs/log.h"
 #include "qdcbir/obs/metrics.h"
 #include "qdcbir/obs/process_stats.h"
@@ -40,28 +43,48 @@ constexpr const char* kPromType = "text/plain; version=0.0.4; charset=utf-8";
 /// `/metrics` leaf families) when the request names no `?n=`.
 constexpr std::size_t kHotLeafDefault = 16;
 
-obs::HttpResponse JsonError(int status, const std::string& message) {
-  return obs::HttpResponse{status, kJsonType,
-                           "{\"error\":" + JsonQuote(message) + "}\n"};
+/// A JSON response whose body object `fields` fills. A session's trace id
+/// goes first: the `"trace"` field, plus the `traceparent` header echo.
+obs::HttpResponse JsonResponse(
+    int status, const obs::TraceContext& trace,
+    const std::function<void(obs::JsonWriter*)>& fields) {
+  obs::HttpResponse response{status, kJsonType, ""};
+  obs::JsonWriter w(&response.body);
+  w.BeginObject();
+  if (trace.has_trace_id()) {
+    response.headers.emplace_back("traceparent", obs::FormatTraceparent(trace));
+    w.Key("trace").String(obs::TraceIdHex(trace));
+  }
+  fields(&w);
+  w.EndObject();
+  response.body.push_back('\n');
+  return response;
 }
 
-void AppendDisplayJson(std::string* out,
-                       const std::vector<DisplayGroup>& display) {
-  *out += "\"display\":[";
-  bool first_group = true;
-  for (const DisplayGroup& group : display) {
-    if (!first_group) out->push_back(',');
-    first_group = false;
-    *out += "{\"node\":" + std::to_string(group.node) + ",\"images\":[";
-    bool first = true;
-    for (const ImageId id : group.images) {
-      if (!first) out->push_back(',');
-      first = false;
-      *out += std::to_string(id);
+obs::HttpResponse JsonError(int status, std::string_view message,
+                            const obs::TraceContext& trace = {}) {
+  return JsonResponse(status, trace, [message](obs::JsonWriter* w) {
+    w->Key("error").String(message);
+  });
+}
+
+/// The body of a feedback round: the session, its round and its display.
+obs::HttpResponse DisplayResponse(std::uint64_t session_id, std::size_t round,
+                                  const std::vector<DisplayGroup>& display,
+                                  const obs::TraceContext& trace) {
+  return JsonResponse(200, trace, [&](obs::JsonWriter* w) {
+    w->Key("session").Uint(session_id);
+    w->Key("round").Uint(round);
+    w->Key("display").BeginArray();
+    for (const DisplayGroup& group : display) {
+      w->BeginObject();
+      w->Key("node").Uint(group.node);
+      w->Key("images").BeginArray();
+      for (const ImageId id : group.images) w->Uint(id);
+      w->EndArray().EndObject();
     }
-    *out += "]}";
-  }
-  out->push_back(']');
+    w->EndArray();
+  });
 }
 
 /// Value of `key` in a raw `a=1&b=2` query string, "" when absent. The
@@ -79,15 +102,6 @@ std::string QueryParam(const std::string& query, std::string_view key) {
     pos = amp + 1;
   }
   return "";
-}
-
-double QueryParamDouble(const std::string& query, std::string_view key,
-                        double fallback) {
-  const std::string raw = QueryParam(query, key);
-  if (raw.empty()) return fallback;
-  char* end = nullptr;
-  const double value = std::strtod(raw.c_str(), &end);
-  return (end == raw.c_str() || *end != '\0') ? fallback : value;
 }
 
 /// Display/result ids flattened for the quality tracker (which compares
@@ -133,18 +147,20 @@ bool ParseCountParam(const std::string& query, std::size_t fallback,
   return true;
 }
 
-/// Stamps the session's trace identity onto a response: the `traceparent`
-/// echo header plus the `"trace"` JSON field (spliced right after the
-/// opening `{`, which every API response body starts with).
-obs::HttpResponse WithTrace(obs::HttpResponse response,
-                            const obs::TraceContext& trace) {
-  if (!trace.has_trace_id()) return response;
-  response.headers.emplace_back("traceparent", obs::FormatTraceparent(trace));
-  if (!response.body.empty() && response.body.front() == '{') {
-    response.body.insert(1, "\"trace\":" + JsonQuote(obs::TraceIdHex(trace)) +
-                                ",");
+/// `?key=` as a finite number, for the admin parameters that are seconds or
+/// rates. Absent keeps `*out`; garbage, NaN or an infinity returns false so
+/// the handler can answer 400. Callers clamp the value before any cast.
+bool ParseNumberParam(const std::string& query, std::string_view key,
+                      double* out) {
+  const std::string raw = QueryParam(query, key);
+  if (raw.empty()) return true;
+  char* end = nullptr;
+  const double value = std::strtod(raw.c_str(), &end);
+  if (end == raw.c_str() || *end != '\0' || !std::isfinite(value)) {
+    return false;
   }
-  return response;
+  *out = value;
+  return true;
 }
 
 }  // namespace
@@ -187,10 +203,13 @@ ServeApp::ServeApp(ServeOptions options)
                              std::move(body)};
   });
   server_.Handle("/varz", [](const obs::HttpRequest&) {
-    // Splice the build object in front of the registry snapshot so the
-    // document stays one JSON object: {"build":{...},"counters":...}.
-    std::string body = "{\"build\":" + obs::BuildInfoJson() + ",";
-    body += obs::MetricsRegistry::Global().SnapshotJson().substr(1);
+    // One object: the build object, then the registry snapshot's sections.
+    std::string body;
+    obs::JsonWriter w(&body);
+    w.BeginObject();
+    w.Key("build").Raw(obs::BuildInfoJson());
+    obs::MetricsRegistry::Global().WriteSnapshotFields(&w);
+    w.EndObject();
     body.push_back('\n');
     return obs::HttpResponse{200, kJsonType, std::move(body)};
   });
@@ -370,40 +389,35 @@ void ServeApp::Stop() {
   }
   for (const auto& [session_id, session] : leftovers) {
     const obs::SessionQuality quality = session->quality.Summary();
-    obs::QueryAuditRecord record;
-    record.set_engine("qd");
-    record.set_label(session->label);
-    record.seed = session->seed;
-    record.rounds = static_cast<std::uint64_t>(session->qd.round());
-    record.picks = session->picks;
-    const QdSessionStats& stats = session->qd.stats();
-    record.subqueries = stats.localized_subqueries;
-    record.boundary_expansions = stats.boundary_expansions;
-    record.expanded_subqueries = stats.expanded_subqueries;
-    record.nodes_visited = stats.knn_nodes_visited;
-    record.candidates_scored = stats.knn_candidates;
-    record.nodes_touched = stats.nodes_touched;
-    record.distinct_nodes_sampled = stats.distinct_nodes_sampled;
-    record.rounds_ns = session->rounds_ns;
-    record.total_ns = session->rounds_ns;
-    record.trace_hi = session->trace.trace_hi;
-    record.trace_lo = session->trace.trace_lo;
-    const obs::ResourceUsage usage = session->resources.Snapshot();
-    record.distance_evals = usage.distance_evals;
-    record.feature_bytes = usage.feature_bytes;
-    record.leaves_visited = usage.leaves_visited;
-    record.tiles_gathered = usage.tiles_gathered;
-    record.container_allocs = usage.container_allocs;
-    record.alloc_bytes = usage.alloc_bytes;
-    record.cache_hits = usage.cache_hits;
-    record.cache_misses = usage.cache_misses;
-    record.quality_jaccard_permille = quality.last_jaccard_permille;
-    record.quality_rank_churn = quality.last_rank_churn;
-    record.quality_rounds_to_stability = quality.rounds_to_stability;
-    record.quality_outcome = static_cast<std::uint64_t>(quality.outcome);
-    obs::QueryLog::Global().Record(record);
+    obs::QueryAuditRecord record = AuditRecord(*session, quality);
+    record.sequence = obs::QueryLog::Global().Record(record);
     FinishSessionObservability(*session, session_id, quality, record);
   }
+}
+
+obs::QueryAuditRecord ServeApp::AuditRecord(
+    const Session& session, const obs::SessionQuality& quality) {
+  obs::QueryAuditRecord record;
+  record.set_engine("qd");
+  record.set_label(session.label);
+  record.seed = session.seed;
+  record.rounds = static_cast<std::uint64_t>(session.qd.round());
+  record.picks = session.picks;
+  const QdSessionStats& stats = session.qd.stats();
+  record.subqueries = stats.localized_subqueries;
+  record.boundary_expansions = stats.boundary_expansions;
+  record.expanded_subqueries = stats.expanded_subqueries;
+  record.nodes_visited = stats.knn_nodes_visited;
+  record.candidates_scored = stats.knn_candidates;
+  record.nodes_touched = stats.nodes_touched;
+  record.distinct_nodes_sampled = stats.distinct_nodes_sampled;
+  record.rounds_ns = session.rounds_ns;
+  record.total_ns = session.rounds_ns;
+  record.trace_hi = session.trace.trace_hi;
+  record.trace_lo = session.trace.trace_lo;
+  record.SetUsage(session.resources.Snapshot());
+  record.SetQuality(quality);
+  return record;
 }
 
 std::string ServeApp::load_error() const {
@@ -594,12 +608,8 @@ obs::HttpResponse ServeApp::HandleApiQuery(const obs::HttpRequest& request) {
                                 session->qd.stats().localized_subqueries);
   session->busy.store(false, std::memory_order_release);
 
-  std::string out = "{\"session\":" + std::to_string(session_id) +
-                    ",\"round\":" + std::to_string(session->qd.round()) + ",";
-  AppendDisplayJson(&out, display);
-  out += "}\n";
-  return WithTrace(obs::HttpResponse{200, kJsonType, std::move(out)},
-                   session->trace);
+  return DisplayResponse(session_id, session->qd.round(), display,
+                         session->trace);
 }
 
 obs::HttpResponse ServeApp::HandleApiFeedback(
@@ -683,21 +693,15 @@ obs::HttpResponse ServeApp::HandleApiFeedback(
     session->quality.RecordError();
     QDCBIR_LOG(obs::LogLevel::kWarn,
                "feedback rejected: " + next.status().ToString());
-    return WithTrace(JsonError(400, next.status().ToString()),
-                     session->trace);
+    return JsonError(400, next.status().ToString(), session->trace);
   }
   session->picks += relevant.size();
   session->quality.ObserveRound(DisplayIds(*next),
                                 session->qd.stats().localized_subqueries);
 
   if (finalize == nullptr) {
-    std::string out = "{\"session\":" + std::to_string(session_id) +
-                      ",\"round\":" + std::to_string(session->qd.round()) +
-                      ",";
-    AppendDisplayJson(&out, *next);
-    out += "}\n";
-    return WithTrace(obs::HttpResponse{200, kJsonType, std::move(out)},
-                     session->trace);
+    return DisplayResponse(session_id, session->qd.round(), *next,
+                           session->trace);
   }
 
   start_ns = obs::MonotonicNanos();
@@ -725,50 +729,19 @@ obs::HttpResponse ServeApp::HandleApiFeedback(
     session->quality.RecordError();
     QDCBIR_LOG(obs::LogLevel::kWarn,
                "finalize failed: " + result.status().ToString());
-    return WithTrace(JsonError(400, result.status().ToString()),
-                     session->trace);
+    return JsonError(400, result.status().ToString(), session->trace);
   }
 
   // The session is complete: publish it to the /queryz audit ring and
-  // release the slot.
-  const QdSessionStats& stats = session->qd.stats();
-  obs::QueryAuditRecord record;
-  record.set_engine("qd");
-  record.set_label(session->label);
-  record.seed = session->seed;
-  record.rounds = static_cast<std::uint64_t>(session->qd.round());
-  record.picks = session->picks;
-  record.results = result->TotalImages();
-  record.subqueries = stats.localized_subqueries;
-  record.boundary_expansions = stats.boundary_expansions;
-  record.expanded_subqueries = stats.expanded_subqueries;
-  record.nodes_visited = stats.knn_nodes_visited;
-  record.candidates_scored = stats.knn_candidates;
-  record.nodes_touched = stats.nodes_touched;
-  record.distinct_nodes_sampled = stats.distinct_nodes_sampled;
-  record.rounds_ns = session->rounds_ns;
-  record.finalize_ns = finalize_ns;
-  record.total_ns = session->rounds_ns + finalize_ns;
-  record.trace_hi = session->trace.trace_hi;
-  record.trace_lo = session->trace.trace_lo;
-  // This thread's pending deltas first (pool workers flushed at task end;
-  // `Run` already joined them), then the cross-worker totals.
+  // release the slot. This thread's pending resource deltas are flushed
+  // first (pool workers flushed at task end; `Run` already joined them).
   obs::FlushResourceAccounting();
-  const obs::ResourceUsage usage = session->resources.Snapshot();
-  record.distance_evals = usage.distance_evals;
-  record.feature_bytes = usage.feature_bytes;
-  record.leaves_visited = usage.leaves_visited;
-  record.tiles_gathered = usage.tiles_gathered;
-  record.container_allocs = usage.container_allocs;
-  record.alloc_bytes = usage.alloc_bytes;
-  record.cache_hits = usage.cache_hits;
-  record.cache_misses = usage.cache_misses;
   const obs::SessionQuality quality = session->quality.Summary();
-  record.quality_jaccard_permille = quality.last_jaccard_permille;
-  record.quality_rank_churn = quality.last_rank_churn;
-  record.quality_rounds_to_stability = quality.rounds_to_stability;
-  record.quality_outcome = static_cast<std::uint64_t>(quality.outcome);
-  obs::QueryLog::Global().Record(record);
+  obs::QueryAuditRecord record = AuditRecord(*session, quality);
+  record.results = result->TotalImages();
+  record.finalize_ns = finalize_ns;
+  record.total_ns += finalize_ns;
+  record.sequence = obs::QueryLog::Global().Record(record);
 
   // Per-session physical-work distributions, alongside the latency family.
   {
@@ -795,12 +768,12 @@ obs::HttpResponse ServeApp::HandleApiFeedback(
     static obs::Histogram& cache_hits =
         obs::MetricsRegistry::Global().GetHistogram(
             "serve.session.cache_hits", "Cache hits per RF session");
-    cache_hits.Record(usage.cache_hits);
-    distance_evals.Record(usage.distance_evals);
-    feature_bytes.Record(usage.feature_bytes);
-    leaves_visited.Record(usage.leaves_visited);
-    tiles_gathered.Record(usage.tiles_gathered);
-    alloc_bytes.Record(usage.alloc_bytes);
+    cache_hits.Record(record.cache_hits);
+    distance_evals.Record(record.distance_evals);
+    feature_bytes.Record(record.feature_bytes);
+    leaves_visited.Record(record.leaves_visited);
+    tiles_gathered.Record(record.tiles_gathered);
+    alloc_bytes.Record(record.alloc_bytes);
   }
 
   // Session latency distribution, with the trace id attached as an
@@ -848,46 +821,35 @@ obs::HttpResponse ServeApp::HandleApiFeedback(
   }
   FinishSessionObservability(*session, session_id, quality, record);
 
-  std::string out = "{\"session\":" + std::to_string(session_id) +
-                    ",\"results\":[";
-  bool first = true;
-  for (const ImageId id : result->Flatten()) {
-    if (!first) out.push_back(',');
-    first = false;
-    out += std::to_string(id);
-  }
-  out += "],\"groups\":[";
-  first = true;
-  for (const ResultGroup& group : result->groups) {
-    if (!first) out.push_back(',');
-    first = false;
-    out += "{\"leaf\":" + std::to_string(group.leaf) +
-           ",\"search_node\":" + std::to_string(group.search_node) +
-           ",\"relevant_count\":" + std::to_string(group.relevant_count) +
-           ",\"images\":[";
-    bool first_image = true;
-    for (const KnnMatch& match : group.images) {
-      if (!first_image) out.push_back(',');
-      first_image = false;
-      out += std::to_string(match.id);
+  const QdSessionStats& stats = session->qd.stats();
+  return JsonResponse(200, session->trace, [&](obs::JsonWriter* w) {
+    w->Key("session").Uint(session_id);
+    w->Key("results").BeginArray();
+    for (const ImageId id : result->Flatten()) w->Uint(id);
+    w->EndArray();
+    w->Key("groups").BeginArray();
+    for (const ResultGroup& group : result->groups) {
+      w->BeginObject();
+      w->Key("leaf").Uint(group.leaf);
+      w->Key("search_node").Uint(group.search_node);
+      w->Key("relevant_count").Uint(group.relevant_count);
+      w->Key("images").BeginArray();
+      for (const KnnMatch& match : group.images) w->Uint(match.id);
+      w->EndArray().EndObject();
     }
-    out += "]}";
-  }
-  out += "],\"stats\":{\"subqueries\":" +
-         std::to_string(stats.localized_subqueries) +
-         ",\"boundary_expansions\":" +
-         std::to_string(stats.boundary_expansions) +
-         ",\"expanded_subqueries\":" +
-         std::to_string(stats.expanded_subqueries) +
-         ",\"knn_nodes_visited\":" + std::to_string(stats.knn_nodes_visited) +
-         ",\"knn_candidates\":" + std::to_string(stats.knn_candidates) +
-         ",\"nodes_touched\":" + std::to_string(stats.nodes_touched) +
-         ",\"distinct_nodes_sampled\":" +
-         std::to_string(stats.distinct_nodes_sampled) +
-         "},\"rounds_ns\":" + std::to_string(record.rounds_ns) +
-         ",\"finalize_ns\":" + std::to_string(record.finalize_ns) + "}\n";
-  return WithTrace(obs::HttpResponse{200, kJsonType, std::move(out)},
-                   session->trace);
+    w->EndArray();
+    w->Key("stats").BeginObject();
+    w->Key("subqueries").Uint(stats.localized_subqueries);
+    w->Key("boundary_expansions").Uint(stats.boundary_expansions);
+    w->Key("expanded_subqueries").Uint(stats.expanded_subqueries);
+    w->Key("knn_nodes_visited").Uint(stats.knn_nodes_visited);
+    w->Key("knn_candidates").Uint(stats.knn_candidates);
+    w->Key("nodes_touched").Uint(stats.nodes_touched);
+    w->Key("distinct_nodes_sampled").Uint(stats.distinct_nodes_sampled);
+    w->EndObject();
+    w->Key("rounds_ns").Uint(record.rounds_ns);
+    w->Key("finalize_ns").Uint(record.finalize_ns);
+  });
 }
 
 obs::HttpResponse ServeApp::HandleApiRep(const obs::HttpRequest& request) {
@@ -966,8 +928,9 @@ obs::HttpResponse ServeApp::HandleApiReload(const obs::HttpRequest& request) {
   if (loader_.joinable()) loader_.join();
   QDCBIR_LOG(obs::LogLevel::kInfo, "snapshot reload requested");
   loader_ = std::thread([this] { LoadInBackground(); });
-  return obs::HttpResponse{202, kJsonType,
-                           "{\"status\":\"reloading\"}\n"};
+  return JsonResponse(202, {}, [](obs::JsonWriter* w) {
+    w->Key("status").String("reloading");
+  });
 }
 
 obs::HttpResponse ServeApp::HandleStatusz(const obs::HttpRequest&) {
@@ -1076,11 +1039,15 @@ obs::HttpResponse ServeApp::HandleStatusz(const obs::HttpRequest&) {
 }
 
 obs::HttpResponse ServeApp::HandleProfilez(const obs::HttpRequest& request) {
-  double seconds = QueryParamDouble(request.query, "seconds", 2.0);
-  if (seconds < 0.05) seconds = 0.05;
-  if (seconds > 30.0) seconds = 30.0;
-  const int hz = static_cast<int>(
-      QueryParamDouble(request.query, "hz", obs::ProfilerOptions{}.hz));
+  double seconds = 2.0;
+  double hz = obs::ProfilerOptions{}.hz;
+  if (!ParseNumberParam(request.query, "seconds", &seconds) ||
+      !ParseNumberParam(request.query, "hz", &hz)) {
+    return JsonError(400, "seconds and hz must be finite numbers");
+  }
+  seconds = std::clamp(seconds, 0.05, 30.0);
+  hz = std::clamp(hz, static_cast<double>(obs::ProfilerOptions::kMinHz),
+                  static_cast<double>(obs::ProfilerOptions::kMaxHz));
   std::string format = QueryParam(request.query, "format");
   if (format.empty()) format = "collapsed";
   if (format != "collapsed" && format != "json") {
@@ -1104,7 +1071,7 @@ obs::HttpResponse ServeApp::HandleProfilez(const obs::HttpRequest& request) {
   const bool own_capture = !profiler.running();
   if (own_capture) {
     obs::ProfilerOptions profiler_options;
-    profiler_options.hz = hz;
+    profiler_options.hz = static_cast<int>(hz);
     std::string error;
     if (!profiler.Start(profiler_options, &error)) {
       return JsonError(501, "profiler unavailable: " + error);
@@ -1168,13 +1135,18 @@ obs::HttpResponse ServeApp::HandleHistoryz(const obs::HttpRequest& request) {
   // directory with `"known":false` so callers can self-correct.
   // `?window=` is trailing seconds of history; 0 or absent keeps the whole
   // ring.
+  // A window past 10^9 s (about 31 years) reads as the whole ring too.
   const std::string metric = QueryParam(request.query, "metric");
-  const double window_s = QueryParamDouble(request.query, "window", 0.0);
-  if (window_s < 0.0) {
+  if (!obs::IsUtf8(metric)) {
+    return JsonError(400, "metric must be UTF-8");
+  }
+  double window_s = 0.0;
+  if (!ParseNumberParam(request.query, "window", &window_s) ||
+      window_s < 0.0) {
     return JsonError(400, "window must be non-negative seconds");
   }
   const std::uint64_t window_ns =
-      static_cast<std::uint64_t>(window_s * 1e9);
+      static_cast<std::uint64_t>(std::min(window_s, 1e9) * 1e9);
   return obs::HttpResponse{200, kJsonType,
                            recorder_->RenderJson(metric, window_ns) + "\n"};
 }
@@ -1229,52 +1201,30 @@ void ServeApp::FinishSessionObservability(const Session& session,
       std::chrono::duration_cast<std::chrono::milliseconds>(
           std::chrono::system_clock::now().time_since_epoch())
           .count());
-  obs::WideEventBuilder event;
-  event.Add("event", "session")
-      .Add("unix_ms", unix_ms)
-      .Add("session", session_id)
-      .Add("label", session.label)
-      .Add("engine", "qd")
-      .Add("seed", session.seed)
-      .Add("trace", record.trace_hex())
-      .Add("outcome", obs::SessionOutcomeName(quality.outcome))
-      .Add("rounds", record.rounds)
-      .Add("picks", record.picks)
-      .Add("results", record.results)
-      .Add("subqueries", record.subqueries)
-      .Add("boundary_expansions", record.boundary_expansions)
-      .Add("expanded_subqueries", record.expanded_subqueries)
-      .Add("rounds_ns", record.rounds_ns)
-      .Add("finalize_ns", record.finalize_ns)
-      .Add("total_ns", record.total_ns)
-      // Engine configuration the session ran under.
-      .Add("display_size",
-           static_cast<std::uint64_t>(options_.display_size))
-      .Add("boundary_threshold", options_.boundary_threshold)
-      .Add("cache_mb", static_cast<std::uint64_t>(options_.cache_mb))
-      .Add("load_generation", load_generation_.load(std::memory_order_relaxed))
-      // Physical work and cache traffic.
-      .Add("distance_evals", record.distance_evals)
-      .Add("feature_bytes", record.feature_bytes)
-      .Add("leaves_visited", record.leaves_visited)
-      .Add("tiles_gathered", record.tiles_gathered)
-      .Add("alloc_bytes", record.alloc_bytes)
-      .Add("cache_hits", record.cache_hits)
-      .Add("cache_misses", record.cache_misses)
-      .Add("leaves_touched", static_cast<std::uint64_t>(access.size()))
-      // Quality telemetry.
-      .Add("quality_jaccard_permille", quality.last_jaccard_permille)
-      .Add("quality_mean_jaccard_permille", quality.mean_jaccard_permille)
-      .Add("quality_rank_churn", quality.last_rank_churn)
-      .Add("quality_rounds_to_stability", quality.rounds_to_stability)
-      .Add("quality_subquery_growth", quality.subquery_growth);
-  // SLO state at session completion, one field per definition plus the
-  // worst state, so offline slicing can filter sessions by health.
-  event.Add("slo_worst", obs::SloStateName(slo_engine_->WorstState()));
+  // The wide event is the session's audit record plus what only the serve
+  // layer knows, and the SLO state at completion (one field per definition
+  // plus the worst state) so offline slicing can filter sessions by health.
+  std::string event;
+  obs::JsonWriter w(&event);
+  w.BeginObject();
+  w.Key("event").String("session");
+  w.Key("unix_ms").Uint(unix_ms);
+  w.Key("session").Uint(session_id);
+  obs::WriteAuditFields(record, session.label, &w);
+  w.Key("display_size").Uint(options_.display_size);
+  w.Key("boundary_threshold").Double(options_.boundary_threshold, "%.6g");
+  w.Key("cache_mb").Uint(options_.cache_mb);
+  w.Key("load_generation")
+      .Uint(load_generation_.load(std::memory_order_relaxed));
+  w.Key("leaves_touched").Uint(access.size());
+  w.Key("quality_mean_jaccard_permille").Uint(quality.mean_jaccard_permille);
+  w.Key("quality_subquery_growth").Uint(quality.subquery_growth);
+  w.Key("slo_worst").String(obs::SloStateName(slo_engine_->WorstState()));
   for (const obs::SloStatus& status : slo_engine_->Snapshot()) {
-    event.Add("slo_" + status.name, obs::SloStateName(status.state));
+    w.Key("slo_" + status.name).String(obs::SloStateName(status.state));
   }
-  wide_events_->Emit(event.Build());
+  w.EndObject();
+  wide_events_->Emit(event);
 }
 
 }  // namespace serve

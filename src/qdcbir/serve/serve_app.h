@@ -222,10 +222,17 @@ class ServeApp {
   obs::HttpResponse HandleIndexz(const obs::HttpRequest& request);
   obs::HttpResponse HandleHistoryz(const obs::HttpRequest& request);
 
-  /// Publishes quality metrics, fills the audit record's quality fields,
-  /// and emits the session's wide event. Called with the session off the
-  /// map (finalize) or during teardown (abandoned/errored) — purely
-  /// observational, after the response is built.
+  /// The session's `/queryz` record as of now: identity, engine stats,
+  /// rounds time, resource usage and `quality`. Finalize adds its results
+  /// and time; the `Stop()` sweep records it as is.
+  static obs::QueryAuditRecord AuditRecord(const Session& session,
+                                           const obs::SessionQuality& quality);
+
+  /// Drains the session's leaf-access heatmap, publishes its quality
+  /// metrics, re-evaluates the SLOs and emits its wide event. Called with
+  /// the session off the map (finalize) or during teardown
+  /// (abandoned/errored) — purely observational, after the response is
+  /// built.
   void FinishSessionObservability(const Session& session,
                                   std::uint64_t session_id,
                                   const obs::SessionQuality& quality,

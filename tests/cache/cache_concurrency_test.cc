@@ -56,16 +56,23 @@ TEST(CacheConcurrencyTest, BudgetHoldsUnderMixedLoad) {
             static_cast<std::uint64_t>((t * kOpsPerThread + i) % 512);
         std::uint64_t epoch = 0;
         auto value = cache.LookupAs<std::string>(Key(id), &epoch);
+        if (value == nullptr) {
+          cache.InsertAs<std::string>(
+              Key(id), std::make_shared<const std::string>(128, 'v'), 128,
+              epoch);
+          // Read the fresh entry back. Each thread walks its ids in one
+          // run against a 64-entry budget, so without this a hit needs
+          // another thread's recent insert, i.e. threads that really run
+          // at the same time; this one hits unless a racing insert evicted
+          // the entry in between.
+          value = cache.LookupAs<std::string>(Key(id), &epoch);
+        }
         if (value != nullptr) {
           // The payload must stay readable even if another thread evicts
           // this entry right now.
           ASSERT_EQ(value->size(), 128u);
           ASSERT_EQ((*value)[0], 'v');
           ++hits;
-        } else {
-          cache.InsertAs<std::string>(
-              Key(id), std::make_shared<const std::string>(128, 'v'), 128,
-              epoch);
         }
       }
       total_hits.fetch_add(hits, std::memory_order_relaxed);

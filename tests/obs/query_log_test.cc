@@ -91,6 +91,22 @@ TEST(QueryLogTest, LabelsTruncateSafely) {
   EXPECT_EQ(records[0].engine_view(), "very-long-en");  // 12-byte capacity
 }
 
+TEST(QueryLogTest, LabelsTruncateAtACharacterBoundary) {
+  QueryAuditRecord record;
+  // 27 ASCII bytes then a 2-byte character: a cut at byte 28 would leave
+  // its lead byte alone, so the whole character goes.
+  record.set_label(std::string(27, 'a') + "\xc3\xa9");
+  EXPECT_EQ(record.label_view(), std::string(27, 'a'));
+  // A 3-byte character straddling the end goes whole too.
+  record.set_label(std::string(26, 'a') + "\xe2\x82\xac");
+  EXPECT_EQ(record.label_view(), std::string(26, 'a'));
+  // One that ends exactly at the capacity stays.
+  record.set_label(std::string(26, 'a') + "\xc3\xa9");
+  EXPECT_EQ(record.label_view(), std::string(26, 'a') + "\xc3\xa9");
+  record.set_engine("engine-name\xc3\xa9");
+  EXPECT_EQ(record.engine_view(), "engine-name");
+}
+
 TEST(QueryLogTest, WrapAroundKeepsNewestInOrder) {
   QueryLog log;
   const std::uint64_t total = QueryLog::kCapacity * 2 + 44;

@@ -1,7 +1,9 @@
 #include "qdcbir/obs/slo.h"
 
+#include <atomic>
 #include <cstdint>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -152,6 +154,88 @@ TEST(SloEngine, RenderJsonListsEverySloWithState) {
   EXPECT_NE(json.find("\"kind\":\"histogram_floor\""), std::string::npos);
   EXPECT_NE(json.find("\"state\":\"ok\""), std::string::npos);
   EXPECT_NE(json.find("\"objective\":0.95"), std::string::npos);
+}
+
+TEST(SloEngine, ConcurrentEvaluatorsKeepTheBurnWindow) {
+  // A 10%-bad burst of 10k requests, then every thread sends 20k good
+  // requests and evaluates after each one, as lanes finishing sessions
+  // together do. The slow window must still hold the burst: burn =
+  // 1000 bad / (10k + 20k * threads) requests / (1 - 0.99).
+  for (const int threads : {1, 2, 4}) {
+    MetricsRegistry registry;
+    Counter& requests = registry.GetCounter("test.requests");
+    Counter& bad = registry.GetCounter("test.bad");
+    SloDefinition def;
+    def.name = "availability";
+    def.kind = SloKind::kAvailability;
+    def.metric = "test.requests";
+    def.bad_metric = "test.bad";
+    def.objective = 0.99;
+    std::atomic<std::uint64_t> ticks{1};
+    SloEngine engine({def}, &registry, [&ticks] {
+      return ticks.fetch_add(1, std::memory_order_relaxed);
+    });
+    engine.Evaluate();
+    requests.Add(10000);
+    bad.Add(1000);
+    std::vector<std::thread> lanes;
+    for (int t = 0; t < threads; ++t) {
+      lanes.emplace_back([&] {
+        for (int i = 0; i < 20000; ++i) {
+          requests.Add(1);
+          engine.Evaluate();
+        }
+      });
+    }
+    for (std::thread& lane : lanes) lane.join();
+    engine.Evaluate();
+    const double expected = 1000.0 / (10000.0 + 20000.0 * threads) / 0.01;
+    EXPECT_NEAR(engine.Snapshot()[0].slow_burn, expected, 1e-9)
+        << threads << " threads";
+  }
+}
+
+TEST(SloEngine, EvaluationsWithinASecondShareOneSample) {
+  // A burst of evaluations inside one second keeps one sample for the
+  // burst, so a window that starts inside the burst takes its baseline
+  // from the sample before it: less than a second earlier, never more.
+  MetricsRegistry registry;
+  Counter& requests = registry.GetCounter("test.requests");
+  Counter& bad = registry.GetCounter("test.bad");
+  SloDefinition def;
+  def.name = "availability";
+  def.kind = SloKind::kAvailability;
+  def.metric = "test.requests";
+  def.bad_metric = "test.bad";
+  def.objective = 0.9;
+  def.fast_window_ns = 10 * kSecond;
+  std::uint64_t now = 0;
+  SloEngine engine({def}, &registry, [&] { return now; });
+  engine.Evaluate();
+
+  // 50 bad requests more than a second before the fast window opens.
+  requests.Add(50);
+  bad.Add(50);
+  now = 2 * kSecond;
+  engine.Evaluate();
+  // Nine bad requests, one per evaluation, 0.1 s apart.
+  for (int i = 1; i <= 9; ++i) {
+    requests.Add();
+    bad.Add();
+    now = 2 * kSecond + static_cast<std::uint64_t>(i) * kSecond / 10;
+    engine.Evaluate();
+  }
+  requests.Add(100);
+  now = 3 * kSecond + kSecond / 2;
+  engine.Evaluate();
+
+  // The fast window opens at 2.5 s. Its baseline is the 2 s sample, so all
+  // nine burst requests count and the 50 before it do not: 9 bad of 109
+  // over a 10% budget. (Keeping every sample would count 4 of 104; a
+  // baseline before 2 s would count 59 of 159.)
+  now = 12 * kSecond + kSecond / 2;
+  engine.Evaluate();
+  EXPECT_NEAR(engine.Snapshot()[0].fast_burn, 9.0 / 109.0 / 0.1, 1e-9);
 }
 
 }  // namespace

@@ -6,8 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "qdcbir/obs/metrics.h"
@@ -164,6 +166,46 @@ TEST(FlightRecorderTest, SelfSampleCounterIsMonotone) {
   for (std::size_t i = 0; i < series.points.size(); ++i) {
     EXPECT_EQ(series.points[i].value, static_cast<double>(i));
     if (i > 0) EXPECT_EQ(series.points[i].delta, 1.0);
+  }
+}
+
+TEST(FlightRecorderTest, ConcurrentSamplersKeepCountersMonotone) {
+  // The sampler thread and the slow-trace hook call SampleNow at once. Each
+  // sample must land in clock order with values no smaller than the one
+  // before, or /historyz reports a counter reset and a full-value delta.
+  for (const int threads : {2, 4}) {
+    int backwards_rounds = 0;
+    for (int round = 0; round < 20; ++round) {
+      MetricsRegistry registry;
+      Counter& sessions = registry.GetCounter("qd.sessions");
+      // A histogram makes each registry snapshot take as long as the
+      // server's does, so the samplers' snapshots really overlap.
+      registry.GetHistogram("serve.session.latency_ns").Record(1);
+      std::atomic<std::uint64_t> ticks{1};
+      FlightRecorder::Options options = SmallOptions();
+      options.capacity = 512;
+      FlightRecorder recorder(options, &registry, [&ticks] {
+        return ticks.fetch_add(1, std::memory_order_relaxed);
+      });
+      std::vector<std::thread> samplers;
+      for (int t = 0; t < threads; ++t) {
+        samplers.emplace_back([&] {
+          for (int i = 0; i < 100; ++i) {
+            sessions.Add(1);
+            recorder.SampleNow();
+          }
+        });
+      }
+      for (std::thread& sampler : samplers) sampler.join();
+      const FlightRecorder::Series series = recorder.Query("qd.sessions", 0);
+      bool backwards = false;
+      for (std::size_t i = 1; i < series.points.size(); ++i) {
+        backwards |= series.points[i].value < series.points[i - 1].value ||
+                     series.points[i].t_ns < series.points[i - 1].t_ns;
+      }
+      backwards_rounds += backwards ? 1 : 0;
+    }
+    EXPECT_EQ(backwards_rounds, 0) << threads << " threads";
   }
 }
 

@@ -1,6 +1,5 @@
 #include "qdcbir/obs/wide_event.h"
 
-#include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -24,29 +23,6 @@ std::string ReadAll(const std::string& path) {
   std::ostringstream out;
   out << in.rdbuf();
   return out.str();
-}
-
-TEST(WideEventBuilder, RendersTypedFieldsInInsertionOrder) {
-  const std::string json = WideEventBuilder()
-                               .Add("event", "session")
-                               .Add("rounds", std::uint64_t{3})
-                               .Add("delta", std::int64_t{-2})
-                               .Add("ratio", 1.5)
-                               .Add("ok", true)
-                               .Build();
-  EXPECT_EQ(json,
-            "{\"event\":\"session\",\"rounds\":3,\"delta\":-2,"
-            "\"ratio\":1.5,\"ok\":true}");
-}
-
-TEST(WideEventBuilder, EscapesStringsAndControlBytes) {
-  const std::string json =
-      WideEventBuilder().Add("label", "a\"b\\c\nd\x01").Build();
-  EXPECT_EQ(json, "{\"label\":\"a\\\"b\\\\c\\nd\\u0001\"}");
-}
-
-TEST(WideEventBuilder, EmptyEventIsAnEmptyObject) {
-  EXPECT_EQ(WideEventBuilder().Build(), "{}");
 }
 
 TEST(WideEventSink, AppendsOneLinePerEvent) {

@@ -12,6 +12,7 @@
 
 #include "qdcbir/cache/cache_manager.h"
 #include "qdcbir/core/byte_source.h"
+#include "qdcbir/obs/json.h"
 #include "qdcbir/obs/quality_stats.h"
 #include "qdcbir/obs/wide_event.h"
 #include "qdcbir/core/thread_pool.h"
@@ -256,13 +257,15 @@ TEST_F(QdDeterminismTest, QualityTelemetryAndWideEventsAreInvisible) {
 
     const obs::SessionQuality quality = tracker.Summary();
     obs::PublishSessionQuality(quality);
-    sink.Emit(obs::WideEventBuilder()
-                  .Add("event", "session")
-                  .Add("threads", static_cast<std::uint64_t>(threads))
-                  .Add("outcome", obs::SessionOutcomeName(quality.outcome))
-                  .Add("quality_mean_jaccard_permille",
-                       quality.mean_jaccard_permille)
-                  .Build());
+    std::string event;
+    obs::JsonWriter w(&event);
+    w.BeginObject();
+    w.Key("event").String("session");
+    w.Key("threads").Uint(threads);
+    w.Key("outcome").String(obs::SessionOutcomeName(quality.outcome));
+    w.Key("quality_mean_jaccard_permille").Uint(quality.mean_jaccard_permille);
+    w.EndObject();
+    sink.Emit(event);
 
     ExpectIdenticalResults(baseline, result);
     ExpectIdenticalStats(baseline_stats, session.stats());

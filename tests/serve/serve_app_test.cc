@@ -21,6 +21,7 @@
 #include "qdcbir/core/thread_pool.h"
 #include "qdcbir/dataset/database_io.h"
 #include "qdcbir/dataset/synthesizer.h"
+#include "qdcbir/obs/json.h"
 #include "qdcbir/obs/log.h"
 #include "qdcbir/obs/prom_export.h"
 #include "qdcbir/obs/trace_tree.h"
@@ -372,6 +373,46 @@ TEST_F(ServeAppTest, ProfilezCapturesAndValidatesFormats) {
   EXPECT_NE(collapsed.find("200 OK"), std::string::npos);
 #endif
 
+  app.Stop();
+}
+
+TEST_F(ServeAppTest, AdminParametersRejectNonFiniteAndClampHugeValues) {
+  ThreadPool pool(2);
+  ServeOptions options;
+  options.db_path = *db_path_;
+  options.pool = &pool;
+  options.history_interval_ms = 0;
+  ServeApp app(std::move(options));
+  std::string error;
+  ASSERT_TRUE(app.Start(&error)) << error;
+  ASSERT_TRUE(app.WaitUntilReady(30000)) << app.load_error();
+
+  // NaN, infinities and garbage answer 400 before any cast.
+  for (const char* path :
+       {"/profilez?seconds=nan&format=json", "/profilez?seconds=inf",
+        "/profilez?hz=-inf", "/profilez?hz=fast", "/historyz?window=nan",
+        "/historyz?window=inf", "/historyz?window=-1"}) {
+    const std::string response = Get(app.port(), path);
+    EXPECT_NE(response.find("400"), std::string::npos) << path;
+    EXPECT_TRUE(ParseJson(BodyOf(response)).ok()) << path;
+  }
+
+  // A finite but huge window is clamped, then cast: 10^9 s in ns.
+  StatusOr<JsonValue> history =
+      ParseJson(BodyOf(Get(app.port(), "/historyz?window=1e300")));
+  ASSERT_TRUE(history.ok());
+  ASSERT_NE(history->Find("window_ns"), nullptr);
+  EXPECT_EQ(history->Find("window_ns")->number, 1e18);
+
+#if defined(__linux__)
+  // A huge rate is clamped to the profiler's 2000 Hz ceiling.
+  const std::string response =
+      Get(app.port(), "/profilez?seconds=0.05&hz=1e300&format=json");
+  ASSERT_NE(response.find("200 OK"), std::string::npos) << response;
+  StatusOr<JsonValue> profile = ParseJson(BodyOf(response));
+  ASSERT_TRUE(profile.ok()) << BodyOf(response);
+  EXPECT_EQ(profile->U64Field("hz", 0), 2000u);
+#endif
   app.Stop();
 }
 
@@ -1164,6 +1205,58 @@ TEST_F(ServeAppTest, WideEventsJoinSessionOutcomeQualityAndSloState) {
   EXPECT_NE(finalized.Find("slo_session_latency"), nullptr);
 
   EXPECT_EQ(by_label["wide-aband"]->Find("outcome")->string, "abandoned");
+}
+
+TEST_F(ServeAppTest, ClientStringsReachDocumentsAsUtf8) {
+  obs::TraceStore::Global().Clear();
+  const std::string events_path =
+      ::testing::TempDir() + "serve_utf8_events.jsonl";
+  std::remove(events_path.c_str());
+  ThreadPool pool(2);
+  ServeOptions options;
+  options.db_path = *db_path_;
+  options.pool = &pool;
+  options.trace_sample_every = 1;
+  options.wide_events_path = events_path;
+  ServeApp app(std::move(options));
+  std::string error;
+  ASSERT_TRUE(app.Start(&error)) << error;
+  ASSERT_TRUE(app.WaitUntilReady(30000)) << app.load_error();
+
+  // Raw bytes that are not UTF-8 and lone surrogate escapes answer 400.
+  for (const std::string& body :
+       {std::string("{\"seed\":1,\"label\":\"a\xff\"}"),
+        std::string("{\"seed\":1,\"label\":\"a\xc3\"}"),
+        std::string("{\"seed\":1,\"label\":\"\\ud83d\"}"),
+        std::string("{\"seed\":1,\"label\":\"\\ude00\"}")}) {
+    const std::string response = Post(app.port(), "/api/query", body);
+    EXPECT_NE(response.find("400"), std::string::npos) << body;
+    EXPECT_TRUE(obs::IsUtf8(response)) << body;
+  }
+  const std::string history = Get(app.port(), "/historyz?metric=q\xff");
+  EXPECT_NE(history.find("400"), std::string::npos) << history;
+  EXPECT_TRUE(obs::IsUtf8(history));
+
+  // A surrogate pair escape is one 4-byte character, kept whole.
+  const std::string smile = "smile-\xf0\x9f\x98\x80";
+  RunScriptedHttpSession(app.port(), "smile-\\ud83d\\ude00");
+  const std::string tracez_body = BodyOf(Get(app.port(), "/tracez"));
+  EXPECT_TRUE(obs::IsUtf8(tracez_body));
+  StatusOr<JsonValue> tracez = ParseJson(tracez_body);
+  ASSERT_TRUE(tracez.ok()) << tracez.status().message();
+  const JsonValue* traces = tracez->Find("traces");
+  ASSERT_NE(traces, nullptr);
+  ASSERT_EQ(traces->items.size(), 1u) << tracez_body;
+  EXPECT_EQ(traces->items[0].Find("label")->string, smile);
+  app.Stop();
+
+  std::ifstream in(events_path);
+  std::string line;
+  ASSERT_TRUE(std::getline(in, line)) << events_path;
+  EXPECT_TRUE(obs::IsUtf8(line));
+  StatusOr<JsonValue> event = ParseJson(line);
+  ASSERT_TRUE(event.ok()) << line;
+  EXPECT_EQ(event->Find("label")->string, smile);
 }
 
 TEST_F(ServeAppTest, IndexzJoinsTreeWithLiveAccessStats) {

@@ -83,6 +83,7 @@
 
 #include "qdcbir/qdcbir.h"
 #include "qdcbir/obs/build_info.h"
+#include "qdcbir/obs/json.h"
 
 namespace qdcbir {
 namespace {
@@ -310,33 +311,31 @@ int CmdQuery(int argc, char** argv) {
       std::fprintf(stderr, "cannot write %s\n", ranked_json.c_str());
       return 1;
     }
-    char buffer[64];
-    out << "{\"engine\":\"" << engine_name << "\",\"query\":\"" << query
-        << "\",\"seed\":" << seed << ",\"results\":[";
-    for (std::size_t i = 0; i < outcome->final_results.size(); ++i) {
-      if (i > 0) out << ',';
-      out << outcome->final_results[i];
-    }
-    out << "]";
+    std::string doc;
+    obs::JsonWriter w(&doc);
+    w.BeginObject();
+    w.Key("engine").String(engine_name);
+    w.Key("query").String(query);
+    w.Key("seed").Uint(seed);
+    w.Key("results").BeginArray();
+    for (const ImageId id : outcome->final_results) w.Uint(id);
+    w.EndArray();
     if (!outcome->qd_result.groups.empty()) {
-      out << ",\"groups\":[";
-      bool first_group = true;
+      w.Key("groups").BeginArray();
       for (const ResultGroup& g : outcome->qd_result.groups) {
-        if (!first_group) out << ',';
-        first_group = false;
-        out << "[";
-        for (std::size_t i = 0; i < g.images.size(); ++i) {
-          if (i > 0) out << ',';
-          std::snprintf(buffer, sizeof(buffer), "[%llu,%.17g]",
-                        static_cast<unsigned long long>(g.images[i].id),
-                        g.images[i].distance_squared);
-          out << buffer;
+        w.BeginArray();
+        for (const KnnMatch& match : g.images) {
+          w.BeginArray();
+          w.Uint(match.id);
+          w.Double(match.distance_squared, "%.17g");
+          w.EndArray();
         }
-        out << "]";
+        w.EndArray();
       }
-      out << "]";
+      w.EndArray();
     }
-    out << "}\n";
+    w.EndObject();
+    out << doc << "\n";
     if (!out.good()) {
       std::fprintf(stderr, "write failed: %s\n", ranked_json.c_str());
       return 1;

@@ -65,6 +65,8 @@
 // each --require-profile-span requires at least min (default 1) samples
 // whose root frame — the span the profiler attributed the sample to —
 // starts with the given prefix ("qd." matches every engine-phase span).
+// Every JSON artifact is read with the repository's one JSON reader
+// (obs/json.h), so a document that does not parse fails its gate.
 // Exit code 0 means all checks passed; diagnostics go to stderr. CI runs
 // this against the bench_micro and serve-smoke artifacts so a
 // silently-broken exporter (or a profiler that stopped attributing
@@ -81,10 +83,14 @@
 #include <utility>
 #include <vector>
 
+#include "qdcbir/obs/json.h"
 #include "qdcbir/obs/prom_export.h"
 #include "qdcbir/obs/trace.h"
 
 namespace {
+
+using qdcbir::obs::JsonValue;
+using qdcbir::obs::ParseJson;
 
 std::string Flag(int argc, char** argv, const std::string& name) {
   const std::string prefix = "--" + name + "=";
@@ -115,34 +121,27 @@ bool ReadFile(const std::string& path, std::string* out) {
   return true;
 }
 
-/// Extracts the flat `"counters":{"name":value,...}` section of a metrics
-/// JSON snapshot. Counter names are dotted identifiers without escapes, so
-/// a linear scan is sufficient — this is not a general JSON parser.
-bool ParseJsonCounters(const std::string& json,
-                       std::map<std::string, double>* out) {
-  const std::string key = "\"counters\":{";
-  const std::size_t begin = json.find(key);
-  if (begin == std::string::npos) return false;
-  std::size_t pos = begin + key.size();
-  while (pos < json.size() && json[pos] != '}') {
-    if (json[pos] == ',') {
-      ++pos;
-      continue;
-    }
-    if (json[pos] != '"') return false;
-    const std::size_t name_end = json.find('"', pos + 1);
-    if (name_end == std::string::npos) return false;
-    const std::string name = json.substr(pos + 1, name_end - pos - 1);
-    if (name_end + 1 >= json.size() || json[name_end + 1] != ':') {
-      return false;
-    }
-    char* value_end = nullptr;
-    const double value = std::strtod(json.c_str() + name_end + 2, &value_end);
-    if (value_end == json.c_str() + name_end + 2) return false;
-    (*out)[name] = value;
-    pos = static_cast<std::size_t>(value_end - json.c_str());
+/// Reads `path` and parses it as one JSON document; prints a diagnostic
+/// naming the artifact `kind` and returns false when either step fails.
+bool ReadJsonFile(const std::string& path, const char* kind, JsonValue* doc) {
+  std::string text;
+  if (!ReadFile(path, &text)) {
+    std::fprintf(stderr, "cannot read %s file: %s\n", kind, path.c_str());
+    return false;
   }
-  return pos < json.size();
+  std::string error;
+  if (!ParseJson(text, doc, &error)) {
+    std::fprintf(stderr, "%s file %s is not valid JSON: %s\n", kind,
+                 path.c_str(), error.c_str());
+    return false;
+  }
+  return true;
+}
+
+/// `object[key]` when it is a number, else nullptr.
+const JsonValue* NumberAt(const JsonValue* object, const char* key) {
+  const JsonValue* value = object != nullptr ? object->Find(key) : nullptr;
+  return value != nullptr && value->is_number() ? value : nullptr;
 }
 
 /// Checks one `name[:min]` spec against the parsed samples; prints the
@@ -268,10 +267,9 @@ bool CheckRequiredQuantile(const std::string& spec, const std::string& text) {
   return true;
 }
 
-/// Checks one `<name>:<state>` spec against a /sloz JSON scrape. The
-/// document is flat (`"name":"..."` followed by `"state":"..."` within the
-/// same object), so a linear scan is sufficient.
-bool CheckRequiredSlo(const std::string& spec, const std::string& sloz) {
+/// Checks one `<name>:<state>` spec against the `slos` array of a /sloz
+/// scrape.
+bool CheckRequiredSlo(const std::string& spec, const JsonValue& slos) {
   const std::size_t colon = spec.rfind(':');
   if (colon == std::string::npos || colon == 0 || colon + 1 >= spec.size()) {
     std::fprintf(stderr, "bad --require-slo spec (want <name>:<state>): %s\n",
@@ -280,31 +278,24 @@ bool CheckRequiredSlo(const std::string& spec, const std::string& sloz) {
   }
   const std::string name = spec.substr(0, colon);
   const std::string want_state = spec.substr(colon + 1);
-  const std::string name_key = "\"name\":\"" + name + "\"";
-  const std::size_t at = sloz.find(name_key);
-  if (at == std::string::npos) {
-    std::fprintf(stderr, "slo %s not present in sloz document\n",
-                 name.c_str());
-    return false;
+  for (const JsonValue& slo : slos.items) {
+    const JsonValue* slo_name = slo.Find("name");
+    if (slo_name == nullptr || slo_name->string != name) continue;
+    const JsonValue* state = slo.Find("state");
+    if (state == nullptr || !state->is_string()) {
+      std::fprintf(stderr, "slo %s carries no state field\n", name.c_str());
+      return false;
+    }
+    if (state->string != want_state) {
+      std::fprintf(stderr, "slo %s state is %s, required %s\n", name.c_str(),
+                   state->string.c_str(), want_state.c_str());
+      return false;
+    }
+    std::printf("  slo %-36s %s\n", name.c_str(), state->string.c_str());
+    return true;
   }
-  const std::string state_key = "\"state\":\"";
-  const std::size_t state_begin = sloz.find(state_key, at);
-  const std::size_t object_end = sloz.find('}', at);
-  if (state_begin == std::string::npos ||
-      (object_end != std::string::npos && state_begin > object_end)) {
-    std::fprintf(stderr, "slo %s carries no state field\n", name.c_str());
-    return false;
-  }
-  const std::size_t value_begin = state_begin + state_key.size();
-  const std::size_t value_end = sloz.find('"', value_begin);
-  const std::string state = sloz.substr(value_begin, value_end - value_begin);
-  if (state != want_state) {
-    std::fprintf(stderr, "slo %s state is %s, required %s\n", name.c_str(),
-                 state.c_str(), want_state.c_str());
-    return false;
-  }
-  std::printf("  slo %-36s %s\n", name.c_str(), state.c_str());
-  return true;
+  std::fprintf(stderr, "slo %s not present in sloz document\n", name.c_str());
+  return false;
 }
 
 /// One parsed collapsed-stack line: the root (span) frame and the count.
@@ -354,58 +345,32 @@ bool ParseCollapsed(const std::string& text,
   return true;
 }
 
-/// Numeric value following `"key":` at or after `from`, or -1 when absent.
-/// The /indexz and /historyz documents use plain identifier keys, so a
-/// linear scan is sufficient.
-double JsonNumberAfter(const std::string& json, const std::string& key,
-                       std::size_t from, std::size_t* value_end = nullptr) {
-  const std::string needle = "\"" + key + "\":";
-  const std::size_t at = json.find(needle, from);
-  if (at == std::string::npos) return -1.0;
-  char* end = nullptr;
-  const char* begin = json.c_str() + at + needle.size();
-  const double value = std::strtod(begin, &end);
-  if (end == begin) return -1.0;
-  if (value_end != nullptr) {
-    *value_end = static_cast<std::size_t>(end - json.c_str());
-  }
-  return value;
-}
-
 /// Validates a /indexz scrape and its optional gates: the structural
 /// sections, a minimum on the access totals' scan count, and a minimum on
 /// the co-access pair count.
-bool CheckIndexz(const std::string& json, const std::string& path,
+bool CheckIndexz(const JsonValue& doc, const std::string& path,
                  const std::string& min_scans_spec,
                  const std::string& min_pairs_spec) {
-  for (const char* section :
-       {"\"tree\"", "\"leaves\"", "\"access\"", "\"coaccess\""}) {
-    if (json.find(section) == std::string::npos) {
-      std::fprintf(stderr, "indexz file %s missing section %s\n",
+  for (const char* section : {"tree", "leaves", "access", "coaccess"}) {
+    if (doc.Find(section) == nullptr) {
+      std::fprintf(stderr, "indexz file %s missing section \"%s\"\n",
                    path.c_str(), section);
       return false;
     }
   }
-  // The access rollup's totals live after the "access" key (the per-leaf
-  // rows under "leaves" carry their own nested "access" objects, so anchor
-  // on the section that has "sessions" and "totals").
-  const std::size_t access_at = json.find("\"access\":{\"sessions\"");
-  if (access_at == std::string::npos) {
+  // The access rollup's totals (table-scan bucket excluded).
+  const JsonValue* scans =
+      NumberAt(doc.Find("access")->Find("totals"), "scans");
+  if (scans == nullptr) {
     std::fprintf(stderr, "indexz file %s carries no access rollup\n",
                  path.c_str());
     return false;
   }
-  const double total_scans = JsonNumberAfter(json, "scans", access_at);
-  std::size_t pairs_at = json.find("\"pairs\":[", access_at);
-  std::size_t pair_count = 0;
-  if (pairs_at != std::string::npos) {
-    const std::size_t close = json.find(']', pairs_at);
-    for (std::size_t i = pairs_at; i < close && i != std::string::npos; ++i) {
-      if (json[i] == '{') ++pair_count;
-    }
-  }
+  const double total_scans = scans->number;
+  const JsonValue* pairs = doc.Find("coaccess")->Find("pairs");
+  const std::size_t pair_count = pairs != nullptr ? pairs->items.size() : 0;
   std::printf("indexz ok: %s (%g leaf scans, %zu co-access pairs)\n",
-              path.c_str(), total_scans < 0 ? 0.0 : total_scans, pair_count);
+              path.c_str(), total_scans, pair_count);
   if (!min_scans_spec.empty()) {
     const double min_scans = std::strtod(min_scans_spec.c_str(), nullptr);
     if (total_scans < min_scans) {
@@ -433,40 +398,46 @@ bool CheckIndexz(const std::string& json, const std::string& path,
 /// case each point's delta must be non-negative and consistent with the
 /// sampled values (cur - prev, or cur across a counter reset), and the
 /// timestamps strictly increasing.
-bool CheckHistoryz(const std::string& json, const std::string& path,
+bool CheckHistoryz(const JsonValue& doc, const std::string& path,
                    const std::string& metric) {
   if (!metric.empty()) {
-    if (json.find("\"metric\":\"" + metric + "\"") == std::string::npos) {
+    const JsonValue* name = doc.Find("metric");
+    if (name == nullptr || name->string != metric) {
       std::fprintf(stderr, "historyz file %s is not for metric %s\n",
                    path.c_str(), metric.c_str());
       return false;
     }
-    if (json.find("\"known\":true") == std::string::npos) {
+    const JsonValue* known = doc.Find("known");
+    if (known == nullptr || !known->boolean) {
       std::fprintf(stderr, "historyz metric %s unknown to the recorder\n",
                    metric.c_str());
       return false;
     }
   }
-  const std::size_t points_at = json.find("\"points\":[");
-  if (points_at == std::string::npos) {
+  const JsonValue* points = doc.Find("points");
+  if (points == nullptr || !points->is_array()) {
     std::fprintf(stderr, "historyz file %s carries no points array\n",
                  path.c_str());
     return false;
   }
-  const bool is_counter =
-      json.find("\"type\":\"counter\"") != std::string::npos;
-  std::size_t pos = points_at;
-  const std::size_t points_end = json.find(']', points_at);
+  const JsonValue* type = doc.Find("type");
+  const bool is_counter = type != nullptr && type->string == "counter";
   std::size_t count = 0;
   double prev_t = -1.0;
   double prev_value = 0.0;
-  while (true) {
-    const std::size_t point_at = json.find("{\"t_ns\":", pos);
-    if (point_at == std::string::npos || point_at > points_end) break;
-    std::size_t after = point_at;
-    const double t_ns = JsonNumberAfter(json, "t_ns", point_at, &after);
-    const double value = JsonNumberAfter(json, "value", after, &after);
-    const double delta = JsonNumberAfter(json, "delta", after, &after);
+  for (const JsonValue& point : points->items) {
+    const JsonValue* t_field = NumberAt(&point, "t_ns");
+    const JsonValue* value_field = NumberAt(&point, "value");
+    const JsonValue* delta_field = NumberAt(&point, "delta");
+    if (t_field == nullptr || value_field == nullptr ||
+        delta_field == nullptr) {
+      std::fprintf(stderr, "historyz point %zu: missing t_ns/value/delta\n",
+                   count);
+      return false;
+    }
+    const double t_ns = t_field->number;
+    const double value = value_field->number;
+    const double delta = delta_field->number;
     if (t_ns <= prev_t) {
       std::fprintf(stderr, "historyz point %zu: t_ns not increasing\n",
                    count);
@@ -493,7 +464,6 @@ bool CheckHistoryz(const std::string& json, const std::string& path,
     prev_t = t_ns;
     prev_value = value;
     ++count;
-    pos = after;
   }
   if (!metric.empty() && count == 0) {
     std::fprintf(stderr, "historyz metric %s has no points\n",
@@ -624,41 +594,28 @@ int main(int argc, char** argv) {
   }
 
   if (!metrics_path.empty()) {
-    std::string json;
-    if (!ReadFile(metrics_path, &json)) {
-      std::fprintf(stderr, "cannot read metrics file: %s\n",
-                   metrics_path.c_str());
-      return 1;
-    }
-    // Structural sanity only; the exporter's format is covered by unit
-    // tests, this guards against empty/truncated artifacts.
-    for (const char* section : {"\"counters\"", "\"gauges\"",
-                                "\"histograms\""}) {
-      if (json.find(section) == std::string::npos) {
-        std::fprintf(stderr, "metrics file %s missing section %s\n",
+    JsonValue doc;
+    if (!ReadJsonFile(metrics_path, "metrics", &doc)) return 1;
+    for (const char* section : {"counters", "gauges", "histograms"}) {
+      const JsonValue* value = doc.Find(section);
+      if (value == nullptr || !value->is_object()) {
+        std::fprintf(stderr, "metrics file %s missing section \"%s\"\n",
                      metrics_path.c_str(), section);
         return 1;
       }
     }
-    if (json.find('{') == std::string::npos ||
-        json.rfind('}') == std::string::npos) {
-      std::fprintf(stderr, "metrics file %s is not a JSON object\n",
-                   metrics_path.c_str());
-      return 1;
-    }
-    std::printf("metrics ok: %s (%zu bytes)\n", metrics_path.c_str(),
-                json.size());
+    const JsonValue& counters = *doc.Find("counters");
+    std::printf("metrics ok: %s (%zu counters)\n", metrics_path.c_str(),
+                counters.fields.size());
     // Prom exposition takes precedence for --require-metric when both
     // artifacts are given (it is the exported, scrape-facing view).
     if (!required_metrics.empty() && prom_path.empty()) {
-      std::map<std::string, double> counters;
-      if (!ParseJsonCounters(json, &counters)) {
-        std::fprintf(stderr, "cannot parse counters section of %s\n",
-                     metrics_path.c_str());
-        return 1;
+      std::map<std::string, double> samples;
+      for (const auto& [name, value] : counters.fields) {
+        if (value.is_number()) samples[name] = value.number;
       }
       for (const std::string& spec : required_metrics) {
-        if (!CheckRequiredMetric(spec, counters, "metrics json")) return 1;
+        if (!CheckRequiredMetric(spec, samples, "metrics json")) return 1;
       }
     }
   }
@@ -689,43 +646,34 @@ int main(int argc, char** argv) {
   }
 
   if (!sloz_path.empty()) {
-    std::string sloz;
-    if (!ReadFile(sloz_path, &sloz)) {
-      std::fprintf(stderr, "cannot read sloz file: %s\n", sloz_path.c_str());
-      return 1;
-    }
-    if (sloz.find("\"slos\"") == std::string::npos) {
+    JsonValue doc;
+    if (!ReadJsonFile(sloz_path, "sloz", &doc)) return 1;
+    const JsonValue* slos = doc.Find("slos");
+    if (slos == nullptr || !slos->is_array()) {
       std::fprintf(stderr, "sloz file %s missing \"slos\" array\n",
                    sloz_path.c_str());
       return 1;
     }
-    std::printf("sloz ok: %s (%zu bytes)\n", sloz_path.c_str(), sloz.size());
+    std::printf("sloz ok: %s (%zu slos)\n", sloz_path.c_str(),
+                slos->items.size());
     for (const std::string& spec : required_slos) {
-      if (!CheckRequiredSlo(spec, sloz)) return 1;
+      if (!CheckRequiredSlo(spec, *slos)) return 1;
     }
   }
 
   if (!indexz_path.empty()) {
-    std::string json;
-    if (!ReadFile(indexz_path, &json)) {
-      std::fprintf(stderr, "cannot read indexz file: %s\n",
-                   indexz_path.c_str());
-      return 1;
-    }
-    if (!CheckIndexz(json, indexz_path, required_leaf_scans,
+    JsonValue doc;
+    if (!ReadJsonFile(indexz_path, "indexz", &doc) ||
+        !CheckIndexz(doc, indexz_path, required_leaf_scans,
                      required_coaccess_pairs)) {
       return 1;
     }
   }
 
   if (!historyz_path.empty()) {
-    std::string json;
-    if (!ReadFile(historyz_path, &json)) {
-      std::fprintf(stderr, "cannot read historyz file: %s\n",
-                   historyz_path.c_str());
-      return 1;
-    }
-    if (!CheckHistoryz(json, historyz_path, required_history_metric)) {
+    JsonValue doc;
+    if (!ReadJsonFile(historyz_path, "historyz", &doc) ||
+        !CheckHistoryz(doc, historyz_path, required_history_metric)) {
       return 1;
     }
   }
