@@ -292,6 +292,10 @@ void HttpServer::AcceptLoop() {
     const timeval timeout{options_.recv_timeout_ms / 1000,
                           (options_.recv_timeout_ms % 1000) * 1000};
     ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+    // Send each response at once: with Nagle on, the second of two
+    // pipelined responses waits for the client's delayed ACK (~40 ms).
+    const int one = 1;
+    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
     {
       std::lock_guard<std::mutex> lock(conn_mu_);
       open_fds_.insert(fd);

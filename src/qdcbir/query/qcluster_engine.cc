@@ -46,8 +46,8 @@ StatusOr<Ranking> QclusterEngine::ComputeRanking(std::size_t k) {
     config_hash = cache::HashCombine(
         config_hash, static_cast<std::uint64_t>(options_.max_clusters));
     cache_key.b = config_hash;
-    // Low byte tags the engine family (2 = qcluster) so qd finalize keys
-    // can never alias these.
+    // Low byte tags the engine family (2 = qcluster), so another engine's
+    // top-k keys could never alias these.
     cache_key.c =
         (static_cast<std::uint64_t>(ActiveKernels().level) << 8) | 2;
     std::shared_ptr<const Ranking> hit =

@@ -69,27 +69,6 @@ struct LeafScanValue {
   std::size_t nodes_visited = 0;
 };
 
-/// Payload of a kTopK cache entry: a whole finalized result plus every
-/// stat delta `Finalize` adds on a cold run.
-struct QdFinalizeValue {
-  QdResult result;
-  std::size_t boundary_expansions = 0;
-  std::size_t expanded_subqueries = 0;
-  std::size_t knn_nodes_visited = 0;
-  std::size_t localized_subqueries = 0;
-  std::size_t knn_candidates = 0;
-};
-
-std::size_t RankingBytes(const Ranking& ranking) {
-  return ranking.size() * sizeof(KnnMatch);
-}
-
-std::uint64_t HashDoubles(const std::vector<double>& values,
-                          std::uint64_t state) {
-  return cache::HashBytes(values.data(), values.size() * sizeof(double),
-                          state);
-}
-
 }  // namespace
 
 std::vector<ImageId> QdResult::Flatten() const {
@@ -247,7 +226,9 @@ Ranking QdSession::LocalizedSearch(NodeId node,
   key.a = static_cast<std::uint64_t>(node);
   std::uint64_t hash = cache::HashBytes(
       query_point.data(), query_point.dim() * sizeof(double));
-  hash = HashDoubles(options_.feature_weights, hash);
+  hash = cache::HashBytes(options_.feature_weights.data(),
+                          options_.feature_weights.size() * sizeof(double),
+                          hash);
   hash = cache::HashCombine(hash, fetch);
   key.b = hash;
   key.c = static_cast<std::uint64_t>(ActiveKernels().level);
@@ -266,8 +247,8 @@ Ranking QdSession::LocalizedSearch(NodeId node,
   value->ranking = ranking;
   value->nodes_visited = stats->knn_nodes_visited - nodes_before;
   cache_mgr->InsertAs<LeafScanValue>(
-      key, std::move(value), sizeof(LeafScanValue) + RankingBytes(ranking),
-      token);
+      key, std::move(value),
+      sizeof(LeafScanValue) + ranking.size() * sizeof(KnnMatch), token);
   return ranking;
 }
 
@@ -378,51 +359,6 @@ StatusOr<QdResult> QdSession::Finalize(std::size_t k) {
   }
   QDCBIR_SPAN("qd.finalize");
 
-  // Finalized top-k cache: identical feedback state (the per-leaf relevant
-  // sets), k, weights, threshold, and SIMD level fully determine the result
-  // and the stat deltas below, so a session replay serves the finished
-  // QdResult without re-running the subqueries.
-  cache::CacheManager* cache_mgr = options_.cache;
-  cache::CacheKey topk_key;
-  std::uint64_t topk_token = 0;
-  if (cache_mgr != nullptr) {
-    std::uint64_t feedback_hash = 0xcbf29ce484222325ull;
-    for (const auto& [leaf, images] : relevant_by_leaf_) {
-      feedback_hash = cache::HashCombine(feedback_hash, leaf);
-      feedback_hash = cache::HashCombine(feedback_hash, images.size());
-      feedback_hash = cache::HashBytes(
-          images.data(), images.size() * sizeof(ImageId), feedback_hash);
-    }
-    std::uint64_t config_hash = cache::HashCombine(0xcbf29ce484222325ull, k);
-    config_hash = HashDoubles(options_.feature_weights, config_hash);
-    config_hash = cache::HashBytes(&options_.boundary_threshold,
-                                   sizeof(double), config_hash);
-    topk_key.kind = cache::CacheKind::kTopK;
-    topk_key.a = feedback_hash;
-    topk_key.b = config_hash;
-    // Low byte tags the engine family so qd and qcluster top-k keys never
-    // collide even with equal hashes.
-    topk_key.c = (static_cast<std::uint64_t>(ActiveKernels().level) << 8) | 1;
-    if (std::shared_ptr<const QdFinalizeValue> hit =
-            cache_mgr->LookupAs<QdFinalizeValue>(topk_key, &topk_token)) {
-      stats_.boundary_expansions += hit->boundary_expansions;
-      stats_.expanded_subqueries += hit->expanded_subqueries;
-      stats_.knn_nodes_visited += hit->knn_nodes_visited;
-      stats_.localized_subqueries += hit->localized_subqueries;
-      stats_.knn_candidates += hit->knn_candidates;
-      // The process-wide counters mirror the logical cost model, so a hit
-      // replays the same deltas there too.
-      QdCounters& counters = QdCounters::Get();
-      counters.boundary_expansions.Add(hit->boundary_expansions);
-      counters.expanded_subqueries.Add(hit->expanded_subqueries);
-      counters.knn_nodes_visited.Add(hit->knn_nodes_visited);
-      counters.localized_subqueries.Add(hit->localized_subqueries);
-      counters.knn_candidates.Add(hit->knn_candidates);
-      return hit->result;
-    }
-  }
-  const QdSessionStats stats_before = stats_;
-
   std::size_t total_relevant = 0;
   for (const auto& [leaf, images] : relevant_by_leaf_) {
     total_relevant += images.size();
@@ -494,7 +430,8 @@ StatusOr<QdResult> QdSession::Finalize(std::size_t k) {
   // expansion and the localized multipoint k-NN. Tasks only read the RFS
   // tree and write into their own slot, so the outcome is identical for
   // every pool size; cost counters accumulate task-locally and merge below
-  // (sums are order-independent).
+  // (sums are order-independent). Only the scans are cached: a replayed
+  // session re-runs this fan-out and the merge from its cached rankings.
   ThreadPool& pool = options_.pool != nullptr ? *options_.pool
                                               : ThreadPool::Global();
   std::vector<ResultGroup> groups(locals.size());
@@ -618,26 +555,6 @@ StatusOr<QdResult> QdSession::Finalize(std::size_t k) {
               return a.leaf < b.leaf;
             });
 
-  if (cache_mgr != nullptr) {
-    auto value = std::make_shared<QdFinalizeValue>();
-    value->result = result;
-    value->boundary_expansions =
-        stats_.boundary_expansions - stats_before.boundary_expansions;
-    value->expanded_subqueries =
-        stats_.expanded_subqueries - stats_before.expanded_subqueries;
-    value->knn_nodes_visited =
-        stats_.knn_nodes_visited - stats_before.knn_nodes_visited;
-    value->localized_subqueries =
-        stats_.localized_subqueries - stats_before.localized_subqueries;
-    value->knn_candidates =
-        stats_.knn_candidates - stats_before.knn_candidates;
-    std::size_t bytes = sizeof(QdFinalizeValue);
-    for (const ResultGroup& group : result.groups) {
-      bytes += sizeof(ResultGroup) + RankingBytes(group.images);
-    }
-    cache_mgr->InsertAs<QdFinalizeValue>(topk_key, std::move(value), bytes,
-                                         topk_token);
-  }
   return result;
 }
 

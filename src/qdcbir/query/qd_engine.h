@@ -43,14 +43,14 @@ struct QdOptions {
   /// byte-identical across pool sizes: subqueries write per-task slots and
   /// the cross-group merge runs sequentially in deterministic order.
   ThreadPool* pool = nullptr;
-  /// Optional result cache for the finalize hot paths (nullptr = uncached).
-  /// Two kinds are used: per-subquery localized-scan rankings (kLeafScan)
-  /// and whole finalized results (kTopK). Cached values are pure functions
-  /// of their keys — search node, query-point/weight bytes, fetch size, k,
-  /// SIMD level — and each entry carries the logical cost-stat deltas it
-  /// replaces, so rankings *and* `QdSessionStats` are byte-identical with
-  /// the cache on or off (docs/caching.md). The caller owns the manager and
-  /// must flush it (`BeginEpoch`) whenever the RFS snapshot changes.
+  /// Optional cache of the finalize subquery scans (nullptr = uncached).
+  /// QD caches one kind, kLeafScan: each localized subquery's ranking,
+  /// keyed by search node, query-point/weight bytes, fetch size and SIMD
+  /// level, plus the node-access count it replays on a hit. A warm
+  /// finalize still runs the boundary expansion and the merge, so rankings
+  /// *and* `QdSessionStats` are byte-identical with the cache on or off
+  /// (docs/caching.md). The caller owns the manager and must flush it
+  /// (`BeginEpoch`) whenever the RFS snapshot changes.
   cache::CacheManager* cache = nullptr;
 };
 

@@ -164,9 +164,16 @@ std::string RfsSerializer::Serialize(const RfsTree& tree) {
     }
   }
 
-  // Per-node RFS annotations.
-  w.U64(tree.info_.size());
-  for (const auto& [id, info] : tree.info_) {
+  // Per-node RFS annotations, in ascending node id so that the bytes do
+  // not depend on hash-map order and Serialize(Decode(b)) == b. The
+  // decoder accepts any order.
+  std::vector<NodeId> ids;
+  ids.reserve(tree.info_.size());
+  for (const auto& entry : tree.info_) ids.push_back(entry.first);
+  std::sort(ids.begin(), ids.end());
+  w.U64(ids.size());
+  for (const NodeId id : ids) {
+    const RfsTree::NodeInfo& info = tree.info_.at(id);
     w.U32(id);
     w.I32(info.level);
     w.U32(info.parent);

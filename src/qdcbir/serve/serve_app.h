@@ -79,10 +79,10 @@ struct ServeOptions {
   /// low-overhead rate.
   int profile_hz = 0;
   /// Byte budget (in MiB) of the result cache shared by every session:
-  /// localized-scan rankings, finalized top-k results, and rendered
-  /// representative payloads (`/api/rep`). 0 disables caching. The cache is
-  /// flushed (new epoch) on every successful snapshot load, including
-  /// `/api/reload`, so entries never outlive the corpus they came from.
+  /// QD's localized-scan rankings and rendered representative payloads
+  /// (`/api/rep`). 0 disables caching. The cache is flushed (new epoch) on
+  /// every successful snapshot load, including `/api/reload`, so entries
+  /// never outlive the corpus they came from.
   std::size_t cache_mb = 64;
   /// Pool for snapshot loading and localized subqueries; nullptr means
   /// `ThreadPool::Global()`.

@@ -10,7 +10,9 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstring>
 #include <string>
 #include <thread>
@@ -264,6 +266,28 @@ TEST_F(HttpServerTest, PipelinedRequestsAnswerInOrder) {
   ASSERT_NE(pong, std::string::npos);
   EXPECT_LT(first, second);
   EXPECT_LT(second, pong);
+}
+
+TEST_F(HttpServerTest, PipelinedBatchesDoNotWaitForDelayedAck) {
+  // Two pipelined requests get two small responses. Without TCP_NODELAY,
+  // Nagle holds the second until the client's delayed ACK of the first
+  // arrives, and every batch takes ~40 ms instead of well under 1 ms.
+  StartServer();
+  TestClient client(server_->port());
+  ASSERT_TRUE(client.connected());
+  client.Send("GET /ping HTTP/1.1\r\n\r\n");
+  ASSERT_EQ(TestClient::CountResponses(client.ReadResponses(1)), 1u);
+  std::vector<double> batch_ms;
+  for (int batch = 0; batch < 10; ++batch) {
+    const auto start = std::chrono::steady_clock::now();
+    client.Send("GET /ping HTTP/1.1\r\n\r\nGET /ping HTTP/1.1\r\n\r\n");
+    ASSERT_EQ(TestClient::CountResponses(client.ReadResponses(2)), 2u);
+    batch_ms.push_back(std::chrono::duration<double, std::milli>(
+                           std::chrono::steady_clock::now() - start)
+                           .count());
+  }
+  std::nth_element(batch_ms.begin(), batch_ms.begin() + 5, batch_ms.end());
+  EXPECT_LT(batch_ms[5], 20.0);
 }
 
 TEST_F(HttpServerTest, BadMethodAnswers405) {

@@ -127,8 +127,8 @@ TEST_F(QdDeterminismTest, QdSessionIdenticalAtOneAndEightThreads) {
 TEST_F(QdDeterminismTest, QdSessionIdenticalWithCacheOnAndOffAcrossThreads) {
   // The cache must be invisible in the output: the scripted session run
   // through a shared CacheManager — cold on the first pass, served from
-  // cache on the second — matches the uncached baseline byte-for-byte at
-  // every thread count, and the logical cost counters match too (cache
+  // cache on every later one — matches the uncached baseline byte-for-byte
+  // at every thread count, and the logical cost counters match too (cache
   // hits replay the stat deltas of the computation they elide). The cache
   // keys embed the active SIMD level, so this holds under either
   // QDCBIR_SIMD setting; CI runs the binary under both.
@@ -140,6 +140,8 @@ TEST_F(QdDeterminismTest, QdSessionIdenticalWithCacheOnAndOffAcrossThreads) {
   for (std::size_t threads : {1u, 2u, 4u, 8u}) {
     ThreadPool pool(threads);
     for (int pass = 0; pass < 2; ++pass) {
+      const std::uint64_t leaf_hits_before =
+          cache.KindStats(cache::CacheKind::kLeafScan).hits;
       QdSessionStats stats;
       const QdResult result = RunScriptedSession(&pool, &stats, &cache);
       SCOPED_TRACE(::testing::Message()
@@ -150,10 +152,22 @@ TEST_F(QdDeterminismTest, QdSessionIdenticalWithCacheOnAndOffAcrossThreads) {
                 baseline_stats.localized_subqueries);
       EXPECT_EQ(stats.knn_candidates, baseline_stats.knn_candidates);
       EXPECT_EQ(stats.knn_nodes_visited, baseline_stats.knn_nodes_visited);
+      // A warm pass serves every subquery scan from the leaf-scan cache and
+      // recomputes only the expansion and the merge.
+      if (threads != 1 || pass != 0) {
+        EXPECT_EQ(cache.KindStats(cache::CacheKind::kLeafScan).hits -
+                      leaf_hits_before,
+                  baseline_stats.localized_subqueries);
+      }
     }
   }
   // The warm passes really were served from cache, not recomputed.
   EXPECT_GT(cache.TotalStats().hits, 0u);
+  // QD caches leaf scans only, never a finished result.
+  const cache::CacheStats topk = cache.KindStats(cache::CacheKind::kTopK);
+  EXPECT_EQ(topk.hits, 0u);
+  EXPECT_EQ(topk.misses, 0u);
+  EXPECT_EQ(topk.insertions, 0u);
 
   // Invalidation resets to cold without changing the answer.
   cache.BeginEpoch(/*snapshot_identity=*/1);

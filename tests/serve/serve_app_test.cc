@@ -832,7 +832,8 @@ TEST_F(ServeAppTest, RepeatedIdenticalQueriesServeFromCache) {
   ASSERT_FALSE(cold.empty());
   EXPECT_EQ(ResultsSlice(cold), ResultsSlice(warm));
 
-  // The warm replay hit the finalized-top-k cache, and /metrics says so.
+  // The warm replay's subqueries hit the leaf-scan cache, and /metrics
+  // says so.
   std::map<std::string, double> after = ScrapeMetrics(app.port());
   const auto delta = [&](const char* name) {
     const auto it = before.find(name);
@@ -840,7 +841,7 @@ TEST_F(ServeAppTest, RepeatedIdenticalQueriesServeFromCache) {
   };
   EXPECT_GE(delta("qdcbir_cache_hit"), 1.0);
   EXPECT_GE(delta("qdcbir_cache_miss"), 1.0);
-  EXPECT_GE(delta("qdcbir_cache_topk_hit"), 1.0);
+  EXPECT_GE(delta("qdcbir_cache_leaf_scan_hit"), 1.0);
   EXPECT_GE(delta("qdcbir_cache_insertions"), 1.0);
   EXPECT_GT(after["qdcbir_cache_bytes"], 0.0);
 
@@ -964,8 +965,8 @@ TEST_F(ServeAppTest, ReloadFlushesCacheAndRefusesWhileSessionsOpen) {
   EXPECT_NE(accepted.find("202"), std::string::npos);
   ASSERT_TRUE(app.WaitUntilReady(30000)) << app.load_error();
 
-  // The reload flushed the cache: the identical replay misses the top-k
-  // cache (no new hit) yet still returns byte-identical results.
+  // The reload flushed the cache: the identical replay misses the
+  // leaf-scan cache (no new hit) yet still returns byte-identical results.
   const std::string after_reload =
       RunScriptedHttpSession(app.port(), "reload-after");
   EXPECT_EQ(ResultsSlice(baseline), ResultsSlice(after_reload));
@@ -975,8 +976,8 @@ TEST_F(ServeAppTest, ReloadFlushesCacheAndRefusesWhileSessionsOpen) {
     return after[name] - (it == before.end() ? 0.0 : it->second);
   };
   EXPECT_GE(delta("qdcbir_cache_invalidation_flushes"), 1.0);
-  EXPECT_GE(delta("qdcbir_cache_topk_miss"), 1.0);
-  EXPECT_EQ(delta("qdcbir_cache_topk_hit"), 0.0);
+  EXPECT_GE(delta("qdcbir_cache_leaf_scan_miss"), 1.0);
+  EXPECT_EQ(delta("qdcbir_cache_leaf_scan_hit"), 0.0);
 
   StatusOr<JsonValue> queryz = ParseJson(BodyOf(Get(app.port(), "/queryz")));
   ASSERT_TRUE(queryz.ok());
