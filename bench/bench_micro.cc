@@ -11,6 +11,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "qdcbir/obs/metrics.h"
@@ -248,6 +249,28 @@ void BM_RenderRecipe(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RenderRecipe);
+
+/// The read side of a histogram, `Snap` plus `CumulativeBuckets`: what
+/// `MetricsRegistry::Snapshot` pays per histogram, and the SLO engine takes
+/// one registry snapshot per finalize. The argument is the number of
+/// threads that wrote into the histogram, each into its own shard.
+void BM_HistogramSnap(benchmark::State& state) {
+  obs::Histogram histogram;
+  std::vector<std::thread> writers;
+  for (std::int64_t t = 1; t <= state.range(0); ++t) {
+    writers.emplace_back([&histogram, t] {
+      for (std::uint64_t v = 1; v <= 1000; ++v) {
+        histogram.Record(v * static_cast<std::uint64_t>(t));
+      }
+    });
+  }
+  for (std::thread& writer : writers) writer.join();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(histogram.Snap());
+    benchmark::DoNotOptimize(histogram.CumulativeBuckets());
+  }
+}
+BENCHMARK(BM_HistogramSnap)->Arg(1)->Arg(8);
 
 /// Multimodal points (well-separated Gaussian modes) so relevance feedback
 /// decomposes into many neighborhoods; unimodal data would collapse the QD

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "qdcbir/core/status.h"
 
@@ -97,8 +98,67 @@ class SliceByteSource : public ByteSource {
   std::uint64_t length_;
 };
 
-/// CRC32C of `[offset, offset + length)` of `source`, extended over
-/// fixed-size `ReadAt` windows so the range is never held in memory whole.
+/// Sequential cursor over a `ByteSource`, read through one fixed window so
+/// a decode never holds more than `kWindowBytes` of the source: the source
+/// is read window after window, in order, and every field is copied out of
+/// the window. The first failure sticks in `status()` — `kTruncated` when a
+/// field or a declared count runs past the end (the message names `what`),
+/// or the source's own read error — and every later read fails fast.
+///
+/// With `checksum`, the CRC32C extends over each window as it is read.
+/// `Drain` reads the windows a decode did not reach, so `crc()` can cover
+/// the whole source even when the decode stopped early.
+class ByteReader {
+ public:
+  static constexpr std::size_t kWindowBytes = std::size_t{64} << 10;
+
+  /// `what` names the source in errors; it must outlive the reader.
+  ByteReader(const ByteSource& source, const char* what,
+             bool checksum = false);
+
+  std::uint64_t Remaining() const { return size_ - pos_; }
+  const Status& status() const { return status_; }
+
+  bool Raw(void* data, std::size_t n);
+  template <typename T>
+  bool Pod(T* v) {
+    return Raw(v, sizeof(T));
+  }
+  /// Reads an element count and rejects it when that many elements, at
+  /// `min_bytes_each` bytes apiece, cannot fit in the bytes left — before
+  /// the caller allocates for them.
+  bool Count(std::uint64_t* n, std::uint64_t min_bytes_each);
+  /// Reads `n` doubles into `v`, bounded by the bytes left before resizing.
+  bool Doubles(std::vector<double>* v, std::uint64_t n);
+
+  /// Reads every window the cursor has not reached and moves it to the
+  /// end. Returns the source's read error, including one that stopped an
+  /// earlier read; a field that ran past the end is not a read error.
+  Status Drain();
+
+  /// CRC32C of every window read so far (0 without `checksum`).
+  std::uint32_t crc() const { return crc_; }
+
+ private:
+  bool Fail(Status status);
+  /// Reads the next window, at `window_end_`.
+  bool ReadWindow();
+
+  const ByteSource& source_;
+  const char* const what_;
+  const bool checksum_;
+  const std::uint64_t size_;
+  std::vector<char> window_;
+  std::uint64_t pos_ = 0;           ///< source offset of the next byte
+  std::uint64_t window_start_ = 0;  ///< source offset of window_[0]
+  std::uint64_t window_end_ = 0;    ///< one past the windowed bytes
+  std::uint32_t crc_ = 0;
+  Status status_;
+  Status read_error_;
+};
+
+/// CRC32C of `[offset, offset + length)` of `source`, drained through a
+/// `ByteReader` so the range is never held in memory whole.
 StatusOr<std::uint32_t> Crc32cOfRange(const ByteSource& source,
                                       std::uint64_t offset,
                                       std::uint64_t length);

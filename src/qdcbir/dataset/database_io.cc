@@ -80,51 +80,19 @@ class Writer {
   std::string out_;
 };
 
-/// Bounds-checked cursor over a byte string. Every accessor fails (returns
-/// false) instead of reading past the end, and every length/count it
-/// consumes is validated against the bytes actually remaining *before* any
-/// allocation — a hostile embedded length can neither overflow the cursor
-/// arithmetic nor drive an outsized `resize`.
-class Reader {
- public:
-  explicit Reader(const std::string& bytes) : bytes_(bytes) {}
+/// A length-prefixed string.
+bool ReadStr(ByteReader& r, std::string* s) {
+  std::uint64_t n = 0;
+  if (!r.Count(&n, 1)) return false;
+  s->resize(static_cast<std::size_t>(n));
+  return r.Raw(s->data(), s->size());
+}
 
-  std::size_t Remaining() const { return bytes_.size() - pos_; }
-
-  bool Raw(void* data, std::size_t n) {
-    if (n > Remaining()) return false;
-    std::memcpy(data, bytes_.data() + pos_, n);
-    pos_ += n;
-    return true;
-  }
-  template <typename T>
-  bool Pod(T* v) {
-    return Raw(v, sizeof(T));
-  }
-  /// Reads an element count; rejects counts that could not possibly fit in
-  /// the remaining bytes given `min_bytes_per_elem` per element.
-  bool Count(std::uint64_t* n, std::size_t min_bytes_per_elem) {
-    if (!Pod(n)) return false;
-    return *n <= Remaining() / (min_bytes_per_elem ? min_bytes_per_elem : 1);
-  }
-  bool Str(std::string* s) {
-    std::uint64_t n = 0;
-    if (!Pod(&n) || n > Remaining()) return false;
-    s->assign(bytes_.data() + pos_, n);
-    pos_ += n;
-    return true;
-  }
-  bool Doubles(std::vector<double>* v) {
-    std::uint64_t n = 0;
-    if (!Pod(&n) || n > Remaining() / sizeof(double)) return false;
-    v->resize(n);
-    return Raw(v->data(), n * sizeof(double));
-  }
-
- private:
-  const std::string& bytes_;
-  std::size_t pos_ = 0;
-};
+/// A length-prefixed vector of doubles.
+bool ReadDoubles(ByteReader& r, std::vector<double>* v) {
+  std::uint64_t n = 0;
+  return r.Count(&n, sizeof(double)) && r.Doubles(v, n);
+}
 
 void WriteRecipe(Writer& w, const SubConceptRecipe& r) {
   w.Pod<std::int32_t>(static_cast<std::int32_t>(r.background));
@@ -154,7 +122,7 @@ void WriteRecipe(Writer& w, const SubConceptRecipe& r) {
   w.Pod(r.pixel_noise_stddev);
 }
 
-bool ReadRecipe(Reader& r, SubConceptRecipe* out) {
+bool ReadRecipe(ByteReader& r, SubConceptRecipe* out) {
   std::int32_t background = 0, texture = 0, shape = 0;
   bool ok = r.Pod(&background) && r.Pod(&out->bg_color1) &&
             r.Pod(&out->bg_color2) && r.Pod(&out->bg_noise_scale) &&
@@ -202,7 +170,7 @@ void WriteCatalogBody(Writer& w, const Catalog& catalog) {
   }
 }
 
-bool ReadCatalogBody(Reader& r, std::vector<CategorySpec>* categories,
+bool ReadCatalogBody(ByteReader& r, std::vector<CategorySpec>* categories,
                      std::vector<SubConceptSpec>* subconcepts,
                      std::vector<QueryConceptSpec>* queries) {
   std::uint64_t num_categories = 0;
@@ -215,7 +183,7 @@ bool ReadCatalogBody(Reader& r, std::vector<CategorySpec>* categories,
     CategorySpec& cat = (*categories)[c];
     cat.id = static_cast<CategoryId>(c);
     std::uint64_t subs = 0;
-    if (!r.Str(&cat.name) || !r.Count(&subs, sizeof(SubConceptId))) {
+    if (!ReadStr(r, &cat.name) || !r.Count(&subs, sizeof(SubConceptId))) {
       return false;
     }
     cat.subconcepts.resize(subs);
@@ -229,8 +197,8 @@ bool ReadCatalogBody(Reader& r, std::vector<CategorySpec>* categories,
   for (std::uint64_t s = 0; s < num_subs; ++s) {
     SubConceptSpec& sub = (*subconcepts)[s];
     sub.id = static_cast<SubConceptId>(s);
-    if (!r.Pod(&sub.category) || !r.Str(&sub.name) || !r.Pod(&sub.weight) ||
-        !ReadRecipe(r, &sub.recipe)) {
+    if (!r.Pod(&sub.category) || !ReadStr(r, &sub.name) ||
+        !r.Pod(&sub.weight) || !ReadRecipe(r, &sub.recipe)) {
       return false;
     }
   }
@@ -239,11 +207,12 @@ bool ReadCatalogBody(Reader& r, std::vector<CategorySpec>* categories,
   queries->resize(num_queries);
   for (auto& q : *queries) {
     std::uint64_t subs = 0;
-    if (!r.Str(&q.name) || !r.Count(&subs, 16)) return false;
+    if (!ReadStr(r, &q.name) || !r.Count(&subs, 16)) return false;
     q.subconcepts.resize(subs);
     for (auto& qs : q.subconcepts) {
       std::uint64_t members = 0;
-      if (!r.Str(&qs.name) || !r.Count(&members, sizeof(SubConceptId))) {
+      if (!ReadStr(r, &qs.name) ||
+          !r.Count(&members, sizeof(SubConceptId))) {
         return false;
       }
       qs.members.resize(members);
@@ -260,14 +229,18 @@ void WriteFeatureTable(Writer& w, const std::vector<FeatureVector>& table) {
   for (const FeatureVector& f : table) w.Doubles(f.values());
 }
 
-bool ReadFeatureTable(Reader& r, std::vector<FeatureVector>* table) {
+/// Reads a feature table row by row. Every row must have the first row's
+/// length: the store, its blocked table and every distance kernel take one
+/// dimensionality from row 0.
+bool ReadFeatureTable(ByteReader& r, std::vector<FeatureVector>* table) {
   std::uint64_t n = 0;
   if (!r.Count(&n, sizeof(std::uint64_t))) return false;
   table->clear();
   table->reserve(n);
   for (std::uint64_t i = 0; i < n; ++i) {
     std::vector<double> values;
-    if (!r.Doubles(&values)) return false;
+    if (!ReadDoubles(r, &values)) return false;
+    if (i > 0 && values.size() != table->front().dim()) return false;
     table->emplace_back(std::move(values));
   }
   return true;
@@ -282,7 +255,7 @@ void WriteRecords(Writer& w, const std::vector<ImageRecord>& records) {
   }
 }
 
-bool ReadRecords(Reader& r, std::vector<ImageRecord>* records) {
+bool ReadRecords(ByteReader& r, std::vector<ImageRecord>* records) {
   std::uint64_t n = 0;
   if (!r.Count(&n, 16)) return false;  // 4 + 4 + 8 bytes per record
   records->resize(n);
@@ -446,9 +419,63 @@ Status VerifyRfsChunk(const ByteSource& src, const DirEntry& e) {
   return Status::Ok();
 }
 
-/// Reads one chunk's payload from `src`, verifies its CRC32C and decodes it
-/// into `st`. Runs on a pool lane during async loads; touches only this
-/// chunk's staging slot.
+/// Decodes the body of chunk `e` from `r` into `st`: kCorrupt when it is
+/// malformed, Ok for a chunk id this build does not read (`known` false),
+/// which is left unread. A read error stays in `r` for `Drain` to report.
+Status DecodeChunkBody(const DirEntry& e, ByteReader& r, Staging* st,
+                       bool* known) {
+  const auto malformed = [&e] {
+    return Status::Corrupt("chunk " + ChunkIdToString(e.id) + " malformed");
+  };
+  // A body must fill its chunk exactly.
+  const auto whole = [&r](bool decoded) {
+    return decoded && r.Remaining() == 0;
+  };
+  *known = true;
+  if (e.id == kChunkCatalog) {
+    st->has_catalog = whole(ReadCatalogBody(r, &st->categories,
+                                            &st->subconcepts, &st->queries));
+    return st->has_catalog ? Status::Ok() : malformed();
+  }
+  if (e.id == kChunkMeta) {
+    st->has_meta = whole(r.Pod(&st->width) && r.Pod(&st->height) &&
+                         r.Pod(&st->record_count) &&
+                         r.Pod(&st->channels_flag));
+    return st->has_meta ? Status::Ok() : malformed();
+  }
+  if (e.id == kChunkRecords) {
+    st->has_records = whole(ReadRecords(r, &st->records));
+    return st->has_records ? Status::Ok() : malformed();
+  }
+  for (int c = 0; c < kNumViewpointChannels; ++c) {
+    if (e.id == FeatureChunkId(c)) {
+      st->has_table[c] = whole(ReadFeatureTable(r, &st->tables[c]));
+      return st->has_table[c] ? Status::Ok() : malformed();
+    }
+    if (e.id == NormalizerChunkId(c)) {
+      std::string payload(static_cast<std::size_t>(e.length), '\0');
+      if (!r.Raw(payload.data(), payload.size())) return malformed();
+      StatusOr<FeatureNormalizer> n = FeatureNormalizer::Deserialize(payload);
+      if (!n.ok()) {
+        return Status::Corrupt("chunk " + ChunkIdToString(e.id) + ": " +
+                               n.status().message());
+      }
+      st->norms[c] = std::move(n).value();
+      st->has_norm[c] = true;
+      return Status::Ok();
+    }
+  }
+  *known = false;
+  return Status::Ok();
+}
+
+/// Reads one chunk from `src`, verifies its CRC32C and decodes it into
+/// `st`. The body decodes as its `ByteReader` windows arrive and the
+/// checksum extends over the same windows, so no chunk is held whole. The
+/// reader then drains what the decode left, and the errors keep their
+/// precedence: a read error, then a checksum mismatch, then a malformed
+/// body. Runs on a pool lane during async loads; touches only this chunk's
+/// staging slot.
 Status ReadAndDecodeChunk(const ByteSource& src, const DirEntry& e,
                           bool verify, Staging* st) {
   IoLoadMetrics& metrics = IoLoadMetrics::Get();
@@ -462,68 +489,19 @@ Status ReadAndDecodeChunk(const ByteSource& src, const DirEntry& e,
     metrics.bytes.Add(e.length);
     return VerifyRfsChunk(src, e);
   }
-  std::string payload;
-  payload.resize(e.length);
-  {
-    QDCBIR_SPAN("io.load.read");
-    QDCBIR_RETURN_IF_ERROR(src.ReadAt(e.offset, e.length, payload.data()));
-  }
-  metrics.bytes.Add(e.length);
-  if (verify) {
-    QDCBIR_SPAN("io.load.crc");
-    if (Crc32c::Compute(payload) != e.crc) {
-      metrics.crc_failures.Add(1);
-      return Status::Corrupt("chunk " + ChunkIdToString(e.id) +
-                             " checksum mismatch");
-    }
-  }
-
   QDCBIR_SPAN("io.load.decode");
-  Reader r(payload);
-  const auto malformed = [&e] {
-    return Status::Corrupt("chunk " + ChunkIdToString(e.id) + " malformed");
-  };
+  const SliceByteSource chunk(src, e.offset, e.length);
+  ByteReader r(chunk, "snapshot chunk", /*checksum=*/verify);
   bool known = true;
-  if (e.id == kChunkCatalog) {
-    if (!ReadCatalogBody(r, &st->categories, &st->subconcepts,
-                         &st->queries) ||
-        r.Remaining() != 0) {
-      return malformed();
-    }
-    st->has_catalog = true;
-  } else if (e.id == kChunkMeta) {
-    if (!r.Pod(&st->width) || !r.Pod(&st->height) ||
-        !r.Pod(&st->record_count) || !r.Pod(&st->channels_flag) ||
-        r.Remaining() != 0) {
-      return malformed();
-    }
-    st->has_meta = true;
-  } else if (e.id == kChunkRecords) {
-    if (!ReadRecords(r, &st->records) || r.Remaining() != 0) {
-      return malformed();
-    }
-    st->has_records = true;
-  } else {
-    known = false;
-    for (int c = 0; c < kNumViewpointChannels; ++c) {
-      if (e.id == FeatureChunkId(c)) {
-        if (!ReadFeatureTable(r, &st->tables[c]) || r.Remaining() != 0) {
-          return malformed();
-        }
-        st->has_table[c] = true;
-        known = true;
-      } else if (e.id == NormalizerChunkId(c)) {
-        StatusOr<FeatureNormalizer> n = FeatureNormalizer::Deserialize(payload);
-        if (!n.ok()) {
-          return Status::Corrupt("chunk " + ChunkIdToString(e.id) + ": " +
-                                 n.status().message());
-        }
-        st->norms[c] = std::move(n).value();
-        st->has_norm[c] = true;
-        known = true;
-      }
-    }
+  const Status body = DecodeChunkBody(e, r, st, &known);
+  QDCBIR_RETURN_IF_ERROR(r.Drain());
+  metrics.bytes.Add(e.length);
+  if (verify && r.crc() != e.crc) {
+    metrics.crc_failures.Add(1);
+    return Status::Corrupt("chunk " + ChunkIdToString(e.id) +
+                           " checksum mismatch");
   }
+  QDCBIR_RETURN_IF_ERROR(body);
   if (known) {
     metrics.chunks.Add(1);
   } else {
@@ -538,25 +516,28 @@ Status ReadAndDecodeChunk(const ByteSource& src, const DirEntry& e,
 /// `SerializeDatabase`), with the same hardened bounds checks as v2.
 /// Decodes into `Staging`; the shared assembly in `LoadDatabaseFrom`
 /// performs the cross-section validation for both versions.
-Status DecodeV1(const std::string& bytes, Staging* st) {
+Status DecodeV1(const ByteSource& src, Staging* st) {
   QDCBIR_SPAN("io.load.v1");
-  const auto truncated = [] {
-    return Status::Truncated("truncated v1 database blob");
+  ByteReader r(src, "v1 database blob");
+  // The reader's status says why a read failed (the blob ended, or the
+  // source's own error); a failure without one is an inconsistent body.
+  const auto failed = [&r] {
+    return r.status().ok() ? Status::Corrupt("malformed v1 database blob")
+                           : r.status();
   };
-  Reader r(bytes);
   char magic[kMagicLen];
-  if (!r.Raw(magic, kMagicLen) ||
-      std::memcmp(magic, kDatabaseMagicV1, kMagicLen) != 0) {
+  if (!r.Raw(magic, kMagicLen)) return failed();
+  if (std::memcmp(magic, kDatabaseMagicV1, kMagicLen) != 0) {
     return Status::Corrupt("not a v1 database blob (bad magic)");
   }
   if (!ReadCatalogBody(r, &st->categories, &st->subconcepts, &st->queries)) {
-    return truncated();
+    return failed();
   }
   st->has_catalog = true;
   std::uint64_t num_records = 0;
   if (!r.Pod(&st->width) || !r.Pod(&st->height) ||
       !r.Count(&num_records, 16)) {
-    return truncated();
+    return failed();
   }
   st->records.resize(num_records);
   for (std::uint64_t i = 0; i < num_records; ++i) {
@@ -564,25 +545,25 @@ Status DecodeV1(const std::string& bytes, Staging* st) {
     rec.id = static_cast<ImageId>(i);
     if (!r.Pod(&rec.subconcept) || !r.Pod(&rec.category) ||
         !r.Pod(&rec.render_seed)) {
-      return truncated();
+      return failed();
     }
   }
   st->has_records = true;
   st->record_count = num_records;
-  if (!ReadFeatureTable(r, &st->tables[0])) return truncated();
+  if (!ReadFeatureTable(r, &st->tables[0])) return failed();
   st->has_table[0] = true;
 
-  if (!r.Pod(&st->channels_flag)) return truncated();
+  if (!r.Pod(&st->channels_flag)) return failed();
   if (st->channels_flag) {
     for (int c = 1; c < kNumViewpointChannels; ++c) {
-      if (!ReadFeatureTable(r, &st->tables[c])) return truncated();
+      if (!ReadFeatureTable(r, &st->tables[c])) return failed();
       st->has_table[c] = true;
     }
   }
   std::string normalizer_blob;
   const int num_norms = st->channels_flag ? kNumViewpointChannels : 1;
   for (int c = 0; c < num_norms; ++c) {
-    if (!r.Str(&normalizer_blob)) return truncated();
+    if (!ReadStr(r, &normalizer_blob)) return failed();
     StatusOr<FeatureNormalizer> n =
         FeatureNormalizer::Deserialize(normalizer_blob);
     if (!n.ok()) {
@@ -595,11 +576,6 @@ Status DecodeV1(const std::string& bytes, Staging* st) {
   return Status::Ok();
 }
 
-Status ReadAll(const ByteSource& src, std::string* out) {
-  out->resize(src.Size());
-  return src.ReadAt(0, out->size(), out->data());
-}
-
 }  // namespace
 
 std::string DatabaseIo::SerializeCatalog(const Catalog& catalog) {
@@ -610,7 +586,8 @@ std::string DatabaseIo::SerializeCatalog(const Catalog& catalog) {
 }
 
 StatusOr<Catalog> DatabaseIo::DeserializeCatalog(const std::string& bytes) {
-  Reader r(bytes);
+  const MemoryByteSource source(bytes);
+  ByteReader r(source, "catalog blob");
   char magic[kMagicLen];
   if (!r.Raw(magic, kMagicLen) ||
       std::memcmp(magic, kCatalogMagic, kMagicLen) != 0) {
@@ -739,9 +716,7 @@ StatusOr<ImageDatabase> DatabaseIo::LoadDatabaseFrom(
 
   Staging st;
   if (dir->version == 1) {
-    std::string bytes;
-    QDCBIR_RETURN_IF_ERROR(ReadAll(source, &bytes));
-    QDCBIR_RETURN_IF_ERROR(DecodeV1(bytes, &st));
+    QDCBIR_RETURN_IF_ERROR(DecodeV1(source, &st));
   } else {
     const std::vector<DirEntry>& entries = dir->entries;
     std::vector<Status> statuses(entries.size());
@@ -812,6 +787,12 @@ StatusOr<ImageDatabase> DatabaseIo::LoadDatabaseFrom(
     if (channels) {
       if (st.tables[c].size() != db.records_.size()) {
         return Status::Corrupt("channel feature table size mismatch");
+      }
+      // Each table's rows share one length (`ReadFeatureTable`); a channel
+      // is compared with queries of the main table's dimensionality.
+      if (!st.tables[c].empty() &&
+          st.tables[c].front().dim() != st.tables[0].front().dim()) {
+        return Status::Corrupt("channel feature table dimension mismatch");
       }
       db.channel_normalizers_[c] = std::move(st.norms[c]);
     }

@@ -77,13 +77,13 @@ Rect RStarTree::ComputeNodeRect(const Node& n) const {
   if (n.IsLeaf()) {
     for (const Entry& e : n.entries) rect.Extend(point(e.data));
   } else {
-    for (const Entry& e : n.entries) rect.Extend(e.rect);
+    for (const Entry& e : n.entries) rect.Extend(node(e.child).rect);
   }
   return rect;
 }
 
 Rect RStarTree::EntryRect(const Entry& entry, int level) const {
-  return level == 0 ? Rect(point(entry.data)) : entry.rect;
+  return level == 0 ? Rect(point(entry.data)) : node(entry.child).rect;
 }
 
 Rect RStarTree::NodeRect(NodeId id) const { return ComputeNodeRect(node(id)); }
@@ -122,15 +122,16 @@ NodeId RStarTree::ChooseSubtree(const Rect& rect, int target_level,
       double best_enlarge = std::numeric_limits<double>::infinity();
       double best_area = std::numeric_limits<double>::infinity();
       for (std::size_t i = 0; i < n.entries.size(); ++i) {
-        const Rect grown = Rect::Union(n.entries[i].rect, rect);
+        const Rect& child = node(n.entries[i].child).rect;
+        const Rect grown = Rect::Union(child, rect);
         double overlap_delta = 0.0;
         for (std::size_t j = 0; j < n.entries.size(); ++j) {
           if (j == i) continue;
-          overlap_delta += grown.Overlap(n.entries[j].rect) -
-                           n.entries[i].rect.Overlap(n.entries[j].rect);
+          const Rect& other = node(n.entries[j].child).rect;
+          overlap_delta += grown.Overlap(other) - child.Overlap(other);
         }
-        const double enlarge = n.entries[i].rect.Enlargement(rect);
-        const double area = n.entries[i].rect.Area();
+        const double enlarge = child.Enlargement(rect);
+        const double area = child.Area();
         if (overlap_delta < best_overlap ||
             (overlap_delta == best_overlap && enlarge < best_enlarge) ||
             (overlap_delta == best_overlap && enlarge == best_enlarge &&
@@ -146,8 +147,9 @@ NodeId RStarTree::ChooseSubtree(const Rect& rect, int target_level,
       double best_enlarge = std::numeric_limits<double>::infinity();
       double best_area = std::numeric_limits<double>::infinity();
       for (std::size_t i = 0; i < n.entries.size(); ++i) {
-        const double enlarge = n.entries[i].rect.Enlargement(rect);
-        const double area = n.entries[i].rect.Area();
+        const Rect& child = node(n.entries[i].child).rect;
+        const double enlarge = child.Enlargement(rect);
+        const double area = child.Area();
         if (enlarge < best_enlarge ||
             (enlarge == best_enlarge && area < best_area)) {
           best_enlarge = enlarge;
@@ -163,19 +165,12 @@ NodeId RStarTree::ChooseSubtree(const Rect& rect, int target_level,
 }
 
 void RStarTree::AdjustPathRects(const std::vector<NodeId>& path) {
-  // Walk from the deepest node to the root, refreshing each parent's entry.
-  for (std::size_t i = path.size(); i-- > 1;) {
-    const NodeId child = path[i];
-    const NodeId parent = path[i - 1];
-    Node& p = mutable_node(parent);
-    for (Entry& e : p.entries) {
-      if (e.child == child) {
-        e.rect = ComputeNodeRect(node(child));
-        break;
-      }
-    }
-  }
+  // Walk from the deepest node up to the root's children; the root has no
+  // parent entry to refresh.
+  for (std::size_t i = path.size(); i-- > 1;) RefreshRect(path[i]);
 }
+
+void RStarTree::RefreshRect(NodeId id) { mutable_node(id).rect = NodeRect(id); }
 
 void RStarTree::ReparentChildren(NodeId id) {
   const Node& n = node(id);
@@ -222,7 +217,7 @@ void RStarTree::ForcedReinsert(NodeId node_id, std::vector<NodeId>& path,
   for (std::size_t i = 0; i < n.entries.size(); ++i) {
     const Entry& e = n.entries[i];
     dist[i] = n.IsLeaf() ? SquaredL2(point(e.data), center)
-                         : SquaredL2(e.rect.Center(), center);
+                         : SquaredL2(node(e.child).rect.Center(), center);
   }
   std::sort(order.begin(), order.end(),
             [&](std::size_t a, std::size_t b) { return dist[a] > dist[b]; });
@@ -390,12 +385,13 @@ void RStarTree::Split(NodeId node_id, std::vector<NodeId>& path,
   ReparentChildren(node_id);
   ReparentChildren(sibling_id);
 
+  RefreshRect(node_id);
+  RefreshRect(sibling_id);
   if (node_id == root_) {
     const NodeId new_root = AllocateNode(node(node_id).level + 1);
     Node& r = mutable_node(new_root);
-    r.entries.push_back(Entry{NodeRect(node_id), node_id, kInvalidImageId});
-    r.entries.push_back(Entry{NodeRect(sibling_id), sibling_id,
-                              kInvalidImageId});
+    r.entries.push_back(Entry{node_id, kInvalidImageId});
+    r.entries.push_back(Entry{sibling_id, kInvalidImageId});
     parent_[node_id] = new_root;
     parent_[sibling_id] = new_root;
     root_ = new_root;
@@ -404,13 +400,7 @@ void RStarTree::Split(NodeId node_id, std::vector<NodeId>& path,
 
   const NodeId parent_id = parent_[node_id];
   Node& p = mutable_node(parent_id);
-  for (Entry& e : p.entries) {
-    if (e.child == node_id) {
-      e.rect = NodeRect(node_id);
-      break;
-    }
-  }
-  p.entries.push_back(Entry{NodeRect(sibling_id), sibling_id, kInvalidImageId});
+  p.entries.push_back(Entry{sibling_id, kInvalidImageId});
   parent_[sibling_id] = parent_id;
 
   // Refresh ancestors' rects: the path ends at node_id; drop it so the path
@@ -447,7 +437,9 @@ Status RStarTree::Delete(ImageId id) {
       }
     } else {
       for (const Entry& e : n.entries) {
-        if (e.rect.ContainsPoint(target)) stack.push_back(e.child);
+        if (node(e.child).rect.ContainsPoint(target)) {
+          stack.push_back(e.child);
+        }
       }
     }
   }
@@ -490,12 +482,7 @@ Status RStarTree::Delete(ImageId id) {
       }
       FreeNode(nid);
     } else {
-      for (Entry& e : p.entries) {
-        if (e.child == nid) {
-          e.rect = NodeRect(nid);
-          break;
-        }
-      }
+      RefreshRect(nid);
     }
     nid = pid;
   }
@@ -528,7 +515,7 @@ std::vector<ImageId> RStarTree::RangeSearch(const Rect& range) const {
     for (const Entry& e : n.entries) {
       if (n.IsLeaf()) {
         if (range.ContainsPoint(point(e.data))) out.push_back(e.data);
-      } else if (range.Intersects(e.rect)) {
+      } else if (range.Intersects(node(e.child).rect)) {
         stack.push_back(e.child);
       }
     }
@@ -580,8 +567,8 @@ std::vector<KnnMatch> RStarTree::KnnSearchInSubtree(
         heap.push(Item{Rect::MinDistSquared(p, p, query), true,
                        kInvalidNodeId, e.data});
       } else {
-        heap.push(Item{e.rect.MinDistSquared(query), false, e.child,
-                       kInvalidImageId});
+        heap.push(Item{node(e.child).rect.MinDistSquared(query), false,
+                       e.child, kInvalidImageId});
       }
     }
   }
@@ -664,9 +651,6 @@ Status RStarTree::CheckInvariants() const {
         if (e.data >= store_->size()) {
           return Status::Internal("leaf entry is not a row of the store");
         }
-        if (!e.rect.empty()) {
-          return Status::Internal("leaf entry carries a rect");
-        }
         ++data_count;
       } else {
         if (e.child == kInvalidNodeId) {
@@ -678,8 +662,8 @@ Status RStarTree::CheckInvariants() const {
         if (parent_[e.child] != nid) {
           return Status::Internal("parent pointer mismatch");
         }
-        if (!(e.rect == NodeRect(e.child))) {
-          return Status::Internal("stale MBR in parent entry");
+        if (!(node(e.child).rect == NodeRect(e.child))) {
+          return Status::Internal("stale MBR on a child node");
         }
         stack.push_back(e.child);
       }

@@ -43,12 +43,12 @@ struct SearchStats {
 /// R*-tree (Beckmann, Kriegel, Schneider, Seeger; SIGMOD'90) over point data
 /// in a feature space of fixed (but runtime-chosen) dimensionality.
 ///
-/// The tree indexes a shared feature store; leaf entries are row ids. A
-/// leaf entry holds only its image id, which is the row of `store()` that
-/// is its point, so indexing a corpus adds no copy of its features. Every
-/// use of leaf geometry (MINDIST, range tests, split and reinsert
-/// heuristics, `NodeRect`) reads the store row. Internal entries hold their
-/// child's MBR.
+/// The tree indexes a shared feature store. An entry is a reference and
+/// holds no geometry: a leaf entry is its image id, the row of `store()`
+/// that is its point, so indexing a corpus adds no copy of its features;
+/// an internal entry is its child's node id, and the child node owns its
+/// MBR (`Node::rect`). Every use of leaf geometry (MINDIST, range tests,
+/// split and reinsert heuristics, `NodeRect`) reads the store row.
 ///
 /// This is the hierarchical clustering substrate of the paper's RFS
 /// structure: every tree node is a cluster of images, and the RFS builder
@@ -60,7 +60,6 @@ class RStarTree {
  public:
   /// An entry of an internal node (child subtree) or leaf node (data point).
   struct Entry {
-    Rect rect;                       ///< child MBR; empty on leaf entries
     NodeId child = kInvalidNodeId;   ///< valid for internal entries
     ImageId data = kInvalidImageId;  ///< valid for leaf entries: store row
   };
@@ -68,6 +67,10 @@ class RStarTree {
   /// A tree node. `level` 0 means leaf.
   struct Node {
     int level = 0;
+    /// The node's MBR as the entry in its parent sees it: refreshed
+    /// whenever the tree refreshes that entry. The root has no parent
+    /// entry, so its `rect` is not kept current (use `NodeRect`).
+    Rect rect;
     std::vector<Entry> entries;
     bool IsLeaf() const { return level == 0; }
   };
@@ -176,8 +179,8 @@ class RStarTree {
   void Split(NodeId node_id, std::vector<NodeId>& path,
              std::vector<bool>& reinsert_done);
 
-  /// The rect of an entry of a node at `level`: the child MBR, or the
-  /// degenerate rect of the leaf entry's store row (built on demand).
+  /// The rect of an entry of a node at `level`: the child node's MBR, or
+  /// the degenerate rect of the leaf entry's store row (built on demand).
   Rect EntryRect(const Entry& entry, int level) const;
 
   /// R* split heuristics over the rects of the overflowing node's entries.
@@ -189,6 +192,8 @@ class RStarTree {
 
   /// Recomputes MBRs along `path` after a child changed.
   void AdjustPathRects(const std::vector<NodeId>& path);
+  /// Recomputes the MBR of node `id` from its entries.
+  void RefreshRect(NodeId id);
 
   /// Rebuilds the parent map entry for all children of `id`.
   void ReparentChildren(NodeId id);

@@ -115,8 +115,9 @@ StatusOr<RStarTree> BulkLoadRStarTree(std::shared_ptr<const FeatureStore> store,
       e.data = ids[indices[i]];
       n.entries.push_back(std::move(e));
     }
+    tree.RefreshRect(nid);
     level_nodes.push_back(nid);
-    level_centers.push_back(tree.NodeRect(nid).Center());
+    level_centers.push_back(n.rect.Center());
   }
 
   // --- Upper levels ------------------------------------------------------
@@ -140,13 +141,13 @@ StatusOr<RStarTree> BulkLoadRStarTree(std::shared_ptr<const FeatureStore> store,
       for (std::size_t i = begin; i < end; ++i) {
         const NodeId child = level_nodes[node_indices[i]];
         RStarTree::Entry e;
-        e.rect = tree.NodeRect(child);
         e.child = child;
         n.entries.push_back(std::move(e));
         tree.parent_[child] = nid;
       }
+      tree.RefreshRect(nid);
       next_nodes.push_back(nid);
-      next_centers.push_back(tree.NodeRect(nid).Center());
+      next_centers.push_back(n.rect.Center());
     }
     level_nodes = std::move(next_nodes);
     level_centers = std::move(next_centers);

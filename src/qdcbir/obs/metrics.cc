@@ -36,13 +36,43 @@ std::uint64_t Histogram::BucketUpperBound(std::size_t bucket) {
   return lower + width - 1;
 }
 
+Histogram::~Histogram() {
+  for (std::atomic<Shard*>& slot : shards_) {
+    delete slot.load(std::memory_order_relaxed);
+  }
+}
+
+std::size_t Histogram::AllocatedShards() const {
+  std::size_t n = 0;
+  for (const std::atomic<Shard*>& slot : shards_) {
+    if (slot.load(std::memory_order_acquire) != nullptr) ++n;
+  }
+  return n;
+}
+
+Histogram::Shard& Histogram::WriteShard() {
+  std::atomic<Shard*>& slot = shards_[internal::ShardIndex(kShards)];
+  Shard* shard = slot.load(std::memory_order_acquire);
+  if (shard != nullptr) return *shard;
+  // Threads sharing the slot may race to allocate it: one CAS publishes a
+  // shard, and the losers free theirs and write into the winner's.
+  Shard* fresh = new Shard();
+  if (slot.compare_exchange_strong(shard, fresh, std::memory_order_acq_rel,
+                                   std::memory_order_acquire)) {
+    return *fresh;
+  }
+  delete fresh;
+  return *shard;
+}
+
 std::vector<std::pair<std::uint64_t, std::uint64_t>>
 Histogram::CumulativeBuckets() const {
   std::uint64_t merged[kNumBuckets] = {};
-  for (std::size_t s = 0; s < kShards; ++s) {
-    const Shard& shard = shards_[s];
+  for (const std::atomic<Shard*>& slot : shards_) {
+    const Shard* shard = slot.load(std::memory_order_acquire);
+    if (shard == nullptr) continue;
     for (std::size_t b = 0; b < kNumBuckets; ++b) {
-      merged[b] += shard.buckets[b].load(std::memory_order_relaxed);
+      merged[b] += shard->buckets[b].load(std::memory_order_relaxed);
     }
   }
   std::vector<std::pair<std::uint64_t, std::uint64_t>> out;
@@ -56,7 +86,7 @@ Histogram::CumulativeBuckets() const {
 }
 
 void Histogram::Record(std::uint64_t value) {
-  Shard& shard = shards_[internal::ShardIndex(kShards)];
+  Shard& shard = WriteShard();
   shard.buckets[BucketOf(value)].fetch_add(1, std::memory_order_relaxed);
   shard.count.fetch_add(1, std::memory_order_relaxed);
   shard.sum.fetch_add(value, std::memory_order_relaxed);
@@ -74,15 +104,16 @@ Histogram::Snapshot Histogram::Snap() const {
   std::uint64_t merged[kNumBuckets] = {};
   Snapshot snap;
   snap.min = ~std::uint64_t{0};
-  for (std::size_t s = 0; s < kShards; ++s) {
-    const Shard& shard = shards_[s];
+  for (const std::atomic<Shard*>& slot : shards_) {
+    const Shard* shard = slot.load(std::memory_order_acquire);
+    if (shard == nullptr) continue;
     for (std::size_t b = 0; b < kNumBuckets; ++b) {
-      merged[b] += shard.buckets[b].load(std::memory_order_relaxed);
+      merged[b] += shard->buckets[b].load(std::memory_order_relaxed);
     }
-    snap.count += shard.count.load(std::memory_order_relaxed);
-    snap.sum += shard.sum.load(std::memory_order_relaxed);
-    const std::uint64_t mn = shard.min.load(std::memory_order_relaxed);
-    const std::uint64_t mx = shard.max.load(std::memory_order_relaxed);
+    snap.count += shard->count.load(std::memory_order_relaxed);
+    snap.sum += shard->sum.load(std::memory_order_relaxed);
+    const std::uint64_t mn = shard->min.load(std::memory_order_relaxed);
+    const std::uint64_t mx = shard->max.load(std::memory_order_relaxed);
     if (mn < snap.min) snap.min = mn;
     if (mx > snap.max) snap.max = mx;
   }
@@ -121,15 +152,16 @@ Histogram::Snapshot Histogram::Snap() const {
 }
 
 void Histogram::Clear() {
-  for (std::size_t s = 0; s < kShards; ++s) {
-    Shard& shard = shards_[s];
+  for (std::atomic<Shard*>& slot : shards_) {
+    Shard* shard = slot.load(std::memory_order_acquire);
+    if (shard == nullptr) continue;
     for (std::size_t b = 0; b < kNumBuckets; ++b) {
-      shard.buckets[b].store(0, std::memory_order_relaxed);
+      shard->buckets[b].store(0, std::memory_order_relaxed);
     }
-    shard.count.store(0, std::memory_order_relaxed);
-    shard.sum.store(0, std::memory_order_relaxed);
-    shard.min.store(~std::uint64_t{0}, std::memory_order_relaxed);
-    shard.max.store(0, std::memory_order_relaxed);
+    shard->count.store(0, std::memory_order_relaxed);
+    shard->sum.store(0, std::memory_order_relaxed);
+    shard->min.store(~std::uint64_t{0}, std::memory_order_relaxed);
+    shard->max.store(0, std::memory_order_relaxed);
   }
 }
 

@@ -19,7 +19,9 @@ namespace obs {
 
 /// Hot-path metric primitives. Every mutation lands in a per-thread shard
 /// (cache-line padded, relaxed atomics), so recording from the thread pool's
-/// workers never contends; readers merge the shards into a snapshot.
+/// workers never contends; readers merge the shards into a snapshot. A
+/// histogram's shards are allocated by the first write that lands in them,
+/// so only the shards of threads that record hold memory.
 ///
 /// Naming scheme (see docs/observability.md):
 ///   `<subsystem>.<object>.<measure>[_<unit>]`, e.g. `pool.task.wait_ns`,
@@ -131,7 +133,8 @@ class Gauge {
 /// 8 sub-buckets per power of two, so any recorded value lands in a bucket
 /// whose width is at most 1/8 of its magnitude — percentile estimates carry
 /// a bounded ~6% relative error. Values are non-negative integers
-/// (conventionally nanoseconds).
+/// (conventionally nanoseconds). A shard (~4 KiB of buckets) exists once a
+/// thread mapped to it records; reads merge the written shards only.
 class Histogram {
  public:
   static constexpr std::size_t kShards = 8;
@@ -139,6 +142,11 @@ class Histogram {
   static constexpr std::size_t kSubBuckets = std::size_t{1} << kSubBits;
   /// Buckets 0..7 are exact; each further octave (up to 2^63) adds 8.
   static constexpr std::size_t kNumBuckets = (64 - kSubBits + 1) * kSubBuckets;
+
+  Histogram() = default;
+  ~Histogram();
+  Histogram(const Histogram&) = delete;
+  Histogram& operator=(const Histogram&) = delete;
 
   void Record(std::uint64_t value);
 
@@ -179,6 +187,9 @@ class Histogram {
 
   void Clear();
 
+  /// Shards allocated so far: one per distinct shard slot that recorded.
+  std::size_t AllocatedShards() const;
+
  private:
   struct alignas(64) Shard {
     std::atomic<std::uint64_t> buckets[kNumBuckets];
@@ -188,7 +199,12 @@ class Histogram {
     std::atomic<std::uint64_t> max{0};
   };
 
-  std::unique_ptr<Shard[]> shards_ = std::make_unique<Shard[]>(kShards);
+  /// The calling thread's shard, allocated on its first write.
+  Shard& WriteShard();
+
+  /// Null until a thread mapped to the slot records; published with one
+  /// CAS and never freed before the histogram.
+  std::atomic<Shard*> shards_[kShards] = {};
 };
 
 /// What a metric *is*, beyond its merged value: the exposition metadata

@@ -202,8 +202,9 @@ StatusOr<RStarTree> ClusteredTreeBuilder::Build(
       e.data = ids[i];
       node.entries.push_back(std::move(e));
     }
+    tree.RefreshRect(nid);
     level_nodes.push_back(nid);
-    level_centers.push_back(tree.NodeRect(nid).Center());
+    level_centers.push_back(node.rect.Center());
   }
 
   // --- Upper levels ------------------------------------------------------
@@ -223,13 +224,13 @@ StatusOr<RStarTree> ClusteredTreeBuilder::Build(
       for (const std::size_t i : g.members) {
         const NodeId child = level_nodes[i];
         RStarTree::Entry e;
-        e.rect = tree.NodeRect(child);
         e.child = child;
         node.entries.push_back(std::move(e));
         tree.parent_[child] = nid;
       }
+      tree.RefreshRect(nid);
       next_nodes.push_back(nid);
-      next_centers.push_back(tree.NodeRect(nid).Center());
+      next_centers.push_back(node.rect.Center());
     }
     level_nodes = std::move(next_nodes);
     level_centers = std::move(next_centers);

@@ -4,6 +4,8 @@
 #include <cstring>
 #include <fstream>
 #include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "qdcbir/dataset/database_io.h"
 #include "qdcbir/obs/span.h"
@@ -14,9 +16,6 @@ namespace {
 
 constexpr char kMagic[] = "QDRFS001";
 constexpr std::size_t kMagicLen = 8;
-/// Decode buffer size: large enough that a 15k-image RFS file costs a few
-/// hundred reads, small next to the tree it decodes into.
-constexpr std::size_t kBufferBytes = std::size_t{64} << 10;
 
 class Writer {
  public:
@@ -38,87 +37,6 @@ class Writer {
 
  private:
   std::string out_;
-};
-
-/// Sequential cursor over a `ByteSource`, read through one fixed-size
-/// buffer so a decode never holds more than `kBufferBytes` of the source.
-/// The first failure sticks in `status()` (`kTruncated` when a field or a
-/// declared count runs past the end, or the source's own read error) and
-/// every later read fails fast.
-class Reader {
- public:
-  explicit Reader(const ByteSource& source)
-      : source_(source),
-        size_(source.Size()),
-        buffer_(static_cast<std::size_t>(
-            std::min<std::uint64_t>(size_, kBufferBytes))) {}
-
-  std::uint64_t Remaining() const { return size_ - pos_; }
-  const Status& status() const { return status_; }
-
-  bool Raw(void* data, std::size_t n) {
-    if (!status_.ok()) return false;
-    if (n > Remaining()) {
-      return Fail(Status::Truncated("RFS blob ends inside a field"));
-    }
-    char* out = static_cast<char*>(data);
-    while (n > 0) {
-      if (pos_ == window_end_ && !Refill()) return false;
-      const std::size_t take = static_cast<std::size_t>(
-          std::min<std::uint64_t>(n, window_end_ - pos_));
-      std::memcpy(out, buffer_.data() + (pos_ - window_start_), take);
-      out += take;
-      pos_ += take;
-      n -= take;
-    }
-    return true;
-  }
-  template <typename T>
-  bool Pod(T* v) {
-    return Raw(v, sizeof(T));
-  }
-  /// Reads an element count and rejects it when that many elements, at
-  /// `min_bytes_each` bytes apiece, cannot fit in the bytes left — before
-  /// the caller allocates for them.
-  bool Count(std::uint64_t* n, std::uint64_t min_bytes_each) {
-    if (!Pod(n)) return false;
-    if (*n > Remaining() / min_bytes_each) {
-      return Fail(Status::Truncated("RFS blob declares " +
-                                    std::to_string(*n) +
-                                    " elements past its end"));
-    }
-    return true;
-  }
-  bool Doubles(std::vector<double>* v, std::uint64_t n) {
-    if (n > Remaining() / sizeof(double)) {
-      return Fail(Status::Truncated("RFS blob ends inside a vector"));
-    }
-    v->resize(static_cast<std::size_t>(n));
-    return Raw(v->data(), v->size() * sizeof(double));
-  }
-
- private:
-  bool Fail(Status status) {
-    if (status_.ok()) status_ = std::move(status);
-    return false;
-  }
-  bool Refill() {
-    const std::size_t n = static_cast<std::size_t>(
-        std::min<std::uint64_t>(buffer_.size(), Remaining()));
-    Status read = source_.ReadAt(pos_, n, buffer_.data());
-    if (!read.ok()) return Fail(std::move(read));
-    window_start_ = pos_;
-    window_end_ = pos_ + n;
-    return true;
-  }
-
-  const ByteSource& source_;
-  const std::uint64_t size_;
-  std::vector<char> buffer_;
-  std::uint64_t pos_ = 0;           ///< source offset of the next byte
-  std::uint64_t window_start_ = 0;  ///< source offset of buffer_[0]
-  std::uint64_t window_end_ = 0;    ///< one past the buffered bytes
-  Status status_;
 };
 
 }  // namespace
@@ -158,8 +76,11 @@ std::string RfsSerializer::Serialize(const RfsTree& tree) {
         w.Doubles(index.point(e.data).values());
         w.Doubles(index.point(e.data).values());
       } else {
-        w.Doubles(e.rect.lo());
-        w.Doubles(e.rect.hi());
+        // An internal entry's rect is its child's MBR, which the child
+        // node holds.
+        const Rect& rect = index.node(e.child).rect;
+        w.Doubles(rect.lo());
+        w.Doubles(rect.hi());
       }
     }
   }
@@ -192,7 +113,7 @@ std::string RfsSerializer::Serialize(const RfsTree& tree) {
 StatusOr<RfsTree> RfsSerializer::Decode(
     const ByteSource& source, std::shared_ptr<const FeatureStore> shared) {
   QDCBIR_SPAN("rfs.load");
-  Reader r(source);
+  ByteReader r(source, "RFS blob");
   const auto corrupt = [](const std::string& what) {
     return Status::Corrupt("RFS blob: " + what);
   };
@@ -264,6 +185,9 @@ StatusOr<RfsTree> RfsSerializer::Decode(
   const std::uint64_t entry_bytes = 8 + 2 * dim * sizeof(double);
   const std::size_t row_bytes = static_cast<std::size_t>(dim) * sizeof(double);
   std::vector<double> scratch(static_cast<std::size_t>(dim));
+  // An internal entry's rect is its child's MBR. The child may sit in a
+  // later slot, so each rect waits here until every node exists.
+  std::vector<std::pair<NodeId, Rect>> child_rects;
   std::size_t present_nodes = 0;
   for (std::uint64_t i = 0; i < node_slots; ++i) {
     std::uint8_t present = 0;
@@ -290,8 +214,9 @@ StatusOr<RfsTree> RfsSerializer::Decode(
       if (!node->IsLeaf()) {
         std::vector<double> lo, hi;
         if (!r.Doubles(&lo, dim) || !r.Doubles(&hi, dim)) return r.status();
-        entry.rect = Rect(std::move(lo), std::move(hi));
-        node->entries.push_back(std::move(entry));
+        child_rects.emplace_back(entry.child,
+                                 Rect(std::move(lo), std::move(hi)));
+        node->entries.push_back(entry);
         continue;
       }
       // A leaf entry is its image id: the stored lo and hi must both equal
@@ -328,6 +253,9 @@ StatusOr<RfsTree> RfsSerializer::Decode(
         return corrupt("entry child is not a node one level down");
       }
     }
+  }
+  for (auto& [child, rect] : child_rects) {
+    index.nodes_[child]->rect = std::move(rect);
   }
   index.root_ = root;
   index.size_ = tree_size;

@@ -2,6 +2,9 @@
 
 #include <cstdio>
 #include <cstring>
+#include <mutex>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -40,6 +43,33 @@ void ExpectDatabasesEqual(const ImageDatabase& a, const ImageDatabase& b) {
     EXPECT_EQ(a.ImagesOfSubConcept(s.id), b.ImagesOfSubConcept(s.id));
   }
 }
+
+/// A `MemoryByteSource` that records the window of every `ReadAt`.
+class RecordingSource : public ByteSource {
+ public:
+  explicit RecordingSource(const std::string& bytes) : base_(bytes) {}
+
+  std::uint64_t Size() const override { return base_.Size(); }
+  Status ReadAt(std::uint64_t offset, std::size_t n,
+                char* out) const override {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      reads_.emplace_back(offset, n);
+    }
+    return base_.ReadAt(offset, n, out);
+  }
+
+  /// (offset, length) of every read, in arrival order.
+  std::vector<std::pair<std::uint64_t, std::size_t>> reads() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return reads_;
+  }
+
+ private:
+  MemoryByteSource base_;
+  mutable std::mutex mu_;
+  mutable std::vector<std::pair<std::uint64_t, std::size_t>> reads_;
+};
 
 class DatabaseIoTest : public ::testing::Test {
  protected:
@@ -260,6 +290,40 @@ TEST_F(DatabaseIoTest, HostileChunkCountInsideVerifiedChunkIsRejected) {
       DatabaseIo::LoadDatabaseFrom(source, options);
   ASSERT_FALSE(db.ok());
   EXPECT_EQ(db.status().code(), StatusCode::kCorrupt);
+}
+
+TEST_F(DatabaseIoTest, FeatureChunksStreamThroughTheReaderWindow) {
+  // A feature table decodes as its reader windows arrive: every byte of a
+  // feature chunk is read once, and no read is longer than the window, so
+  // the chunk is never held whole.
+  const std::string blob = DatabaseIo::SerializeDatabase(*db_);
+  const StatusOr<SnapshotInfo> info =
+      DatabaseIo::InspectSnapshot(MemoryByteSource(blob));
+  ASSERT_TRUE(info.ok()) << info.status().ToString();
+  RecordingSource source(blob);
+  const StatusOr<ImageDatabase> db =
+      DatabaseIo::LoadDatabaseFrom(source, SnapshotLoadOptions{});
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  ExpectDatabasesEqual(*db, *db_);
+
+  std::size_t feature_chunks = 0;
+  for (const SnapshotChunkInfo& chunk : info->chunks) {
+    if (chunk.id.rfind("FTB", 0) != 0) continue;
+    ++feature_chunks;
+    ASSERT_GT(chunk.length, ByteReader::kWindowBytes)
+        << chunk.id << " fits one window; the corpus is too small to tell";
+    std::uint64_t read = 0;
+    for (const auto& [offset, n] : source.reads()) {
+      if (offset < chunk.offset || offset >= chunk.offset + chunk.length) {
+        continue;
+      }
+      EXPECT_LE(n, ByteReader::kWindowBytes)
+          << chunk.id << " read at offset " << offset;
+      read += n;
+    }
+    EXPECT_EQ(read, chunk.length) << chunk.id;
+  }
+  EXPECT_EQ(feature_chunks, 4u);
 }
 
 TEST_F(DatabaseIoTest, InspectSnapshotListsChunksAndChecksums) {

@@ -1,10 +1,13 @@
 #include <cstddef>
+#include <cstring>
+#include <functional>
 #include <set>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "qdcbir/core/crc32c.h"
 #include "qdcbir/core/rng.h"
 #include "qdcbir/dataset/database_io.h"
 #include "qdcbir/dataset/synthesizer.h"
@@ -18,6 +21,53 @@ using testsupport::FaultSpec;
 using testsupport::FlipBit;
 using testsupport::SampleOffsets;
 using testsupport::TruncateAt;
+
+/// The v2 snapshot `blob` with chunk `id`'s payload passed through `edit`
+/// and every offset and checksum recomputed, the directory's included: a
+/// forgery that every integrity check accepts.
+std::string ForgeChunk(const std::string& blob, const std::string& id,
+                       const std::function<void(std::string*)>& edit) {
+  constexpr std::size_t kEntries = 16;  // magic, version, chunk count
+  constexpr std::size_t kEntryBytes = 28;
+  std::uint32_t count = 0;
+  std::memcpy(&count, blob.data() + 12, sizeof(count));
+  const std::size_t dir_bytes = kEntries + count * kEntryBytes + 4;
+  std::string out = blob.substr(0, dir_bytes);
+  std::string payloads;
+  for (std::uint32_t i = 0; i < count; ++i) {
+    char* entry = out.data() + kEntries + i * kEntryBytes;
+    std::uint64_t offset = 0, length = 0;
+    std::memcpy(&offset, entry + 8, sizeof(offset));
+    std::memcpy(&length, entry + 16, sizeof(length));
+    std::string payload = blob.substr(offset, length);
+    if (std::string(entry, 4) == id) edit(&payload);
+    offset = dir_bytes + payloads.size();
+    length = payload.size();
+    const std::uint32_t crc = Crc32c::Compute(payload);
+    std::memcpy(entry + 8, &offset, sizeof(offset));
+    std::memcpy(entry + 16, &length, sizeof(length));
+    std::memcpy(entry + 24, &crc, sizeof(crc));
+    payloads += payload;
+  }
+  const std::uint32_t dir_crc = Crc32c::Compute(out.data(), dir_bytes - 4);
+  std::memcpy(out.data() + dir_bytes - 4, &dir_crc, sizeof(dir_crc));
+  return out + payloads;
+}
+
+/// Cuts the last double off row `row` of a feature-table payload (a row
+/// count, then each row as its length and its doubles).
+void ShortenRow(std::string* table, std::size_t row) {
+  std::size_t at = sizeof(std::uint64_t);
+  std::uint64_t n = 0;
+  for (std::size_t i = 0;; ++i) {
+    std::memcpy(&n, table->data() + at, sizeof(n));
+    if (i == row) break;
+    at += sizeof(n) + n * sizeof(double);
+  }
+  --n;
+  std::memcpy(table->data() + at, &n, sizeof(n));
+  table->erase(at + sizeof(n) + n * sizeof(double), sizeof(double));
+}
 
 /// The corruption contract: a damaged snapshot must always yield a typed
 /// I/O error — never a crash, never an OOM, and never a silently wrong
@@ -157,6 +207,69 @@ TEST_F(SnapshotCorruptionTest, ShortReadsSurfaceAsTruncated) {
     EXPECT_EQ(db.status().code(), StatusCode::kTruncated)
         << db.status().ToString();
   }
+}
+
+TEST_F(SnapshotCorruptionTest, RaggedFeatureRowsAreCorrupt) {
+  // Row 5 of FTB0 one double short, every checksum recomputed: the file is
+  // intact but the table is not. Rows must share one length, because the
+  // feature store takes its dimensionality from row 0 and a sweep would
+  // read past the short row.
+  const std::string forged = ForgeChunk(
+      *blob_, "FTB0", [](std::string* table) { ShortenRow(table, 5); });
+  const StatusOr<SnapshotInfo> info =
+      DatabaseIo::InspectSnapshot(MemoryByteSource(forged));
+  ASSERT_TRUE(info.ok()) << info.status().ToString();
+  for (const SnapshotChunkInfo& chunk : info->chunks) {
+    EXPECT_TRUE(chunk.crc_ok) << chunk.id;
+  }
+  const StatusOr<ImageDatabase> db = DatabaseIo::DeserializeDatabase(forged);
+  ASSERT_FALSE(db.ok()) << "ragged feature table loaded";
+  EXPECT_EQ(db.status().code(), StatusCode::kCorrupt);
+  EXPECT_EQ(db.status().message(), "chunk FTB0 malformed");
+
+  // Every row of a viewpoint channel one double short: consistent in
+  // itself, but not with the main table the queries come from.
+  const std::string narrow =
+      ForgeChunk(*blob_, "FTB1", [](std::string* table) {
+        std::uint64_t rows = 0;
+        std::memcpy(&rows, table->data(), sizeof(rows));
+        for (std::size_t row = 0; row < rows; ++row) ShortenRow(table, row);
+      });
+  const StatusOr<ImageDatabase> channel =
+      DatabaseIo::DeserializeDatabase(narrow);
+  ASSERT_FALSE(channel.ok()) << "narrow channel table loaded";
+  EXPECT_EQ(channel.status().code(), StatusCode::kCorrupt);
+  EXPECT_EQ(channel.status().message(),
+            "channel feature table dimension mismatch");
+}
+
+TEST_F(SnapshotCorruptionTest, ChecksumMismatchWinsOverAMalformedBody) {
+  // The decoder stops at the first malformed field, but the checksum still
+  // covers the whole chunk: a chunk that is both malformed and damaged
+  // reports the damage.
+  const std::string ragged = ForgeChunk(
+      *blob_, "FTB0", [](std::string* table) { ShortenRow(table, 5); });
+  const StatusOr<SnapshotInfo> info =
+      DatabaseIo::InspectSnapshot(MemoryByteSource(ragged));
+  ASSERT_TRUE(info.ok()) << info.status().ToString();
+  for (const SnapshotChunkInfo& chunk : info->chunks) {
+    if (chunk.id != "FTB0") continue;
+    // A flip past the short row, where the decode never reads; then a row
+    // count far past the chunk's end, which stops the decode at byte 8.
+    std::string flipped = FlipBit(ragged, chunk.offset + chunk.length - 1, 4);
+    std::string counted = ragged;
+    const std::uint64_t huge = ~std::uint64_t{0} / 2;
+    std::memcpy(counted.data() + chunk.offset, &huge, sizeof(huge));
+    for (const std::string* damaged : {&flipped, &counted}) {
+      const StatusOr<ImageDatabase> db =
+          DatabaseIo::DeserializeDatabase(*damaged);
+      ASSERT_FALSE(db.ok());
+      EXPECT_EQ(db.status().code(), StatusCode::kCorrupt);
+      EXPECT_EQ(db.status().message(), "chunk FTB0 checksum mismatch");
+    }
+    return;
+  }
+  FAIL() << "no FTB0 chunk";
 }
 
 TEST_F(SnapshotCorruptionTest, V1BlobsGetTypedErrorsToo) {

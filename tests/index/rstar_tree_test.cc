@@ -104,12 +104,19 @@ TEST(RStarTreeTest, SmallInsertAndExactSearch) {
   EXPECT_EQ(matches[0].distance_squared, 0.0);
 }
 
+// An entry is a reference, a child id and an image id; the geometry lives
+// on the nodes and in the store.
+static_assert(sizeof(RStarTree::Entry) == 8);
+
 TEST(RStarTreeTest, LeafEntriesAreStoreRows) {
   const RStarTree tree = InsertAll(RandomPoints(100, 3, 3));
   const auto levels = tree.NodesByLevel();
+  ASSERT_GT(levels[0].size(), 1u);
   for (const NodeId leaf : levels[0]) {
+    const Rect& mbr = tree.node(leaf).rect;
+    EXPECT_TRUE(mbr == tree.NodeRect(leaf)) << "leaf " << leaf;
     for (const RStarTree::Entry& e : tree.node(leaf).entries) {
-      EXPECT_TRUE(e.rect.empty());
+      EXPECT_TRUE(mbr.ContainsPoint(tree.point(e.data)));
       EXPECT_EQ(e.child, kInvalidNodeId);
       EXPECT_EQ(&tree.point(e.data), &tree.store()->rows()[e.data]);
     }

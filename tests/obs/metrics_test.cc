@@ -1,14 +1,17 @@
 // Unit tests of the metric primitives: bucketing exactness and bounded
 // percentile error of the log-linear histogram (checked against a
 // reference sort), exact totals under concurrent recording from the
-// thread pool, and the registry's stable-reference / JSON contracts.
+// thread pool, shards allocated by their first write, and the registry's
+// stable-reference / JSON contracts.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "qdcbir/core/rng.h"
@@ -132,6 +135,68 @@ TEST(HistogramTest, ConcurrentRecordsFromPoolAreExact) {
   EXPECT_EQ(snap.sum, kRecords * (kRecords - 1) / 2);
   EXPECT_EQ(snap.min, 0u);
   EXPECT_EQ(snap.max, kRecords - 1);
+}
+
+TEST(HistogramTest, OneWritingThreadHoldsOneShard) {
+  Histogram histogram;
+  EXPECT_EQ(histogram.AllocatedShards(), 0u);
+  for (std::uint64_t v = 0; v < 1000; ++v) histogram.Record(v);
+  EXPECT_EQ(histogram.AllocatedShards(), 1u);
+  EXPECT_EQ(histogram.Snap().count, 1000u);
+}
+
+TEST(HistogramTest, ThreadsRacingOnFirstRecordsAreExact) {
+  // Eight threads released together into a fresh histogram: threads that
+  // share a shard slot race to allocate it, one CAS wins, and no record is
+  // lost to the shard that lost.
+  constexpr std::uint64_t kThreads = 8;
+  constexpr std::uint64_t kPerThread = 500;
+  constexpr std::uint64_t kTotal = kThreads * kPerThread;
+  for (int round = 0; round < 10; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    Histogram histogram;
+    std::atomic<std::uint64_t> ready{0};
+    std::atomic<bool> go{false};
+    std::vector<std::thread> threads;
+    for (std::uint64_t t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&histogram, &ready, &go, t] {
+        ready.fetch_add(1);
+        while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
+        for (std::uint64_t i = 1; i <= kPerThread; ++i) {
+          histogram.Record(t * kPerThread + i);
+        }
+      });
+    }
+    while (ready.load() < kThreads) std::this_thread::yield();
+    go.store(true, std::memory_order_release);
+    for (std::thread& thread : threads) thread.join();
+
+    const Histogram::Snapshot snap = histogram.Snap();
+    EXPECT_EQ(snap.count, kTotal);
+    EXPECT_EQ(snap.sum, kTotal * (kTotal + 1) / 2);
+    EXPECT_EQ(snap.min, 1u);
+    EXPECT_EQ(snap.max, kTotal);
+    EXPECT_GE(histogram.AllocatedShards(), 1u);
+    EXPECT_LE(histogram.AllocatedShards(), Histogram::kShards);
+  }
+}
+
+TEST(HistogramTest, NeverRecordedHistogramReadsAndClearsEmpty) {
+  Histogram histogram;
+  EXPECT_EQ(histogram.Snap().count, 0u);
+  EXPECT_TRUE(histogram.CumulativeBuckets().empty());
+  histogram.Clear();
+  EXPECT_EQ(histogram.Snap().count, 0u);
+  EXPECT_EQ(histogram.AllocatedShards(), 0u) << "reading must not allocate";
+
+  MetricsRegistry registry;
+  Histogram& registered = registry.GetHistogram("test.never_recorded");
+  registry.Reset();
+  const MetricsRegistry::RegistrySnapshot snap = registry.Snapshot();
+  ASSERT_EQ(snap.histograms.size(), 1u);
+  EXPECT_EQ(snap.histograms[0].second.count, 0u);
+  EXPECT_TRUE(snap.histogram_buckets[0].second.empty());
+  EXPECT_EQ(registered.AllocatedShards(), 0u);
 }
 
 TEST(GaugeTest, ConcurrentBalancedAddsCancel) {

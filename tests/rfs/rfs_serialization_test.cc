@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "qdcbir/core/crc32c.h"
 #include "qdcbir/core/rng.h"
 #include "qdcbir/dataset/database_io.h"
 #include "qdcbir/dataset/synthesizer.h"
@@ -123,6 +124,27 @@ TEST(RfsSerializationTest, ReserializeIsByteIdentical) {
     ASSERT_TRUE(shared.ok()) << shared.status().ToString();
     EXPECT_EQ(FirstDifference(RfsSerializer::Serialize(*shared), bytes),
               std::string::npos);
+  }
+}
+
+TEST(RfsSerializationTest, BytesMatchRecordedDigests) {
+  // The RFS format is frozen: each strategy's tree over one fixed corpus
+  // must serialize to the bytes whose CRC32C was recorded here, however
+  // the tree holds its MBRs in memory.
+  const struct {
+    RfsBuildStrategy strategy;
+    std::uint32_t crc32c;
+  } kCases[] = {
+      {RfsBuildStrategy::kClustered, 0x1bee3b7du},
+      {RfsBuildStrategy::kTgsBulkLoad, 0x7e1c42bfu},
+      {RfsBuildStrategy::kInsertion, 0x7fe94f94u},
+  };
+  for (const auto& c : kCases) {
+    SCOPED_TRACE(RfsBuildStrategyName(c.strategy));
+    const std::string bytes =
+        RfsSerializer::Serialize(MakeTree(23, 500, 5, c.strategy));
+    EXPECT_EQ(Crc32c::Compute(bytes), c.crc32c)
+        << std::hex << Crc32c::Compute(bytes);
   }
 }
 
