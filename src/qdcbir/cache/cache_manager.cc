@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "qdcbir/obs/metrics.h"
-#include "qdcbir/obs/resource_stats.h"
 
 namespace qdcbir {
 namespace cache {
@@ -118,14 +117,12 @@ CacheManager::LookupResult CacheManager::Lookup(const CacheKey& key) {
       kind_counters_[kind_index].hits.fetch_add(1, std::memory_order_relaxed);
       metrics.hit.Add(1);
       metrics.kind_hit[kind_index]->Add(1);
-      obs::CountCacheHit();
       return LookupResult{it->second.value, 0};
     }
   }
   kind_counters_[kind_index].misses.fetch_add(1, std::memory_order_relaxed);
   metrics.miss.Add(1);
   metrics.kind_miss[kind_index]->Add(1);
-  obs::CountCacheMiss();
   return LookupResult{nullptr, epoch_.load(std::memory_order_acquire)};
 }
 

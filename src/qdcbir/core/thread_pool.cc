@@ -92,42 +92,14 @@ bool ThreadPool::RunOneTask(std::unique_lock<std::mutex>& lock) {
                    1);
   lock.unlock();
 
-  const std::uint64_t start_ns = obs::MonotonicNanos();
-  task_wait_ns_.Record(start_ns - task.enqueue_ns);
-
+  task_wait_ns_.Record(obs::MonotonicNanos() - task.enqueue_ns);
   std::exception_ptr error;
   {
-    // Adopt the submitter's trace context for the task's duration, then
-    // restore this lane's own: a worker interleaving tasks of different
-    // requests must never cross their span trees. The span tag and
-    // resource sink hop the pool the same way, so profiler samples and
-    // resource taps inside the task attribute to the enqueuing request.
-    const obs::ScopedTraceContext scoped_trace(std::move(task.trace));
-    const obs::ScopedSpanTag scoped_span(task.enqueue_span);
-    const obs::ScopedResourceAccounting scoped_resources(task.resources);
-    const obs::ScopedAccessAccounting scoped_access(task.access);
-    try {
-      task.fn();
-    } catch (...) {
-      error = std::current_exception();
-    }
-  }
-
-  const std::uint64_t run_ns = obs::MonotonicNanos() - start_ns;
-  task_run_ns_.Record(run_ns);
-  busy_ns_.Add(run_ns);
-  tasks_executed_.Add(1);
-
-  if (error && task.batch->detached) {
-    try {
-      std::rethrow_exception(error);
-    } catch (const std::exception& e) {
-      QDCBIR_LOG(obs::LogLevel::kError,
-                 std::string("posted task threw: ") + e.what());
-    } catch (...) {
-      QDCBIR_LOG(obs::LogLevel::kError,
-                 "posted task threw a non-std exception");
-    }
+    // Adopt the submitter's context for the task's duration, then restore
+    // this lane's own: a worker interleaving tasks of different requests
+    // must never cross their span trees, profiler tags or work sinks.
+    const obs::ScopedTaskContext scoped(std::move(task.context));
+    error = Execute(task.fn, task.batch->detached);
   }
 
   lock.lock();
@@ -136,24 +108,35 @@ bool ThreadPool::RunOneTask(std::unique_lock<std::mutex>& lock) {
   return true;
 }
 
-void ThreadPool::Post(std::function<void()> task) {
-  if (threads_ <= 1) {
-    const std::uint64_t start_ns = obs::MonotonicNanos();
-    try {
-      task();
-    } catch (const std::exception& e) {
-      // Same contract as the queued path: posted tasks own their failures;
-      // the swallow is logged so it is at least diagnosable.
+std::exception_ptr ThreadPool::Execute(const std::function<void()>& fn,
+                                       bool detached) {
+  std::exception_ptr error;
+  const std::uint64_t start_ns = obs::MonotonicNanos();
+  try {
+    fn();
+  } catch (const std::exception& e) {
+    error = std::current_exception();
+    if (detached) {
       QDCBIR_LOG(obs::LogLevel::kError,
                  std::string("posted task threw: ") + e.what());
-    } catch (...) {
+    }
+  } catch (...) {
+    error = std::current_exception();
+    if (detached) {
       QDCBIR_LOG(obs::LogLevel::kError,
                  "posted task threw a non-std exception");
     }
-    const std::uint64_t run_ns = obs::MonotonicNanos() - start_ns;
-    task_run_ns_.Record(run_ns);
-    busy_ns_.Add(run_ns);
-    tasks_executed_.Add(1);
+  }
+  const std::uint64_t run_ns = obs::MonotonicNanos() - start_ns;
+  task_run_ns_.Record(run_ns);
+  busy_ns_.Add(run_ns);
+  tasks_executed_.Add(1);
+  return error;
+}
+
+void ThreadPool::Post(std::function<void()> task) {
+  if (threads_ <= 1) {
+    Execute(task, /*detached=*/true);
     return;
   }
   auto batch = std::make_shared<Batch>();
@@ -164,10 +147,7 @@ void ThreadPool::Post(std::function<void()> task) {
     queue_depth_.Set(g_queued_tasks.fetch_add(1, std::memory_order_relaxed) +
                      1);
     queue_.push_back(Task{std::move(task), std::move(batch),
-                          obs::MonotonicNanos(), obs::CurrentTraceContext(),
-                          obs::CurrentSpanName(),
-                          obs::CurrentResourceAccumulator(),
-                          obs::CurrentAccessAccumulator()});
+                          obs::MonotonicNanos(), obs::CaptureTaskContext()});
   }
   work_cv_.notify_one();
 }
@@ -175,26 +155,21 @@ void ThreadPool::Post(std::function<void()> task) {
 void ThreadPool::Run(std::vector<std::function<void()>> tasks) {
   if (tasks.empty()) return;
   if (threads_ <= 1 || tasks.size() == 1) {
-    // Inline path: no queue, but the run-time telemetry stays comparable
-    // with the queued path so thread-count sweeps line up.
-    for (std::function<void()>& task : tasks) {
-      const std::uint64_t start_ns = obs::MonotonicNanos();
-      task();
-      const std::uint64_t run_ns = obs::MonotonicNanos() - start_ns;
-      task_run_ns_.Record(run_ns);
-      busy_ns_.Add(run_ns);
-      tasks_executed_.Add(1);
+    // Inline path: no queue, but the same telemetry and the same contract
+    // as the queued path: every task runs, then the first error rethrows.
+    std::exception_ptr first_error;
+    for (const std::function<void()>& task : tasks) {
+      std::exception_ptr error = Execute(task, /*detached=*/false);
+      if (error && !first_error) first_error = std::move(error);
     }
+    if (first_error) std::rethrow_exception(first_error);
     return;
   }
 
   auto batch = std::make_shared<Batch>();
   batch->pending = tasks.size();
   const std::uint64_t enqueue_ns = obs::MonotonicNanos();
-  const obs::TraceContext& trace = obs::CurrentTraceContext();
-  const char* enqueue_span = obs::CurrentSpanName();
-  obs::ResourceAccumulator* resources = obs::CurrentResourceAccumulator();
-  obs::AccessAccumulator* access = obs::CurrentAccessAccumulator();
+  const obs::TaskContext context = obs::CaptureTaskContext();
   {
     std::lock_guard<std::mutex> lock(mu_);
     // The gauge goes up before any worker can pop a task (the pop needs
@@ -205,8 +180,7 @@ void ThreadPool::Run(std::vector<std::function<void()>> tasks) {
                                  std::memory_order_relaxed) +
         static_cast<std::int64_t>(tasks.size()));
     for (std::function<void()>& task : tasks) {
-      queue_.push_back(Task{std::move(task), batch, enqueue_ns, trace,
-                            enqueue_span, resources, access});
+      queue_.push_back(Task{std::move(task), batch, enqueue_ns, context});
     }
   }
   work_cv_.notify_all();

@@ -12,11 +12,8 @@
 #include <thread>
 #include <vector>
 
-#include "qdcbir/obs/access_stats.h"
 #include "qdcbir/obs/metrics.h"
-#include "qdcbir/obs/resource_stats.h"
-#include "qdcbir/obs/span_stack.h"
-#include "qdcbir/obs/trace_context.h"
+#include "qdcbir/obs/task_context.h"
 
 namespace qdcbir {
 
@@ -64,7 +61,7 @@ class ThreadPool {
   /// (runs inline on a sequential pool). The destructor drains the queue,
   /// so every posted task finishes before the pool is destroyed. Posted
   /// work has no submitter to rethrow on; an exception from a posted task
-  /// is discarded, so tasks should handle their own failures.
+  /// is logged and discarded, so tasks should handle their own failures.
   void Post(std::function<void()> task);
 
   /// Calls `body(i)` for every `i` in `[begin, end)`, partitioned into
@@ -130,21 +127,11 @@ class ThreadPool {
     std::function<void()> fn;
     std::shared_ptr<Batch> batch;
     std::uint64_t enqueue_ns = 0;  ///< queue-wait measurement origin
-    /// The submitter's trace context, captured at enqueue and restored
-    /// around execution, so spans opened inside pool tasks keep their
-    /// parent links (nested ParallelFor included). Inline paths skip the
-    /// capture — the submitter's context is already current.
-    obs::TraceContext trace;
-    /// The submitter's innermost span name at enqueue, re-opened on the
-    /// worker's signal-safe span stack: profiler samples taken inside the
-    /// task attribute to the span that scheduled it (nullptr = none).
-    const char* enqueue_span = nullptr;
-    /// The submitter's active resource sink, installed for the task's
-    /// duration so engine taps on workers count toward the right session.
-    obs::ResourceAccumulator* resources = nullptr;
-    /// The submitter's active per-leaf access sink, propagated the same
-    /// way so index-access taps on workers land in the right session.
-    obs::AccessAccumulator* access = nullptr;
+    /// The submitter's context, captured at enqueue and installed around
+    /// execution, so spans keep their parent links (nested ParallelFor
+    /// included) and samples and taps attribute to the submitter. Inline
+    /// paths skip the capture — the submitter's context is already current.
+    obs::TaskContext context;
   };
 
   void WorkerLoop();
@@ -152,6 +139,11 @@ class ThreadPool {
   /// Pops and executes one queued task. `lock` must hold `mu_`; it is
   /// released while the task runs. Returns false if the queue was empty.
   bool RunOneTask(std::unique_lock<std::mutex>& lock);
+
+  /// Runs one task body, timed into the run-time telemetry, and returns
+  /// what it threw. A `detached` (posted) task's failure is logged here,
+  /// under the task's context, so the entry carries the submitter's trace.
+  std::exception_ptr Execute(const std::function<void()>& fn, bool detached);
 
   std::size_t threads_;
 

@@ -9,6 +9,8 @@
 #include <unordered_map>
 #include <vector>
 
+#include "qdcbir/obs/resource_stats.h"
+
 namespace qdcbir {
 namespace obs {
 
@@ -101,8 +103,12 @@ inline AccessTls& AccessState() {
 /// Cold path: merge every occupied slot into the sink and reset the table.
 void FlushAccessTlsSlots(AccessTls& state);
 
-/// Returns the delta slot for `leaf`, or null when accounting is off.
-inline LeafAccessCounts* AccessSlot(AccessLeafId leaf) {
+/// Returns the delta slot for `leaf`, or null when accounting is off or
+/// compiled out (`-DQDCBIR_OBS=OFF`).
+inline LeafAccessCounts* AccessSlot([[maybe_unused]] AccessLeafId leaf) {
+#ifdef QDCBIR_DISABLE_OBS
+  return nullptr;
+#else
   AccessTls& state = AccessState();
   if (state.accumulator == nullptr) return nullptr;
   for (std::uint32_t i = 0; i < state.used; ++i) {
@@ -113,6 +119,7 @@ inline LeafAccessCounts* AccessSlot(AccessLeafId leaf) {
   state.leaf[slot] = leaf;
   state.counts[slot] = LeafAccessCounts{};
   return &state.counts[slot];
+#endif
 }
 
 }  // namespace internal
@@ -124,13 +131,18 @@ inline AccessAccumulator* CurrentAccessAccumulator() {
   return internal::AccessState().accumulator;
 }
 
-/// Hot-path taps. Purely observational — they never influence ranking —
-/// and compiled out entirely under `-DQDCBIR_OBS=OFF`, preserving the
-/// determinism and overhead contracts. Call granularity is per *scan*, not
-/// per element: pass the batch totals.
-#ifndef QDCBIR_DISABLE_OBS
+/// Hot-path taps, one per scan or cache lookup, feeding both the session's
+/// totals (`ResourceUsage`) and the leaf's row: totals are the sum of rows
+/// by construction. Purely observational — they never influence ranking.
+/// The per-leaf half compiles out under `-DQDCBIR_OBS=OFF`; the totals do
+/// not. Call granularity is per *scan*: pass the batch totals.
 inline void CountLeafScan(AccessLeafId leaf, std::uint64_t distance_evals,
                           std::uint64_t feature_bytes) {
+  internal::ResourceTls& totals = internal::ResourceState();
+  if (totals.accumulator != nullptr) {
+    totals.local.distance_evals += distance_evals;
+    totals.local.feature_bytes += feature_bytes;
+  }
   if (LeafAccessCounts* slot = internal::AccessSlot(leaf)) {
     slot->scans += 1;
     slot->distance_evals += distance_evals;
@@ -138,20 +150,19 @@ inline void CountLeafScan(AccessLeafId leaf, std::uint64_t distance_evals,
   }
 }
 inline void CountLeafCacheHit(AccessLeafId leaf) {
+  internal::ResourceTls& totals = internal::ResourceState();
+  if (totals.accumulator != nullptr) totals.local.cache_hits += 1;
   if (LeafAccessCounts* slot = internal::AccessSlot(leaf)) {
     slot->cache_hits += 1;
   }
 }
 inline void CountLeafCacheMiss(AccessLeafId leaf) {
+  internal::ResourceTls& totals = internal::ResourceState();
+  if (totals.accumulator != nullptr) totals.local.cache_misses += 1;
   if (LeafAccessCounts* slot = internal::AccessSlot(leaf)) {
     slot->cache_misses += 1;
   }
 }
-#else
-inline void CountLeafScan(AccessLeafId, std::uint64_t, std::uint64_t) {}
-inline void CountLeafCacheHit(AccessLeafId) {}
-inline void CountLeafCacheMiss(AccessLeafId) {}
-#endif
 
 /// Merges this thread's pending slot deltas into the active sink now,
 /// without waiting for the enclosing scope to close. Callers that read the

@@ -20,7 +20,7 @@ struct ResourceUsage {
   std::uint64_t tiles_gathered = 0;   ///< blocked-layout gather tiles built
   std::uint64_t container_allocs = 0; ///< hot-container allocations
   std::uint64_t alloc_bytes = 0;      ///< bytes those allocations requested
-  /// Cache traffic (src/qdcbir/cache/): physical-work counters, so a hit
+  /// Result-cache traffic, counted by the engines' per-leaf taps: a hit
   /// legitimately *reduces* the other fields relative to a cold run — the
   /// logical cost model (QdSessionStats) stays identical either way.
   std::uint64_t cache_hits = 0;
@@ -113,15 +113,7 @@ inline ResourceAccumulator* CurrentResourceAccumulator() {
 /// Hot-path taps. Each compiles to a TLS load, a branch, and an add; with
 /// no active accumulator they are pure overheadless no-ops past the branch.
 /// Call granularity should be per *scan or phase*, not per element — pass
-/// the batch size.
-inline void CountDistanceEvals(std::uint64_t n) {
-  internal::ResourceTls& state = internal::ResourceState();
-  if (state.accumulator != nullptr) state.local.distance_evals += n;
-}
-inline void CountFeatureBytes(std::uint64_t n) {
-  internal::ResourceTls& state = internal::ResourceState();
-  if (state.accumulator != nullptr) state.local.feature_bytes += n;
-}
+/// the batch size. Scans and cache lookups tap through access_stats.h.
 inline void CountLeafVisits(std::uint64_t n) {
   internal::ResourceTls& state = internal::ResourceState();
   if (state.accumulator != nullptr) state.local.leaves_visited += n;
@@ -136,14 +128,6 @@ inline void CountContainerAlloc(std::uint64_t bytes) {
     state.local.container_allocs += 1;
     state.local.alloc_bytes += bytes;
   }
-}
-inline void CountCacheHit() {
-  internal::ResourceTls& state = internal::ResourceState();
-  if (state.accumulator != nullptr) state.local.cache_hits += 1;
-}
-inline void CountCacheMiss() {
-  internal::ResourceTls& state = internal::ResourceState();
-  if (state.accumulator != nullptr) state.local.cache_misses += 1;
 }
 
 /// Merges this thread's pending local deltas into the active sink now,

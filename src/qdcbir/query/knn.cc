@@ -5,7 +5,7 @@
 #include <unordered_map>
 
 #include "qdcbir/core/distance_kernels.h"
-#include "qdcbir/obs/resource_stats.h"
+#include "qdcbir/obs/access_stats.h"
 
 namespace qdcbir {
 
@@ -90,8 +90,8 @@ Ranking BruteForceKnnBlocked(const FeatureBlockTable& blocks,
     }
   }
   AddBlockBatches(blocks.num_blocks());
-  obs::CountDistanceEvals(blocks.size());
-  obs::CountFeatureBytes(blocks.size() * blocks.dim() * sizeof(double));
+  obs::CountLeafScan(obs::kTableScanLeaf, blocks.size(),
+                     blocks.size() * blocks.dim() * sizeof(double));
   return top.Take();
 }
 
@@ -113,8 +113,8 @@ Ranking BruteForceWeightedKnnBlocked(const FeatureBlockTable& blocks,
     }
   }
   AddBlockBatches(blocks.num_blocks());
-  obs::CountDistanceEvals(blocks.size());
-  obs::CountFeatureBytes(blocks.size() * blocks.dim() * sizeof(double));
+  obs::CountLeafScan(obs::kTableScanLeaf, blocks.size(),
+                     blocks.size() * blocks.dim() * sizeof(double));
   return top.Take();
 }
 

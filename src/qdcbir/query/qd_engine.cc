@@ -262,9 +262,6 @@ Ranking QdSession::LocalizedSearchUncached(NodeId node,
                                                        fetch, &search_stats);
     stats->knn_nodes_visited += search_stats.nodes_visited;
     obs::CountLeafVisits(search_stats.nodes_visited);
-    obs::CountDistanceEvals(search_stats.entries_scanned);
-    obs::CountFeatureBytes(search_stats.entries_scanned *
-                           rfs_->feature_dim() * sizeof(double));
     obs::CountLeafScan(static_cast<obs::AccessLeafId>(node),
                        search_stats.entries_scanned,
                        search_stats.entries_scanned * rfs_->feature_dim() *
@@ -308,8 +305,6 @@ Ranking QdSession::LocalizedSearchUncached(NodeId node,
     ++batches;
   }
   AddBlockBatches(batches);
-  obs::CountDistanceEvals(members.size());
-  obs::CountFeatureBytes(members.size() * dim * sizeof(double));
   obs::CountLeafScan(static_cast<obs::AccessLeafId>(node), members.size(),
                      members.size() * dim * sizeof(double));
   std::sort(ranking.begin(), ranking.end(),

@@ -23,7 +23,6 @@
 #include "qdcbir/obs/profiler.h"
 #include "qdcbir/obs/prom_export.h"
 #include "qdcbir/obs/query_log.h"
-#include "qdcbir/obs/resource_stats.h"
 #include "qdcbir/obs/span.h"
 #include "qdcbir/obs/timeseries.h"
 #include "qdcbir/obs/trace_tree.h"
@@ -597,9 +596,8 @@ obs::HttpResponse ServeApp::HandleApiQuery(const obs::HttpRequest& request) {
   const std::uint64_t start_ns = obs::MonotonicNanos();
   std::vector<DisplayGroup> display;
   {
-    const obs::ScopedTraceContext scoped(session->trace);
-    const obs::ScopedResourceAccounting accounting(&session->resources);
-    const obs::ScopedAccessAccounting access_accounting(&session->access);
+    const obs::ScopedTaskContext scoped(obs::TaskContext{
+        session->trace, nullptr, &session->resources, &session->access});
     QDCBIR_SPAN("serve.api.query");
     display = session->qd.Start();
   }
@@ -650,18 +648,13 @@ obs::HttpResponse ServeApp::HandleApiFeedback(
     ~BusyReset() { flag.store(false, std::memory_order_release); }
   } busy_reset{session->busy};
 
-  // The session's trace (fixed at open) is authoritative for the rest of
-  // the handler: every span, log entry, and exemplar below carries it. A
-  // client traceparent on this request is accepted but does not re-identify
-  // the session.
-  const obs::ScopedTraceContext scoped_trace(session->trace);
-  // Resource accounting spans the whole handler: Feedback and Finalize
-  // deltas (from this thread and every pool worker the engine fans out to)
-  // merge into the session's accumulator.
-  const obs::ScopedResourceAccounting accounting(&session->resources);
-  // Same span for the per-leaf access sink, so every localized scan below
-  // attributes its work to the RFS leaf it touched.
-  const obs::ScopedAccessAccounting access_accounting(&session->access);
+  // The session's context spans the whole handler: every span, log entry,
+  // and exemplar below carries its trace (fixed at open; a client
+  // traceparent here does not re-identify the session), and Feedback and
+  // Finalize work on this thread and every pool worker merges into its
+  // sinks.
+  const obs::ScopedTaskContext scoped(obs::TaskContext{
+      session->trace, nullptr, &session->resources, &session->access});
 
   std::vector<ImageId> relevant;
   if (const JsonValue* ids = body.Find("relevant")) {
@@ -733,9 +726,9 @@ obs::HttpResponse ServeApp::HandleApiFeedback(
   }
 
   // The session is complete: publish it to the /queryz audit ring and
-  // release the slot. This thread's pending resource deltas are flushed
-  // first (pool workers flushed at task end; `Run` already joined them).
-  obs::FlushResourceAccounting();
+  // release the slot. This thread's pending deltas are flushed first
+  // (pool workers flushed at task end; `Run` already joined them).
+  obs::FlushTaskContext();
   const obs::SessionQuality quality = session->quality.Summary();
   obs::QueryAuditRecord record = AuditRecord(*session, quality);
   record.results = result->TotalImages();
@@ -1155,12 +1148,10 @@ void ServeApp::FinishSessionObservability(const Session& session,
                                           std::uint64_t session_id,
                                           const obs::SessionQuality& quality,
                                           const obs::QueryAuditRecord& record) {
-  // Drain the session's index-access heatmap: this thread's pending slot
-  // deltas first (pool workers flushed at task end; at teardown there is no
-  // installed sink, so the flush is a no-op), then per-leaf rows into the
+  // Drain the session's index-access heatmap (finalize flushed this
+  // thread's deltas; at teardown none are pending): per-leaf rows into the
   // global table, label-free aggregates into the registry, and the
   // touched-leaf set into the co-access tracker.
-  obs::FlushAccessAccounting();
   const std::vector<obs::LeafAccess> access = session.access.Snapshot();
   obs::AccessStatsTable::Global().MergeSession(access);
   if (!access.empty()) {

@@ -15,14 +15,12 @@
 #include "qdcbir/cache/cache_manager.h"
 #include "qdcbir/core/thread_pool.h"
 #include "qdcbir/dataset/database.h"
-#include "qdcbir/obs/access_stats.h"
 #include "qdcbir/obs/http_server.h"
 #include "qdcbir/obs/quality_stats.h"
 #include "qdcbir/obs/query_log.h"
-#include "qdcbir/obs/resource_stats.h"
 #include "qdcbir/obs/slo.h"
+#include "qdcbir/obs/task_context.h"
 #include "qdcbir/obs/timeseries.h"
-#include "qdcbir/obs/trace_context.h"
 #include "qdcbir/obs/wide_event.h"
 #include "qdcbir/query/qd_engine.h"
 #include "qdcbir/rfs/rfs_tree.h"

@@ -15,8 +15,10 @@
 #include <utility>
 #include <vector>
 
+#include "qdcbir/obs/log.h"
 #include "qdcbir/obs/metrics.h"
 #include "qdcbir/obs/span.h"
+#include "qdcbir/obs/task_context.h"
 #include "qdcbir/obs/trace_context.h"
 #include "qdcbir/obs/trace_tree.h"
 
@@ -119,18 +121,21 @@ TEST(ThreadPoolTest, RunExecutesAllTasks) {
 }
 
 TEST(ThreadPoolTest, ExceptionPropagatesAfterBatchCompletes) {
-  ThreadPool pool(4);
-  std::atomic<int> completed{0};
-  std::vector<std::function<void()>> tasks;
-  for (int i = 0; i < 12; ++i) {
-    tasks.push_back([&completed, i] {
-      if (i == 5) throw std::runtime_error("task 5 failed");
-      completed.fetch_add(1);
-    });
+  // One lane runs the batch inline, more lanes queue it: same contract.
+  for (const std::size_t lanes : {1u, 2u, 4u}) {
+    ThreadPool pool(lanes);
+    std::atomic<int> completed{0};
+    std::vector<std::function<void()>> tasks;
+    for (int i = 0; i < 12; ++i) {
+      tasks.push_back([&completed, i] {
+        if (i == 5) throw std::runtime_error("task 5 failed");
+        completed.fetch_add(1);
+      });
+    }
+    EXPECT_THROW(pool.Run(std::move(tasks)), std::runtime_error);
+    // Every non-throwing task of the batch still ran to completion.
+    EXPECT_EQ(completed.load(), 11) << lanes << " lanes";
   }
-  EXPECT_THROW(pool.Run(std::move(tasks)), std::runtime_error);
-  // Every non-throwing task of the batch still ran to completion.
-  EXPECT_EQ(completed.load(), 11);
 }
 
 TEST(ThreadPoolTest, ExceptionPropagatesFromParallelFor) {
@@ -347,23 +352,60 @@ TEST(ThreadPoolTest, TraceContextParentageSurvivesNestedParallelFor) {
 }
 
 TEST(ThreadPoolTest, PostedTaskCarriesSubmitterTraceContext) {
-  obs::TraceContext context = obs::NewTraceContext();
-  std::atomic<std::uint64_t> seen_lo{0};
-  std::atomic<bool> ran{false};
+  const obs::TraceContext trace = obs::NewTraceContext();
+  obs::ResourceAccumulator resources;
+  obs::AccessAccumulator access;
+  // What each posted task saw; written on the pool's one worker, read
+  // after the destructor joined it.
+  std::vector<obs::TaskContext> seen;
+  std::atomic<int> ran{0};
+  const auto record = [&] {
+    seen.push_back(obs::CaptureTaskContext());
+    obs::CountLeafScan(7, 3, 24);
+    ran.fetch_add(1);
+  };
   {
     ThreadPool pool(2);
     {
-      const obs::ScopedTraceContext scoped(context);
-      pool.Post([&] {
-        seen_lo.store(obs::CurrentTraceContext().trace_lo);
-        ran.store(true);
-      });
+      const obs::ScopedTaskContext scoped(
+          obs::TaskContext{trace, "test.submit", &resources, &access});
+      pool.Post(record);
     }
     // The submitter's scope ended; the task still runs under the captured
-    // context (destruction drains the queue).
+    // context. Once it has, a task posted outside any context runs on the
+    // same worker and must inherit none of it.
+    while (ran.load() == 0) std::this_thread::yield();
+    pool.Post(record);
   }
-  ASSERT_TRUE(ran.load());
-  EXPECT_EQ(seen_lo.load(), context.trace_lo);
+  ASSERT_EQ(seen.size(), 2u);
+  EXPECT_EQ(seen[0].trace.trace_lo, trace.trace_lo);
+  EXPECT_STREQ(seen[0].span, "test.submit");
+  EXPECT_EQ(seen[0].resources, &resources);
+  EXPECT_EQ(seen[0].access, &access);
+  EXPECT_FALSE(seen[1].trace.has_trace_id());
+  EXPECT_EQ(seen[1].span, nullptr);
+  EXPECT_EQ(seen[1].resources, nullptr);
+  EXPECT_EQ(seen[1].access, nullptr);
+  // Only the first task's tap reached the sinks.
+  EXPECT_EQ(resources.Snapshot().distance_evals, 3u);
+#ifndef QDCBIR_DISABLE_OBS
+  ASSERT_EQ(access.Snapshot().size(), 1u);
+  EXPECT_EQ(access.Snapshot()[0].counts.scans, 1u);
+#endif
+}
+
+TEST(ThreadPoolTest, PostedTaskFailureLogsUnderSubmitterTrace) {
+  const obs::TraceContext trace = obs::NewTraceContext();
+  obs::LogRing::Global().Clear();
+  {
+    ThreadPool pool(2);
+    const obs::ScopedTraceContext scoped(trace);
+    pool.Post([] { throw std::runtime_error("posted failure"); });
+  }
+  const std::vector<obs::LogEntry> entries = obs::LogRing::Global().Snapshot();
+  ASSERT_EQ(entries.size(), 1u);
+  EXPECT_EQ(entries[0].message, "posted task threw: posted failure");
+  EXPECT_EQ(entries[0].trace_id, obs::TraceIdHex(trace));
 }
 
 TEST(ThreadPoolTest, GlobalPoolIsUsableAndStable) {

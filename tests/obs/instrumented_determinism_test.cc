@@ -5,7 +5,8 @@
 // into result ordering or scoring). The same holds for index-access
 // telemetry and the metrics flight recorder: ranked results AND the
 // logical cost model (QdSessionStats) must be byte-identical with them on
-// vs off.
+// vs off. And the two work sinks must agree: every engine's per-session
+// totals are the sum of its per-leaf rows.
 
 #include <gtest/gtest.h>
 
@@ -14,13 +15,19 @@
 #include <string>
 #include <vector>
 
+#include "qdcbir/cache/cache_manager.h"
 #include "qdcbir/core/thread_pool.h"
 #include "qdcbir/dataset/synthesizer.h"
 #include "qdcbir/obs/access_stats.h"
 #include "qdcbir/obs/metrics.h"
+#include "qdcbir/obs/task_context.h"
 #include "qdcbir/obs/timeseries.h"
 #include "qdcbir/obs/trace.h"
+#include "qdcbir/query/fagin_engine.h"
+#include "qdcbir/query/mv_engine.h"
+#include "qdcbir/query/qcluster_engine.h"
 #include "qdcbir/query/qd_engine.h"
+#include "qdcbir/query/qpm_engine.h"
 #include "qdcbir/rfs/rfs_builder.h"
 
 namespace qdcbir {
@@ -50,8 +57,8 @@ class InstrumentedDeterminismTest : public ::testing::Test {
   }
 
   static QdResult RunScriptedSession(ThreadPool* pool,
-                                     QdSessionStats* stats_out = nullptr) {
-    QdOptions options;
+                                     QdSessionStats* stats_out = nullptr,
+                                     QdOptions options = QdOptions()) {
     options.seed = 1234;
     options.pool = pool;
     QdSession session(rfs_, options);
@@ -182,6 +189,92 @@ TEST_F(InstrumentedDeterminismTest, IdenticalWithAccessTelemetryOnVsOff) {
 
   recorder.Stop();
   EXPECT_GT(recorder.samples_taken(), 0u);
+}
+
+/// Runs `session` under both sinks, as a serve request handler installs
+/// them, and requires the totals to equal the sum of the per-leaf rows.
+/// Returns the totals.
+template <typename Session>
+obs::ResourceUsage ExpectTotalsAreSumOfRows(const std::string& what,
+                                            const Session& session) {
+  obs::ResourceAccumulator resources;
+  obs::AccessAccumulator access;
+  {
+    const obs::ScopedTaskContext scoped(
+        obs::TaskContext{{}, nullptr, &resources, &access});
+    session();
+  }
+  const obs::ResourceUsage totals = resources.Snapshot();
+  EXPECT_GT(totals.distance_evals + totals.cache_hits, 0u) << what;
+#ifdef QDCBIR_DISABLE_OBS
+  EXPECT_TRUE(access.empty()) << what;  // rows compile out, totals do not
+#else
+  obs::LeafAccessCounts rows;
+  for (const obs::LeafAccess& row : access.Snapshot()) rows.Add(row.counts);
+  EXPECT_EQ(totals.distance_evals, rows.distance_evals) << what;
+  EXPECT_EQ(totals.feature_bytes, rows.feature_bytes) << what;
+  EXPECT_EQ(totals.cache_hits, rows.cache_hits) << what;
+  EXPECT_EQ(totals.cache_misses, rows.cache_misses) << what;
+#endif
+  return totals;
+}
+
+/// Start, two feedback rounds on the first three shown images, finalize.
+void RunScriptedBaseline(FeedbackEngine& engine) {
+  std::vector<ImageId> display = engine.Start();
+  for (int round = 0; round < 2; ++round) {
+    display = engine.Feedback({display.begin(), display.begin() + 3}).value();
+  }
+  ASSERT_TRUE(engine.Finalize(60).ok()) << engine.Name();
+}
+
+TEST_F(InstrumentedDeterminismTest, SessionTotalsAreTheSumOfLeafRows) {
+  ThreadPool pool(4);
+  for (const bool weighted : {false, true}) {
+    QdOptions options;
+    if (weighted) {
+      options.feature_weights.assign(rfs_->feature_dim(), 1.0);
+      options.feature_weights[0] = 3.0;
+    }
+    const std::string qd = weighted ? "qd weighted" : "qd";
+    ExpectTotalsAreSumOfRows(qd + ", cache off", [&] {
+      RunScriptedSession(&pool, nullptr, options);
+    });
+    cache::CacheManager cache(cache::CacheManager::Options{});
+    options.cache = &cache;
+    const obs::ResourceUsage cold =
+        ExpectTotalsAreSumOfRows(qd + ", cold cache", [&] {
+          RunScriptedSession(&pool, nullptr, options);
+        });
+    EXPECT_GT(cold.cache_misses, 0u) << qd;
+    const obs::ResourceUsage warm =
+        ExpectTotalsAreSumOfRows(qd + ", warm cache", [&] {
+          RunScriptedSession(&pool, nullptr, options);
+        });
+    EXPECT_GT(warm.cache_hits, 0u) << qd;
+  }
+
+  cache::CacheManager cache(cache::CacheManager::Options{});
+  MvEngine mv(db_);
+  QpmEngine qpm(db_);
+  FaginOptions fagin_options;
+  fagin_options.pool = &pool;
+  FaginEngine fagin(db_, fagin_options);
+  QclusterOptions qcluster_options;
+  qcluster_options.pool = &pool;
+  qcluster_options.cache = &cache;
+  QclusterEngine qcluster(db_, qcluster_options);
+  for (FeedbackEngine* engine :
+       std::initializer_list<FeedbackEngine*>{&mv, &qpm, &fagin, &qcluster}) {
+    ExpectTotalsAreSumOfRows(engine->Name(),
+                             [engine] { RunScriptedBaseline(*engine); });
+  }
+  // The same script again finds qcluster's finalized ranking cached.
+  QclusterEngine warm(db_, qcluster_options);
+  EXPECT_GT(ExpectTotalsAreSumOfRows("qcluster, warm cache",
+                                     [&] { RunScriptedBaseline(warm); })
+                .cache_hits,
+            0u);
 }
 
 }  // namespace

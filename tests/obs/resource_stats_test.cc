@@ -5,6 +5,7 @@
 #include <cstddef>
 
 #include "qdcbir/core/thread_pool.h"
+#include "qdcbir/obs/access_stats.h"
 
 namespace qdcbir {
 namespace obs {
@@ -12,8 +13,8 @@ namespace {
 
 TEST(ResourceStatsTest, TapsAreNoOpsWithoutAccumulator) {
   ASSERT_EQ(CurrentResourceAccumulator(), nullptr);
-  CountDistanceEvals(10);
-  CountFeatureBytes(100);
+  CountLeafScan(kTableScanLeaf, 10, 0);
+  CountLeafScan(kTableScanLeaf, 0, 100);
   CountLeafVisits(1);
   CountTileGathers(1);
   CountContainerAlloc(64);
@@ -31,9 +32,9 @@ TEST(ResourceStatsTest, ScopeCollectsAndMergesAtExit) {
   {
     const ScopedResourceAccounting scope(&accumulator);
     EXPECT_EQ(CurrentResourceAccumulator(), &accumulator);
-    CountDistanceEvals(5);
-    CountDistanceEvals(7);
-    CountFeatureBytes(1024);
+    CountLeafScan(kTableScanLeaf, 5, 0);
+    CountLeafScan(kTableScanLeaf, 7, 0);
+    CountLeafScan(kTableScanLeaf, 0, 1024);
     CountLeafVisits(3);
     CountTileGathers(2);
     CountContainerAlloc(256);
@@ -55,10 +56,10 @@ TEST(ResourceStatsTest, FlushPublishesMidScope) {
   ResourceAccumulator accumulator;
   {
     const ScopedResourceAccounting scope(&accumulator);
-    CountDistanceEvals(9);
+    CountLeafScan(kTableScanLeaf, 9, 0);
     FlushResourceAccounting();
     EXPECT_EQ(accumulator.Snapshot().distance_evals, 9u);
-    CountDistanceEvals(1);
+    CountLeafScan(kTableScanLeaf, 1, 0);
   }
   // Flush zeroed the local deltas, so the scope-exit merge adds only the
   // post-flush tally — nothing is double-counted.
@@ -70,14 +71,14 @@ TEST(ResourceStatsTest, NestedScopesIsolateAndRestore) {
   ResourceAccumulator inner;
   {
     const ScopedResourceAccounting outer_scope(&outer);
-    CountDistanceEvals(1);
+    CountLeafScan(kTableScanLeaf, 1, 0);
     {
       const ScopedResourceAccounting inner_scope(&inner);
-      CountDistanceEvals(100);
+      CountLeafScan(kTableScanLeaf, 100, 0);
     }
     // The inner scope neither leaked its counts to the outer sink nor
     // clobbered the outer scope's pending deltas.
-    CountDistanceEvals(2);
+    CountLeafScan(kTableScanLeaf, 2, 0);
   }
   EXPECT_EQ(outer.Snapshot().distance_evals, 3u);
   EXPECT_EQ(inner.Snapshot().distance_evals, 100u);
@@ -90,9 +91,9 @@ TEST(ResourceStatsTest, NullScopeDisablesAccounting) {
     {
       const ScopedResourceAccounting off(nullptr);
       EXPECT_EQ(CurrentResourceAccumulator(), nullptr);
-      CountDistanceEvals(1000);
+      CountLeafScan(kTableScanLeaf, 1000, 0);
     }
-    CountDistanceEvals(1);
+    CountLeafScan(kTableScanLeaf, 1, 0);
   }
   EXPECT_EQ(accumulator.Snapshot().distance_evals, 1u);
 }
@@ -105,8 +106,8 @@ TEST(ResourceStatsTest, AccumulatorCrossesThreadPool) {
     // Iterations run on workers and (by participation) the caller; each
     // must inherit the enqueuer's sink, like trace context.
     pool.ParallelFor(0, 100, [](std::size_t) {
-      CountDistanceEvals(1);
-      CountFeatureBytes(8);
+      CountLeafScan(kTableScanLeaf, 1, 0);
+      CountLeafScan(kTableScanLeaf, 0, 8);
     });
   }
   const ResourceUsage usage = accumulator.Snapshot();
