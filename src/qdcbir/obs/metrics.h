@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -160,6 +161,12 @@ class Histogram {
   std::vector<std::pair<std::uint64_t, std::uint64_t>> CumulativeBuckets()
       const;
 
+  /// Merged (events in buckets whose upper bound is ≤ `threshold`, events
+  /// in every bucket): an SLO's (good, total) pair, read without building
+  /// the cumulative list. Safe to call while writers are active.
+  std::pair<std::uint64_t, std::uint64_t> CountAtOrBelow(
+      double threshold) const;
+
   struct Snapshot {
     std::uint64_t count = 0;
     std::uint64_t sum = 0;
@@ -270,6 +277,15 @@ class MetricsRegistry {
     std::map<std::string, std::vector<HistogramExemplar>> exemplars;
   };
   RegistrySnapshot Snapshot() const;
+
+  /// Calls `counter` with every counter's value, then `gauge` with every
+  /// gauge's value, each in name order, under the registry mutex: the
+  /// counters and gauges of `Snapshot` without merging a histogram or
+  /// copying a name. The callbacks must not call into the registry.
+  void VisitCountersAndGauges(
+      const std::function<void(const std::string&, std::uint64_t)>& counter,
+      const std::function<void(const std::string&, std::int64_t)>& gauge)
+      const;
 
   /// One JSON object: {"counters":{...},"gauges":{...},"histograms":{...}}.
   /// Embedded verbatim in bench records and dumped by the tools' /

@@ -22,6 +22,7 @@
 #include <errno.h>
 #include <pthread.h>
 #include <signal.h>
+#include <sys/mman.h>
 #include <sys/syscall.h>
 #include <time.h>
 #include <unistd.h>
@@ -50,32 +51,41 @@ namespace qdcbir {
 namespace obs {
 namespace {
 
-constexpr std::size_t kRingSize = 16384;  // power of two; ~4 MiB, leaked
+/// Power of two. The slots take 3.75 MiB of address space, resident only
+/// where a sample has landed; the mapping is leaked.
+constexpr std::size_t kRingSize = 16384;
 constexpr std::size_t kSampleWords =
     (sizeof(ProfileSample) + sizeof(std::uint64_t) - 1) /
     sizeof(std::uint64_t);
 static_assert(sizeof(ProfileSample) % sizeof(std::uint64_t) == 0,
               "ProfileSample must be word-copyable for the seqlock ring");
+static_assert(std::atomic_ref<std::uint64_t>::is_always_lock_free,
+              "the SIGPROF handler needs lock-free 64-bit atomics");
 
 /// Seqlock slot, same protocol as QueryLog: version odd while a writer owns
-/// the slot, sample words stored as relaxed atomics so the cross-thread
-/// copy is race-free under TSan, `seq` identifies which write the words
-/// belong to.
+/// the slot, `seq` identifies which write the words belong to. The fields
+/// are plain words that every access reaches through `std::atomic_ref`
+/// (relaxed for the sample words), so the cross-thread copy is race-free
+/// under TSan and nothing stores to a slot before its first sample: the
+/// ring's pages stay untouched zero pages until the handler writes them.
 struct SampleSlot {
-  std::atomic<std::uint64_t> version{0};
-  std::atomic<std::uint64_t> seq{0};
-  std::atomic<std::uint64_t> words[kSampleWords];
+  std::uint64_t version;
+  std::uint64_t seq;
+  std::uint64_t words[kSampleWords];
 };
 
-struct SampleRing {
-  std::atomic<std::uint64_t> head{0};
-  std::atomic<std::uint64_t> dropped{0};
-  SampleSlot slots[kRingSize];
-};
+constexpr std::size_t kRingBytes = kRingSize * sizeof(SampleSlot);
 
-/// Published with release before any timer is armed; the handler loads it
-/// with acquire, so a firing timer always sees a constructed ring.
-std::atomic<SampleRing*> g_ring{nullptr};
+using WordRef = std::atomic_ref<std::uint64_t>;
+
+/// Samples sequenced since process start (written or dropped), and of
+/// those the dropped ones.
+std::atomic<std::uint64_t> g_head{0};
+std::atomic<std::uint64_t> g_dropped{0};
+/// The kRingSize slots, an anonymous mapping published with release before
+/// any timer is armed; the handler loads it with acquire, so a firing timer
+/// always sees the mapping.
+std::atomic<SampleSlot*> g_slots{nullptr};
 
 #if defined(__linux__)
 
@@ -151,8 +161,8 @@ std::uint32_t CaptureBacktrace(void* ucontext_void, std::uintptr_t* frames,
 /// atomics only — no locks, no allocation, no errno-clobbering calls.
 void ProfilerSignalHandler(int /*signo*/, siginfo_t* /*info*/,
                            void* ucontext) {
-  SampleRing* ring = g_ring.load(std::memory_order_acquire);
-  if (ring == nullptr) return;
+  SampleSlot* slots = g_slots.load(std::memory_order_acquire);
+  if (slots == nullptr) return;
 
   ProfileSample sample;
   sample.num_frames =
@@ -164,25 +174,25 @@ void ProfilerSignalHandler(int /*signo*/, siginfo_t* /*info*/,
   const ThreadEntry* entry = t_entry;
   sample.tid = entry != nullptr ? static_cast<std::uint32_t>(entry->tid) : 0;
 
-  const std::uint64_t seq =
-      ring->head.fetch_add(1, std::memory_order_relaxed);
-  SampleSlot& slot = ring->slots[seq % kRingSize];
-  std::uint64_t version = slot.version.load(std::memory_order_relaxed);
+  const std::uint64_t seq = g_head.fetch_add(1, std::memory_order_relaxed);
+  SampleSlot& slot = slots[seq % kRingSize];
+  const WordRef slot_version(slot.version);
+  std::uint64_t version = slot_version.load(std::memory_order_relaxed);
   if ((version & 1) != 0 ||
-      !slot.version.compare_exchange_strong(version, version + 1,
+      !slot_version.compare_exchange_strong(version, version + 1,
                                             std::memory_order_acquire,
                                             std::memory_order_relaxed)) {
     // Another thread's handler owns this slot; drop rather than spin.
-    ring->dropped.fetch_add(1, std::memory_order_relaxed);
+    g_dropped.fetch_add(1, std::memory_order_relaxed);
     return;
   }
   std::uint64_t words[kSampleWords];
   std::memcpy(words, &sample, sizeof(sample));
   for (std::size_t i = 0; i < kSampleWords; ++i) {
-    slot.words[i].store(words[i], std::memory_order_relaxed);
+    WordRef(slot.words[i]).store(words[i], std::memory_order_relaxed);
   }
-  slot.seq.store(seq, std::memory_order_relaxed);
-  slot.version.store(version + 2, std::memory_order_release);
+  WordRef(slot.seq).store(seq, std::memory_order_relaxed);
+  slot_version.store(version + 2, std::memory_order_release);
 }
 
 bool InstallHandlerLocked(ProfilerState& state, std::string* error) {
@@ -241,21 +251,24 @@ void FillStackBounds(ThreadEntry* entry) {
   pthread_attr_destroy(&attr);
 }
 
-#endif  // __linux__
-
-SampleRing* EnsureRing() {
-  SampleRing* ring = g_ring.load(std::memory_order_acquire);
-  if (ring != nullptr) return ring;
-  auto* fresh = new SampleRing();  // leaked: handlers may outlive any owner
-  SampleRing* expected = nullptr;
-  if (g_ring.compare_exchange_strong(expected, fresh,
-                                     std::memory_order_release,
-                                     std::memory_order_acquire)) {
-    return fresh;
+/// Maps the slots on first use (called under the state mutex). The kernel
+/// hands out zero pages, so a slot no sample has reached costs no resident
+/// memory; huge pages are declined so residency grows a 4 KiB page at a
+/// time. Leaked: handlers may outlive any owner.
+bool EnsureRingLocked(std::string* error) {
+  if (g_slots.load(std::memory_order_relaxed) != nullptr) return true;
+  void* mapping = mmap(nullptr, kRingBytes, PROT_READ | PROT_WRITE,
+                       MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  if (mapping == MAP_FAILED) {
+    if (error != nullptr) *error = "cannot map the profiler sample ring";
+    return false;
   }
-  delete fresh;
-  return expected;
+  (void)madvise(mapping, kRingBytes, MADV_NOHUGEPAGE);
+  g_slots.store(static_cast<SampleSlot*>(mapping), std::memory_order_release);
+  return true;
 }
+
+#endif  // __linux__
 
 struct ProfilerCounters {
   Counter& collected;
@@ -376,7 +389,7 @@ bool Profiler::Start(const ProfilerOptions& options, std::string* error) {
     return false;
   }
   if (!InstallHandlerLocked(state, error)) return false;
-  EnsureRing();
+  if (!EnsureRingLocked(error)) return false;
   const int hz = std::clamp(options.hz, ProfilerOptions::kMinHz,
                             ProfilerOptions::kMaxHz);
   std::size_t armed = 0;
@@ -425,36 +438,41 @@ int Profiler::hz() const { return 0; }
 #endif  // __linux__
 
 std::uint64_t Profiler::SampleCursor() const {
-  const SampleRing* ring = g_ring.load(std::memory_order_acquire);
-  return ring != nullptr ? ring->head.load(std::memory_order_acquire) : 0;
+  return g_head.load(std::memory_order_acquire);
 }
 
 std::uint64_t Profiler::dropped() const {
-  const SampleRing* ring = g_ring.load(std::memory_order_acquire);
-  return ring != nullptr ? ring->dropped.load(std::memory_order_relaxed) : 0;
+  return g_dropped.load(std::memory_order_relaxed);
+}
+
+Profiler::RingMapping Profiler::Ring() {
+  return {g_slots.load(std::memory_order_acquire), kRingBytes,
+          sizeof(SampleSlot)};
 }
 
 std::vector<ProfileSample> Profiler::CollectSince(
     std::uint64_t cursor) const {
   std::vector<ProfileSample> samples;
-  SampleRing* ring = g_ring.load(std::memory_order_acquire);
-  if (ring == nullptr) return samples;
-  const std::uint64_t head = ring->head.load(std::memory_order_acquire);
+  SampleSlot* slots = g_slots.load(std::memory_order_acquire);
+  if (slots == nullptr) return samples;
+  const std::uint64_t head = g_head.load(std::memory_order_acquire);
   std::uint64_t begin = cursor;
   if (head > kRingSize && begin < head - kRingSize) {
     begin = head - kRingSize;  // older slots have been overwritten
   }
   samples.reserve(static_cast<std::size_t>(head - begin));
   for (std::uint64_t seq = begin; seq < head; ++seq) {
-    SampleSlot& slot = ring->slots[seq % kRingSize];
-    const std::uint64_t v1 = slot.version.load(std::memory_order_acquire);
+    SampleSlot& slot = slots[seq % kRingSize];
+    const WordRef slot_version(slot.version);
+    const std::uint64_t v1 = slot_version.load(std::memory_order_acquire);
     if ((v1 & 1) != 0) continue;  // writer mid-flight
     std::uint64_t words[kSampleWords];
     for (std::size_t i = 0; i < kSampleWords; ++i) {
-      words[i] = slot.words[i].load(std::memory_order_relaxed);
+      words[i] = WordRef(slot.words[i]).load(std::memory_order_relaxed);
     }
-    const std::uint64_t slot_seq = slot.seq.load(std::memory_order_relaxed);
-    const std::uint64_t v2 = slot.version.load(std::memory_order_acquire);
+    const std::uint64_t slot_seq =
+        WordRef(slot.seq).load(std::memory_order_relaxed);
+    const std::uint64_t v2 = slot_version.load(std::memory_order_acquire);
     if (v1 != v2 || slot_seq != seq) continue;  // torn or recycled
     ProfileSample sample;
     std::memcpy(&sample, words, sizeof(sample));
@@ -462,7 +480,7 @@ std::vector<ProfileSample> Profiler::CollectSince(
     samples.push_back(sample);
   }
   ProfilerCounters::Get().collected.Add(samples.size());
-  const std::uint64_t drops = ring->dropped.load(std::memory_order_relaxed);
+  const std::uint64_t drops = g_dropped.load(std::memory_order_relaxed);
   Counter& published = ProfilerCounters::Get().dropped_published;
   const std::uint64_t already = static_cast<std::uint64_t>(published.Value());
   if (drops > already) published.Add(drops - already);

@@ -1,6 +1,7 @@
 #ifndef QDCBIR_OBS_PROFILER_H_
 #define QDCBIR_OBS_PROFILER_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -100,6 +101,16 @@ class Profiler {
                                 std::uint64_t dropped);
 
  private:
+  /// Test-only view of the sample ring's anonymous mapping, so a test can
+  /// count which of its pages are resident.
+  friend class ProfilerTestPeer;
+  struct RingMapping {
+    const void* base = nullptr;  ///< nullptr before the first `Start`
+    std::size_t bytes = 0;
+    std::size_t slot_bytes = 0;  ///< one sample plus its seqlock words
+  };
+  static RingMapping Ring();
+
   Profiler() = default;
 };
 

@@ -1,6 +1,7 @@
 #include "qdcbir/obs/slo.h"
 
 #include <algorithm>
+#include <tuple>
 
 #include "qdcbir/obs/clock.h"
 #include "qdcbir/obs/json.h"
@@ -11,41 +12,10 @@ namespace obs {
 
 namespace {
 
-/// Window-sample resolution: one second against 5 min / 1 h windows.
-constexpr std::uint64_t kSampleSpacingNs = 1000ull * 1000 * 1000;
-
-std::uint64_t CounterValue(const MetricsRegistry::RegistrySnapshot& snap,
-                           const std::string& name) {
-  for (const auto& [counter, value] : snap.counters) {
-    if (counter == name) return value;
-  }
-  return 0;
-}
-
-/// (good, total) from a histogram's cumulative buckets: events at or below
-/// `threshold` are good. The HDR buckets quantize the cut to the first
-/// upper bound at/above the threshold (≤ ~6% value error, same as the
-/// percentile readouts).
-std::pair<std::uint64_t, std::uint64_t> HistogramGoodAtOrBelow(
-    const MetricsRegistry::RegistrySnapshot& snap, const std::string& name,
-    double threshold) {
-  for (const auto& [hist, buckets] : snap.histogram_buckets) {
-    if (hist != name) continue;
-    std::uint64_t good = 0;
-    std::uint64_t total = 0;
-    for (const auto& [upper, cumulative] : buckets) {
-      total = cumulative;
-      if (static_cast<double>(upper) <= threshold) good = cumulative;
-    }
-    // Threshold beyond the last finite bound: everything recorded is good.
-    if (!buckets.empty() &&
-        threshold >= static_cast<double>(buckets.back().first)) {
-      good = total;
-    }
-    return {good, total};
-  }
-  return {0, 0};
-}
+/// Cap on a burn rate. A budget of zero burns "infinitely" on one bad
+/// event, and the permille gauges cast the burn to an integer, which must
+/// stay finite and in range.
+constexpr double kMaxBurn = 1e9;
 
 }  // namespace
 
@@ -78,7 +48,22 @@ SloEngine::SloEngine(std::vector<SloDefinition> definitions,
   for (SloDefinition& def : definitions) {
     TrackedSlo tracked;
     tracked.def = std::move(def);
-    const std::string base = "slo." + tracked.def.name;
+    const SloDefinition& d = tracked.def;
+    if (!d.metric.empty()) {
+      if (d.kind == SloKind::kLatencyQuantile ||
+          d.kind == SloKind::kHistogramFloor) {
+        tracked.histogram = &registry_->GetHistogram(d.metric);
+      } else {
+        tracked.counter = &registry_->GetCounter(d.metric);
+      }
+    }
+    if (!d.bad_metric.empty() && (d.kind == SloKind::kAvailability ||
+                                  d.kind == SloKind::kRatioFloor)) {
+      tracked.bad_counter = &registry_->GetCounter(d.bad_metric);
+    }
+    tracked.ring.resize(
+        std::max(d.fast_window_ns, d.slow_window_ns) / kCadenceNs + 1);
+    const std::string base = "slo." + d.name;
     tracked.state_gauge = &registry_->GetGauge(
         base + ".state", "SLO state: 0 ok, 1 warn, 2 breach");
     tracked.fast_gauge = &registry_->GetGauge(
@@ -96,113 +81,107 @@ SloEngine::SloEngine(std::vector<SloDefinition> definitions,
   }
 }
 
-SloEngine::WindowSample SloEngine::Sample(
-    const MetricsRegistry::RegistrySnapshot& snap, const SloDefinition& def,
-    std::uint64_t now_ns) const {
-  WindowSample sample;
-  sample.at_ns = now_ns;
-  switch (def.kind) {
-    case SloKind::kLatencyQuantile: {
-      const auto [good, total] =
-          HistogramGoodAtOrBelow(snap, def.metric, def.threshold);
-      sample.good = good;
-      sample.total = total;
+SloEngine::Reading SloEngine::Read(const TrackedSlo& slo) {
+  const auto value = [](const Counter* counter) -> std::uint64_t {
+    return counter != nullptr ? counter->Value() : 0;
+  };
+  // For the histogram kinds: (events at or below the threshold, all events).
+  // The HDR buckets quantize the cut to the last bucket upper bound at or
+  // below the threshold (≤ ~6% value error, as for the percentile readouts).
+  std::uint64_t at_or_below = 0;
+  std::uint64_t events = 0;
+  if (slo.histogram != nullptr) {
+    std::tie(at_or_below, events) =
+        slo.histogram->CountAtOrBelow(slo.def.threshold);
+  }
+  Reading reading;
+  switch (slo.def.kind) {
+    case SloKind::kLatencyQuantile:
+      reading.good = at_or_below;
+      reading.total = events;
       break;
-    }
     case SloKind::kAvailability: {
-      sample.total = CounterValue(snap, def.metric);
-      const std::uint64_t bad = CounterValue(snap, def.bad_metric);
-      sample.good = sample.total > bad ? sample.total - bad : 0;
+      reading.total = value(slo.counter);
+      const std::uint64_t bad = value(slo.bad_counter);
+      reading.good = reading.total > bad ? reading.total - bad : 0;
       break;
     }
-    case SloKind::kRatioFloor: {
-      sample.good = CounterValue(snap, def.metric);
-      sample.total = sample.good + CounterValue(snap, def.bad_metric);
+    case SloKind::kRatioFloor:
+      reading.good = value(slo.counter);
+      reading.total = reading.good + value(slo.bad_counter);
       break;
-    }
-    case SloKind::kHistogramFloor: {
-      const auto [at_or_below, total] =
-          HistogramGoodAtOrBelow(snap, def.metric, def.threshold);
+    case SloKind::kHistogramFloor:
       // good = strictly above the floor; a non-positive floor accepts
       // everything (exported but never burning — opt-in floors).
-      sample.good = def.threshold <= 0.0 ? total : total - at_or_below;
-      sample.total = total;
+      reading.good = slo.def.threshold <= 0.0 ? events : events - at_or_below;
+      reading.total = events;
       break;
-    }
   }
-  return sample;
+  return reading;
 }
 
-double SloEngine::BurnOver(const TrackedSlo& slo, std::uint64_t now_ns,
-                           std::uint64_t window_ns) {
-  if (slo.samples.size() < 2) return 0.0;
-  const WindowSample& newest = slo.samples.back();
-  // Baseline: the latest sample at or before the window start; when the
-  // ring does not reach back that far, the oldest sample (partial window).
-  const std::uint64_t start_ns =
-      now_ns > window_ns ? now_ns - window_ns : 0;
-  const WindowSample* baseline = &slo.samples.front();
-  for (const WindowSample& sample : slo.samples) {
-    if (sample.at_ns > start_ns) break;
-    baseline = &sample;
+void SloEngine::Record(TrackedSlo& slo, Reading reading,
+                       std::uint64_t now_ns) {
+  // Monotonic guard: a clock hiccup or reset registry must not make the
+  // window deltas go negative, so the ring restarts.
+  if (slo.primed &&
+      (now_ns < slo.newest_ns || reading.total < slo.newest.total ||
+       reading.good < slo.newest.good)) {
+    slo.primed = false;
   }
-  if (baseline == &newest) return 0.0;
-  const std::uint64_t total = newest.total - baseline->total;
+  const std::uint64_t slots = slo.ring.size();
+  const std::uint64_t tick = now_ns / kCadenceNs;
+  if (!slo.primed) {
+    slo.primed = true;
+    slo.oldest_tick = tick;
+    slo.ring[tick % slots] = reading;
+  } else if (tick > slo.newest_tick) {
+    // Ticks without a reading carry the last one forward; past a full lap
+    // every slot is overwritten, so at most `slots` writes happen.
+    const std::uint64_t lap_start = tick >= slots ? tick - slots + 1 : 0;
+    for (std::uint64_t t = std::max(slo.newest_tick + 1, lap_start); t < tick;
+         ++t) {
+      slo.ring[t % slots] = slo.newest;
+    }
+    slo.ring[tick % slots] = reading;
+    slo.oldest_tick = std::max(slo.oldest_tick, lap_start);
+  }
+  slo.newest_tick = tick;
+  slo.newest = reading;
+  slo.newest_ns = now_ns;
+}
+
+double SloEngine::BurnOver(const TrackedSlo& slo, std::uint64_t window_ns) {
+  // Baseline: the slot `window / cadence` ticks back, found by index; when
+  // the ring does not reach back that far, the oldest slot (a partial
+  // window).
+  const std::uint64_t back = window_ns / kCadenceNs;
+  const std::uint64_t tick =
+      slo.newest_tick - std::min(back, slo.newest_tick - slo.oldest_tick);
+  const Reading& baseline = slo.ring[tick % slo.ring.size()];
+  const std::uint64_t total = slo.newest.total - baseline.total;
   if (total == 0) return 0.0;
-  const std::uint64_t good = newest.good - baseline->good;
+  const std::uint64_t good = slo.newest.good - baseline.good;
   const double bad_fraction =
       static_cast<double>(total - good) / static_cast<double>(total);
   const double budget = 1.0 - slo.def.objective;
-  if (budget <= 0.0) return bad_fraction > 0.0 ? 1e9 : 0.0;
-  return bad_fraction / budget;
+  // An objective of 1 (or above 1, or NaN) leaves no budget: any bad event
+  // burns at the cap.
+  if (!(budget > 0.0)) return bad_fraction > 0.0 ? kMaxBurn : 0.0;
+  return std::min(bad_fraction / budget, kMaxBurn);
 }
 
 void SloEngine::Evaluate() {
-  // The clock reading and the snapshot are taken under the lock: callers
-  // racing here (sessions finishing on several lanes) then append samples
-  // in time order with non-decreasing counts, and the monotonic guard
-  // below only fires on a real clock or registry reset.
+  // The clock reading and the handle reads happen under the lock: callers
+  // racing here (a render and a due finalize) then record readings in time
+  // order with non-decreasing counts, and the monotonic guard only fires on
+  // a real clock or registry reset.
   std::lock_guard<std::mutex> lock(mu_);
   const std::uint64_t now_ns = clock_();
-  const MetricsRegistry::RegistrySnapshot snap = registry_->Snapshot();
   for (TrackedSlo& slo : slos_) {
-    const WindowSample sample = Sample(snap, slo.def, now_ns);
-    // Monotonic guard: a clock hiccup or reset registry must not make the
-    // window deltas go negative.
-    if (!slo.samples.empty() &&
-        (sample.at_ns < slo.samples.back().at_ns ||
-         sample.total < slo.samples.back().total ||
-         sample.good < slo.samples.back().good)) {
-      slo.samples.clear();
-    }
-    // At most two samples per kSampleSpacingNs: a sample that lands within
-    // the spacing of the one before the newest replaces the newest. The
-    // newest reading stays exact, a window's baseline moves by less than
-    // the spacing, and a busy server no longer grows the vector by one
-    // sample per finalize.
-    const std::size_t n = slo.samples.size();
-    if (n >= 2 && sample.at_ns - slo.samples[n - 2].at_ns < kSampleSpacingNs) {
-      slo.samples.back() = sample;
-    } else {
-      slo.samples.push_back(sample);
-    }
-    // Prune to the slow window, keeping one baseline sample beyond it.
-    const std::uint64_t horizon =
-        now_ns > slo.def.slow_window_ns ? now_ns - slo.def.slow_window_ns : 0;
-    std::size_t keep_from = 0;
-    while (keep_from + 1 < slo.samples.size() &&
-           slo.samples[keep_from + 1].at_ns <= horizon) {
-      ++keep_from;
-    }
-    if (keep_from > 0) {
-      slo.samples.erase(slo.samples.begin(),
-                        slo.samples.begin() + static_cast<long>(keep_from));
-    }
-
-    slo.good = sample.good;
-    slo.total = sample.total;
-    slo.fast_burn = BurnOver(slo, now_ns, slo.def.fast_window_ns);
-    slo.slow_burn = BurnOver(slo, now_ns, slo.def.slow_window_ns);
+    Record(slo, Read(slo), now_ns);
+    slo.fast_burn = BurnOver(slo, slo.def.fast_window_ns);
+    slo.slow_burn = BurnOver(slo, slo.def.slow_window_ns);
     const bool fast_hot = slo.fast_burn >= slo.def.fast_burn_threshold;
     const bool slow_hot = slo.slow_burn >= slo.def.slow_burn_threshold;
     const SloState next = fast_hot && slow_hot ? SloState::kBreach
@@ -226,6 +205,20 @@ void SloEngine::Evaluate() {
   }
 }
 
+void SloEngine::EvaluateIfDue() {
+  const std::uint64_t now_ns = clock_();
+  std::uint64_t due = next_due_ns_.load(std::memory_order_relaxed);
+  if (now_ns < due) return;
+  // Of the callers that find the engine due, the one whose CAS moves the
+  // due time to the next tick evaluates; the others return.
+  const std::uint64_t next = (now_ns / kCadenceNs + 1) * kCadenceNs;
+  if (!next_due_ns_.compare_exchange_strong(due, next,
+                                            std::memory_order_relaxed)) {
+    return;
+  }
+  Evaluate();
+}
+
 std::vector<SloStatus> SloEngine::Snapshot() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::vector<SloStatus> out;
@@ -239,8 +232,8 @@ std::vector<SloStatus> SloEngine::Snapshot() const {
     status.threshold = slo.def.threshold;
     status.fast_burn = slo.fast_burn;
     status.slow_burn = slo.slow_burn;
-    status.good = slo.good;
-    status.total = slo.total;
+    status.good = slo.newest.good;
+    status.total = slo.newest.total;
     out.push_back(std::move(status));
   }
   return out;

@@ -7,21 +7,27 @@
 ///
 /// An SLO reduces every source — latency histograms, availability counters,
 /// hit-rate counter pairs, quality-proxy histogram floors — to a cumulative
-/// (good, total) event pair read from the metrics registry. Each `Evaluate`
-/// call appends a timestamped sample of that pair to a per-SLO ring; burn
-/// rate over a window is the bad fraction of the window's event delta
-/// divided by the error budget (1 - objective). The state machine follows
-/// the multi-window alerting pattern: *breach* when both the fast and slow
-/// windows burn above their thresholds (the fast window confirms the
-/// problem is still happening), *warn* when only one does, *ok* otherwise.
+/// (good, total) event pair. The engine resolves each definition's metrics
+/// to `Histogram&` / `Counter&` handles once, at construction (registering
+/// any that do not exist yet), so an evaluation reads those handles and
+/// never snapshots the registry. Each `Evaluate` call records the pair in a
+/// per-SLO ring of `kCadenceNs` ticks; burn rate over a window is the bad
+/// fraction of the window's event delta divided by the error budget
+/// (1 - objective). The state machine follows the multi-window alerting
+/// pattern: *breach* when both the fast and slow windows burn above their
+/// thresholds (the fast window confirms the problem is still happening),
+/// *warn* when only one does, *ok* otherwise.
 ///
 /// Evaluation is pull-driven — the serve layer calls `Evaluate` from the
-/// `/metrics`, `/sloz`, and `/statusz` handlers and after each session
-/// finalize — and publishes `slo.<name>.{state,fast_burn_permille,
-/// slow_burn_permille}` gauges (rendered as `qdcbir_slo_*` on `/metrics`).
-/// State transitions emit rate-limited `/logz` entries. The clock is
-/// injectable so tests can drive window arithmetic deterministically.
+/// `/metrics`, `/sloz`, and `/statusz` handlers, and `EvaluateIfDue` after
+/// each session finalize, which evaluates at most once per cadence — and
+/// publishes `slo.<name>.{state,fast_burn_permille,slow_burn_permille}`
+/// gauges (rendered as `qdcbir_slo_*` on `/metrics`). Between renders the
+/// state and gauges may be up to one cadence old. State transitions emit
+/// rate-limited `/logz` entries. The clock is injectable so tests can drive
+/// window arithmetic deterministically.
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <mutex>
@@ -88,15 +94,27 @@ class SloEngine {
  public:
   using Clock = std::function<std::uint64_t()>;
 
+  /// Width of one window-ring slot, and the most often `EvaluateIfDue`
+  /// evaluates. A window's baseline is the first reading of the tick
+  /// `window / kCadenceNs` ticks back, so window edges move by less than one
+  /// cadence.
+  static constexpr std::uint64_t kCadenceNs = 10ull * 1000 * 1000 * 1000;
+
   /// `registry` defaults to the process-global one; tests pass their own
   /// registry and clock to drive breaches deterministically.
   explicit SloEngine(std::vector<SloDefinition> definitions,
                      MetricsRegistry* registry = nullptr,
                      Clock clock = nullptr);
 
-  /// Samples the registry, advances the burn-rate windows, updates states,
-  /// publishes the `slo.*` gauges, and logs transitions. Thread-safe.
+  /// Reads every SLO's metric handles, advances the burn-rate windows,
+  /// updates states, publishes the `slo.*` gauges, and logs transitions.
+  /// Thread-safe.
   void Evaluate();
+
+  /// `Evaluate`, unless this engine already evaluated through here in the
+  /// current cadence tick: one clock read and compare when not due, so the
+  /// per-session path pays nothing for SLOs between ticks. Thread-safe.
+  void EvaluateIfDue();
 
   /// Current status per SLO (does not re-evaluate).
   std::vector<SloStatus> Snapshot() const;
@@ -109,32 +127,50 @@ class SloEngine {
 
   std::size_t definition_count() const { return slos_.size(); }
 
+  /// Slots of an SLO's window ring: its longer window over the cadence,
+  /// plus the newest tick's slot. Fixed at construction.
+  std::size_t ring_slots(std::size_t slo) const {
+    return slos_[slo].ring.size();
+  }
+
  private:
-  struct WindowSample {
-    std::uint64_t at_ns = 0;
+  struct Reading {
     std::uint64_t good = 0;
     std::uint64_t total = 0;
   };
   struct TrackedSlo {
     SloDefinition def;
-    std::vector<WindowSample> samples;  ///< ascending by at_ns
+    /// The handles `def` names; null for an empty name (reads as 0).
+    Histogram* histogram = nullptr;
+    Counter* counter = nullptr;
+    Counter* bad_counter = nullptr;
+    /// Slot `tick % ring.size()` holds the first reading taken in `tick`;
+    /// ticks with no reading carry the reading before them. Valid ticks are
+    /// [oldest_tick, newest_tick] while `primed`.
+    std::vector<Reading> ring;
+    bool primed = false;
+    std::uint64_t oldest_tick = 0;
+    std::uint64_t newest_tick = 0;
+    /// The latest reading, kept apart from its tick's slot.
+    Reading newest;
+    std::uint64_t newest_ns = 0;
     SloState state = SloState::kOk;
     double fast_burn = 0.0;
     double slow_burn = 0.0;
-    std::uint64_t good = 0;
-    std::uint64_t total = 0;
     Gauge* state_gauge = nullptr;
     Gauge* fast_gauge = nullptr;
     Gauge* slow_gauge = nullptr;
   };
 
-  WindowSample Sample(const MetricsRegistry::RegistrySnapshot& snap,
-                      const SloDefinition& def, std::uint64_t now_ns) const;
-  static double BurnOver(const TrackedSlo& slo, std::uint64_t now_ns,
-                         std::uint64_t window_ns);
+  static Reading Read(const TrackedSlo& slo);
+  static void Record(TrackedSlo& slo, Reading reading, std::uint64_t now_ns);
+  static double BurnOver(const TrackedSlo& slo, std::uint64_t window_ns);
 
   MetricsRegistry* registry_;
   Clock clock_;
+  /// Clock reading from which `EvaluateIfDue` evaluates again: the start of
+  /// the tick after its last evaluation.
+  std::atomic<std::uint64_t> next_due_ns_{0};
   mutable std::mutex mu_;
   std::vector<TrackedSlo> slos_;
 };

@@ -15,18 +15,19 @@ FlightRecorder::FlightRecorder(Options options, MetricsRegistry* registry,
       registry_(registry != nullptr ? registry : &MetricsRegistry::Global()),
       clock_(clock != nullptr ? std::move(clock) : [] {
         return MonotonicNanos();
-      }) {
+      }),
+      // Registered up front so the very first sample already contains the
+      // self-accounting families (and /metrics shows them at zero).
+      samples_counter_(registry_->GetCounter(
+          "history.samples.taken", "Flight-recorder registry samples taken.")),
+      dropped_counter_(registry_->GetCounter(
+          "history.series.dropped",
+          "Metrics the flight recorder could not track (name table full).")),
+      events_counter_(registry_->GetCounter(
+          "history.events.marked",
+          "Event marks pinned into the flight-recorder ring.")) {
   ring_.resize(options_.capacity == 0 ? 1 : options_.capacity);
   events_.resize(options_.max_events == 0 ? 1 : options_.max_events);
-  // Register the self-accounting families up front so the very first
-  // sample already contains them (and /metrics shows them at zero).
-  registry_->GetCounter("history.samples.taken",
-                        "Flight-recorder registry samples taken.");
-  registry_->GetCounter(
-      "history.series.dropped",
-      "Metrics the flight recorder could not track (name table full).");
-  registry_->GetCounter("history.events.marked",
-                        "Event marks pinned into the flight-recorder ring.");
 }
 
 FlightRecorder::~FlightRecorder() { Stop(); }
@@ -78,42 +79,39 @@ std::size_t FlightRecorder::SeriesIdLocked(const std::string& name,
 void FlightRecorder::SampleNow() {
   std::uint64_t dropped_delta = 0;
   {
-    // The clock reading and the snapshot are taken under the lock, so
-    // concurrent callers (the sampler thread and the slow-trace hook)
+    // The clock reading and the registry reads are taken under the lock,
+    // so concurrent callers (the sampler thread and the slow-trace hook)
     // append samples in time order and each sample's values are at least
-    // those of the one before it.
+    // those of the one before it. Only counters and gauges are read: no
+    // histogram is merged.
     std::lock_guard<std::mutex> lock(mu_);
-    const MetricsRegistry::RegistrySnapshot snap = registry_->Snapshot();
-    const std::uint64_t now_ns = clock_();
     const std::uint64_t dropped_before = series_dropped_;
     Sample& slot = ring_[ring_head_];
-    slot.t_ns = now_ns;
     slot.values.assign(series_names_.size(), 0.0);
     const auto record = [&](std::size_t id, double value) {
       if (id >= options_.max_series) return;
       if (id >= slot.values.size()) slot.values.resize(id + 1, 0.0);
       slot.values[id] = value;
     };
-    for (const auto& [name, value] : snap.counters) {
-      record(SeriesIdLocked(name, /*is_counter=*/true),
-             static_cast<double>(value));
-    }
-    for (const auto& [name, gauge] : snap.gauges) {
-      record(SeriesIdLocked(name, /*is_counter=*/false),
-             static_cast<double>(gauge.first));
-    }
+    registry_->VisitCountersAndGauges(
+        [&](const std::string& name, std::uint64_t value) {
+          record(SeriesIdLocked(name, /*is_counter=*/true),
+                 static_cast<double>(value));
+        },
+        [&](const std::string& name, std::int64_t value) {
+          record(SeriesIdLocked(name, /*is_counter=*/false),
+                 static_cast<double>(value));
+        });
+    slot.t_ns = clock_();
     ring_head_ = (ring_head_ + 1) % ring_.size();
     if (ring_size_ < ring_.size()) ++ring_size_;
     ++samples_taken_;
     dropped_delta = series_dropped_ - dropped_before;
   }
 
-  // Registry ticks happen outside mu_ (GetCounter takes the registry
-  // mutex); the next sample picks them up.
-  registry_->GetCounter("history.samples.taken").Add(1);
-  if (dropped_delta > 0) {
-    registry_->GetCounter("history.series.dropped").Add(dropped_delta);
-  }
+  // Registry ticks happen outside mu_; the next sample picks them up.
+  samples_counter_.Add(1);
+  if (dropped_delta > 0) dropped_counter_.Add(dropped_delta);
 }
 
 void FlightRecorder::MarkEvent(const std::string& label) {
@@ -126,7 +124,7 @@ void FlightRecorder::MarkEvent(const std::string& label) {
     events_head_ = (events_head_ + 1) % events_.size();
     if (events_size_ < events_.size()) ++events_size_;
   }
-  registry_->GetCounter("history.events.marked").Add(1);
+  events_counter_.Add(1);
 }
 
 FlightRecorder::Series FlightRecorder::Query(const std::string& metric,

@@ -59,9 +59,9 @@ class FlightRecorder {
   void Start();
   void Stop();
 
-  /// Takes one sample of every counter and gauge right now. The background
-  /// thread calls this on its cadence; tests and the slow-trace hook call
-  /// it directly.
+  /// Takes one sample of every counter and gauge right now (histograms are
+  /// neither merged nor copied). The background thread calls this on its
+  /// cadence; tests and the slow-trace hook call it directly.
   void SampleNow();
 
   /// Pins a labeled mark (conventionally a trace id) at the current clock
@@ -126,6 +126,9 @@ class FlightRecorder {
   const Options options_;
   MetricsRegistry* registry_;
   Clock clock_;
+  Counter& samples_counter_;  ///< history.samples.taken
+  Counter& dropped_counter_;  ///< history.series.dropped
+  Counter& events_counter_;   ///< history.events.marked
 
   mutable std::mutex mu_;
   std::unordered_map<std::string, std::size_t> series_ids_;

@@ -162,6 +162,24 @@ bool ParseNumberParam(const std::string& query, std::string_view key,
   return true;
 }
 
+/// Why the SLO options cannot define SLOs, or "" when they can. A NaN or
+/// out-of-range objective would make every burn rate meaningless.
+std::string SloOptionsError(const ServeOptions& options) {
+  const auto objective_ok = [](double objective) {
+    return std::isfinite(objective) && objective >= 0.0 && objective <= 1.0;
+  };
+  if (!objective_ok(options.slo_latency_objective)) {
+    return "slo_latency_objective must be a finite number in [0, 1]";
+  }
+  if (!objective_ok(options.slo_jaccard_objective)) {
+    return "slo_jaccard_objective must be a finite number in [0, 1]";
+  }
+  if (!std::isfinite(options.slo_latency_ms) || options.slo_latency_ms < 0.0) {
+    return "slo_latency_ms must be a finite non-negative number";
+  }
+  return "";
+}
+
 }  // namespace
 
 const char* ReadinessName(Readiness state) {
@@ -341,12 +359,12 @@ bool ServeApp::Start(std::string* error) {
           std::chrono::system_clock::now().time_since_epoch())
           .count());
   start_mono_ns_ = obs::MonotonicNanos();
-  if (!server_.Start(error)) {
+  std::string failure = SloOptionsError(options_);
+  if (!failure.empty() || !server_.Start(&failure)) {
     SetReadiness(Readiness::kFailed);
-    {
-      std::lock_guard<std::mutex> lock(state_mu_);
-      load_error_ = error != nullptr ? *error : "bind failed";
-    }
+    if (error != nullptr) *error = failure;
+    std::lock_guard<std::mutex> lock(state_mu_);
+    load_error_ = std::move(failure);
     return false;
   }
   if (options_.profile_hz > 0) {
@@ -1185,7 +1203,9 @@ void ServeApp::FinishSessionObservability(const Session& session,
   }
 
   obs::PublishSessionQuality(quality);
-  slo_engine_->Evaluate();
+  // Sessions only record; the SLOs evaluate here at most once per cadence
+  // (and on every /metrics, /sloz and /statusz render).
+  slo_engine_->EvaluateIfDue();
   if (wide_events_ == nullptr) return;
 
   const std::uint64_t unix_ms = static_cast<std::uint64_t>(
@@ -1195,6 +1215,7 @@ void ServeApp::FinishSessionObservability(const Session& session,
   // The wide event is the session's audit record plus what only the serve
   // layer knows, and the SLO state at completion (one field per definition
   // plus the worst state) so offline slicing can filter sessions by health.
+  // That state is the last evaluation's: up to one SLO cadence old.
   std::string event;
   obs::JsonWriter w(&event);
   w.BeginObject();

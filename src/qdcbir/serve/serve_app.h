@@ -154,8 +154,11 @@ class ServeApp {
   ServeApp& operator=(const ServeApp&) = delete;
 
   /// Binds the listener and starts the background snapshot load. Returns
-  /// false (with `*error`) only when the socket cannot be bound — load
-  /// failures surface through `/readyz` and `readiness()` instead.
+  /// false (with `*error`) only when the SLO options are invalid (an
+  /// objective that is not a finite number in [0, 1], or a latency target
+  /// that is not a finite non-negative number) or the socket cannot be
+  /// bound — load failures surface through `/readyz` and `readiness()`
+  /// instead.
   bool Start(std::string* error);
 
   /// Stops the server, joins the loader, and drains open connections.
@@ -289,7 +292,8 @@ class ServeApp {
   bool profiler_armed_ = false;
 
   /// In-process SLO engine (obs/slo.h); evaluated from the /metrics,
-  /// /sloz, and /statusz handlers and after each session finalize.
+  /// /sloz, and /statusz handlers, and at most once per cadence after a
+  /// session finalize.
   std::unique_ptr<obs::SloEngine> slo_engine_;
   /// Metrics flight recorder behind `/historyz`. Background sampling runs
   /// from `Start` to `Stop` when `history_interval_ms` > 0; slow-trace

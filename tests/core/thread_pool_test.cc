@@ -292,7 +292,7 @@ TEST(ThreadPoolTest, TraceContextParentageSurvivesNestedParallelFor) {
   std::atomic<std::size_t> wrong_trace{0};
   std::atomic<std::size_t> outer_tasks{0};
   std::atomic<std::size_t> inner_tasks{0};
-  std::uint64_t root_span = 0;
+  [[maybe_unused]] std::uint64_t root_span = 0;
   {
     ThreadPool pool(4);
     const obs::ScopedTraceContext scoped(context);

@@ -266,7 +266,11 @@ TEST(SpanMacroTest, RecordsIntoGlobalSpanHistogram) {
   for (int i = 0; i < 3; ++i) {
     QDCBIR_SPAN("obs_test.macro");
   }
+#ifdef QDCBIR_DISABLE_OBS
+  EXPECT_EQ(histogram.Snap().count, before);  // spans compile out
+#else
   EXPECT_EQ(histogram.Snap().count, before + 3);
+#endif
 }
 
 }  // namespace

@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#if defined(__linux__)
+#include <sys/mman.h>
+#include <unistd.h>
+#endif
+
+#include <algorithm>
 #include <cstring>
 #include <mutex>
 #include <set>
@@ -17,6 +23,32 @@
 
 namespace qdcbir {
 namespace obs {
+
+/// Befriended by Profiler: reads the sample ring's mapping and counts its
+/// resident pages.
+class ProfilerTestPeer {
+ public:
+  static Profiler::RingMapping Ring() { return Profiler::Ring(); }
+
+#if defined(__linux__)
+  /// Pages of the ring's mapping that `mincore` reports resident.
+  static std::size_t ResidentPages() {
+    const Profiler::RingMapping ring = Profiler::Ring();
+    if (ring.base == nullptr) return 0;
+    const std::size_t page = static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
+    std::vector<unsigned char> resident((ring.bytes + page - 1) / page);
+    if (mincore(const_cast<void*>(ring.base), ring.bytes, resident.data()) !=
+        0) {
+      ADD_FAILURE() << "mincore failed";
+      return resident.size();
+    }
+    return static_cast<std::size_t>(
+        std::count_if(resident.begin(), resident.end(),
+                      [](unsigned char bits) { return (bits & 1) != 0; }));
+  }
+#endif
+};
+
 namespace {
 
 #if defined(__SANITIZE_THREAD__) || defined(__SANITIZE_ADDRESS__)
@@ -30,6 +62,13 @@ constexpr bool kUnderSanitizer = false;
 #else
 constexpr bool kUnderSanitizer = false;
 #endif
+
+#ifdef QDCBIR_DISABLE_OBS
+constexpr bool kSpansCompiledOut = true;
+#else
+constexpr bool kSpansCompiledOut = false;
+#endif
+constexpr char kNoSpans[] = "QDCBIR_SPAN compiles out under -DQDCBIR_OBS=OFF";
 
 TEST(SpanStackTest, PushPopTracksInnermost) {
   SpanStack stack;
@@ -60,6 +99,9 @@ TEST(SpanStackTest, OverflowCountsDepthButClampsRecording) {
 }
 
 TEST(SpanStackTest, ScopedSpanMirrorsOntoCurrentStack) {
+  if (kSpansCompiledOut) {
+    GTEST_SKIP() << kNoSpans;
+  }
   const std::uint32_t base = CurrentSpanStack().depth.load();
   {
     QDCBIR_SPAN("test.outer");
@@ -112,6 +154,9 @@ class NameCollector {
 };
 
 TEST(SpanPropagationTest, PoolTasksAttributeToEnqueuingSpan) {
+  if (kSpansCompiledOut) {
+    GTEST_SKIP() << kNoSpans;
+  }
   ThreadPool pool(4);
   NameCollector collector;
   {
@@ -125,6 +170,9 @@ TEST(SpanPropagationTest, PoolTasksAttributeToEnqueuingSpan) {
 }
 
 TEST(SpanPropagationTest, NestedParallelForKeepsInnermostSpan) {
+  if (kSpansCompiledOut) {
+    GTEST_SKIP() << kNoSpans;
+  }
   ThreadPool pool(4);
   NameCollector collector;
   {
@@ -142,6 +190,9 @@ TEST(SpanPropagationTest, NestedParallelForKeepsInnermostSpan) {
 }
 
 TEST(SpanPropagationTest, PostedTasksCarrySpanAndTrace) {
+  if (kSpansCompiledOut) {
+    GTEST_SKIP() << kNoSpans;
+  }
   ThreadPool pool(2);
   const TraceContext context = NewTraceContext();
   std::mutex mu;
@@ -246,6 +297,9 @@ TEST(ProfilerTest, CapturesSpanAttributedSamplesWhileBurningCpu) {
   if (kUnderSanitizer) {
     GTEST_SKIP() << "signal delivery timing unreliable under sanitizers";
   }
+  if (kSpansCompiledOut) {
+    GTEST_SKIP() << kNoSpans;
+  }
   Profiler& profiler = Profiler::Global();
   Profiler::RegisterCurrentThread();
   ProfilerOptions options;
@@ -289,6 +343,59 @@ TEST(ProfilerTest, CapturesSpanAttributedSamplesWhileBurningCpu) {
   EXPECT_GE(attributed, 1u) << samples.size() << " samples, none in span";
   EXPECT_GE(traced, 1u);
   EXPECT_EQ(with_frames, samples.size());
+#endif
+}
+
+TEST(ProfilerTest, RingIsResidentOnlyWhereSamplesLanded) {
+#if !defined(__linux__)
+  GTEST_SKIP() << "sampling profiler is Linux-only";
+#else
+  Profiler& profiler = Profiler::Global();
+  std::string error;
+  ASSERT_TRUE(profiler.Start(ProfilerOptions{}, &error)) << error;
+  const auto ring = ProfilerTestPeer::Ring();
+  ASSERT_NE(ring.base, nullptr);
+  ASSERT_GT(ring.slot_bytes, sizeof(ProfileSample));
+  const std::size_t page = static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
+
+  // Started, and holding only what earlier samples in this process wrote
+  // (slots [0, head) while the ring has not wrapped), plus the page
+  // boundaries on either side: not the whole 3.75 MiB.
+  const std::uint64_t head0 = profiler.SampleCursor();
+  const std::uint64_t dropped0 = profiler.dropped();
+  const std::size_t resident0 = ProfilerTestPeer::ResidentPages();
+  EXPECT_LE(resident0, head0 * ring.slot_bytes / page + 2)
+      << head0 << " samples so far, ring of " << ring.bytes << " bytes";
+  EXPECT_LT(resident0 * page, ring.bytes / 4);
+  profiler.Stop();
+
+  if (kUnderSanitizer) {
+    GTEST_SKIP() << "signal delivery timing unreliable under sanitizers";
+  }
+  // Burn CPU under a dense profile until a couple of hundred samples landed.
+  constexpr std::uint64_t kSamples = 200;
+  Profiler::RegisterCurrentThread();
+  ProfilerOptions options;
+  options.hz = 997;
+  ASSERT_TRUE(profiler.Start(options, &error)) << error;
+  const std::uint64_t start = MonotonicNanos();
+  volatile double sink = 1.0;
+  while (profiler.SampleCursor() - head0 < kSamples &&
+         MonotonicNanos() - start < 30000000000ull) {
+    for (int i = 0; i < 4096; ++i) sink = sink * 1.0000001 + 0.5;
+  }
+  profiler.Stop();
+  Profiler::UnregisterCurrentThread();
+  const std::uint64_t sequenced = profiler.SampleCursor() - head0;
+  const std::uint64_t written = sequenced - (profiler.dropped() - dropped0);
+  ASSERT_GE(sequenced, kSamples) << "30 s at 997 Hz";
+
+  // The new samples occupy consecutive slots: their pages became resident,
+  // about 240 bytes a sample, and no others did. At most one page at each
+  // end of the run was resident already or is only partly covered.
+  const std::size_t grown = ProfilerTestPeer::ResidentPages() - resident0;
+  EXPECT_LE(grown, sequenced * ring.slot_bytes / page + 2) << sequenced;
+  EXPECT_GE(grown + 1, written * ring.slot_bytes / page) << written;
 #endif
 }
 

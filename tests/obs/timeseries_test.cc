@@ -165,7 +165,9 @@ TEST(FlightRecorderTest, SelfSampleCounterIsMonotone) {
   ASSERT_EQ(series.points.size(), 3u);
   for (std::size_t i = 0; i < series.points.size(); ++i) {
     EXPECT_EQ(series.points[i].value, static_cast<double>(i));
-    if (i > 0) EXPECT_EQ(series.points[i].delta, 1.0);
+    if (i > 0) {
+      EXPECT_EQ(series.points[i].delta, 1.0);
+    }
   }
 }
 

@@ -78,6 +78,9 @@ const ImageDatabase* TraceTest::db_ = nullptr;
 const RfsTree* TraceTest::rfs_ = nullptr;
 
 TEST_F(TraceTest, QdSessionProducesValidTraceWithAllPhases) {
+#ifdef QDCBIR_DISABLE_OBS
+  GTEST_SKIP() << "QDCBIR_SPAN compiles out under -DQDCBIR_OBS=OFF";
+#endif
   const std::string path = ::testing::TempDir() + "/qd_session_trace.json";
   Tracer& tracer = Tracer::Global();
   std::string error;

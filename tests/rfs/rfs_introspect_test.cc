@@ -80,7 +80,9 @@ TEST_F(RfsIntrospectTest, SummaryMatchesTreeGeometry) {
   bool first = true;
   for (const IndexLeafShape& leaf : summary.leaves) {
     EXPECT_TRUE(ids.insert(leaf.id).second);
-    if (!first) EXPECT_GT(leaf.id, prev);
+    if (!first) {
+      EXPECT_GT(leaf.id, prev);
+    }
     first = false;
     prev = leaf.id;
     EXPECT_GE(leaf.entries, summary.min_leaf_entries);

@@ -470,6 +470,14 @@ class JsonGoldenServeTest : public ::testing::Test {
 
 std::string JsonGoldenServeTest::db_path_;
 
+// The wide event's leaves_touched counts the session's per-leaf access
+// rows, which compile out under -DQDCBIR_OBS=OFF.
+#ifdef QDCBIR_DISABLE_OBS
+#define GOLDEN_LEAVES_TOUCHED "0"
+#else
+#define GOLDEN_LEAVES_TOUCHED "2"
+#endif
+
 TEST_F(JsonGoldenServeTest, ApiBodiesAndWideEvent) {
   const std::string events_path =
       ::testing::TempDir() + "json_golden_events.jsonl";
@@ -544,7 +552,8 @@ TEST_F(JsonGoldenServeTest, ApiBodiesAndWideEvent) {
             "k_churn\":5,\"quality_rounds_to_stability\":0,\"outcome\":\"final"
             "ized\",\"trace\":\"4bf92f3577b34da6a3ce929d0e0e4736\","
             "\"display_size\":6,\"boundary_threshold\":0.4,\"cache_mb\":64,"
-            "\"load_generation\":1,\"leaves_touched\":2,\"quality_mean_jaccard"
+            "\"load_generation\":1,\"leaves_touched\":" GOLDEN_LEAVES_TOUCHED
+            ",\"quality_mean_jaccard"
             "_permille\":333,\"quality_subquery_growth\":2,\"slo_worst\":\"ok\""
             ",\"slo_session_latency\":\"ok\",\"slo_http_availability\":\"ok\","
             "\"slo_cache_hit_rate\":\"ok\",\"slo_quality_stability\":\"ok\"}\n"
@@ -567,6 +576,8 @@ TEST_F(JsonGoldenServeTest, ApiBodiesAndWideEvent) {
             "}\n");
   std::filesystem::remove(events_path);
 }
+
+#undef GOLDEN_LEAVES_TOUCHED
 
 TEST_F(JsonGoldenServeTest, VarzSplicesBuildInfoIntoTheRegistrySnapshot) {
   ThreadPool pool(2);

@@ -14,6 +14,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <string>
 #include <vector>
@@ -181,6 +182,51 @@ TEST_F(ServeAppTest, MissingSnapshotReachesFailedAndReadyzAnswers503) {
   // So does the index introspection walk: no tree, no answer.
   EXPECT_NE(Get(app.port(), "/indexz").find("503"), std::string::npos);
   app.Stop();
+}
+
+TEST_F(ServeAppTest, StartRejectsSloOptionsOutsideTheirRange) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  struct Case {
+    double latency_ms;
+    double latency_objective;
+    double jaccard_objective;
+    const char* message;  ///< "" when the options are valid
+  };
+  const Case cases[] = {
+      {2000.0, nan, 0.5, "slo_latency_objective"},
+      {2000.0, 1.5, 0.5, "slo_latency_objective"},
+      {2000.0, -0.1, 0.5, "slo_latency_objective"},
+      {2000.0, 0.95, nan, "slo_jaccard_objective"},
+      {2000.0, 0.95, inf, "slo_jaccard_objective"},
+      {nan, 0.95, 0.5, "slo_latency_ms"},
+      {inf, 0.95, 0.5, "slo_latency_ms"},
+      {-1.0, 0.95, 0.5, "slo_latency_ms"},
+      {0.0, 1.0, 0.0, ""},  // the closed ranges' ends are valid
+  };
+  ThreadPool pool(2);
+  for (const Case& c : cases) {
+    ServeOptions options;
+    options.db_path = *db_path_;
+    options.pool = &pool;
+    options.slo_latency_ms = c.latency_ms;
+    options.slo_latency_objective = c.latency_objective;
+    options.slo_jaccard_objective = c.jaccard_objective;
+    ServeApp app(std::move(options));
+    std::string error;
+    const bool started = app.Start(&error);
+    const std::string what = std::string(c.message) + " case, " +
+                             std::to_string(c.latency_ms) + " ms";
+    if (*c.message == '\0') {
+      EXPECT_TRUE(started) << what << ": " << error;
+    } else {
+      EXPECT_FALSE(started) << what;
+      EXPECT_NE(error.find(c.message), std::string::npos) << error;
+      EXPECT_EQ(app.readiness(), Readiness::kFailed) << what;
+      EXPECT_EQ(app.load_error(), error) << what;
+    }
+    app.Stop();
+  }
 }
 
 TEST_F(ServeAppTest, RfsFromAnotherCorpusFailsTheLoad) {
@@ -615,9 +661,9 @@ TEST_F(ServeAppTest, TraceparentSessionRoundTripsThroughEveryObsSurface) {
   const JsonValue* entry = FindTrace(*tracez_json, trace_id);
   ASSERT_NE(entry, nullptr) << tracez;
   EXPECT_EQ(entry->Find("reason")->string, "sampled");
-  const std::uint64_t total_ns = entry->U64Field("total_ns", 0);
 
 #ifndef QDCBIR_DISABLE_OBS
+  const std::uint64_t total_ns = entry->U64Field("total_ns", 0);
   // The tree holds the session's phases: descent (feedback rounds),
   // finalize, and at least one per-leaf subquery span with leaf
   // attribution. Self times are consistent and sum within the wall time.
@@ -1295,6 +1341,16 @@ TEST_F(ServeAppTest, IndexzJoinsTreeWithLiveAccessStats) {
   ASSERT_TRUE(warm.ok());
   const JsonValue* access = warm->Find("access");
   ASSERT_NE(access, nullptr);
+#ifdef QDCBIR_DISABLE_OBS
+  // The per-leaf taps compile out, so the join stays as empty as before
+  // the sessions, and so does the co-access table.
+  EXPECT_EQ(access->U64Field("sessions", 1), 0u);
+  EXPECT_EQ(access->Find("totals")->U64Field("scans", 1), 0u);
+  EXPECT_TRUE(access->Find("hot_leaves")->items.empty());
+  EXPECT_EQ(warm->Find("coaccess")->U64Field("sets", 1), 0u);
+  app.Stop();
+  return;
+#endif
   EXPECT_GE(access->U64Field("sessions", 0), 2u);
   const JsonValue* totals = access->Find("totals");
   ASSERT_NE(totals, nullptr);
