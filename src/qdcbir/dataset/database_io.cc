@@ -278,11 +278,6 @@ struct DirEntry {
   std::uint32_t crc = 0;
 };
 
-struct Directory {
-  int version = 0;  ///< 1 = legacy blob (no entries), 2 = chunked
-  std::vector<DirEntry> entries;
-};
-
 template <typename T>
 T LoadPod(const std::string& buf, std::size_t offset) {
   T v;
@@ -293,16 +288,16 @@ T LoadPod(const std::string& buf, std::size_t offset) {
 /// Reads and validates the snapshot header + chunk directory: magic,
 /// version, directory CRC, and every entry's bounds against the source
 /// size. Distinguishes the three failure classes the loaders promise.
-StatusOr<Directory> ReadDirectory(const ByteSource& src) {
+StatusOr<std::vector<DirEntry>> ReadDirectory(const ByteSource& src) {
   char magic[kMagicLen];
   if (src.Size() < kMagicLen) {
     return Status::Truncated("snapshot shorter than its magic");
   }
   QDCBIR_RETURN_IF_ERROR(src.ReadAt(0, kMagicLen, magic));
   if (std::memcmp(magic, kDatabaseMagicV1, kMagicLen) == 0) {
-    Directory dir;
-    dir.version = 1;
-    return dir;
+    return Status::VersionMismatch(
+        "snapshot format v1 is no longer read; re-create the file with "
+        "`qdcbir_tool synth`");
   }
   if (std::memcmp(magic, kSnapshotMagic, 6) != 0) {
     return Status::Corrupt("not a qdcbir snapshot (bad magic)");
@@ -318,7 +313,7 @@ StatusOr<Directory> ReadDirectory(const ByteSource& src) {
   if (version != kSnapshotVersion) {
     return Status::VersionMismatch("snapshot version " +
                                    std::to_string(version) +
-                                   " (this build reads versions 1 and 2)");
+                                   " (this build reads version 2)");
   }
   if (count > kMaxChunks) {
     return Status::Corrupt("implausible chunk count " + std::to_string(count));
@@ -336,12 +331,10 @@ StatusOr<Directory> ReadDirectory(const ByteSource& src) {
     return Status::Corrupt("snapshot directory checksum mismatch");
   }
 
-  Directory dir;
-  dir.version = 2;
-  dir.entries.resize(count);
+  std::vector<DirEntry> dir(count);
   for (std::uint32_t i = 0; i < count; ++i) {
     const std::size_t base = kDirFixedBytes + i * kDirEntryBytes;
-    DirEntry& e = dir.entries[i];
+    DirEntry& e = dir[i];
     e.id = LoadPod<std::uint32_t>(dir_buf, base);
     e.offset = LoadPod<std::uint64_t>(dir_buf, base + 8);
     e.length = LoadPod<std::uint64_t>(dir_buf, base + 16);
@@ -355,7 +348,7 @@ StatusOr<Directory> ReadDirectory(const ByteSource& src) {
                                " extends past the end of the snapshot");
     }
     for (std::uint32_t j = 0; j < i; ++j) {
-      if (dir.entries[j].id == e.id) {
+      if (dir[j].id == e.id) {
         return Status::Corrupt("duplicate chunk " + ChunkIdToString(e.id));
       }
     }
@@ -512,70 +505,6 @@ Status ReadAndDecodeChunk(const ByteSource& src, const DirEntry& e,
   return Status::Ok();
 }
 
-/// Legacy v1 monolithic-blob reader (format of the original
-/// `SerializeDatabase`), with the same hardened bounds checks as v2.
-/// Decodes into `Staging`; the shared assembly in `LoadDatabaseFrom`
-/// performs the cross-section validation for both versions.
-Status DecodeV1(const ByteSource& src, Staging* st) {
-  QDCBIR_SPAN("io.load.v1");
-  ByteReader r(src, "v1 database blob");
-  // The reader's status says why a read failed (the blob ended, or the
-  // source's own error); a failure without one is an inconsistent body.
-  const auto failed = [&r] {
-    return r.status().ok() ? Status::Corrupt("malformed v1 database blob")
-                           : r.status();
-  };
-  char magic[kMagicLen];
-  if (!r.Raw(magic, kMagicLen)) return failed();
-  if (std::memcmp(magic, kDatabaseMagicV1, kMagicLen) != 0) {
-    return Status::Corrupt("not a v1 database blob (bad magic)");
-  }
-  if (!ReadCatalogBody(r, &st->categories, &st->subconcepts, &st->queries)) {
-    return failed();
-  }
-  st->has_catalog = true;
-  std::uint64_t num_records = 0;
-  if (!r.Pod(&st->width) || !r.Pod(&st->height) ||
-      !r.Count(&num_records, 16)) {
-    return failed();
-  }
-  st->records.resize(num_records);
-  for (std::uint64_t i = 0; i < num_records; ++i) {
-    ImageRecord& rec = st->records[i];
-    rec.id = static_cast<ImageId>(i);
-    if (!r.Pod(&rec.subconcept) || !r.Pod(&rec.category) ||
-        !r.Pod(&rec.render_seed)) {
-      return failed();
-    }
-  }
-  st->has_records = true;
-  st->record_count = num_records;
-  if (!ReadFeatureTable(r, &st->tables[0])) return failed();
-  st->has_table[0] = true;
-
-  if (!r.Pod(&st->channels_flag)) return failed();
-  if (st->channels_flag) {
-    for (int c = 1; c < kNumViewpointChannels; ++c) {
-      if (!ReadFeatureTable(r, &st->tables[c])) return failed();
-      st->has_table[c] = true;
-    }
-  }
-  std::string normalizer_blob;
-  const int num_norms = st->channels_flag ? kNumViewpointChannels : 1;
-  for (int c = 0; c < num_norms; ++c) {
-    if (!ReadStr(r, &normalizer_blob)) return failed();
-    StatusOr<FeatureNormalizer> n =
-        FeatureNormalizer::Deserialize(normalizer_blob);
-    if (!n.ok()) {
-      return Status::Corrupt("v1 normalizer: " + n.status().message());
-    }
-    st->norms[c] = std::move(n).value();
-    st->has_norm[c] = true;
-  }
-  st->has_meta = true;
-  return Status::Ok();
-}
-
 }  // namespace
 
 std::string DatabaseIo::SerializeCatalog(const Catalog& catalog) {
@@ -671,37 +600,6 @@ std::string DatabaseIo::SerializeDatabase(const ImageDatabase& db,
   return out;
 }
 
-std::string DatabaseIo::SerializeDatabaseV1(const ImageDatabase& db) {
-  Writer w;
-  w.Raw(kDatabaseMagicV1, kMagicLen);
-  WriteCatalogBody(w, db.catalog_);
-
-  w.Pod<std::int32_t>(db.image_width_);
-  w.Pod<std::int32_t>(db.image_height_);
-  w.Pod<std::uint64_t>(db.records_.size());
-  for (const ImageRecord& rec : db.records_) {
-    w.Pod(rec.subconcept);
-    w.Pod(rec.category);
-    w.Pod(rec.render_seed);
-  }
-  WriteFeatureTable(w, db.features());
-  const std::uint8_t has_channels = db.has_channel_features() ? 1 : 0;
-  w.Pod(has_channels);
-  if (has_channels) {
-    for (int c = 1; c < kNumViewpointChannels; ++c) {
-      WriteFeatureTable(w,
-                        db.channel_features(static_cast<ViewpointChannel>(c)));
-    }
-  }
-  w.Str(db.normalizer_.Serialize());
-  if (has_channels) {
-    for (int c = 1; c < kNumViewpointChannels; ++c) {
-      w.Str(db.channel_normalizers_[c].Serialize());
-    }
-  }
-  return w.Take();
-}
-
 StatusOr<ImageDatabase> DatabaseIo::DeserializeDatabase(
     const std::string& bytes) {
   MemoryByteSource source(bytes);
@@ -711,42 +609,38 @@ StatusOr<ImageDatabase> DatabaseIo::DeserializeDatabase(
 StatusOr<ImageDatabase> DatabaseIo::LoadDatabaseFrom(
     const ByteSource& source, const SnapshotLoadOptions& options) {
   QDCBIR_SPAN("io.load.total");
-  StatusOr<Directory> dir = ReadDirectory(source);
+  const StatusOr<std::vector<DirEntry>> dir = ReadDirectory(source);
   if (!dir.ok()) return dir.status();
 
   Staging st;
-  if (dir->version == 1) {
-    QDCBIR_RETURN_IF_ERROR(DecodeV1(source, &st));
-  } else {
-    const std::vector<DirEntry>& entries = dir->entries;
-    std::vector<Status> statuses(entries.size());
-    const bool parallel = options.pool != nullptr &&
-                          options.pool->size() > 1 && entries.size() > 1;
-    if (parallel) {
-      // Each task reads its own byte range (positioned I/O) and decodes
-      // into its own staging slot: file reads overlap with decoding and
-      // with each other, and the assembled database is byte-identical to a
-      // sequential load because assembly below is order-independent.
-      std::vector<std::function<void()>> tasks;
-      tasks.reserve(entries.size());
-      for (std::size_t i = 0; i < entries.size(); ++i) {
-        tasks.push_back([&source, &entries, &options, &st, &statuses, i] {
-          statuses[i] = ReadAndDecodeChunk(source, entries[i],
-                                           options.verify_checksums, &st);
-        });
-      }
-      options.pool->Run(std::move(tasks));
-    } else {
-      for (std::size_t i = 0; i < entries.size(); ++i) {
+  const std::vector<DirEntry>& entries = *dir;
+  std::vector<Status> statuses(entries.size());
+  const bool parallel = options.pool != nullptr && options.pool->size() > 1 &&
+                        entries.size() > 1;
+  if (parallel) {
+    // Each task reads its own byte range (positioned I/O) and decodes into
+    // its own staging slot: file reads overlap with decoding and with each
+    // other, and the assembled database is byte-identical to a sequential
+    // load because assembly below is order-independent.
+    std::vector<std::function<void()>> tasks;
+    tasks.reserve(entries.size());
+    for (std::size_t i = 0; i < entries.size(); ++i) {
+      tasks.push_back([&source, &entries, &options, &st, &statuses, i] {
         statuses[i] = ReadAndDecodeChunk(source, entries[i],
                                          options.verify_checksums, &st);
-      }
+      });
     }
-    // Report the first failure in directory order so the error is
-    // deterministic across pool widths.
-    for (const Status& s : statuses) {
-      if (!s.ok()) return s;
+    options.pool->Run(std::move(tasks));
+  } else {
+    for (std::size_t i = 0; i < entries.size(); ++i) {
+      statuses[i] = ReadAndDecodeChunk(source, entries[i],
+                                       options.verify_checksums, &st);
     }
+  }
+  // Report the first failure in directory order so the error is
+  // deterministic across pool widths.
+  for (const Status& s : statuses) {
+    if (!s.ok()) return s;
   }
 
   QDCBIR_SPAN("io.load.assemble");
@@ -830,9 +724,9 @@ StatusOr<ImageDatabase> DatabaseIo::LoadDatabase(
 
 StatusOr<SnapshotChunkInfo> DatabaseIo::FindEmbeddedRfs(
     const ByteSource& source) {
-  StatusOr<Directory> dir = ReadDirectory(source);
+  const StatusOr<std::vector<DirEntry>> dir = ReadDirectory(source);
   if (!dir.ok()) return dir.status();
-  for (const DirEntry& e : dir->entries) {
+  for (const DirEntry& e : *dir) {
     if (e.id != kChunkRfs) continue;
     QDCBIR_RETURN_IF_ERROR(VerifyRfsChunk(source, e));
     return SnapshotChunkInfo{ChunkIdToString(e.id), e.offset, e.length, e.crc,
@@ -842,12 +736,11 @@ StatusOr<SnapshotChunkInfo> DatabaseIo::FindEmbeddedRfs(
 }
 
 StatusOr<SnapshotInfo> DatabaseIo::InspectSnapshot(const ByteSource& source) {
-  StatusOr<Directory> dir = ReadDirectory(source);
+  const StatusOr<std::vector<DirEntry>> dir = ReadDirectory(source);
   if (!dir.ok()) return dir.status();
   SnapshotInfo info;
-  info.version = dir->version;
   info.file_size = source.Size();
-  for (const DirEntry& e : dir->entries) {
+  for (const DirEntry& e : *dir) {
     SnapshotChunkInfo chunk;
     chunk.id = ChunkIdToString(e.id);
     chunk.offset = e.offset;

@@ -40,9 +40,9 @@ struct SnapshotChunkInfo {
 
 /// Snapshot directory summary (`DatabaseIo::InspectSnapshot`).
 struct SnapshotInfo {
-  int version = 0;  ///< 1 = legacy monolithic blob, 2 = chunked
+  int version = 2;  ///< the chunked format, the only one this build reads
   std::uint64_t file_size = 0;
-  std::vector<SnapshotChunkInfo> chunks;  ///< empty for v1 blobs
+  std::vector<SnapshotChunkInfo> chunks;
 };
 
 /// Binary (de)serialization of catalogs and image databases.
@@ -57,10 +57,10 @@ struct SnapshotInfo {
 /// (catalog, records, one chunk per feature table, normalizers, an optional
 /// embedded RFS blob), each carrying its byte length and a CRC32C. Loads
 /// return typed errors — `kTruncated` when bytes end early, `kCorrupt` on
-/// checksum/structure violations, `kVersionMismatch` for unknown versions —
-/// and never trust embedded counts beyond the bytes actually present. The
-/// legacy v1 monolithic format is still read transparently. The format is
-/// little-endian; it is a cache format, not an interchange format.
+/// checksum/structure violations, `kVersionMismatch` for any version but 2
+/// (the retired v1 blob included) — and never trust embedded counts beyond
+/// the bytes actually present. The format is little-endian; it is a cache
+/// format, not an interchange format.
 class DatabaseIo {
  public:
   /// Serializes a catalog (categories, sub-concept recipes, queries).
@@ -75,12 +75,8 @@ class DatabaseIo {
   static std::string SerializeDatabase(const ImageDatabase& db,
                                        const std::string* rfs_blob = nullptr);
 
-  /// Decodes a v2 or legacy v1 blob (sequential, checksums verified).
+  /// Decodes a v2 blob (sequential, checksums verified).
   static StatusOr<ImageDatabase> DeserializeDatabase(const std::string& bytes);
-
-  /// Legacy v1 writer, kept so the v1 compatibility reader stays testable
-  /// without fixture files. New code should not call this.
-  static std::string SerializeDatabaseV1(const ImageDatabase& db);
 
   /// File convenience wrappers.
   static Status SaveDatabase(const ImageDatabase& db, const std::string& path,

@@ -277,15 +277,6 @@ MetricsRegistry::RegistrySnapshot MetricsRegistry::Snapshot() const {
   return snap;
 }
 
-void MetricsRegistry::VisitCountersAndGauges(
-    const std::function<void(const std::string&, std::uint64_t)>& counter,
-    const std::function<void(const std::string&, std::int64_t)>& gauge)
-    const {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (const auto& [name, c] : counters_) counter(name, c->Value());
-  for (const auto& [name, g] : gauges_) gauge(name, g->Value());
-}
-
 std::string MetricsRegistry::SnapshotJson() const {
   std::string out;
   JsonWriter w(&out);

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -277,15 +276,6 @@ class MetricsRegistry {
     std::map<std::string, std::vector<HistogramExemplar>> exemplars;
   };
   RegistrySnapshot Snapshot() const;
-
-  /// Calls `counter` with every counter's value, then `gauge` with every
-  /// gauge's value, each in name order, under the registry mutex: the
-  /// counters and gauges of `Snapshot` without merging a histogram or
-  /// copying a name. The callbacks must not call into the registry.
-  void VisitCountersAndGauges(
-      const std::function<void(const std::string&, std::uint64_t)>& counter,
-      const std::function<void(const std::string&, std::int64_t)>& gauge)
-      const;
 
   /// One JSON object: {"counters":{...},"gauges":{...},"histograms":{...}}.
   /// Embedded verbatim in bench records and dumped by the tools' /

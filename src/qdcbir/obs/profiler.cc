@@ -159,14 +159,19 @@ std::uint32_t CaptureBacktrace(void* ucontext_void, std::uintptr_t* frames,
 
 /// SIGPROF handler. Constraints: own-thread constinit TLS and lock-free
 /// atomics only — no locks, no allocation, no errno-clobbering calls.
-void ProfilerSignalHandler(int /*signo*/, siginfo_t* /*info*/,
-                           void* ucontext) {
+void ProfilerSignalHandler(int /*signo*/, siginfo_t* info, void* ucontext) {
   SampleSlot* slots = g_slots.load(std::memory_order_acquire);
   if (slots == nullptr) return;
 
   ProfileSample sample;
-  sample.num_frames =
-      CaptureBacktrace(ucontext, sample.frames, ProfileSample::kMaxFrames);
+  sample.num_frames = static_cast<std::uint16_t>(
+      CaptureBacktrace(ucontext, sample.frames, ProfileSample::kMaxFrames));
+  // Above the kernel's CPU-timer tick one signal stands for several
+  // expirations; the missed ones arrive as its overrun count.
+  if (info->si_code == SI_TIMER && info->si_overrun > 0) {
+    sample.weight =
+        static_cast<std::uint16_t>(1 + std::min(info->si_overrun, 0xfffe));
+  }
   const SpanStack& stack = CurrentSpanStack();
   sample.span = stack.Innermost();
   sample.trace_hi = stack.trace_hi;
@@ -504,7 +509,7 @@ std::map<std::string, std::uint64_t> CollapseStacks(
       line += SymbolizePc(sample.frames[i - 1], /*is_return_address=*/i > 1,
                           &symbol_cache);
     }
-    ++stacks[line];
+    stacks[line] += sample.weight;
   }
   return stacks;
 }
@@ -526,12 +531,16 @@ std::string Profiler::RenderCollapsed(
 std::string Profiler::RenderJson(const std::vector<ProfileSample>& samples,
                                  int hz, double seconds,
                                  std::uint64_t dropped) {
+  std::uint64_t total = 0;
   std::map<std::string, std::uint64_t> span_totals;
   std::map<std::string, std::uint64_t> trace_totals;
   for (const ProfileSample& sample : samples) {
-    ++span_totals[sample.span != nullptr ? sample.span : "(no-span)"];
+    total += sample.weight;
+    span_totals[sample.span != nullptr ? sample.span : "(no-span)"] +=
+        sample.weight;
     if ((sample.trace_hi | sample.trace_lo) != 0) {
-      ++trace_totals[TraceIdHex(sample.trace_hi, sample.trace_lo)];
+      trace_totals[TraceIdHex(sample.trace_hi, sample.trace_lo)] +=
+          sample.weight;
     }
   }
   std::string out;
@@ -539,7 +548,7 @@ std::string Profiler::RenderJson(const std::vector<ProfileSample>& samples,
   w.BeginObject();
   w.Key("hz").Int(hz);
   w.Key("seconds").Double(seconds, "%.3f");
-  w.Key("samples").Uint(samples.size());
+  w.Key("samples").Uint(total);
   w.Key("dropped").Uint(dropped);
   w.Key("spans").BeginObject();
   for (const auto& [span, count] : span_totals) w.Key(span).Uint(count);

@@ -20,7 +20,11 @@ struct ProfileSample {
   /// Innermost `QDCBIR_SPAN` literal at sample time (possibly re-opened on
   /// a pool worker via `ScopedSpanTag`), or nullptr outside any span.
   const char* span = nullptr;
-  std::uint32_t num_frames = 0;
+  std::uint16_t num_frames = 0;
+  /// Timer expirations this sample stands for: 1 plus the overruns the
+  /// kernel folded into its signal, as it does above the scheduler-tick
+  /// rate. Rendered counts sum weights, so count / hz is CPU time.
+  std::uint16_t weight = 1;
   std::uint32_t tid = 0;  ///< OS thread id of the sampled thread
   /// frames[0] is the interrupted pc; frames[1..] are return addresses,
   /// innermost first.

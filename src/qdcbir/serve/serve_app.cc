@@ -24,7 +24,6 @@
 #include "qdcbir/obs/prom_export.h"
 #include "qdcbir/obs/query_log.h"
 #include "qdcbir/obs/span.h"
-#include "qdcbir/obs/timeseries.h"
 #include "qdcbir/obs/trace_tree.h"
 #include "qdcbir/rfs/rfs_introspect.h"
 #include "qdcbir/rfs/rfs_serialization.h"
@@ -277,9 +276,6 @@ ServeApp::ServeApp(ServeOptions options)
   server_.Handle("/indexz", [this](const obs::HttpRequest& request) {
     return HandleIndexz(request);
   });
-  server_.Handle("/historyz", [this](const obs::HttpRequest& request) {
-    return HandleHistoryz(request);
-  });
   server_.Handle("/api/query", [this](const obs::HttpRequest& request) {
     return HandleApiQuery(request);
   });
@@ -337,11 +333,6 @@ ServeApp::ServeApp(ServeOptions options)
 
     slo_engine_ = std::make_unique<obs::SloEngine>(std::move(slos));
   }
-  {
-    obs::FlightRecorder::Options recorder_options;
-    recorder_options.interval_ns = options_.history_interval_ms * 1000000ull;
-    recorder_ = std::make_unique<obs::FlightRecorder>(recorder_options);
-  }
   if (!options_.wide_events_path.empty()) {
     obs::WideEventSinkOptions sink_options;
     sink_options.path = options_.wide_events_path;
@@ -381,13 +372,11 @@ bool ServeApp::Start(std::string* error) {
                  "background profiler not started: " + profiler_error);
     }
   }
-  if (options_.history_interval_ms > 0) recorder_->Start();
   loader_ = std::thread([this] { LoadInBackground(); });
   return true;
 }
 
 void ServeApp::Stop() {
-  recorder_->Stop();
   if (profiler_armed_) {
     obs::Profiler::Global().Stop();
     profiler_armed_ = false;
@@ -812,13 +801,6 @@ obs::HttpResponse ServeApp::HandleApiFeedback(
     completed.dropped_spans = session->trace.buffer->dropped();
     completed.spans = session->trace.buffer->spans();
     completed.annotations = session->trace.buffer->annotations();
-    if (slow) {
-      // Pin the slow session into engine history: an immediate sample
-      // captures the counters around the spike, and the event mark lets
-      // /historyz output join back to the /tracez tree by trace id.
-      recorder_->SampleNow();
-      recorder_->MarkEvent(completed.trace_id);
-    }
     obs::TraceStore::Global().Publish(std::move(completed));
   }
   QDCBIR_LOG(obs::LogLevel::kInfo,
@@ -1006,12 +988,6 @@ obs::HttpResponse ServeApp::HandleStatusz(const obs::HttpRequest&) {
             std::to_string(obs::CoAccessTracker::Global().sets_recorded()) +
             " co-access sets");
   }
-  row("flight_recorder",
-      options_.history_interval_ms > 0
-          ? std::to_string(options_.history_interval_ms) + " ms cadence, " +
-                std::to_string(recorder_->samples_taken()) + " samples"
-          : "off (" + std::to_string(recorder_->samples_taken()) +
-                " event-driven samples)");
   if (wide_events_ != nullptr) {
     row("wide_events", wide_events_->path() + ", " +
                            std::to_string(wide_events_->emitted()) +
@@ -1037,8 +1013,6 @@ obs::HttpResponse ServeApp::HandleStatusz(const obs::HttpRequest&) {
   link("/logz", "structured log ring (JSON)");
   link("/sloz", "SLO burn-rate states (JSON)");
   link("/indexz", "RFS tree geometry + per-leaf access heatmap (JSON)");
-  link("/historyz?metric=qd.sessions",
-       "flight-recorder metric history (JSON)");
   link("/profilez?seconds=2", "span-attributed CPU profile (collapsed)");
   link("/profilez?seconds=2&amp;format=json", "CPU profile (JSON aggregate)");
   body +=
@@ -1139,27 +1113,6 @@ obs::HttpResponse ServeApp::HandleIndexz(const obs::HttpRequest& request) {
   join.coaccess_truncated = coaccess.leaves_truncated();
   return obs::HttpResponse{200, kJsonType,
                            RenderIndexzJson(summary, join, hot_n) + "\n"};
-}
-
-obs::HttpResponse ServeApp::HandleHistoryz(const obs::HttpRequest& request) {
-  // `?metric=` names one series; absent (or unknown) renders the series
-  // directory with `"known":false` so callers can self-correct.
-  // `?window=` is trailing seconds of history; 0 or absent keeps the whole
-  // ring.
-  // A window past 10^9 s (about 31 years) reads as the whole ring too.
-  const std::string metric = QueryParam(request.query, "metric");
-  if (!obs::IsUtf8(metric)) {
-    return JsonError(400, "metric must be UTF-8");
-  }
-  double window_s = 0.0;
-  if (!ParseNumberParam(request.query, "window", &window_s) ||
-      window_s < 0.0) {
-    return JsonError(400, "window must be non-negative seconds");
-  }
-  const std::uint64_t window_ns =
-      static_cast<std::uint64_t>(std::min(window_s, 1e9) * 1e9);
-  return obs::HttpResponse{200, kJsonType,
-                           recorder_->RenderJson(metric, window_ns) + "\n"};
 }
 
 void ServeApp::FinishSessionObservability(const Session& session,

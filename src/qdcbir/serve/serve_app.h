@@ -20,7 +20,6 @@
 #include "qdcbir/obs/query_log.h"
 #include "qdcbir/obs/slo.h"
 #include "qdcbir/obs/task_context.h"
-#include "qdcbir/obs/timeseries.h"
 #include "qdcbir/obs/wide_event.h"
 #include "qdcbir/query/qd_engine.h"
 #include "qdcbir/rfs/rfs_tree.h"
@@ -103,11 +102,6 @@ struct ServeOptions {
   /// exported) — serve has no ground truth, so the floor is opt-in.
   std::uint64_t slo_jaccard_floor_permille = 0;
   double slo_jaccard_objective = 0.5;
-  /// Metrics flight-recorder cadence: every counter and gauge is sampled
-  /// into a fixed-memory ring this often, surfaced at `/historyz`. 0
-  /// disables background sampling (the endpoint still answers, fed only by
-  /// the slow-trace hook's direct samples).
-  std::uint64_t history_interval_ms = 1000;
 };
 
 /// The admin/serving application: loads a database snapshot and RFS tree
@@ -129,9 +123,6 @@ struct ServeOptions {
 ///   GET  /indexz        RFS tree geometry joined with live per-leaf access
 ///                       stats, hot-leaf/skew summary, and co-access pairs
 ///                       (?n=N sizes the hot-leaf and pair tables)
-///   GET  /historyz      flight-recorder series for one metric
-///                       (?metric=name&window=seconds; per-interval deltas
-///                       and rates, with slow-trace event marks)
 ///   GET  /profilez      span-attributed CPU profile capture
 ///                       (?seconds=N&hz=N&format=collapsed|json)
 ///   POST /api/query     open a session, returns the first display
@@ -221,7 +212,6 @@ class ServeApp {
   obs::HttpResponse HandleProfilez(const obs::HttpRequest& request);
   obs::HttpResponse HandleSloz(const obs::HttpRequest& request);
   obs::HttpResponse HandleIndexz(const obs::HttpRequest& request);
-  obs::HttpResponse HandleHistoryz(const obs::HttpRequest& request);
 
   /// The session's `/queryz` record as of now: identity, engine stats,
   /// rounds time, resource usage and `quality`. Finalize adds its results
@@ -295,11 +285,6 @@ class ServeApp {
   /// /sloz, and /statusz handlers, and at most once per cadence after a
   /// session finalize.
   std::unique_ptr<obs::SloEngine> slo_engine_;
-  /// Metrics flight recorder behind `/historyz`. Background sampling runs
-  /// from `Start` to `Stop` when `history_interval_ms` > 0; slow-trace
-  /// capture additionally takes a direct sample and pins the trace id as an
-  /// event mark so history and traces join on time.
-  std::unique_ptr<obs::FlightRecorder> recorder_;
   /// Wide-event sink (null when `wide_events_path` is empty).
   std::unique_ptr<obs::WideEventSink> wide_events_;
 };

@@ -143,7 +143,7 @@ TEST_F(DatabaseIoTest, PropertyRoundTripRandomizedDatabases) {
   // Round-trip a spread of small synthesized databases: category counts,
   // image counts (down to the degenerate 1-per-catalog floor), channel
   // extraction on/off. Every instance must restore structurally equal and
-  // re-serialize byte-identically, for v2 and through the v1 compat path.
+  // re-serialize byte-identically.
   const struct {
     std::size_t categories;
     std::size_t images;
@@ -172,13 +172,6 @@ TEST_F(DatabaseIoTest, PropertyRoundTripRandomizedDatabases) {
     ASSERT_TRUE(restored.ok()) << restored.status().ToString();
     ExpectDatabasesEqual(db, *restored);
     EXPECT_EQ(DatabaseIo::SerializeDatabase(*restored), v2);
-
-    const std::string v1 = DatabaseIo::SerializeDatabaseV1(db);
-    StatusOr<ImageDatabase> from_v1 = DatabaseIo::DeserializeDatabase(v1);
-    ASSERT_TRUE(from_v1.ok()) << from_v1.status().ToString();
-    ExpectDatabasesEqual(db, *from_v1);
-    EXPECT_EQ(DatabaseIo::SerializeDatabase(*from_v1), v2)
-        << "v1 → v2 migration must produce the canonical v2 bytes";
   }
 }
 
@@ -193,14 +186,6 @@ TEST_F(DatabaseIoTest, EmptyDatabaseRoundTrips) {
   EXPECT_FALSE(restored->has_channel_features());
   EXPECT_EQ(restored->feature_dim(), 0u);
   EXPECT_EQ(DatabaseIo::SerializeDatabase(*restored), blob);
-}
-
-TEST_F(DatabaseIoTest, V1CompatReaderStillReadsLegacyBlobs) {
-  const std::string v1 = DatabaseIo::SerializeDatabaseV1(*db_);
-  ASSERT_EQ(v1.compare(0, 8, "QDDB0001"), 0);
-  StatusOr<ImageDatabase> restored = DatabaseIo::DeserializeDatabase(v1);
-  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
-  ExpectDatabasesEqual(*db_, *restored);
 }
 
 TEST_F(DatabaseIoTest, DatabaseWithoutChannelsRoundTrips) {
@@ -244,52 +229,67 @@ TEST_F(DatabaseIoTest, ReportsTypedStatuses) {
             StatusCode::kVersionMismatch);
 }
 
+TEST_F(DatabaseIoTest, RetiredV1MagicIsAVersionMismatch) {
+  // Snapshot format v1 (magic QDDB0001) is no longer read. Its files are
+  // rejected by magic alone, with the version class and a way out; any
+  // other bad magic stays corrupt.
+  const std::string tail(300, '\x5a');
+  const std::string v1 = "QDDB0001" + tail;
+  const Status load = DatabaseIo::DeserializeDatabase(v1).status();
+  EXPECT_EQ(load.code(), StatusCode::kVersionMismatch) << load.ToString();
+  EXPECT_NE(load.message().find("qdcbir_tool synth"), std::string::npos);
+  EXPECT_EQ(DatabaseIo::InspectSnapshot(MemoryByteSource(v1)).status().code(),
+            StatusCode::kVersionMismatch);
+  EXPECT_EQ(DatabaseIo::DeserializeDatabase("QDDB0002" + tail).status().code(),
+            StatusCode::kCorrupt);
+}
+
 TEST_F(DatabaseIoTest, HostileLengthFieldsFailFastWithoutOverAllocating) {
-  // Regression for the v1-era bug class: counts/lengths embedded in the
-  // byte stream were trusted before any bounds check, so a hostile field
-  // could drive a multi-gigabyte resize or an overflowing multiply. Each
-  // overwrite below plants an absurd length; the loader must reject the
-  // blob (typed), not allocate for it. With checksums enabled the CRC
-  // catches the edit first, so the decode-layer guards are exercised via
-  // the catalog path (unchecksummed) and the v1 compat path.
+  // Regression for the bug class where counts/lengths embedded in the byte
+  // stream were trusted before any bounds check, so a hostile field could
+  // drive a multi-gigabyte resize or an overflowing multiply. The overwrite
+  // below plants an absurd length; the loader must reject the blob
+  // (typed), not allocate for it. The catalog path carries no checksum;
+  // the snapshot's chunks are covered behind their CRC by
+  // `HostileChunkCountInsideVerifiedChunkIsRejected`.
   std::string catalog_blob = DatabaseIo::SerializeCatalog(*catalog_);
   const std::uint64_t huge = ~std::uint64_t{0} / 2;
   std::memcpy(catalog_blob.data() + 8, &huge, sizeof(huge));
   const StatusOr<Catalog> catalog = DatabaseIo::DeserializeCatalog(catalog_blob);
   ASSERT_FALSE(catalog.ok());
   EXPECT_EQ(catalog.status().code(), StatusCode::kTruncated);
-
-  // v1 blob with the record count replaced: the count sits right after the
-  // catalog body and the two 4-byte dimensions.
-  std::string v1 = DatabaseIo::SerializeDatabaseV1(*db_);
-  const std::string clean_catalog = DatabaseIo::SerializeCatalog(*catalog_);
-  const std::size_t catalog_body = clean_catalog.size() - 8;
-  const std::size_t count_at = 8 + catalog_body + 8;
-  std::memcpy(v1.data() + count_at, &huge, sizeof(huge));
-  const StatusOr<ImageDatabase> db = DatabaseIo::DeserializeDatabase(v1);
-  ASSERT_FALSE(db.ok());
-  EXPECT_EQ(db.status().code(), StatusCode::kTruncated);
 }
 
 TEST_F(DatabaseIoTest, HostileChunkCountInsideVerifiedChunkIsRejected) {
   // Bypass the CRC shield (verify_checksums=false) to prove the decode
-  // layer itself is hardened, not just the checksum in front of it.
-  std::string blob = DatabaseIo::SerializeDatabase(*db_);
+  // layer itself is hardened, not just the checksum in front of it. Each
+  // chunk below opens with an element count; a resize to the planted count
+  // would throw (it exceeds any vector's max_size) instead of failing
+  // typed.
+  const std::string clean = DatabaseIo::SerializeDatabase(*db_);
   StatusOr<SnapshotInfo> info =
-      DatabaseIo::InspectSnapshot(MemoryByteSource(blob));
+      DatabaseIo::InspectSnapshot(MemoryByteSource(clean));
   ASSERT_TRUE(info.ok());
   const std::uint64_t huge = ~std::uint64_t{0} / 2;
-  for (const SnapshotChunkInfo& chunk : info->chunks) {
-    if (chunk.id != "FTB0") continue;
-    std::memcpy(blob.data() + chunk.offset, &huge, sizeof(huge));
+  for (const char* id : {"FTB0", "RECS"}) {
+    SCOPED_TRACE(id);
+    std::string blob = clean;
+    int planted = 0;
+    for (const SnapshotChunkInfo& chunk : info->chunks) {
+      if (chunk.id != id) continue;
+      std::memcpy(blob.data() + chunk.offset, &huge, sizeof(huge));
+      ++planted;
+    }
+    ASSERT_EQ(planted, 1);
+    MemoryByteSource source(blob);
+    SnapshotLoadOptions options;
+    options.verify_checksums = false;
+    const StatusOr<ImageDatabase> db =
+        DatabaseIo::LoadDatabaseFrom(source, options);
+    ASSERT_FALSE(db.ok());
+    EXPECT_EQ(db.status().code(), StatusCode::kCorrupt)
+        << db.status().ToString();
   }
-  MemoryByteSource source(blob);
-  SnapshotLoadOptions options;
-  options.verify_checksums = false;
-  const StatusOr<ImageDatabase> db =
-      DatabaseIo::LoadDatabaseFrom(source, options);
-  ASSERT_FALSE(db.ok());
-  EXPECT_EQ(db.status().code(), StatusCode::kCorrupt);
 }
 
 TEST_F(DatabaseIoTest, FeatureChunksStreamThroughTheReaderWindow) {

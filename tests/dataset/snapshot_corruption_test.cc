@@ -272,46 +272,5 @@ TEST_F(SnapshotCorruptionTest, ChecksumMismatchWinsOverAMalformedBody) {
   FAIL() << "no FTB0 chunk";
 }
 
-TEST_F(SnapshotCorruptionTest, V1BlobsGetTypedErrorsToo) {
-  // The compat path predates checksums, so it cannot distinguish bit rot
-  // from hostility — but it must still never crash and must type whatever
-  // it reports. Truncations are exact; flips either fail typed or decode to
-  // a structurally valid database (no checksum ⇒ no detection guarantee),
-  // which is precisely the weakness the v2 format exists to close.
-  CatalogOptions catalog_options;
-  catalog_options.num_categories = 11;
-  const Catalog catalog = Catalog::Build(catalog_options).value();
-  SynthesizerOptions options;
-  options.total_images = 30;
-  options.image_width = 8;
-  options.image_height = 8;
-  options.extract_viewpoint_channels = false;
-  const ImageDatabase db =
-      DatabaseSynthesizer::Synthesize(catalog, options).value();
-  const std::string v1 = DatabaseIo::SerializeDatabaseV1(db);
-
-  Rng rng(77);
-  for (const std::size_t cut : SampleOffsets(rng, v1.size(), 32)) {
-    SCOPED_TRACE("v1 cut at " + std::to_string(cut));
-    const StatusOr<ImageDatabase> loaded =
-        DatabaseIo::DeserializeDatabase(TruncateAt(v1, cut));
-    ASSERT_FALSE(loaded.ok());
-    const StatusCode code = loaded.status().code();
-    EXPECT_TRUE(code == StatusCode::kTruncated || code == StatusCode::kCorrupt)
-        << loaded.status().ToString();
-  }
-  for (const std::size_t offset : SampleOffsets(rng, v1.size(), 32)) {
-    SCOPED_TRACE("v1 flip at " + std::to_string(offset));
-    const StatusOr<ImageDatabase> loaded =
-        DatabaseIo::DeserializeDatabase(FlipBit(v1, offset, 3));
-    if (!loaded.ok()) {
-      const StatusCode code = loaded.status().code();
-      EXPECT_TRUE(code == StatusCode::kTruncated ||
-                  code == StatusCode::kCorrupt)
-          << loaded.status().ToString();
-    }
-  }
-}
-
 }  // namespace
 }  // namespace qdcbir

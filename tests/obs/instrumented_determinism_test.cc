@@ -3,10 +3,10 @@
 // pool lanes, with the tracer disarmed AND with it armed (tracing adds
 // mutex-serialized event appends on every span — none of that may leak
 // into result ordering or scoring). The same holds for index-access
-// telemetry and the metrics flight recorder: ranked results AND the
-// logical cost model (QdSessionStats) must be byte-identical with them on
-// vs off. And the two work sinks must agree: every engine's per-session
-// totals are the sum of its per-leaf rows.
+// telemetry: ranked results AND the logical cost model (QdSessionStats)
+// must be byte-identical with it on vs off. And the two work sinks must
+// agree: every engine's per-session totals are the sum of its per-leaf
+// rows.
 
 #include <gtest/gtest.h>
 
@@ -19,9 +19,7 @@
 #include "qdcbir/core/thread_pool.h"
 #include "qdcbir/dataset/synthesizer.h"
 #include "qdcbir/obs/access_stats.h"
-#include "qdcbir/obs/metrics.h"
 #include "qdcbir/obs/task_context.h"
-#include "qdcbir/obs/timeseries.h"
 #include "qdcbir/obs/trace.h"
 #include "qdcbir/query/fagin_engine.h"
 #include "qdcbir/query/mv_engine.h"
@@ -155,16 +153,8 @@ TEST_F(InstrumentedDeterminismTest, IdenticalWithAccessTelemetryOnVsOff) {
   QdSessionStats baseline_stats;
   const QdResult baseline = RunScriptedSession(&pool1, &baseline_stats);
 
-  // A live flight recorder sampling its own registry on a tight cadence
-  // runs concurrently with the accounted sessions: neither the TLS-batched
-  // access taps nor the recorder's background snapshots may perturb ranked
-  // results or the logical cost model.
-  obs::MetricsRegistry registry;
-  obs::FlightRecorder::Options recorder_options;
-  recorder_options.interval_ns = 1000ull * 1000;  // 1ms
-  obs::FlightRecorder recorder(recorder_options, &registry);
-  recorder.Start();
-
+  // The TLS-batched access taps may not perturb ranked results or the
+  // logical cost model.
   for (const std::size_t lanes : {1u, 2u, 4u, 8u}) {
     ThreadPool pool(lanes);
     obs::AccessAccumulator access;
@@ -190,9 +180,6 @@ TEST_F(InstrumentedDeterminismTest, IdenticalWithAccessTelemetryOnVsOff) {
     EXPECT_GT(totals.distance_evals, 0u);
 #endif
   }
-
-  recorder.Stop();
-  EXPECT_GT(recorder.samples_taken(), 0u);
 }
 
 /// Runs `session` under both sinks, as a serve request handler installs

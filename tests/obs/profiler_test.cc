@@ -4,6 +4,8 @@
 
 #if defined(__linux__)
 #include <sys/mman.h>
+#include <sys/syscall.h>
+#include <time.h>
 #include <unistd.h>
 #endif
 
@@ -343,6 +345,53 @@ TEST(ProfilerTest, CapturesSpanAttributedSamplesWhileBurningCpu) {
   EXPECT_GE(attributed, 1u) << samples.size() << " samples, none in span";
   EXPECT_GE(traced, 1u);
   EXPECT_EQ(with_frames, samples.size());
+#endif
+}
+
+TEST(ProfilerTest, WeightedCountsTrackCpuTimeAboveTheTimerTick) {
+#if !defined(__linux__)
+  GTEST_SKIP() << "sampling profiler is Linux-only";
+#else
+  if (kUnderSanitizer) {
+    GTEST_SKIP() << "signal delivery timing unreliable under sanitizers";
+  }
+  // 997 Hz is above the usual 100-300 Hz scheduler tick, where one signal
+  // stands for several timer expirations. Counted by weight, this thread's
+  // samples still read hz x its CPU seconds.
+  const auto thread_cpu_seconds = [] {
+    timespec ts{};
+    clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+    return static_cast<double>(ts.tv_sec) + 1e-9 * ts.tv_nsec;
+  };
+  Profiler& profiler = Profiler::Global();
+  Profiler::RegisterCurrentThread();
+  ProfilerOptions options;
+  options.hz = 997;
+  std::string error;
+  ASSERT_TRUE(profiler.Start(options, &error)) << error;
+  const std::uint64_t cursor = profiler.SampleCursor();
+  const double cpu_start = thread_cpu_seconds();
+  volatile double sink = 1.0;
+  while (thread_cpu_seconds() - cpu_start < 0.6) {
+    for (int i = 0; i < 4096; ++i) sink = sink * 1.0000001 + 0.5;
+  }
+  profiler.Stop();
+  const double cpu_seconds = thread_cpu_seconds() - cpu_start;
+  Profiler::UnregisterCurrentThread();
+
+  const std::uint32_t tid = static_cast<std::uint32_t>(syscall(SYS_gettid));
+  std::vector<ProfileSample> mine;
+  for (const ProfileSample& sample : profiler.CollectSince(cursor)) {
+    if (sample.tid == tid) mine.push_back(sample);
+  }
+  StatusOr<serve::JsonValue> json = serve::ParseJson(
+      Profiler::RenderJson(mine, options.hz, cpu_seconds, 0));
+  ASSERT_TRUE(json.ok());
+  const double expected = options.hz * cpu_seconds;
+  const double counted = static_cast<double>(json->U64Field("samples", 0));
+  EXPECT_NEAR(counted / expected, 1.0, 0.3)
+      << counted << " weighted samples from " << mine.size()
+      << " signals over " << cpu_seconds << " s of thread CPU";
 #endif
 }
 

@@ -1,5 +1,5 @@
 // Golden bytes of every JSON document the repository renders: the admin
-// endpoints (/varz, /queryz, /tracez, /logz, /sloz, /indexz, /historyz,
+// endpoints (/varz, /queryz, /tracez, /logz, /sloz, /indexz,
 // /profilez?format=json), a wide event, the /api bodies, a BENCH_*.json
 // record and a Chrome trace. Inputs are fixed; fields that read a clock are
 // zeroed before the comparison, so any change to field order, number format
@@ -31,7 +31,6 @@
 #include "qdcbir/obs/profiler.h"
 #include "qdcbir/obs/query_log.h"
 #include "qdcbir/obs/slo.h"
-#include "qdcbir/obs/timeseries.h"
 #include "qdcbir/obs/trace.h"
 #include "qdcbir/obs/trace_tree.h"
 #include "qdcbir/rfs/rfs_builder.h"
@@ -295,49 +294,6 @@ TEST(JsonGoldenTest, Indexz) {
       "\"pairs\":[{\"a\":1,\"b\":2,\"count\":4}]}}");
 }
 
-TEST(JsonGoldenTest, Historyz) {
-  obs::MetricsRegistry registry;
-  obs::Counter& sessions = registry.GetCounter("qd.sessions");
-  obs::Gauge& queue = registry.GetGauge("pool.queue");
-  std::uint64_t now = 5 * kSecond;
-  obs::FlightRecorder::Options options;
-  options.interval_ns = kSecond;
-  obs::FlightRecorder recorder(options, &registry, [&now] { return now; });
-  recorder.SampleNow();
-  sessions.Add(3);
-  queue.Set(-2);
-  now += 3 * kSecond;
-  recorder.SampleNow();
-  recorder.MarkEvent("0123456789abcdef0123456789abcdef");
-  sessions.Add(1);
-  now += 2 * kSecond;
-  recorder.SampleNow();
-  EXPECT_EQ(recorder.RenderJson("qd.sessions", 0),
-            "{\"metric\":\"qd.sessions\",\"known\":true,\"type\":\"counter\","
-            "\"interval_ms\":1000,\"window_ns\":0,\"points\":["
-            "{\"t_ns\":5000000000,\"value\":0,\"delta\":0,\"rate\":0},"
-            "{\"t_ns\":8000000000,\"value\":3,\"delta\":3,\"rate\":1},"
-            "{\"t_ns\":10000000000,\"value\":4,\"delta\":1,\"rate\":0.5}],"
-            "\"events\":[{\"t_ns\":8000000000,\"label\":"
-            "\"0123456789abcdef0123456789abcdef\"}],\"samples_taken\":3,"
-            "\"series_dropped\":0}");
-  EXPECT_EQ(recorder.RenderJson("pool.queue", 3 * kSecond),
-            "{\"metric\":\"pool.queue\",\"known\":true,\"type\":\"gauge\","
-            "\"interval_ms\":1000,\"window_ns\":3000000000,\"points\":["
-            "{\"t_ns\":8000000000,\"value\":-2,\"delta\":-2,"
-            "\"rate\":-0.666667},{\"t_ns\":10000000000,\"value\":-2,"
-            "\"delta\":0,\"rate\":0}],\"events\":[{\"t_ns\":8000000000,"
-            "\"label\":\"0123456789abcdef0123456789abcdef\"}],"
-            "\"samples_taken\":3,\"series_dropped\":0}");
-  EXPECT_EQ(recorder.RenderJson("missing", 0),
-            "{\"metric\":\"missing\",\"known\":false,\"interval_ms\":1000,"
-            "\"window_ns\":0,\"points\":[],\"events\":[{\"t_ns\":8000000000,"
-            "\"label\":\"0123456789abcdef0123456789abcdef\"}],\"series\":["
-            "\"history.events.marked\",\"history.samples.taken\","
-            "\"history.series.dropped\",\"pool.queue\",\"qd.sessions\"],"
-            "\"samples_taken\":3,\"series_dropped\":0}");
-}
-
 obs::ProfileSample Sample(const char* span, std::uint64_t hi,
                           std::uint64_t lo) {
   obs::ProfileSample sample;
@@ -487,7 +443,6 @@ TEST_F(JsonGoldenServeTest, ApiBodiesAndWideEvent) {
   options.db_path = db_path_;
   options.pool = &pool;
   options.display_size = 6;
-  options.history_interval_ms = 0;
   options.wide_events_path = events_path;
   serve::ServeApp app(std::move(options));
   std::string error;
@@ -584,7 +539,6 @@ TEST_F(JsonGoldenServeTest, VarzSplicesBuildInfoIntoTheRegistrySnapshot) {
   serve::ServeOptions options;
   options.db_path = db_path_;
   options.pool = &pool;
-  options.history_interval_ms = 0;
   serve::ServeApp app(std::move(options));
   std::string error;
   ASSERT_TRUE(app.Start(&error)) << error;

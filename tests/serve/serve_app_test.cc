@@ -427,7 +427,6 @@ TEST_F(ServeAppTest, AdminParametersRejectNonFiniteAndClampHugeValues) {
   ServeOptions options;
   options.db_path = *db_path_;
   options.pool = &pool;
-  options.history_interval_ms = 0;
   ServeApp app(std::move(options));
   std::string error;
   ASSERT_TRUE(app.Start(&error)) << error;
@@ -436,19 +435,11 @@ TEST_F(ServeAppTest, AdminParametersRejectNonFiniteAndClampHugeValues) {
   // NaN, infinities and garbage answer 400 before any cast.
   for (const char* path :
        {"/profilez?seconds=nan&format=json", "/profilez?seconds=inf",
-        "/profilez?hz=-inf", "/profilez?hz=fast", "/historyz?window=nan",
-        "/historyz?window=inf", "/historyz?window=-1"}) {
+        "/profilez?hz=-inf", "/profilez?hz=fast"}) {
     const std::string response = Get(app.port(), path);
     EXPECT_NE(response.find("400"), std::string::npos) << path;
     EXPECT_TRUE(ParseJson(BodyOf(response)).ok()) << path;
   }
-
-  // A finite but huge window is clamped, then cast: 10^9 s in ns.
-  StatusOr<JsonValue> history =
-      ParseJson(BodyOf(Get(app.port(), "/historyz?window=1e300")));
-  ASSERT_TRUE(history.ok());
-  ASSERT_NE(history->Find("window_ns"), nullptr);
-  EXPECT_EQ(history->Find("window_ns")->number, 1e18);
 
 #if defined(__linux__)
   // A huge rate is clamped to the profiler's 2000 Hz ceiling.
@@ -1066,7 +1057,6 @@ TEST_F(ServeAppTest, EveryAdminRouteDeclaresItsContentType) {
        {"/metrics", false, "text/plain; version=0.0.4; charset=utf-8"}},
       {"/queryz", {"/queryz", false, json}},
       {"/indexz", {"/indexz", false, json}},
-      {"/historyz", {"/historyz", false, json}},
       {"/tracez", {"/tracez", false, json}},
       {"/logz", {"/logz", false, json}},
       {"/sloz", {"/sloz", false, json}},
@@ -1280,9 +1270,6 @@ TEST_F(ServeAppTest, ClientStringsReachDocumentsAsUtf8) {
     EXPECT_NE(response.find("400"), std::string::npos) << body;
     EXPECT_TRUE(obs::IsUtf8(response)) << body;
   }
-  const std::string history = Get(app.port(), "/historyz?metric=q\xff");
-  EXPECT_NE(history.find("400"), std::string::npos) << history;
-  EXPECT_TRUE(obs::IsUtf8(history));
 
   // A surrogate pair escape is one 4-byte character, kept whole.
   const std::string smile = "smile-\xf0\x9f\x98\x80";
@@ -1313,8 +1300,6 @@ TEST_F(ServeAppTest, IndexzJoinsTreeWithLiveAccessStats) {
   options.pool = &pool;
   options.trace_sample_every = 0;
   options.cache_mb = 0;  // cache off: both sessions must touch the index
-  options.slow_trace_ms = 0.0;      // every finalize samples the recorder
-  options.history_interval_ms = 0;  // background cadence off: deterministic
   ServeApp app(std::move(options));
   std::string error;
   ASSERT_TRUE(app.Start(&error)) << error;
@@ -1392,78 +1377,15 @@ TEST_F(ServeAppTest, IndexzJoinsTreeWithLiveAccessStats) {
   EXPECT_NE(metrics.find("qdcbir_index_leaf_scans{leaf=\""),
             std::string::npos);
 
-  // /statusz links both new surfaces.
+  // The server keeps no metric history of its own: no history.* family,
+  // /statusz links /indexz but has no /historyz link or recorder row, and
+  // /historyz is not served.
+  EXPECT_EQ(metrics.find("qdcbir_history_"), std::string::npos);
   const std::string statusz = BodyOf(Get(app.port(), "/statusz"));
   EXPECT_NE(statusz.find("/indexz"), std::string::npos);
-  EXPECT_NE(statusz.find("/historyz"), std::string::npos);
-  app.Stop();
-}
-
-TEST_F(ServeAppTest, HistoryzServesMonotoneSessionSeries) {
-  ThreadPool pool(4);
-  ServeOptions options;
-  options.db_path = *db_path_;
-  options.pool = &pool;
-  options.trace_sample_every = 0;
-  options.slow_trace_ms = 0.0;      // threshold 0: every session samples
-  options.history_interval_ms = 0;  // only event-driven samples
-  ServeApp app(std::move(options));
-  std::string error;
-  ASSERT_TRUE(app.Start(&error)) << error;
-  ASSERT_TRUE(app.WaitUntilReady(30000)) << app.load_error();
-
-  EXPECT_NE(Get(app.port(), "/historyz?window=-1").find("400"),
-            std::string::npos);
-
-  RunScriptedHttpSession(app.port(), "history-a");
-  RunScriptedHttpSession(app.port(), "history-b");
-
-  const std::string body =
-      BodyOf(Get(app.port(), "/historyz?metric=qd.sessions"));
-  StatusOr<JsonValue> history = ParseJson(body);
-  ASSERT_TRUE(history.ok()) << body;
-  EXPECT_EQ(history->Find("metric")->string, "qd.sessions");
-  ASSERT_NE(history->Find("known"), nullptr);
-  EXPECT_TRUE(history->Find("known")->boolean) << body;
-  EXPECT_EQ(history->Find("type")->string, "counter");
-
-  // Two slow-trace captures → two samples; the series must be strictly
-  // ordered in time and monotone in value with non-negative deltas.
-  const JsonValue* points = history->Find("points");
-  ASSERT_NE(points, nullptr);
-  ASSERT_GE(points->items.size(), 2u);
-  std::uint64_t prev_t = 0;
-  double prev_value = -1.0;
-  for (const JsonValue& point : points->items) {
-    const std::uint64_t t = point.U64Field("t_ns", 0);
-    EXPECT_GT(t, prev_t);
-    prev_t = t;
-    const double value = point.Find("value")->number;
-    EXPECT_GE(value, prev_value);
-    prev_value = value;
-    EXPECT_GE(point.Find("delta")->number, 0.0);
-    EXPECT_GE(point.Find("rate")->number, 0.0);
-  }
-  EXPECT_GE(prev_value, 2.0);  // both sessions were counted
-
-  // The slow-trace hook pinned each session's trace id as an event mark.
-  const JsonValue* events = history->Find("events");
-  ASSERT_NE(events, nullptr);
-  ASSERT_GE(events->items.size(), 2u);
-  EXPECT_EQ(events->items[0].Find("label")->string.size(), 32u);
-
-  // Unknown metric: known:false plus the series directory.
-  StatusOr<JsonValue> unknown =
-      ParseJson(BodyOf(Get(app.port(), "/historyz?metric=no.such")));
-  ASSERT_TRUE(unknown.ok());
-  EXPECT_FALSE(unknown->Find("known")->boolean);
-  const JsonValue* series = unknown->Find("series");
-  ASSERT_NE(series, nullptr);
-  bool lists_sessions = false;
-  for (const JsonValue& name : series->items) {
-    if (name.string == "qd.sessions") lists_sessions = true;
-  }
-  EXPECT_TRUE(lists_sessions);
+  EXPECT_EQ(statusz.find("/historyz"), std::string::npos);
+  EXPECT_EQ(statusz.find("flight_recorder"), std::string::npos);
+  EXPECT_NE(Get(app.port(), "/historyz").find("404"), std::string::npos);
   app.Stop();
 }
 

@@ -503,12 +503,6 @@ int CmdSnapshot(int argc, char** argv) {
               db_path.c_str(), info->version,
               static_cast<unsigned long long>(info->file_size),
               info->chunks.size());
-  if (info->version == 1) {
-    std::printf("  legacy monolithic blob (no per-chunk checksums); "
-                "re-save to upgrade\n");
-    return inspect ? PrintTreeShape(db_path, Flag(argc, argv, "rfs", ""))
-                   : 0;
-  }
   std::printf("  %-6s %12s %12s %10s  %s\n", "chunk", "offset", "length",
               "crc32c", "ok");
   bool all_ok = true;
@@ -648,10 +642,13 @@ int CmdProfile(int argc, char** argv) {
       return 1;
     }
   }
+  std::uint64_t weighted = 0;
+  for (const obs::ProfileSample& sample : samples) weighted += sample.weight;
   std::fprintf(stderr,
                "profiled %zu sessions (%zu skipped) in %.1f s at %d Hz:"
-               " %zu samples (%llu dropped)%s%s\n",
-               sessions, skipped, timer.Seconds(), hz, samples.size(),
+               " %llu samples (%llu dropped)%s%s\n",
+               sessions, skipped, timer.Seconds(), hz,
+               static_cast<unsigned long long>(weighted),
                static_cast<unsigned long long>(dropped),
                out_path.empty() ? "" : " -> ", out_path.c_str());
   return 0;
@@ -783,9 +780,6 @@ int CmdServe(int argc, char** argv) {
   options.slo_jaccard_floor_permille = static_cast<std::uint64_t>(
       IntFlag(argc, argv, "slo-jaccard-floor",
               static_cast<std::int64_t>(options.slo_jaccard_floor_permille)));
-  options.history_interval_ms = static_cast<std::uint64_t>(
-      IntFlag(argc, argv, "history-interval-ms",
-              static_cast<std::int64_t>(options.history_interval_ms)));
   for (int i = 2; i < argc; ++i) {
     // Bare --profile-hz (no value) means "on at the low background rate".
     if (std::strcmp(argv[i], "--profile-hz") == 0) {
@@ -852,8 +846,6 @@ int Usage() {
                "                [--port-file=<path>] [--max-seconds=0]\n"
                "                [--trace-sample-every=8] "
                "[--slow-trace-ms=250] [--profile-hz=0]\n"
-               "                [--history-interval-ms=1000]  "
-               "(flight-recorder cadence behind /historyz; 0 disables)\n"
                "                [--wide-events=<jsonl>] "
                "[--wide-events-max-mb=64]\n"
                "                [--slo-latency-ms=2000] "

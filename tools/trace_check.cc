@@ -47,14 +47,6 @@
 // bucket excluded), --require-coaccess-pairs the number of reported
 // co-access pairs.
 //
-// Flight-recorder gates read a /historyz scrape:
-//
-//   --historyz=<historyz.json> [--require-history-metric=<name>]
-//
-// The metric must be known to the recorder with at least one point, every
-// point's delta non-negative, and each delta consistent with the sampled
-// values (cur - prev, or cur across a counter reset).
-//
 //   trace_check --profile=<profile.collapsed>
 //               [--require-profile-samples=N]
 //               [--require-profile-span=<prefix>[:min]]...
@@ -393,88 +385,6 @@ bool CheckIndexz(const JsonValue& doc, const std::string& path,
   return true;
 }
 
-/// Validates a /historyz scrape: when `metric` is given the document must
-/// be for that metric and `"known":true` with at least one point; in every
-/// case each point's delta must be non-negative and consistent with the
-/// sampled values (cur - prev, or cur across a counter reset), and the
-/// timestamps strictly increasing.
-bool CheckHistoryz(const JsonValue& doc, const std::string& path,
-                   const std::string& metric) {
-  if (!metric.empty()) {
-    const JsonValue* name = doc.Find("metric");
-    if (name == nullptr || name->string != metric) {
-      std::fprintf(stderr, "historyz file %s is not for metric %s\n",
-                   path.c_str(), metric.c_str());
-      return false;
-    }
-    const JsonValue* known = doc.Find("known");
-    if (known == nullptr || !known->boolean) {
-      std::fprintf(stderr, "historyz metric %s unknown to the recorder\n",
-                   metric.c_str());
-      return false;
-    }
-  }
-  const JsonValue* points = doc.Find("points");
-  if (points == nullptr || !points->is_array()) {
-    std::fprintf(stderr, "historyz file %s carries no points array\n",
-                 path.c_str());
-    return false;
-  }
-  const JsonValue* type = doc.Find("type");
-  const bool is_counter = type != nullptr && type->string == "counter";
-  std::size_t count = 0;
-  double prev_t = -1.0;
-  double prev_value = 0.0;
-  for (const JsonValue& point : points->items) {
-    const JsonValue* t_field = NumberAt(&point, "t_ns");
-    const JsonValue* value_field = NumberAt(&point, "value");
-    const JsonValue* delta_field = NumberAt(&point, "delta");
-    if (t_field == nullptr || value_field == nullptr ||
-        delta_field == nullptr) {
-      std::fprintf(stderr, "historyz point %zu: missing t_ns/value/delta\n",
-                   count);
-      return false;
-    }
-    const double t_ns = t_field->number;
-    const double value = value_field->number;
-    const double delta = delta_field->number;
-    if (t_ns <= prev_t) {
-      std::fprintf(stderr, "historyz point %zu: t_ns not increasing\n",
-                   count);
-      return false;
-    }
-    if (is_counter && delta < 0.0) {
-      std::fprintf(stderr, "historyz point %zu: negative delta %g\n", count,
-                   delta);
-      return false;
-    }
-    if (count > 0 && is_counter) {
-      // Reset-aware consistency: the delta is either the plain difference
-      // or, when the counter went backwards, the new value itself.
-      const double diff = value - prev_value;
-      const double expected = diff >= 0.0 ? diff : value;
-      if (delta > expected + 1e-6 || delta < expected - 1e-6) {
-        std::fprintf(stderr,
-                     "historyz point %zu: delta %g inconsistent with "
-                     "values %g -> %g\n",
-                     count, delta, prev_value, value);
-        return false;
-      }
-    }
-    prev_t = t_ns;
-    prev_value = value;
-    ++count;
-  }
-  if (!metric.empty() && count == 0) {
-    std::fprintf(stderr, "historyz metric %s has no points\n",
-                 metric.c_str());
-    return false;
-  }
-  std::printf("historyz ok: %s (%zu points%s)\n", path.c_str(), count,
-              metric.empty() ? "" : (", metric " + metric).c_str());
-  return true;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -500,12 +410,8 @@ int main(int argc, char** argv) {
       Flag(argc, argv, "require-leaf-scans");
   const std::string required_coaccess_pairs =
       Flag(argc, argv, "require-coaccess-pairs");
-  const std::string historyz_path = Flag(argc, argv, "historyz");
-  const std::string required_history_metric =
-      Flag(argc, argv, "require-history-metric");
   if (trace_path.empty() && metrics_path.empty() && prom_path.empty() &&
-      profile_path.empty() && sloz_path.empty() && indexz_path.empty() &&
-      historyz_path.empty()) {
+      profile_path.empty() && sloz_path.empty() && indexz_path.empty()) {
     std::fprintf(stderr,
                  "usage: trace_check --trace=<file>"
                  " [--require-span=<name>[:min_count]]\n"
@@ -521,9 +427,7 @@ int main(int argc, char** argv) {
                  "[--require-profile-span=<prefix>[:min]]\n"
                  "                   [--indexz=<file>]"
                  " [--require-leaf-scans=N]"
-                 " [--require-coaccess-pairs=N]\n"
-                 "                   [--historyz=<file>]"
-                 " [--require-history-metric=<name>]\n");
+                 " [--require-coaccess-pairs=N]\n");
     return 1;
   }
   if ((!required_leaf_scans.empty() || !required_coaccess_pairs.empty()) &&
@@ -531,11 +435,6 @@ int main(int argc, char** argv) {
     std::fprintf(stderr,
                  "--require-leaf-scans/--require-coaccess-pairs need "
                  "--indexz=<file>\n");
-    return 1;
-  }
-  if (!required_history_metric.empty() && historyz_path.empty()) {
-    std::fprintf(stderr,
-                 "--require-history-metric needs --historyz=<file>\n");
     return 1;
   }
   if (!required_metrics.empty() && prom_path.empty() &&
@@ -666,14 +565,6 @@ int main(int argc, char** argv) {
     if (!ReadJsonFile(indexz_path, "indexz", &doc) ||
         !CheckIndexz(doc, indexz_path, required_leaf_scans,
                      required_coaccess_pairs)) {
-      return 1;
-    }
-  }
-
-  if (!historyz_path.empty()) {
-    JsonValue doc;
-    if (!ReadJsonFile(historyz_path, "historyz", &doc) ||
-        !CheckHistoryz(doc, historyz_path, required_history_metric)) {
       return 1;
     }
   }
