@@ -9,6 +9,7 @@
 #include "qdcbir/core/thread_pool.h"
 #include "qdcbir/eval/metrics.h"
 #include "qdcbir/obs/clock.h"
+#include "qdcbir/obs/metrics.h"
 #include "qdcbir/obs/query_log.h"
 #include "qdcbir/obs/resource_stats.h"
 #include "qdcbir/obs/span.h"
@@ -24,11 +25,6 @@ std::vector<ImageId> FlattenDisplay(const std::vector<DisplayGroup>& groups) {
     out.insert(out.end(), g.images.begin(), g.images.end());
   }
   return out;
-}
-
-/// Widens ids for the quality tracker (which compares opaque 64-bit ids).
-std::vector<std::uint64_t> QualityIds(const std::vector<ImageId>& ids) {
-  return std::vector<std::uint64_t>(ids.begin(), ids.end());
 }
 
 std::uint64_t Permille(double fraction) {
@@ -51,13 +47,13 @@ std::uint64_t SecondsToNanos(double seconds) {
   return seconds > 0.0 ? static_cast<std::uint64_t>(seconds * 1e9) : 0;
 }
 
-/// Publishes one completed session into the `/queryz` audit ring. Pure
-/// observation after the run finished — touches nothing the protocol or
-/// rankings depend on.
+/// Publishes one completed session into the `/queryz` audit ring, the
+/// finalized-outcome counter and the `quality.oracle_precision` histogram.
+/// Pure observation after the run finished — touches nothing the protocol
+/// or rankings depend on.
 void RecordAudit(std::string_view engine, const QueryGroundTruth& gt,
                  const ProtocolOptions& protocol, const RunOutcome& outcome,
-                 std::size_t picks, const obs::ResourceUsage& usage,
-                 const obs::SessionQuality& quality) {
+                 std::size_t picks, const obs::ResourceUsage& usage) {
   obs::QueryAuditRecord record;
   record.set_engine(engine);
   record.set_label(gt.spec.name);
@@ -85,13 +81,25 @@ void RecordAudit(std::string_view engine, const QueryGroundTruth& gt,
   record.finalize_ns = SecondsToNanos(outcome.finalize_seconds);
   record.total_ns = SecondsToNanos(outcome.total_seconds);
   record.SetUsage(usage);
-  record.SetQuality(quality);
+  record.quality_outcome =
+      static_cast<std::uint64_t>(obs::SessionOutcome::kFinalized);
+  // The eval path has ground truth: the record carries the session's
+  // oracle-labeled precision@k.
+  const std::uint64_t precision = Permille(outcome.final_precision);
+  record.quality_oracle_precision_permille_plus1 = precision + 1;
   // Batch runs carry a trace id too when the caller installed one (the
   // serve layer always does; CLI runs leave it zero → rendered as "").
   const obs::TraceContext& trace = obs::CurrentTraceContext();
   record.trace_hi = trace.trace_hi;
   record.trace_lo = trace.trace_lo;
   obs::QueryLog::Global().Record(record);
+  obs::CountSessionOutcome(obs::SessionOutcome::kFinalized);
+  static obs::Histogram& precision_histogram =
+      obs::MetricsRegistry::Global().GetHistogram(
+          "quality.oracle_precision",
+          "Oracle-labeled precision@k at finalize (permille; eval/bench "
+          "only)");
+  precision_histogram.Record(precision);
 }
 
 }  // namespace
@@ -120,16 +128,10 @@ StatusOr<RunOutcome> SessionRunner::RunQd(const RfsTree& rfs,
   std::unordered_set<ImageId> marked;
   std::vector<ImageId> all_marked;
 
-  // Passive quality observer: fed the per-round displays and the final
-  // ranked list after they are produced, so rankings are untouched.
-  obs::SessionQualityTracker quality_tracker;
-
   WallTimer total;
   WallTimer step;
   std::vector<DisplayGroup> display = session.Start();
   double engine_time = step.Seconds();
-  quality_tracker.ObserveRound(QualityIds(FlattenDisplay(display)),
-                               session.stats().localized_subqueries);
 
   for (int round = 1; round <= protocol.feedback_rounds; ++round) {
     double round_time = engine_time;  // Start() / previous Feedback cost
@@ -159,8 +161,6 @@ StatusOr<RunOutcome> SessionRunner::RunQd(const RfsTree& rfs,
     round_time += step.Seconds();
     if (!next.ok()) return next.status();
     display = std::move(next).value();
-    quality_tracker.ObserveRound(QualityIds(FlattenDisplay(display)),
-                                 session.stats().localized_subqueries);
 
     RoundQuality quality;
     quality.gtir = ComputeGtir(all_marked, gt);
@@ -193,25 +193,12 @@ StatusOr<RunOutcome> SessionRunner::RunQd(const RfsTree& rfs,
   obs::FlushResourceAccounting();
   outcome.resources = resources.Snapshot();
 
-  quality_tracker.ObserveRound(QualityIds(outcome.final_results),
-                               session.stats().localized_subqueries);
-  quality_tracker.Finalized();
-  outcome.quality = quality_tracker.Summary();
-  // The eval path has ground truth: attach the oracle-labeled precision@k
-  // the label-free proxies approximate.
-  outcome.quality.oracle_precision_defined = true;
-  outcome.quality.oracle_precision_permille =
-      Permille(outcome.final_precision);
-  obs::PublishSessionQuality(outcome.quality);
-  QDCBIR_SPAN_ANNOTATE(
-      "quality.topk_jaccard_permille",
-      static_cast<std::int64_t>(outcome.quality.last_jaccard_permille));
   QDCBIR_SPAN_ANNOTATE(
       "quality.oracle_precision_permille",
-      static_cast<std::int64_t>(outcome.quality.oracle_precision_permille));
+      static_cast<std::int64_t>(Permille(outcome.final_precision)));
 
   RecordAudit("qd", gt, protocol, outcome, all_marked.size(),
-              outcome.resources, outcome.quality);
+              outcome.resources);
   return outcome;
 }
 
@@ -231,12 +218,9 @@ StatusOr<RunOutcome> SessionRunner::RunEngine(FeedbackEngine& engine,
   RunOutcome outcome;
   std::unordered_set<ImageId> marked;
 
-  obs::SessionQualityTracker quality_tracker;
-
   WallTimer step;
   std::vector<ImageId> display = engine.Start();
   double engine_time = step.Seconds();
-  quality_tracker.ObserveRound(QualityIds(display), 0);
   bool any_marked = false;
   std::size_t total_picks = 0;
 
@@ -264,7 +248,6 @@ StatusOr<RunOutcome> SessionRunner::RunEngine(FeedbackEngine& engine,
     round_time += step.Seconds();
     if (!next.ok()) return next.status();
     display = std::move(next).value();
-    quality_tracker.ObserveRound(QualityIds(display), 0);
 
     outcome.iteration_seconds.push_back(round_time);
 
@@ -312,16 +295,8 @@ StatusOr<RunOutcome> SessionRunner::RunEngine(FeedbackEngine& engine,
   obs::FlushResourceAccounting();
   outcome.resources = resources.Snapshot();
 
-  quality_tracker.ObserveRound(QualityIds(outcome.final_results), 0);
-  quality_tracker.Finalized();
-  outcome.quality = quality_tracker.Summary();
-  outcome.quality.oracle_precision_defined = true;
-  outcome.quality.oracle_precision_permille =
-      Permille(outcome.final_precision);
-  obs::PublishSessionQuality(outcome.quality);
-
   RecordAudit(engine.Name(), gt, protocol, outcome, total_picks,
-              outcome.resources, outcome.quality);
+              outcome.resources);
   return outcome;
 }
 

@@ -8,7 +8,6 @@
 
 #include "qdcbir/core/status.h"
 #include "qdcbir/eval/ground_truth.h"
-#include "qdcbir/obs/quality_stats.h"
 #include "qdcbir/obs/resource_stats.h"
 #include "qdcbir/eval/oracle.h"
 #include "qdcbir/query/feedback_engine.h"
@@ -63,10 +62,6 @@ struct RunOutcome {
   /// Physical work summed across all pool workers (obs/resource_stats.h);
   /// also published to the /queryz audit record.
   obs::ResourceUsage resources;
-  /// Session quality telemetry (obs/quality_stats.h): label-free proxies
-  /// from the per-round displays plus the oracle-labeled precision@k.
-  /// Published to the `quality.*` histograms and the audit record.
-  obs::SessionQuality quality;
 };
 
 /// Drives full evaluation sessions: oracle browsing, feedback rounds, final

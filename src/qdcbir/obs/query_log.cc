@@ -1,6 +1,5 @@
 #include "qdcbir/obs/query_log.h"
 
-#include <algorithm>
 #include <cstring>
 
 #include "qdcbir/obs/metrics.h"
@@ -8,6 +7,32 @@
 
 namespace qdcbir {
 namespace obs {
+
+const char* SessionOutcomeName(SessionOutcome outcome) {
+  switch (outcome) {
+    case SessionOutcome::kFinalized: return "finalized";
+    case SessionOutcome::kAbandoned: return "abandoned";
+    case SessionOutcome::kErrored: return "errored";
+  }
+  return "unknown";
+}
+
+void CountSessionOutcome(SessionOutcome outcome) {
+  MetricsRegistry& reg = MetricsRegistry::Global();
+  static Counter& finalized = reg.GetCounter(
+      "quality.sessions.finalized", "Sessions that reached finalize");
+  static Counter& abandoned = reg.GetCounter(
+      "quality.sessions.abandoned",
+      "Sessions torn down before finalize without a recorded error");
+  static Counter& errored = reg.GetCounter(
+      "quality.sessions.errored",
+      "Sessions whose last round or finalize failed");
+  switch (outcome) {
+    case SessionOutcome::kFinalized: finalized.Add(); break;
+    case SessionOutcome::kAbandoned: abandoned.Add(); break;
+    case SessionOutcome::kErrored: errored.Add(); break;
+  }
+}
 
 namespace {
 
@@ -62,16 +87,6 @@ void QueryAuditRecord::SetUsage(const ResourceUsage& usage) {
   cache_misses = usage.cache_misses;
 }
 
-void QueryAuditRecord::SetQuality(const SessionQuality& quality) {
-  quality_jaccard_permille = quality.last_jaccard_permille;
-  quality_rank_churn = quality.last_rank_churn;
-  quality_rounds_to_stability = quality.rounds_to_stability;
-  quality_outcome = static_cast<std::uint64_t>(quality.outcome);
-  quality_oracle_precision_permille_plus1 =
-      quality.oracle_precision_defined ? quality.oracle_precision_permille + 1
-                                       : 0;
-}
-
 void WriteAuditFields(const QueryAuditRecord& record, std::string_view label,
                       JsonWriter* w) {
   w->Key("sequence").Uint(record.sequence);
@@ -99,10 +114,6 @@ void WriteAuditFields(const QueryAuditRecord& record, std::string_view label,
   w->Key("alloc_bytes").Uint(record.alloc_bytes);
   w->Key("cache_hits").Uint(record.cache_hits);
   w->Key("cache_misses").Uint(record.cache_misses);
-  w->Key("quality_jaccard_permille").Uint(record.quality_jaccard_permille);
-  w->Key("quality_rank_churn").Uint(record.quality_rank_churn);
-  w->Key("quality_rounds_to_stability")
-      .Uint(record.quality_rounds_to_stability);
   w->Key("outcome").String(SessionOutcomeName(
       static_cast<SessionOutcome>(record.quality_outcome)));
   if (record.quality_oracle_precision_permille_plus1 > 0) {
@@ -113,66 +124,32 @@ void WriteAuditFields(const QueryAuditRecord& record, std::string_view label,
 }
 
 std::uint64_t QueryLog::Record(QueryAuditRecord record) {
-  const std::uint64_t seq = head_.fetch_add(1, std::memory_order_relaxed);
-  record.sequence = seq;
-  Slot& slot = slots_[seq % kCapacity];
-
-  std::uint32_t version = slot.version.load(std::memory_order_relaxed);
-  if ((version & 1u) != 0 ||
-      !slot.version.compare_exchange_strong(version, version + 1,
-                                            std::memory_order_acquire,
-                                            std::memory_order_relaxed)) {
-    // Another writer holds this slot (sequences kCapacity apart racing).
-    dropped_.fetch_add(1, std::memory_order_relaxed);
-    static Counter& dropped_counter = MetricsRegistry::Global().GetCounter(
-        "querylog.dropped",
-        "Session audit records dropped on a query-log slot collision");
-    dropped_counter.Add(1);
-    return seq;
-  }
-
-  std::uint64_t words[kWords];
-  std::memcpy(words, &record, sizeof(record));
-  for (std::size_t w = 0; w < kWords; ++w) {
-    slot.words[w].store(words[w], std::memory_order_relaxed);
-  }
-  slot.version.store(version + 2, std::memory_order_release);
-  return seq;
+  std::lock_guard<std::mutex> lock(mu_);
+  record.sequence = head_++;
+  records_[record.sequence % kCapacity] = record;
+  return record.sequence;
 }
 
 std::vector<QueryAuditRecord> QueryLog::Snapshot() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  const std::uint64_t first = head_ > kCapacity ? head_ - kCapacity : 0;
   std::vector<QueryAuditRecord> records;
-  records.reserve(kCapacity);
-  for (const Slot& slot : slots_) {
-    // Bounded retries: a slot rewritten in a tight loop is skipped rather
-    // than stalling the reader.
-    for (int attempt = 0; attempt < 4; ++attempt) {
-      const std::uint32_t v1 = slot.version.load(std::memory_order_acquire);
-      if (v1 == 0) break;             // never written
-      if ((v1 & 1u) != 0) continue;   // write in progress
-      std::uint64_t words[kWords];
-      for (std::size_t w = 0; w < kWords; ++w) {
-        words[w] = slot.words[w].load(std::memory_order_relaxed);
-      }
-      std::atomic_thread_fence(std::memory_order_acquire);
-      if (slot.version.load(std::memory_order_relaxed) != v1) continue;
-      QueryAuditRecord record;
-      std::memcpy(&record, words, sizeof(record));
-      records.push_back(record);
-      break;
-    }
+  records.reserve(head_ - first);
+  for (std::uint64_t seq = first; seq < head_; ++seq) {
+    records.push_back(records_[seq % kCapacity]);
   }
-  std::sort(records.begin(), records.end(),
-            [](const QueryAuditRecord& a, const QueryAuditRecord& b) {
-              return a.sequence < b.sequence;
-            });
   return records;
+}
+
+std::uint64_t QueryLog::total_recorded() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return head_;
 }
 
 std::string QueryLog::RenderJson(std::size_t limit) const {
   std::vector<QueryAuditRecord> records = Snapshot();
   if (records.size() > limit) {
-    // Keep the most recent records: Snapshot sorts ascending by sequence.
+    // Keep the most recent records: Snapshot returns them oldest first.
     records.erase(records.begin(),
                   records.end() - static_cast<std::ptrdiff_t>(limit));
   }
@@ -181,7 +158,6 @@ std::string QueryLog::RenderJson(std::size_t limit) const {
   w.BeginObject();
   w.Key("capacity").Uint(kCapacity);
   w.Key("total_recorded").Uint(total_recorded());
-  w.Key("dropped").Uint(dropped());
   w.Key("records").BeginArray();
   for (const QueryAuditRecord& record : records) {
     w.BeginObject();

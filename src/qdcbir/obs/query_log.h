@@ -1,24 +1,38 @@
 #ifndef QDCBIR_OBS_QUERY_LOG_H_
 #define QDCBIR_OBS_QUERY_LOG_H_
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <mutex>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "qdcbir/obs/json.h"
-#include "qdcbir/obs/quality_stats.h"
 #include "qdcbir/obs/resource_stats.h"
 
 namespace qdcbir {
 namespace obs {
 
-/// One completed retrieval session, as shown on `/queryz`. Fixed-size and
-/// trivially copyable so records can live in the lock-free audit ring:
-/// the struct is copied word-by-word through `std::atomic<uint64_t>`
-/// slots, which keeps concurrent record/snapshot TSan-clean.
+/// How a feedback session ended.
+enum class SessionOutcome : std::uint64_t {
+  kFinalized = 0,  ///< finalize returned a ranked result
+  kAbandoned = 1,  ///< still open at teardown, with no failed request
+  kErrored = 2,    ///< still open at teardown after a failed round or
+                   ///< finalize
+};
+
+/// Stable lowercase name for JSON surfaces ("finalized", "abandoned",
+/// "errored"; "unknown" for out-of-range values).
+const char* SessionOutcomeName(SessionOutcome outcome);
+
+/// Adds one to the `quality.sessions.<outcome>` counter. Every session
+/// counts once when it ends, so `qd.sessions` minus the three counters is
+/// the number of serve sessions still open.
+void CountSessionOutcome(SessionOutcome outcome);
+
+/// One completed retrieval session, as shown on `/queryz`. Fixed-size, so
+/// the audit ring holds its records in place.
 struct QueryAuditRecord {
   std::uint64_t sequence = 0;  ///< assigned by QueryLog::Record, 0-based
   char engine[12] = {};        ///< "qd" or "global"
@@ -61,11 +75,6 @@ struct QueryAuditRecord {
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_misses = 0;
 
-  /// Retrieval-quality telemetry (obs/quality_stats.h). Ratios are carried
-  /// as permille so the record stays a flat array of words.
-  std::uint64_t quality_jaccard_permille = 0;   ///< last round-to-round overlap
-  std::uint64_t quality_rank_churn = 0;         ///< last-transition churn
-  std::uint64_t quality_rounds_to_stability = 0;  ///< 0 = never stabilized
   /// `SessionOutcome` as its underlying value (finalized/abandoned/errored).
   std::uint64_t quality_outcome = 0;
   /// Oracle precision@k in permille, plus one so 0 still means "undefined"
@@ -83,13 +92,7 @@ struct QueryAuditRecord {
 
   /// Copies the session's physical-work totals.
   void SetUsage(const ResourceUsage& usage);
-  /// Copies the session's quality summary: last-round overlap and churn,
-  /// rounds to stability, outcome, and oracle precision when defined.
-  void SetQuality(const SessionQuality& quality);
 };
-
-static_assert(sizeof(QueryAuditRecord) % sizeof(std::uint64_t) == 0,
-              "record must pack into whole atomic words");
 
 /// Writes the record's fields into an open JSON object: the one schema of
 /// `/queryz` rows and wide events. `label` stands in for the record's
@@ -97,43 +100,30 @@ static_assert(sizeof(QueryAuditRecord) % sizeof(std::uint64_t) == 0,
 void WriteAuditFields(const QueryAuditRecord& record, std::string_view label,
                       JsonWriter* w);
 
-/// A fixed-capacity lock-free ring of the most recent completed sessions.
-/// Writers claim a slot by sequence number and publish through a per-slot
-/// seqlock version (even = stable, odd = write in progress); readers retry
-/// on torn slots. Writers never block and never touch the query hot path —
-/// recording happens once per *session*, after Finalize. On the rare
-/// collision (two writers `Capacity()` sequences apart racing for one
-/// slot) the younger record is dropped and counted.
+/// A fixed-capacity ring of the most recent completed sessions. Records
+/// are written once per session, after Finalize, so one mutex guards the
+/// ring: `Record` copies a record in, `Snapshot` copies the ring out.
 class QueryLog {
  public:
   static constexpr std::size_t kCapacity = 128;
-  static constexpr std::size_t kWords =
-      sizeof(QueryAuditRecord) / sizeof(std::uint64_t);
 
   QueryLog() = default;
   QueryLog(const QueryLog&) = delete;
   QueryLog& operator=(const QueryLog&) = delete;
 
-  /// Assigns the next sequence number and publishes a copy of `record`
-  /// (with `sequence` filled in) into the ring. Returns the sequence.
+  /// Assigns the next sequence number and stores a copy of `record` (with
+  /// `sequence` filled in), replacing the oldest once the ring is full.
+  /// Returns the sequence.
   std::uint64_t Record(QueryAuditRecord record);
 
-  /// A consistent copy of every stable record, ascending by sequence.
-  /// Records being overwritten concurrently are skipped, never torn.
+  /// A copy of every retained record, ascending by sequence.
   std::vector<QueryAuditRecord> Snapshot() const;
 
   /// Total sessions ever recorded (including those since evicted).
-  std::uint64_t total_recorded() const {
-    return head_.load(std::memory_order_relaxed);
-  }
-
-  /// Records dropped on same-slot writer collisions.
-  std::uint64_t dropped() const {
-    return dropped_.load(std::memory_order_relaxed);
-  }
+  std::uint64_t total_recorded() const;
 
   /// The `/queryz` JSON document: ring stats plus the most recent `limit`
-  /// stable records (default: the whole ring).
+  /// records (default: the whole ring).
   std::string RenderJson(std::size_t limit = kCapacity) const;
 
   /// The process-wide audit ring that SessionRunner and the serve layer
@@ -141,21 +131,9 @@ class QueryLog {
   static QueryLog& Global();
 
  private:
-  /// Test-only accessor: a real slot collision needs two writers racing
-  /// `kCapacity` sequences apart mid-write, which cannot be scheduled
-  /// deterministically from the public API. The peer pins a slot's seqlock
-  /// version to "write in progress" so the drop path is directly testable.
-  friend class QueryLogTestPeer;
-
-  struct Slot {
-    /// Seqlock version: 0 = never written, odd = write in progress.
-    std::atomic<std::uint32_t> version{0};
-    std::atomic<std::uint64_t> words[kWords] = {};
-  };
-
-  std::atomic<std::uint64_t> head_{0};
-  std::atomic<std::uint64_t> dropped_{0};
-  Slot slots_[kCapacity];
+  mutable std::mutex mu_;
+  std::uint64_t head_ = 0;  ///< next sequence; slot `seq % kCapacity`
+  QueryAuditRecord records_[kCapacity];
 };
 
 }  // namespace obs

@@ -24,7 +24,6 @@ const char* SloKindName(SloKind kind) {
     case SloKind::kLatencyQuantile: return "latency_quantile";
     case SloKind::kAvailability: return "availability";
     case SloKind::kRatioFloor: return "ratio_floor";
-    case SloKind::kHistogramFloor: return "histogram_floor";
   }
   return "unknown";
 }
@@ -50,8 +49,7 @@ SloEngine::SloEngine(std::vector<SloDefinition> definitions,
     tracked.def = std::move(def);
     const SloDefinition& d = tracked.def;
     if (!d.metric.empty()) {
-      if (d.kind == SloKind::kLatencyQuantile ||
-          d.kind == SloKind::kHistogramFloor) {
+      if (d.kind == SloKind::kLatencyQuantile) {
         tracked.histogram = &registry_->GetHistogram(d.metric);
       } else {
         tracked.counter = &registry_->GetCounter(d.metric);
@@ -85,20 +83,16 @@ SloEngine::Reading SloEngine::Read(const TrackedSlo& slo) {
   const auto value = [](const Counter* counter) -> std::uint64_t {
     return counter != nullptr ? counter->Value() : 0;
   };
-  // For the histogram kinds: (events at or below the threshold, all events).
-  // The HDR buckets quantize the cut to the last bucket upper bound at or
-  // below the threshold (≤ ~6% value error, as for the percentile readouts).
-  std::uint64_t at_or_below = 0;
-  std::uint64_t events = 0;
-  if (slo.histogram != nullptr) {
-    std::tie(at_or_below, events) =
-        slo.histogram->CountAtOrBelow(slo.def.threshold);
-  }
   Reading reading;
   switch (slo.def.kind) {
     case SloKind::kLatencyQuantile:
-      reading.good = at_or_below;
-      reading.total = events;
+      // (events at or below the threshold, all events). The HDR buckets
+      // quantize the cut to the last bucket upper bound at or below the
+      // threshold (≤ ~6% value error, as for the percentile readouts).
+      if (slo.histogram != nullptr) {
+        std::tie(reading.good, reading.total) =
+            slo.histogram->CountAtOrBelow(slo.def.threshold);
+      }
       break;
     case SloKind::kAvailability: {
       reading.total = value(slo.counter);
@@ -109,12 +103,6 @@ SloEngine::Reading SloEngine::Read(const TrackedSlo& slo) {
     case SloKind::kRatioFloor:
       reading.good = value(slo.counter);
       reading.total = reading.good + value(slo.bad_counter);
-      break;
-    case SloKind::kHistogramFloor:
-      // good = strictly above the floor; a non-positive floor accepts
-      // everything (exported but never burning — opt-in floors).
-      reading.good = slo.def.threshold <= 0.0 ? events : events - at_or_below;
-      reading.total = events;
       break;
   }
   return reading;

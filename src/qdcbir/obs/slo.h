@@ -6,8 +6,7 @@
 /// multi-window burn rates (fast/slow window à la the SRE workbook).
 ///
 /// An SLO reduces every source — latency histograms, availability counters,
-/// hit-rate counter pairs, quality-proxy histogram floors — to a cumulative
-/// (good, total) event pair. The engine resolves each definition's metrics
+/// hit-rate counter pairs — to a cumulative (good, total) event pair. The engine resolves each definition's metrics
 /// to `Histogram&` / `Counter&` handles once, at construction (registering
 /// any that do not exist yet), so an evaluation reads those handles and
 /// never snapshots the registry. Each `Evaluate` call records the pair in a
@@ -52,9 +51,6 @@ enum class SloKind {
   /// `metric` counts good events, `bad_metric` the complementary misses;
   /// total = good + bad (e.g. cache hits vs misses).
   kRatioFloor,
-  /// `metric` is a histogram of a quality proxy; an event is good when
-  /// its value is strictly above `threshold` (e.g. top-k Jaccard floor).
-  kHistogramFloor,
 };
 
 const char* SloKindName(SloKind kind);
@@ -68,7 +64,7 @@ struct SloDefinition {
   SloKind kind = SloKind::kLatencyQuantile;
   std::string metric;      ///< histogram or total/good counter (see kind)
   std::string bad_metric;  ///< bad/miss counter for the counter kinds
-  /// Good-value cut for the histogram kinds (≤ for latency, > for floors).
+  /// Good-value cut of kLatencyQuantile: an event is good at or below it.
   double threshold = 0.0;
   double objective = 0.99;  ///< required good fraction (error budget = 1-o)
   std::uint64_t fast_window_ns = 300ull * 1000 * 1000 * 1000;    ///< 5 min

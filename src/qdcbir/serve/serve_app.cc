@@ -102,20 +102,6 @@ std::string QueryParam(const std::string& query, std::string_view key) {
   return "";
 }
 
-/// Display/result ids flattened for the quality tracker (which compares
-/// opaque 64-bit ids; see obs/quality_stats.h).
-std::vector<std::uint64_t> DisplayIds(const std::vector<DisplayGroup>& display) {
-  std::vector<std::uint64_t> ids;
-  for (const DisplayGroup& group : display) {
-    for (const ImageId id : group.images) ids.push_back(id);
-  }
-  return ids;
-}
-
-std::vector<std::uint64_t> RankedIds(const std::vector<ImageId>& ranked) {
-  return std::vector<std::uint64_t>(ranked.begin(), ranked.end());
-}
-
 /// Reads the optional integer field `key` of a request body: absent keeps
 /// `*out`, an integer in [0, max] sets it. Anything else returns false, and
 /// the handler answers 400.
@@ -164,14 +150,9 @@ bool ParseNumberParam(const std::string& query, std::string_view key,
 /// Why the SLO options cannot define SLOs, or "" when they can. A NaN or
 /// out-of-range objective would make every burn rate meaningless.
 std::string SloOptionsError(const ServeOptions& options) {
-  const auto objective_ok = [](double objective) {
-    return std::isfinite(objective) && objective >= 0.0 && objective <= 1.0;
-  };
-  if (!objective_ok(options.slo_latency_objective)) {
+  const double objective = options.slo_latency_objective;
+  if (!std::isfinite(objective) || objective < 0.0 || objective > 1.0) {
     return "slo_latency_objective must be a finite number in [0, 1]";
-  }
-  if (!objective_ok(options.slo_jaccard_objective)) {
-    return "slo_jaccard_objective must be a finite number in [0, 1]";
   }
   if (!std::isfinite(options.slo_latency_ms) || options.slo_latency_ms < 0.0) {
     return "slo_latency_ms must be a finite non-negative number";
@@ -322,15 +303,6 @@ ServeApp::ServeApp(ServeOptions options)
     cache_rate.objective = 0.05;
     slos.push_back(std::move(cache_rate));
 
-    obs::SloDefinition quality;
-    quality.name = "quality_stability";
-    quality.kind = obs::SloKind::kHistogramFloor;
-    quality.metric = "quality.topk_jaccard";
-    quality.threshold =
-        static_cast<double>(options_.slo_jaccard_floor_permille);
-    quality.objective = options_.slo_jaccard_objective;
-    slos.push_back(std::move(quality));
-
     slo_engine_ = std::make_unique<obs::SloEngine>(std::move(slos));
   }
   if (!options_.wide_events_path.empty()) {
@@ -385,24 +357,22 @@ void ServeApp::Stop() {
   if (loader_.joinable()) loader_.join();
 
   // Sessions still open after the listener drained never reached finalize:
-  // classify them (abandoned, or errored when their last round failed),
-  // publish their quality telemetry, and give them /queryz rows and wide
-  // events so abandoned traffic is as visible as completed traffic.
+  // they end abandoned, or errored when a round failed, and get outcome
+  // counts, /queryz rows and wide events so abandoned traffic is as visible
+  // as completed traffic.
   std::map<std::uint64_t, std::shared_ptr<Session>> leftovers;
   {
     std::lock_guard<std::mutex> lock(sessions_mu_);
     leftovers.swap(sessions_);
   }
   for (const auto& [session_id, session] : leftovers) {
-    const obs::SessionQuality quality = session->quality.Summary();
-    obs::QueryAuditRecord record = AuditRecord(*session, quality);
+    obs::QueryAuditRecord record = AuditRecord(*session);
     record.sequence = obs::QueryLog::Global().Record(record);
-    FinishSessionObservability(*session, session_id, quality, record);
+    FinishSessionObservability(*session, session_id, record);
   }
 }
 
-obs::QueryAuditRecord ServeApp::AuditRecord(
-    const Session& session, const obs::SessionQuality& quality) {
+obs::QueryAuditRecord ServeApp::AuditRecord(const Session& session) {
   obs::QueryAuditRecord record;
   record.set_engine("qd");
   record.set_label(session.label);
@@ -422,7 +392,7 @@ obs::QueryAuditRecord ServeApp::AuditRecord(
   record.trace_hi = session.trace.trace_hi;
   record.trace_lo = session.trace.trace_lo;
   record.SetUsage(session.resources.Snapshot());
-  record.SetQuality(quality);
+  record.quality_outcome = static_cast<std::uint64_t>(session.outcome);
   return record;
 }
 
@@ -609,8 +579,6 @@ obs::HttpResponse ServeApp::HandleApiQuery(const obs::HttpRequest& request) {
     display = session->qd.Start();
   }
   session->rounds_ns += obs::MonotonicNanos() - start_ns;
-  session->quality.ObserveRound(DisplayIds(display),
-                                session->qd.stats().localized_subqueries);
   session->busy.store(false, std::memory_order_release);
 
   return DisplayResponse(session_id, session->qd.round(), display,
@@ -690,14 +658,12 @@ obs::HttpResponse ServeApp::HandleApiFeedback(
   }();
   session->rounds_ns += obs::MonotonicNanos() - start_ns;
   if (!next.ok()) {
-    session->quality.RecordError();
+    session->outcome = obs::SessionOutcome::kErrored;
     QDCBIR_LOG(obs::LogLevel::kWarn,
                "feedback rejected: " + next.status().ToString());
     return JsonError(400, next.status().ToString(), session->trace);
   }
   session->picks += relevant.size();
-  session->quality.ObserveRound(DisplayIds(*next),
-                                session->qd.stats().localized_subqueries);
 
   if (finalize == nullptr) {
     return DisplayResponse(session_id, session->qd.round(), *next,
@@ -707,37 +673,22 @@ obs::HttpResponse ServeApp::HandleApiFeedback(
   start_ns = obs::MonotonicNanos();
   StatusOr<QdResult> result = [&] {
     QDCBIR_SPAN("serve.api.feedback");
-    StatusOr<QdResult> finalized = session->qd.Finalize(k);
-    if (finalized.ok()) {
-      // Quality observation of the final ranked list happens inside the
-      // span so the proxies land as annotations on the session's trace.
-      session->quality.ObserveRound(
-          RankedIds(finalized->Flatten()),
-          session->qd.stats().localized_subqueries);
-      session->quality.Finalized();
-      QDCBIR_SPAN_ANNOTATE(
-          "quality.topk_jaccard_permille",
-          static_cast<std::int64_t>(session->quality.last_jaccard_permille()));
-      QDCBIR_SPAN_ANNOTATE(
-          "quality.rank_churn",
-          static_cast<std::int64_t>(session->quality.last_rank_churn()));
-    }
-    return finalized;
+    return session->qd.Finalize(k);
   }();
   const std::uint64_t finalize_ns = obs::MonotonicNanos() - start_ns;
   if (!result.ok()) {
-    session->quality.RecordError();
+    session->outcome = obs::SessionOutcome::kErrored;
     QDCBIR_LOG(obs::LogLevel::kWarn,
                "finalize failed: " + result.status().ToString());
     return JsonError(400, result.status().ToString(), session->trace);
   }
+  session->outcome = obs::SessionOutcome::kFinalized;
 
   // The session is complete: publish it to the /queryz audit ring and
   // release the slot. This thread's pending deltas are flushed first
   // (pool workers flushed at task end; `Run` already joined them).
   obs::FlushTaskContext();
-  const obs::SessionQuality quality = session->quality.Summary();
-  obs::QueryAuditRecord record = AuditRecord(*session, quality);
+  obs::QueryAuditRecord record = AuditRecord(*session);
   record.results = result->TotalImages();
   record.finalize_ns = finalize_ns;
   record.total_ns += finalize_ns;
@@ -812,7 +763,7 @@ obs::HttpResponse ServeApp::HandleApiFeedback(
     std::lock_guard<std::mutex> lock(sessions_mu_);
     sessions_.erase(session_id);
   }
-  FinishSessionObservability(*session, session_id, quality, record);
+  FinishSessionObservability(*session, session_id, record);
 
   const QdSessionStats& stats = session->qd.stats();
   return JsonResponse(200, session->trace, [&](obs::JsonWriter* w) {
@@ -1117,7 +1068,6 @@ obs::HttpResponse ServeApp::HandleIndexz(const obs::HttpRequest& request) {
 
 void ServeApp::FinishSessionObservability(const Session& session,
                                           std::uint64_t session_id,
-                                          const obs::SessionQuality& quality,
                                           const obs::QueryAuditRecord& record) {
   // Drain the session's index-access heatmap (finalize flushed this
   // thread's deltas; at teardown none are pending): per-leaf rows into the
@@ -1155,7 +1105,7 @@ void ServeApp::FinishSessionObservability(const Session& session,
     obs::CoAccessTracker::Global().RecordTouchedSet(std::move(touched));
   }
 
-  obs::PublishSessionQuality(quality);
+  obs::CountSessionOutcome(session.outcome);
   // Sessions only record; the SLOs evaluate here at most once per cadence
   // (and on every /metrics, /sloz and /statusz render).
   slo_engine_->EvaluateIfDue();
@@ -1182,8 +1132,6 @@ void ServeApp::FinishSessionObservability(const Session& session,
   w.Key("load_generation")
       .Uint(load_generation_.load(std::memory_order_relaxed));
   w.Key("leaves_touched").Uint(access.size());
-  w.Key("quality_mean_jaccard_permille").Uint(quality.mean_jaccard_permille);
-  w.Key("quality_subquery_growth").Uint(quality.subquery_growth);
   w.Key("slo_worst").String(obs::SloStateName(slo_engine_->WorstState()));
   for (const obs::SloStatus& status : slo_engine_->Snapshot()) {
     w.Key("slo_" + status.name).String(obs::SloStateName(status.state));

@@ -16,7 +16,6 @@
 #include "qdcbir/core/thread_pool.h"
 #include "qdcbir/dataset/database.h"
 #include "qdcbir/obs/http_server.h"
-#include "qdcbir/obs/quality_stats.h"
 #include "qdcbir/obs/query_log.h"
 #include "qdcbir/obs/slo.h"
 #include "qdcbir/obs/task_context.h"
@@ -85,8 +84,8 @@ struct ServeOptions {
   /// `ThreadPool::Global()`.
   ThreadPool* pool = nullptr;
   /// JSON-lines wide-event file: one event per completed session joining
-  /// trace id, engine config, resource stats, cache traffic, quality
-  /// telemetry, and SLO state. Empty disables the sink.
+  /// trace id, engine config, resource stats, cache traffic, outcome, and
+  /// SLO state. Empty disables the sink.
   std::string wide_events_path;
   /// Size cap of the live wide-event file; past it the file rotates to
   /// `<path>.1` (replacing the previous rollover).
@@ -96,12 +95,6 @@ struct ServeOptions {
   /// obs/slo.h and `/sloz`).
   double slo_latency_ms = 2000.0;
   double slo_latency_objective = 0.95;
-  /// Quality-proxy SLO floor: this fraction of sessions must end with a
-  /// round-to-round top-k Jaccard overlap strictly above
-  /// `slo_jaccard_floor_permille`. 0 keeps the SLO always-ok (still
-  /// exported) — serve has no ground truth, so the floor is opt-in.
-  std::uint64_t slo_jaccard_floor_permille = 0;
-  double slo_jaccard_objective = 0.5;
 };
 
 /// The admin/serving application: loads a database snapshot and RFS tree
@@ -145,7 +138,7 @@ class ServeApp {
   ServeApp& operator=(const ServeApp&) = delete;
 
   /// Binds the listener and starts the background snapshot load. Returns
-  /// false (with `*error`) only when the SLO options are invalid (an
+  /// false (with `*error`) only when the SLO options are invalid (a latency
   /// objective that is not a finite number in [0, 1], or a latency target
   /// that is not a finite non-negative number) or the socket cannot be
   /// bound — load failures surface through `/readyz` and `readiness()`
@@ -196,9 +189,9 @@ class ServeApp {
     /// Drained into the global AccessStatsTable and the co-access tracker
     /// when the session ends (finalize or teardown).
     obs::AccessAccumulator access;
-    /// Passive quality observer: fed the ranked ids of every display and
-    /// the final result; never influences ranking (see obs/quality_stats.h).
-    obs::SessionQualityTracker quality;
+    /// A failed round or finalize sets kErrored, a successful finalize
+    /// kFinalized; a session still open at `Stop()` keeps what it has.
+    obs::SessionOutcome outcome = obs::SessionOutcome::kAbandoned;
   };
 
   void LoadInBackground();
@@ -214,19 +207,16 @@ class ServeApp {
   obs::HttpResponse HandleIndexz(const obs::HttpRequest& request);
 
   /// The session's `/queryz` record as of now: identity, engine stats,
-  /// rounds time, resource usage and `quality`. Finalize adds its results
+  /// rounds time, resource usage and outcome. Finalize adds its results
   /// and time; the `Stop()` sweep records it as is.
-  static obs::QueryAuditRecord AuditRecord(const Session& session,
-                                           const obs::SessionQuality& quality);
+  static obs::QueryAuditRecord AuditRecord(const Session& session);
 
-  /// Drains the session's leaf-access heatmap, publishes its quality
-  /// metrics, re-evaluates the SLOs and emits its wide event. Called with
-  /// the session off the map (finalize) or during teardown
-  /// (abandoned/errored) — purely observational, after the response is
-  /// built.
+  /// Drains the session's leaf-access heatmap, counts its outcome,
+  /// re-evaluates the SLOs and emits its wide event. Called with the
+  /// session off the map (finalize) or during teardown (abandoned/errored)
+  /// — purely observational, after the response is built.
   void FinishSessionObservability(const Session& session,
                                   std::uint64_t session_id,
-                                  const obs::SessionQuality& quality,
                                   const obs::QueryAuditRecord& record);
 
   ThreadPool& QueryPool() const {

@@ -101,24 +101,6 @@ TEST(SloEngine, AvailabilityCountsBadRequests) {
   EXPECT_EQ(engine.WorstState(), SloState::kBreach);
 }
 
-TEST(SloEngine, ZeroFloorHistogramSloNeverBurns) {
-  MetricsRegistry registry;
-  Histogram& jaccard = registry.GetHistogram("test.jaccard");
-  SloDefinition def;
-  def.name = "stability";
-  def.kind = SloKind::kHistogramFloor;
-  def.metric = "test.jaccard";
-  def.threshold = 0.0;  // opt-out floor: exported but always ok
-  def.objective = 0.5;
-  std::uint64_t now = 0;
-  SloEngine engine({def}, &registry, [&] { return now; });
-  engine.Evaluate();
-  for (int i = 0; i < 20; ++i) jaccard.Record(0);  // worst possible overlap
-  now = 10 * kSecond;
-  engine.Evaluate();
-  EXPECT_EQ(engine.WorstState(), SloState::kOk);
-}
-
 TEST(SloEngine, SurvivesRegistryReset) {
   MetricsRegistry registry;
   Histogram& latency = registry.GetHistogram("test.latency");
@@ -144,17 +126,18 @@ TEST(SloEngine, RenderJsonListsEverySloWithState) {
   MetricsRegistry registry;
   std::uint64_t now = 0;
   SloDefinition floor;
-  floor.name = "stability";
-  floor.kind = SloKind::kHistogramFloor;
-  floor.metric = "test.jaccard";
+  floor.name = "hit_rate";
+  floor.kind = SloKind::kRatioFloor;
+  floor.metric = "test.hits";
+  floor.bad_metric = "test.misses";
   SloEngine engine({LatencySlo(), floor}, &registry, [&] { return now; });
   engine.Evaluate();
   const std::string json = engine.RenderJson();
   EXPECT_NE(json.find("\"slos\":["), std::string::npos);
   EXPECT_NE(json.find("\"name\":\"latency\""), std::string::npos);
-  EXPECT_NE(json.find("\"name\":\"stability\""), std::string::npos);
+  EXPECT_NE(json.find("\"name\":\"hit_rate\""), std::string::npos);
   EXPECT_NE(json.find("\"kind\":\"latency_quantile\""), std::string::npos);
-  EXPECT_NE(json.find("\"kind\":\"histogram_floor\""), std::string::npos);
+  EXPECT_NE(json.find("\"kind\":\"ratio_floor\""), std::string::npos);
   EXPECT_NE(json.find("\"state\":\"ok\""), std::string::npos);
   EXPECT_NE(json.find("\"objective\":0.95"), std::string::npos);
 }

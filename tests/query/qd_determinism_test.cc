@@ -13,7 +13,7 @@
 #include "qdcbir/cache/cache_manager.h"
 #include "qdcbir/core/byte_source.h"
 #include "qdcbir/obs/json.h"
-#include "qdcbir/obs/quality_stats.h"
+#include "qdcbir/obs/query_log.h"
 #include "qdcbir/obs/wide_event.h"
 #include "qdcbir/core/thread_pool.h"
 #include "qdcbir/dataset/synthesizer.h"
@@ -218,12 +218,11 @@ TEST_F(QdDeterminismTest, SharedStoreTreeMatchesOwningTreeAcrossThreads) {
   }
 }
 
-TEST_F(QdDeterminismTest, QualityTelemetryAndWideEventsAreInvisible) {
-  // The observability layer is passive by contract (obs/quality_stats.h,
-  // obs/wide_event.h): a session observed by the quality tracker and
-  // exported as a wide event must produce byte-identical ranked results
-  // AND identical QdSessionStats to the bare baseline, at every thread
-  // count.
+TEST_F(QdDeterminismTest, WideEventsAreInvisible) {
+  // The observability layer is passive by contract (obs/wide_event.h): a
+  // session exported as a wide event must produce byte-identical ranked
+  // results AND identical QdSessionStats to the bare baseline, at every
+  // thread count.
   ThreadPool sequential(1);
   QdSessionStats baseline_stats;
   const QdResult baseline = RunScriptedSession(&sequential, &baseline_stats);
@@ -237,22 +236,13 @@ TEST_F(QdDeterminismTest, QualityTelemetryAndWideEventsAreInvisible) {
     SCOPED_TRACE(::testing::Message() << "threads=" << threads);
     ThreadPool pool(threads);
 
-    // Re-run the scripted session with full observation: every display and
-    // the finalized ranking feed the tracker, and the summary is exported.
+    // Re-run the scripted session and export it: the wide event carries
+    // the session's audit record, as the serve layer's does.
     QdOptions options;
     options.seed = 4242;
     options.pool = &pool;
     QdSession session(rfs_, options);
-    obs::SessionQualityTracker tracker;
-    auto observe = [&](const std::vector<DisplayGroup>& display) {
-      std::vector<std::uint64_t> ids;
-      for (const DisplayGroup& group : display) {
-        for (const ImageId id : group.images) ids.push_back(id);
-      }
-      tracker.ObserveRound(ids, session.stats().localized_subqueries);
-    };
     std::vector<DisplayGroup> display = session.Start();
-    observe(display);
     for (int round = 0; round < 2; ++round) {
       std::vector<ImageId> picks;
       for (const DisplayGroup& group : display) {
@@ -261,30 +251,25 @@ TEST_F(QdDeterminismTest, QualityTelemetryAndWideEventsAreInvisible) {
         }
       }
       display = session.Feedback(picks).value();
-      observe(display);
     }
     const QdResult result = session.Finalize(60).value();
-    std::vector<std::uint64_t> final_ids;
-    for (const ImageId id : result.Flatten()) final_ids.push_back(id);
-    tracker.ObserveRound(final_ids, session.stats().localized_subqueries);
-    tracker.Finalized();
 
-    const obs::SessionQuality quality = tracker.Summary();
-    obs::PublishSessionQuality(quality);
+    obs::QueryAuditRecord record;
+    record.set_engine("qd");
+    record.rounds = static_cast<std::uint64_t>(session.round());
+    record.results = result.TotalImages();
+    record.subqueries = session.stats().localized_subqueries;
     std::string event;
     obs::JsonWriter w(&event);
     w.BeginObject();
     w.Key("event").String("session");
     w.Key("threads").Uint(threads);
-    w.Key("outcome").String(obs::SessionOutcomeName(quality.outcome));
-    w.Key("quality_mean_jaccard_permille").Uint(quality.mean_jaccard_permille);
+    obs::WriteAuditFields(record, "determinism", &w);
     w.EndObject();
     sink.Emit(event);
 
     ExpectIdenticalResults(baseline, result);
     ExpectIdenticalStats(baseline_stats, session.stats());
-    EXPECT_EQ(quality.outcome, obs::SessionOutcome::kFinalized);
-    EXPECT_GE(quality.rounds_observed, 4u);
   }
   EXPECT_EQ(sink.emitted(), 4u);
   EXPECT_EQ(sink.dropped(), 0u);

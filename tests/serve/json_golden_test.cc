@@ -113,9 +113,6 @@ TEST(JsonGoldenTest, Queryz) {
   record.alloc_bytes = 4096;
   record.cache_hits = 2;
   record.cache_misses = 3;
-  record.quality_jaccard_permille = 850;
-  record.quality_rank_churn = 4;
-  record.quality_rounds_to_stability = 2;
   record.quality_outcome = 0;
   log.Record(record);
   obs::QueryAuditRecord plain;
@@ -126,7 +123,7 @@ TEST(JsonGoldenTest, Queryz) {
   log.Record(plain);
   EXPECT_EQ(
       log.RenderJson(),
-      "{\"capacity\":128,\"total_recorded\":2,\"dropped\":0,\"records\":["
+      "{\"capacity\":128,\"total_recorded\":2,\"records\":["
       "{\"sequence\":0,\"engine\":\"qd\",\"label\":\"bird \\\"flock\\\" "
       "\\\\ 2\",\"seed\":11,\"rounds\":3,\"picks\":6,\"results\":25,"
       "\"subqueries\":4,\"boundary_expansions\":2,\"expanded_subqueries\":1,"
@@ -135,8 +132,7 @@ TEST(JsonGoldenTest, Queryz) {
       "\"total_ns\":2200,\"distance_evals\":1234,\"feature_bytes\":365000,"
       "\"leaves_visited\":17,\"tiles_gathered\":8,\"container_allocs\":5,"
       "\"alloc_bytes\":4096,\"cache_hits\":2,\"cache_misses\":3,"
-      "\"quality_jaccard_permille\":850,\"quality_rank_churn\":4,"
-      "\"quality_rounds_to_stability\":2,\"outcome\":\"finalized\","
+      "\"outcome\":\"finalized\","
       "\"trace\":\"4bf92f3577b34da6a3ce929d0e0e4736\"},"
       "{\"sequence\":1,\"engine\":\"global\",\"label\":\"mv\",\"seed\":0,"
       "\"rounds\":0,\"picks\":0,\"results\":0,\"subqueries\":0,"
@@ -146,8 +142,7 @@ TEST(JsonGoldenTest, Queryz) {
       "\"total_ns\":0,\"distance_evals\":0,\"feature_bytes\":0,"
       "\"leaves_visited\":0,\"tiles_gathered\":0,\"container_allocs\":0,"
       "\"alloc_bytes\":0,\"cache_hits\":0,\"cache_misses\":0,"
-      "\"quality_jaccard_permille\":0,\"quality_rank_churn\":0,"
-      "\"quality_rounds_to_stability\":0,\"outcome\":\"abandoned\","
+      "\"outcome\":\"abandoned\","
       "\"oracle_precision_permille\":700,\"trace\":\"\"}]}");
 }
 
@@ -503,15 +498,13 @@ TEST_F(JsonGoldenServeTest, ApiBodiesAndWideEvent) {
             "\"rounds_ns\":0,\"finalize_ns\":0,\"total_ns\":0,\"distance_evals"
             "\":53,\"feature_bytes\":15688,\"leaves_visited\":2,\"tiles_gather"
             "ed\":0,\"container_allocs\":0,\"alloc_bytes\":0,\"cache_hits\":0,"
-            "\"cache_misses\":2,\"quality_jaccard_permille\":111,\"quality_ran"
-            "k_churn\":5,\"quality_rounds_to_stability\":0,\"outcome\":\"final"
+            "\"cache_misses\":2,\"outcome\":\"final"
             "ized\",\"trace\":\"4bf92f3577b34da6a3ce929d0e0e4736\","
             "\"display_size\":6,\"boundary_threshold\":0.4,\"cache_mb\":64,"
             "\"load_generation\":1,\"leaves_touched\":" GOLDEN_LEAVES_TOUCHED
-            ",\"quality_mean_jaccard"
-            "_permille\":333,\"quality_subquery_growth\":2,\"slo_worst\":\"ok\""
+            ",\"slo_worst\":\"ok\""
             ",\"slo_session_latency\":\"ok\",\"slo_http_availability\":\"ok\","
-            "\"slo_cache_hit_rate\":\"ok\",\"slo_quality_stability\":\"ok\"}\n"
+            "\"slo_cache_hit_rate\":\"ok\"}\n"
             "{\"event\":\"session\",\"unix_ms\":0,\"session\":2,\"sequence\":0"
             ",\"engine\":\"qd\",\"label\":\"http\",\"seed\":8,\"rounds\":0,"
             "\"picks\":0,\"results\":0,\"subqueries\":0,\"boundary_expansions\""
@@ -520,14 +513,12 @@ TEST_F(JsonGoldenServeTest, ApiBodiesAndWideEvent) {
             "\"rounds_ns\":0,\"finalize_ns\":0,\"total_ns\":0,\"distance_evals"
             "\":0,\"feature_bytes\":0,\"leaves_visited\":0,\"tiles_gathered\":"
             "0,\"container_allocs\":0,\"alloc_bytes\":0,\"cache_hits\":0,"
-            "\"cache_misses\":0,\"quality_jaccard_permille\":1000,"
-            "\"quality_rank_churn\":0,\"quality_rounds_to_stability\":0,"
+            "\"cache_misses\":0,"
             "\"outcome\":\"errored\",\"trace\":\"4bf92f3577b34da6a3ce929d0e0e4"
             "736\",\"display_size\":6,\"boundary_threshold\":0.4,\"cache_mb\":"
-            "64,\"load_generation\":1,\"leaves_touched\":0,\"quality_mean_jacc"
-            "ard_permille\":1000,\"quality_subquery_growth\":0,\"slo_worst\":\""
+            "64,\"load_generation\":1,\"leaves_touched\":0,\"slo_worst\":\""
             "ok\",\"slo_session_latency\":\"ok\",\"slo_http_availability\":\"o"
-            "k\",\"slo_cache_hit_rate\":\"ok\",\"slo_quality_stability\":\"ok\""
+            "k\",\"slo_cache_hit_rate\":\"ok\""
             "}\n");
   std::filesystem::remove(events_path);
 }

@@ -10,6 +10,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -24,6 +25,7 @@
 #include "qdcbir/dataset/synthesizer.h"
 #include "qdcbir/obs/json.h"
 #include "qdcbir/obs/log.h"
+#include "qdcbir/obs/metrics.h"
 #include "qdcbir/obs/prom_export.h"
 #include "qdcbir/obs/trace_tree.h"
 #include "qdcbir/rfs/rfs_builder.h"
@@ -190,19 +192,16 @@ TEST_F(ServeAppTest, StartRejectsSloOptionsOutsideTheirRange) {
   struct Case {
     double latency_ms;
     double latency_objective;
-    double jaccard_objective;
     const char* message;  ///< "" when the options are valid
   };
   const Case cases[] = {
-      {2000.0, nan, 0.5, "slo_latency_objective"},
-      {2000.0, 1.5, 0.5, "slo_latency_objective"},
-      {2000.0, -0.1, 0.5, "slo_latency_objective"},
-      {2000.0, 0.95, nan, "slo_jaccard_objective"},
-      {2000.0, 0.95, inf, "slo_jaccard_objective"},
-      {nan, 0.95, 0.5, "slo_latency_ms"},
-      {inf, 0.95, 0.5, "slo_latency_ms"},
-      {-1.0, 0.95, 0.5, "slo_latency_ms"},
-      {0.0, 1.0, 0.0, ""},  // the closed ranges' ends are valid
+      {2000.0, nan, "slo_latency_objective"},
+      {2000.0, 1.5, "slo_latency_objective"},
+      {2000.0, -0.1, "slo_latency_objective"},
+      {nan, 0.95, "slo_latency_ms"},
+      {inf, 0.95, "slo_latency_ms"},
+      {-1.0, 0.95, "slo_latency_ms"},
+      {0.0, 1.0, ""},  // the closed ranges' ends are valid
   };
   ThreadPool pool(2);
   for (const Case& c : cases) {
@@ -211,7 +210,6 @@ TEST_F(ServeAppTest, StartRejectsSloOptionsOutsideTheirRange) {
     options.pool = &pool;
     options.slo_latency_ms = c.latency_ms;
     options.slo_latency_objective = c.latency_objective;
-    options.slo_jaccard_objective = c.jaccard_objective;
     ServeApp app(std::move(options));
     std::string error;
     const bool started = app.Start(&error);
@@ -1153,8 +1151,8 @@ TEST_F(ServeAppTest, SlozReportsConfiguredSlosAndMetricsExposeGauges) {
     ASSERT_NE(state, nullptr);
     states[name->string] = state->string;
   }
-  for (const char* name : {"session_latency", "http_availability",
-                           "cache_hit_rate", "quality_stability"}) {
+  for (const char* name :
+       {"session_latency", "http_availability", "cache_hit_rate"}) {
     ASSERT_TRUE(states.count(name)) << name;
     // A handful of healthy local sessions must not trip any SLO.
     EXPECT_EQ(states[name], "ok") << name;
@@ -1165,7 +1163,6 @@ TEST_F(ServeAppTest, SlozReportsConfiguredSlosAndMetricsExposeGauges) {
   EXPECT_TRUE(samples.count("qdcbir_slo_session_latency_state"));
   EXPECT_EQ(samples.at("qdcbir_slo_session_latency_state"), 0.0);
   EXPECT_TRUE(samples.count("qdcbir_slo_http_availability_state"));
-  EXPECT_TRUE(samples.count("qdcbir_quality_topk_jaccard_count"));
 
   const std::string statusz = BodyOf(Get(app.port(), "/statusz"));
   EXPECT_NE(statusz.find("/sloz"), std::string::npos);
@@ -1173,7 +1170,7 @@ TEST_F(ServeAppTest, SlozReportsConfiguredSlosAndMetricsExposeGauges) {
   app.Stop();
 }
 
-TEST_F(ServeAppTest, WideEventsJoinSessionOutcomeQualityAndSloState) {
+TEST_F(ServeAppTest, WideEventsJoinSessionOutcomeAndSloState) {
   const std::string events_path =
       ::testing::TempDir() + "serve_wide_events.jsonl";
   std::remove(events_path.c_str());
@@ -1190,8 +1187,8 @@ TEST_F(ServeAppTest, WideEventsJoinSessionOutcomeQualityAndSloState) {
 
   RunScriptedHttpSession(app.port(), "wide-final");
 
-  // The finalized session's audit record already carries the quality
-  // telemetry the wide event joins.
+  // The finalized session's audit record already carries the outcome the
+  // wide event joins.
   StatusOr<JsonValue> queryz = ParseJson(BodyOf(Get(app.port(), "/queryz")));
   ASSERT_TRUE(queryz.ok());
   const JsonValue* record = FindAuditRecord(*queryz, "wide-final");
@@ -1199,8 +1196,6 @@ TEST_F(ServeAppTest, WideEventsJoinSessionOutcomeQualityAndSloState) {
   const JsonValue* outcome = record->Find("outcome");
   ASSERT_NE(outcome, nullptr);
   EXPECT_EQ(outcome->string, "finalized");
-  EXPECT_NE(record->Find("quality_jaccard_permille"), nullptr);
-  EXPECT_NE(record->Find("quality_rank_churn"), nullptr);
 
   // A second session left open is swept at Stop as abandoned.
   const std::string open_body = BodyOf(Post(
@@ -1237,11 +1232,137 @@ TEST_F(ServeAppTest, WideEventsJoinSessionOutcomeQualityAndSloState) {
   EXPECT_GT(finalized.U64Field("total_ns", 0), 0u);
   ASSERT_NE(finalized.Find("trace"), nullptr);
   EXPECT_EQ(finalized.Find("trace")->string.size(), 32u);
-  EXPECT_NE(finalized.Find("quality_mean_jaccard_permille"), nullptr);
   EXPECT_NE(finalized.Find("slo_worst"), nullptr);
   EXPECT_NE(finalized.Find("slo_session_latency"), nullptr);
 
   EXPECT_EQ(by_label["wide-aband"]->Find("outcome")->string, "abandoned");
+}
+
+/// The ids of every image in a `/api/query` or round display body.
+std::vector<std::uint64_t> DisplayedIds(const JsonValue& body) {
+  std::vector<std::uint64_t> ids;
+  if (const JsonValue* display = body.Find("display")) {
+    for (const JsonValue& group : display->items) {
+      if (const JsonValue* images = group.Find("images")) {
+        for (const JsonValue& image : images->items) {
+          ids.push_back(static_cast<std::uint64_t>(image.number));
+        }
+      }
+    }
+  }
+  return ids;
+}
+
+TEST_F(ServeAppTest, SessionOutcomesAddUpToSessionsOpened) {
+  // bench_serve counts the sessions a server still holds as `qd.sessions`
+  // minus the three `quality.sessions.*` outcome counters on /varz, so
+  // every session must land in exactly one of them: a successful finalize
+  // counts finalized (even after a failed round), a session left open
+  // counts errored when a round failed and abandoned otherwise.
+  const std::string events_path =
+      ::testing::TempDir() + "serve_outcome_events.jsonl";
+  std::remove(events_path.c_str());
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
+  const auto count = [&registry](const char* name) {
+    return registry.GetCounter(name).Value();
+  };
+  const std::uint64_t opened_before = count("qd.sessions");
+  const std::uint64_t finalized_before = count("quality.sessions.finalized");
+  const std::uint64_t abandoned_before = count("quality.sessions.abandoned");
+  const std::uint64_t errored_before = count("quality.sessions.errored");
+
+  ThreadPool pool(4);
+  ServeOptions options;
+  options.db_path = *db_path_;
+  options.pool = &pool;
+  options.wide_events_path = events_path;
+  ServeApp app(std::move(options));
+  std::string error;
+  ASSERT_TRUE(app.Start(&error)) << error;
+  ASSERT_TRUE(app.WaitUntilReady(30000)) << app.load_error();
+  const int port = app.port();
+
+  // Opens a session. `shown` is an image its display shows, `hidden` one
+  // it does not: marking `hidden` relevant fails the round with 400.
+  struct Opened {
+    std::uint64_t session = 0;
+    std::uint64_t shown = 0;
+    std::uint64_t hidden = 0;
+  };
+  const auto open = [port](const std::string& label, std::uint64_t seed) {
+    Opened opened;
+    StatusOr<JsonValue> body = ParseJson(BodyOf(Post(
+        port, "/api/query",
+        "{\"seed\":" + std::to_string(seed) + ",\"label\":\"" + label +
+            "\"}")));
+    EXPECT_TRUE(body.ok()) << label;
+    if (!body.ok()) return opened;
+    const std::vector<std::uint64_t> shown = DisplayedIds(*body);
+    EXPECT_FALSE(shown.empty()) << label;
+    if (shown.empty()) return opened;
+    opened.session = body->U64Field("session", 0);
+    opened.shown = shown.front();
+    while (std::find(shown.begin(), shown.end(), opened.hidden) !=
+           shown.end()) {
+      ++opened.hidden;
+    }
+    return opened;
+  };
+  // POSTs `/api/feedback` marking `pick`; returns the status line.
+  const auto feedback = [port](std::uint64_t session, std::uint64_t pick,
+                               const std::string& extra) {
+    const std::string response =
+        Post(port, "/api/feedback",
+             "{\"session\":" + std::to_string(session) +
+                 ",\"relevant\":[" + std::to_string(pick) + "]" + extra +
+                 "}");
+    return response.substr(0, response.find("\r\n"));
+  };
+
+  RunScriptedHttpSession(port, "outcome-final");
+
+  const Opened errored = open("outcome-error", 11);
+  EXPECT_EQ(feedback(errored.session, errored.hidden, ""),
+            "HTTP/1.1 400 Bad Request");
+
+  const Opened retried = open("outcome-retry", 12);
+  EXPECT_EQ(feedback(retried.session, retried.hidden, ""),
+            "HTTP/1.1 400 Bad Request");
+  EXPECT_EQ(feedback(retried.session, retried.shown, ",\"finalize\":10"),
+            "HTTP/1.1 200 OK");
+
+  open("outcome-open", 13);
+  app.Stop();
+
+  EXPECT_EQ(count("qd.sessions") - opened_before, 4u);
+  EXPECT_EQ(count("quality.sessions.finalized") - finalized_before, 2u);
+  EXPECT_EQ(count("quality.sessions.abandoned") - abandoned_before, 1u);
+  EXPECT_EQ(count("quality.sessions.errored") - errored_before, 1u);
+
+  const std::map<std::string, std::string> expected = {
+      {"outcome-final", "finalized"},
+      {"outcome-error", "errored"},
+      {"outcome-retry", "finalized"},
+      {"outcome-open", "abandoned"}};
+  // The /queryz document (the server is down, so rendered in process).
+  StatusOr<JsonValue> queryz = ParseJson(obs::QueryLog::Global().RenderJson());
+  ASSERT_TRUE(queryz.ok());
+  std::map<std::string, std::string> event_outcomes;
+  std::ifstream in(events_path);
+  std::string line;
+  while (std::getline(in, line)) {
+    StatusOr<JsonValue> event = ParseJson(line);
+    ASSERT_TRUE(event.ok()) << line;
+    event_outcomes[event->Find("label")->string] =
+        event->Find("outcome")->string;
+  }
+  EXPECT_EQ(event_outcomes, expected);
+  for (const auto& [label, outcome] : expected) {
+    const JsonValue* record = FindAuditRecord(*queryz, label);
+    ASSERT_NE(record, nullptr) << label;
+    EXPECT_EQ(record->Find("outcome")->string, outcome) << label;
+  }
+  std::remove(events_path.c_str());
 }
 
 TEST_F(ServeAppTest, ClientStringsReachDocumentsAsUtf8) {

@@ -45,7 +45,6 @@
 //                      [--max-seconds=0] [--profile-hz=0] [--cache-mb=64]
 //                      [--wide-events=PATH] [--wide-events-max-mb=64]
 //                      [--slo-latency-ms=2000] [--slo-latency-objective=.95]
-//                      [--slo-jaccard-floor=0]
 //       Start the admin/serving HTTP endpoint: /healthz /readyz /statusz
 //       /varz /metrics /queryz /tracez /logz /sloz /profilez plus
 //       /api/query, /api/feedback, /api/rep, and /api/reload for driving
@@ -55,12 +54,12 @@
 //       picks the low default rate). --cache-mb sets the result-cache
 //       budget (0 disables caching). --wide-events appends one JSON session
 //       event per completed session (size-capped, rotates to PATH.1); the
-//       --slo-* flags tune the burn-rate SLOs shown at /sloz
+//       --slo-* flags tune the session-latency SLO shown at /sloz
 //       (docs/observability.md). Runs until SIGINT/SIGTERM, or
 //       --max-seconds if positive.
 //   qdcbir_tool events summarize --in=wide_events.jsonl
 //       Aggregate a wide-event file into outcome counts, a latency
-//       distribution, quality proxies, and worst-SLO-state counts.
+//       distribution, and worst-SLO-state counts.
 //   qdcbir_tool profile --db=db.bin --rfs=rfs.bin [--seconds=5] [--hz=99]
 //                      [--format=collapsed|json] [--out=PATH] [--query=..]
 //       Drive simulated relevance-feedback sessions under the sampling
@@ -656,8 +655,8 @@ int CmdProfile(int argc, char** argv) {
 
 /// `events summarize --in=wide_events.jsonl`: aggregate a wide-event file
 /// (one JSON session event per line; see docs/observability.md) into a
-/// human-readable digest — outcome counts, latency distribution, quality
-/// proxies, and worst-SLO-state counts. Unparseable lines are counted and
+/// human-readable digest — outcome counts, latency distribution, and
+/// worst-SLO-state counts. Unparseable lines are counted and
 /// skipped, so a file caught mid-rotation still summarizes.
 int CmdEvents(int argc, char** argv) {
   const std::string sub = argc > 2 ? argv[2] : "";
@@ -678,8 +677,6 @@ int CmdEvents(int argc, char** argv) {
   std::map<std::string, std::size_t> outcomes;
   std::map<std::string, std::size_t> slo_worst;
   std::vector<double> latency_ms;
-  double jaccard_sum = 0.0;
-  std::size_t jaccard_count = 0;
   std::uint64_t rounds_sum = 0;
   std::uint64_t picks_sum = 0;
 
@@ -701,13 +698,6 @@ int CmdEvents(int argc, char** argv) {
     }
     if (const serve::JsonValue* total_ns = event.Find("total_ns")) {
       if (total_ns->is_number()) latency_ms.push_back(total_ns->number / 1e6);
-    }
-    if (const serve::JsonValue* jaccard =
-            event.Find("quality_mean_jaccard_permille")) {
-      if (jaccard->is_number()) {
-        jaccard_sum += jaccard->number;
-        ++jaccard_count;
-      }
     }
     rounds_sum += event.U64Field("rounds", 0);
     picks_sum += event.U64Field("picks", 0);
@@ -736,11 +726,6 @@ int CmdEvents(int argc, char** argv) {
   std::printf("  rounds/session %.2f  picks/session %.2f\n",
               static_cast<double>(rounds_sum) / static_cast<double>(events),
               static_cast<double>(picks_sum) / static_cast<double>(events));
-  if (jaccard_count > 0) {
-    std::printf("  mean topk jaccard %.0f permille (over %zu sessions)\n",
-                jaccard_sum / static_cast<double>(jaccard_count),
-                jaccard_count);
-  }
   for (const auto& [state, count] : slo_worst) {
     std::printf("  slo worst=%-7s %zu\n", state.c_str(), count);
   }
@@ -777,9 +762,6 @@ int CmdServe(int argc, char** argv) {
       DoubleFlag(argc, argv, "slo-latency-ms", options.slo_latency_ms);
   options.slo_latency_objective = DoubleFlag(
       argc, argv, "slo-latency-objective", options.slo_latency_objective);
-  options.slo_jaccard_floor_permille = static_cast<std::uint64_t>(
-      IntFlag(argc, argv, "slo-jaccard-floor",
-              static_cast<std::int64_t>(options.slo_jaccard_floor_permille)));
   for (int i = 2; i < argc; ++i) {
     // Bare --profile-hz (no value) means "on at the low background rate".
     if (std::strcmp(argv[i], "--profile-hz") == 0) {
@@ -849,7 +831,7 @@ int Usage() {
                "                [--wide-events=<jsonl>] "
                "[--wide-events-max-mb=64]\n"
                "                [--slo-latency-ms=2000] "
-               "[--slo-latency-objective=0.95] [--slo-jaccard-floor=0]\n"
+               "[--slo-latency-objective=0.95]\n"
                "events:         qdcbir_tool events summarize "
                "--in=<events.jsonl>\n"
                "profile flags:  --db=<path> --rfs=<path> [--seconds=5] "
