@@ -58,18 +58,20 @@ int Run(int argc, char** argv) {
 
     double precision = 0, gtir = 0;
     int runs = 0;
+    SessionTally tally;
     for (const QueryConceptSpec& spec : db->catalog().queries()) {
       StatusOr<QueryGroundTruth> gt = BuildGroundTruth(*db, spec);
       if (!gt.ok()) continue;
       for (int seed = 1; seed <= seeds; ++seed) {
         StatusOr<RunOutcome> outcome = SessionRunner::RunQd(
             *rfs, *gt, QdOptions{}, PaperProtocol(seed));
-        if (!outcome.ok()) continue;
+        if (!tally.Count(outcome.status())) continue;
         precision += outcome->final_precision;
         gtir += outcome->final_gtir;
         ++runs;
       }
     }
+    tally.Print(RfsBuildStrategyName(strategy));
     if (runs == 0) continue;
     table.AddRow({RfsBuildStrategyName(strategy),
                   TablePrinter::Num(build_seconds, 2),

@@ -60,6 +60,7 @@ int Run(int argc, char** argv) {
     double rose_prec = 0, rose_gtir = 0, laptop_prec = 0, laptop_gtir = 0;
     double all_prec = 0, all_gtir = 0;
     int rose_runs = 0, laptop_runs = 0, all_runs = 0;
+    SessionTally tally;
     for (const QueryConceptSpec& spec : db->catalog().queries()) {
       StatusOr<QueryGroundTruth> gt = BuildGroundTruth(*db, spec);
       if (!gt.ok()) continue;
@@ -68,7 +69,7 @@ int Run(int argc, char** argv) {
         qd_options.feature_weights = scheme.weights;
         StatusOr<RunOutcome> outcome = SessionRunner::RunQd(
             *rfs, *gt, qd_options, PaperProtocol(seed));
-        if (!outcome.ok()) continue;
+        if (!tally.Count(outcome.status())) continue;
         all_prec += outcome->final_precision;
         all_gtir += outcome->final_gtir;
         ++all_runs;
@@ -83,6 +84,7 @@ int Run(int argc, char** argv) {
         }
       }
     }
+    tally.Print(scheme.name);
     if (all_runs == 0) continue;
     table.AddRow({scheme.name,
                   TablePrinter::Num(rose_runs ? rose_prec / rose_runs : 0),

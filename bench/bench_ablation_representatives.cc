@@ -50,18 +50,20 @@ int Run(int argc, char** argv) {
 
     double precision = 0, gtir = 0;
     int runs = 0;
+    SessionTally tally;
     for (const QueryConceptSpec& spec : db->catalog().queries()) {
       StatusOr<QueryGroundTruth> gt = BuildGroundTruth(*db, spec);
       if (!gt.ok()) continue;
       for (int seed = 1; seed <= seeds; ++seed) {
         StatusOr<RunOutcome> outcome = SessionRunner::RunQd(
             *rfs, *gt, QdOptions{}, PaperProtocol(seed));
-        if (!outcome.ok()) continue;
+        if (!tally.Count(outcome.status())) continue;
         precision += outcome->final_precision;
         gtir += outcome->final_gtir;
         ++runs;
       }
     }
+    tally.Print("fraction " + TablePrinter::Num(fraction, 2));
     if (runs == 0) continue;
     table.AddRow({TablePrinter::Num(fraction, 2),
                   std::to_string(stats.leaf_representatives),

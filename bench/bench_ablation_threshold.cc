@@ -44,6 +44,7 @@ int Run(int argc, char** argv) {
        {0.0, 0.15, 0.25, 0.30, 0.35, 0.40, 0.60, 1.0}) {
     double precision = 0, gtir = 0, expansions = 0, candidates = 0;
     int runs = 0;
+    SessionTally tally;
     for (const QueryConceptSpec& spec : db->catalog().queries()) {
       StatusOr<QueryGroundTruth> gt = BuildGroundTruth(*db, spec);
       if (!gt.ok()) continue;
@@ -52,7 +53,7 @@ int Run(int argc, char** argv) {
         qd_options.boundary_threshold = threshold;
         StatusOr<RunOutcome> outcome = SessionRunner::RunQd(
             *rfs, *gt, qd_options, PaperProtocol(seed));
-        if (!outcome.ok()) continue;
+        if (!tally.Count(outcome.status())) continue;
         precision += outcome->final_precision;
         gtir += outcome->final_gtir;
         expansions += static_cast<double>(
@@ -62,6 +63,7 @@ int Run(int argc, char** argv) {
         ++runs;
       }
     }
+    tally.Print("threshold " + TablePrinter::Num(threshold, 2));
     if (runs == 0) continue;
     table.AddRow({TablePrinter::Num(threshold, 2),
                   TablePrinter::Num(precision / runs),

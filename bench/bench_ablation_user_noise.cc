@@ -65,6 +65,7 @@ int Run(int argc, char** argv) {
   for (const NoiseLevel& level : levels) {
     double qd_prec = 0, qd_gtir = 0, mv_prec = 0, mv_gtir = 0;
     int qd_runs = 0, mv_runs = 0;
+    SessionTally qd_tally, mv_tally;
     for (const QueryConceptSpec& spec : db->catalog().queries()) {
       StatusOr<QueryGroundTruth> gt = BuildGroundTruth(*db, spec);
       if (!gt.ok()) continue;
@@ -75,7 +76,7 @@ int Run(int argc, char** argv) {
 
         StatusOr<RunOutcome> qd =
             SessionRunner::RunQd(*rfs, *gt, QdOptions{}, protocol);
-        if (qd.ok()) {
+        if (qd_tally.Count(qd.status())) {
           qd_prec += qd->final_precision;
           qd_gtir += qd->final_gtir;
           ++qd_runs;
@@ -83,13 +84,15 @@ int Run(int argc, char** argv) {
         MvEngine mv_engine(&*db);
         StatusOr<RunOutcome> mv =
             SessionRunner::RunEngine(mv_engine, *gt, protocol);
-        if (mv.ok()) {
+        if (mv_tally.Count(mv.status())) {
           mv_prec += mv->final_precision;
           mv_gtir += mv->final_gtir;
           ++mv_runs;
         }
       }
     }
+    qd_tally.Print(std::string("qd, ") + level.name);
+    mv_tally.Print(std::string("mv, ") + level.name);
     if (qd_runs == 0 || mv_runs == 0) continue;
     table.AddRow({level.name, TablePrinter::Num(qd_prec / qd_runs),
                   TablePrinter::Num(qd_gtir / qd_runs),

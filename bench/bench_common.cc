@@ -203,6 +203,19 @@ void PrintHeader(const std::string& title, const std::string& description) {
   std::printf("================================================================\n\n");
 }
 
+bool SessionTally::Count(const Status& status) {
+  ++run_;
+  if (status.ok()) return true;
+  if (failed_++ == 0) first_failure_ = status.ToString();
+  return false;
+}
+
+void SessionTally::Print(const std::string& row) const {
+  std::printf("sessions %s: %zu run, %zu failed", row.c_str(), run_, failed_);
+  if (failed_ > 0) std::printf(" (first: %s)", first_failure_.c_str());
+  std::printf("\n");
+}
+
 double LinearCorrelation(const std::vector<double>& x,
                          const std::vector<double>& y) {
   if (x.size() != y.size() || x.size() < 2) return 0.0;

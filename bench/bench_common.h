@@ -81,6 +81,25 @@ StatusOr<RfsTree> GetRfs(const ImageDatabase& db,
 /// Prints a standard benchmark header naming the experiment.
 void PrintHeader(const std::string& title, const std::string& description);
 
+/// The sessions behind one table row: how many ran, how many failed, and
+/// the first failure's status. Rows average only the sessions that
+/// succeeded, so every row prints its tally and a row that averages fewer
+/// sessions than its header names says so.
+class SessionTally {
+ public:
+  /// Counts one session; true when it succeeded.
+  bool Count(const Status& status);
+
+  /// Prints `sessions <row>: N run, M failed`, plus the first failure's
+  /// status when M > 0.
+  void Print(const std::string& row) const;
+
+ private:
+  std::size_t run_ = 0;
+  std::size_t failed_ = 0;
+  std::string first_failure_;
+};
+
 /// Least-squares linearity check: returns the correlation coefficient R of
 /// y against x (|R| near 1 means the series is close to linear).
 double LinearCorrelation(const std::vector<double>& x,

@@ -65,19 +65,21 @@ int Run(int argc, char** argv) {
   {
     double precision = 0, gtir = 0, scanned = 0;
     int runs = 0;
+    SessionTally tally;
     for (const QueryConceptSpec& spec : db->catalog().queries()) {
       StatusOr<QueryGroundTruth> gt = BuildGroundTruth(*db, spec);
       if (!gt.ok()) continue;
       for (int seed = 1; seed <= seeds; ++seed) {
         StatusOr<RunOutcome> outcome = SessionRunner::RunQd(
             *rfs, *gt, QdOptions{}, PaperProtocol(seed));
-        if (!outcome.ok()) continue;
+        if (!tally.Count(outcome.status())) continue;
         precision += outcome->final_precision;
         gtir += outcome->final_gtir;
         scanned += static_cast<double>(outcome->qd_stats.knn_candidates);
         ++runs;
       }
     }
+    tally.Print("qd");
     if (runs > 0) {
       table.AddRow({"qd (this paper)", TablePrinter::Num(precision / runs),
                     TablePrinter::Num(gtir / runs),
@@ -88,6 +90,7 @@ int Run(int argc, char** argv) {
   for (const char* name : {"mv", "qpm", "mars", "qcluster", "fagin"}) {
     double precision = 0, gtir = 0, scanned = 0;
     int runs = 0;
+    SessionTally tally;
     for (const QueryConceptSpec& spec : db->catalog().queries()) {
       StatusOr<QueryGroundTruth> gt = BuildGroundTruth(*db, spec);
       if (!gt.ok()) continue;
@@ -96,7 +99,7 @@ int Run(int argc, char** argv) {
         ProtocolOptions protocol = PaperProtocol(seed);
         StatusOr<RunOutcome> outcome =
             SessionRunner::RunEngine(*engine, *gt, protocol);
-        if (!outcome.ok()) continue;
+        if (!tally.Count(outcome.status())) continue;
         precision += outcome->final_precision;
         gtir += outcome->final_gtir;
         scanned +=
@@ -104,6 +107,7 @@ int Run(int argc, char** argv) {
         ++runs;
       }
     }
+    tally.Print(name);
     if (runs > 0) {
       table.AddRow({name, TablePrinter::Num(precision / runs),
                     TablePrinter::Num(gtir / runs),

@@ -42,13 +42,14 @@ int Run(int argc, char** argv) {
 
   double feedback_nodes = 0, knn_nodes = 0, subqueries = 0, expansions = 0;
   int runs = 0;
+  SessionTally tally;
   for (const QueryConceptSpec& spec : db->catalog().queries()) {
     StatusOr<QueryGroundTruth> gt = BuildGroundTruth(*db, spec);
     if (!gt.ok()) continue;
     for (int seed = 1; seed <= seeds; ++seed) {
       StatusOr<RunOutcome> outcome = SessionRunner::RunQd(
           *rfs, *gt, QdOptions{}, PaperProtocol(seed));
-      if (!outcome.ok()) continue;
+      if (!tally.Count(outcome.status())) continue;
       feedback_nodes +=
           static_cast<double>(outcome->qd_stats.distinct_nodes_sampled);
       knn_nodes += static_cast<double>(outcome->qd_stats.knn_nodes_visited);
@@ -59,6 +60,7 @@ int Run(int argc, char** argv) {
       ++runs;
     }
   }
+  tally.Print("qd");
   if (runs == 0) return 1;
 
   const RfsTree::Stats tree_stats = rfs->ComputeStats();

@@ -251,9 +251,8 @@ void BM_RenderRecipe(benchmark::State& state) {
 BENCHMARK(BM_RenderRecipe);
 
 /// The read side of a histogram, `Snap` plus `CumulativeBuckets`: what
-/// `MetricsRegistry::Snapshot` pays per histogram, and the SLO engine takes
-/// one registry snapshot per finalize. The argument is the number of
-/// threads that wrote into the histogram, each into its own shard.
+/// `MetricsRegistry::Snapshot` pays per histogram. The argument is the
+/// number of threads that wrote into the histogram, each into its own shard.
 void BM_HistogramSnap(benchmark::State& state) {
   obs::Histogram histogram;
   std::vector<std::thread> writers;

@@ -69,6 +69,7 @@ int Run(int argc, char** argv) {
 
   double mv_prec_sum = 0, mv_gtir_sum = 0, qd_prec_sum = 0, qd_gtir_sum = 0;
   std::size_t queries = 0;
+  std::printf("Each row averages the seeds that both QD and MV finished.\n");
   for (const QueryConceptSpec& spec : db->catalog().queries()) {
     StatusOr<QueryGroundTruth> gt = BuildGroundTruth(*db, spec);
     if (!gt.ok()) {
@@ -79,6 +80,7 @@ int Run(int argc, char** argv) {
 
     double mv_prec = 0, mv_gtir = 0, qd_prec = 0, qd_gtir = 0;
     int completed = 0;
+    SessionTally qd_tally, mv_tally;
     for (int seed = 1; seed <= seeds; ++seed) {
       const ProtocolOptions protocol = PaperProtocol(seed);
       StatusOr<RunOutcome> qd =
@@ -86,13 +88,17 @@ int Run(int argc, char** argv) {
       MvEngine mv_engine(&*db);
       StatusOr<RunOutcome> mv =
           SessionRunner::RunEngine(mv_engine, *gt, protocol);
-      if (!qd.ok() || !mv.ok()) continue;
+      const bool qd_ok = qd_tally.Count(qd.status());
+      const bool mv_ok = mv_tally.Count(mv.status());
+      if (!qd_ok || !mv_ok) continue;
       qd_prec += qd->final_precision;
       qd_gtir += qd->final_gtir;
       mv_prec += mv->final_precision;
       mv_gtir += mv->final_gtir;
       ++completed;
     }
+    qd_tally.Print(spec.name + " qd");
+    mv_tally.Print(spec.name + " mv");
     if (completed == 0) continue;
     mv_prec /= completed;
     mv_gtir /= completed;

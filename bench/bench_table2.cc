@@ -60,6 +60,7 @@ int Run(int argc, char** argv) {
   double mv_prec[kRounds] = {0}, mv_gtir[kRounds] = {0};
   double qd_prec[kRounds] = {0}, qd_gtir[kRounds] = {0};
   int mv_runs = 0, qd_runs = 0;
+  SessionTally mv_tally, qd_tally;
 
   for (const QueryConceptSpec& spec : db->catalog().queries()) {
     StatusOr<QueryGroundTruth> gt = BuildGroundTruth(*db, spec);
@@ -68,7 +69,7 @@ int Run(int argc, char** argv) {
       const ProtocolOptions protocol = PaperProtocol(seed);
       StatusOr<RunOutcome> qd =
           SessionRunner::RunQd(*rfs, *gt, QdOptions{}, protocol);
-      if (qd.ok() && qd->rounds.size() == kRounds) {
+      if (qd_tally.Count(qd.status()) && qd->rounds.size() == kRounds) {
         for (int r = 0; r < kRounds; ++r) {
           qd_gtir[r] += qd->rounds[r].gtir;
           if (qd->rounds[r].precision_defined) {
@@ -80,7 +81,7 @@ int Run(int argc, char** argv) {
       MvEngine mv_engine(&*db);
       StatusOr<RunOutcome> mv =
           SessionRunner::RunEngine(mv_engine, *gt, protocol);
-      if (mv.ok() && mv->rounds.size() == kRounds) {
+      if (mv_tally.Count(mv.status()) && mv->rounds.size() == kRounds) {
         for (int r = 0; r < kRounds; ++r) {
           mv_gtir[r] += mv->rounds[r].gtir;
           mv_prec[r] += mv->rounds[r].precision;
@@ -89,6 +90,8 @@ int Run(int argc, char** argv) {
       }
     }
   }
+  qd_tally.Print("qd");
+  mv_tally.Print("mv");
   if (mv_runs == 0 || qd_runs == 0) {
     std::fprintf(stderr, "no completed runs\n");
     return 1;

@@ -540,9 +540,15 @@ std::vector<KnnMatch> RStarTree::KnnSearchInSubtree(
     NodeId node;
     ImageId data;
   };
+  // Nearest first. At equal distance nodes go before points, since a node
+  // at MINDIST d may hold a point at exactly d with a smaller id, and
+  // points go by id: results come out by (distance, id), the order of
+  // every scan-and-sort ranking.
   struct Cmp {
     bool operator()(const Item& a, const Item& b) const {
-      return a.dist > b.dist;  // min-heap
+      if (a.dist != b.dist) return a.dist > b.dist;  // min-heap
+      if (a.is_data != b.is_data) return a.is_data;
+      return a.is_data ? a.data > b.data : a.node > b.node;
     }
   };
   std::priority_queue<Item, std::vector<Item>, Cmp> heap;

@@ -106,8 +106,8 @@ class RStarTree {
   /// All data ids whose points fall inside `range`.
   std::vector<ImageId> RangeSearch(const Rect& range) const;
 
-  /// The k nearest data points to `query`, ascending by distance
-  /// (best-first search with MINDIST pruning).
+  /// The k nearest data points to `query`, ascending by distance, ties by
+  /// id (best-first search with MINDIST pruning).
   std::vector<KnnMatch> KnnSearch(const FeatureVector& query,
                                   std::size_t k) const;
 

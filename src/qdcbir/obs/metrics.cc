@@ -85,29 +85,6 @@ Histogram::CumulativeBuckets() const {
   return out;
 }
 
-std::pair<std::uint64_t, std::uint64_t> Histogram::CountAtOrBelow(
-    double threshold) const {
-  // Upper bounds increase with the bucket index, so the good buckets are a
-  // prefix.
-  std::size_t good_buckets = 0;
-  while (good_buckets < kNumBuckets &&
-         static_cast<double>(BucketUpperBound(good_buckets)) <= threshold) {
-    ++good_buckets;
-  }
-  std::uint64_t good = 0;
-  std::uint64_t total = 0;
-  for (const std::atomic<Shard*>& slot : shards_) {
-    const Shard* shard = slot.load(std::memory_order_acquire);
-    if (shard == nullptr) continue;
-    for (std::size_t b = 0; b < kNumBuckets; ++b) {
-      const std::uint64_t n = shard->buckets[b].load(std::memory_order_relaxed);
-      total += n;
-      if (b < good_buckets) good += n;
-    }
-  }
-  return {good, total};
-}
-
 void Histogram::Record(std::uint64_t value) {
   Shard& shard = WriteShard();
   shard.buckets[BucketOf(value)].fetch_add(1, std::memory_order_relaxed);

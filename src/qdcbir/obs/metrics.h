@@ -160,12 +160,6 @@ class Histogram {
   std::vector<std::pair<std::uint64_t, std::uint64_t>> CumulativeBuckets()
       const;
 
-  /// Merged (events in buckets whose upper bound is ≤ `threshold`, events
-  /// in every bucket): an SLO's (good, total) pair, read without building
-  /// the cumulative list. Safe to call while writers are active.
-  std::pair<std::uint64_t, std::uint64_t> CountAtOrBelow(
-      double threshold) const;
-
   struct Snapshot {
     std::uint64_t count = 0;
     std::uint64_t sum = 0;

@@ -4,9 +4,9 @@
 /// \file
 /// Wide-event session export: one JSON line per completed feedback session.
 /// An event is the session's `/queryz` audit record (obs/query_log.h,
-/// `WriteAuditFields`) plus the serve-side extras — engine configuration,
-/// leaves touched, the quality means — and SLO state: everything an offline
-/// tool needs to slice sessions without re-joining five metric surfaces.
+/// `WriteAuditFields`) plus the serve-side extras — engine configuration
+/// and leaves touched: everything an offline tool needs to slice sessions
+/// without re-joining five metric surfaces.
 ///
 /// `WideEventSink` is an append-only JSON-lines file with size-capped
 /// rotation (the live file rolls to `<path>.1`, replacing the previous

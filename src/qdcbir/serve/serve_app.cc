@@ -147,19 +147,6 @@ bool ParseNumberParam(const std::string& query, std::string_view key,
   return true;
 }
 
-/// Why the SLO options cannot define SLOs, or "" when they can. A NaN or
-/// out-of-range objective would make every burn rate meaningless.
-std::string SloOptionsError(const ServeOptions& options) {
-  const double objective = options.slo_latency_objective;
-  if (!std::isfinite(objective) || objective < 0.0 || objective > 1.0) {
-    return "slo_latency_objective must be a finite number in [0, 1]";
-  }
-  if (!std::isfinite(options.slo_latency_ms) || options.slo_latency_ms < 0.0) {
-    return "slo_latency_ms must be a finite non-negative number";
-  }
-  return "";
-}
-
 }  // namespace
 
 const char* ReadinessName(Readiness state) {
@@ -210,12 +197,10 @@ ServeApp::ServeApp(ServeOptions options)
     body.push_back('\n');
     return obs::HttpResponse{200, kJsonType, std::move(body)};
   });
-  server_.Handle("/metrics", [this](const obs::HttpRequest&) {
-    // Refresh the qdcbir_slo_* gauges so every scrape carries current
-    // burn-rate states, then render: registry families first, then the
-    // standard process_* block (each family self-describing with its own
-    // HELP/TYPE lines, so appending keeps the exposition valid).
-    slo_engine_->Evaluate();
+  server_.Handle("/metrics", [](const obs::HttpRequest&) {
+    // Registry families first, then the standard process_* block (each
+    // family self-describing with its own HELP/TYPE lines, so appending
+    // keeps the exposition valid).
     std::string body = obs::RenderPrometheusText(obs::MetricsRegistry::Global());
     body += obs::RenderProcessMetricsText(obs::ReadProcessStats());
     // Labeled per-leaf heatmap samples (qdcbir_index_leaf_*{leaf="N"}) use
@@ -251,9 +236,6 @@ ServeApp::ServeApp(ServeOptions options)
     return obs::HttpResponse{
         200, kJsonType, obs::LogRing::Global().RenderJson(limit) + "\n"};
   });
-  server_.Handle("/sloz", [this](const obs::HttpRequest& request) {
-    return HandleSloz(request);
-  });
   server_.Handle("/indexz", [this](const obs::HttpRequest& request) {
     return HandleIndexz(request);
   });
@@ -275,36 +257,6 @@ ServeApp::ServeApp(ServeOptions options)
     cache_ = std::make_unique<cache::CacheManager>(cache_options);
   }
 
-  {
-    std::vector<obs::SloDefinition> slos;
-    obs::SloDefinition latency;
-    latency.name = "session_latency";
-    latency.kind = obs::SloKind::kLatencyQuantile;
-    latency.metric = "serve.session.latency_ns";
-    latency.threshold = options_.slo_latency_ms * 1e6;
-    latency.objective = options_.slo_latency_objective;
-    slos.push_back(std::move(latency));
-
-    obs::SloDefinition availability;
-    availability.name = "http_availability";
-    availability.kind = obs::SloKind::kAvailability;
-    availability.metric = "serve.http.requests";
-    availability.bad_metric = "serve.http.bad_requests";
-    availability.objective = 0.999;
-    slos.push_back(std::move(availability));
-
-    obs::SloDefinition cache_rate;
-    cache_rate.name = "cache_hit_rate";
-    cache_rate.kind = obs::SloKind::kRatioFloor;
-    cache_rate.metric = "cache.hit";
-    cache_rate.bad_metric = "cache.miss";
-    // A cold or disabled cache is expected; only a sustained near-total
-    // miss rate should burn.
-    cache_rate.objective = 0.05;
-    slos.push_back(std::move(cache_rate));
-
-    slo_engine_ = std::make_unique<obs::SloEngine>(std::move(slos));
-  }
   if (!options_.wide_events_path.empty()) {
     obs::WideEventSinkOptions sink_options;
     sink_options.path = options_.wide_events_path;
@@ -322,8 +274,8 @@ bool ServeApp::Start(std::string* error) {
           std::chrono::system_clock::now().time_since_epoch())
           .count());
   start_mono_ns_ = obs::MonotonicNanos();
-  std::string failure = SloOptionsError(options_);
-  if (!failure.empty() || !server_.Start(&failure)) {
+  std::string failure;
+  if (!server_.Start(&failure)) {
     SetReadiness(Readiness::kFailed);
     if (error != nullptr) *error = failure;
     std::lock_guard<std::mutex> lock(state_mu_);
@@ -919,19 +871,6 @@ obs::HttpResponse ServeApp::HandleStatusz(const obs::HttpRequest&) {
   row("background_profiler",
       profiler_armed_ ? std::to_string(options_.profile_hz) + " Hz" : "off");
   {
-    slo_engine_->Evaluate();
-    std::string slo_summary = obs::SloStateName(slo_engine_->WorstState());
-    slo_summary += " (";
-    bool first = true;
-    for (const obs::SloStatus& status : slo_engine_->Snapshot()) {
-      if (!first) slo_summary += ", ";
-      first = false;
-      slo_summary += status.name + ": " + obs::SloStateName(status.state);
-    }
-    slo_summary += ")";
-    row("slo", slo_summary);
-  }
-  {
     const obs::AccessStatsTable& table = obs::AccessStatsTable::Global();
     row("index_access",
         std::to_string(table.Snapshot().size()) + " leaves touched over " +
@@ -962,7 +901,6 @@ obs::HttpResponse ServeApp::HandleStatusz(const obs::HttpRequest&) {
   link("/queryz", "audit ring of completed sessions (JSON)");
   link("/tracez", "sampled and slow span trees (JSON)");
   link("/logz", "structured log ring (JSON)");
-  link("/sloz", "SLO burn-rate states (JSON)");
   link("/indexz", "RFS tree geometry + per-leaf access heatmap (JSON)");
   link("/profilez?seconds=2", "span-attributed CPU profile (collapsed)");
   link("/profilez?seconds=2&amp;format=json", "CPU profile (JSON aggregate)");
@@ -1033,11 +971,6 @@ obs::HttpResponse ServeApp::HandleProfilez(const obs::HttpRequest& request) {
                            obs::Profiler::RenderCollapsed(samples)};
 }
 
-obs::HttpResponse ServeApp::HandleSloz(const obs::HttpRequest&) {
-  slo_engine_->Evaluate();
-  return obs::HttpResponse{200, kJsonType, slo_engine_->RenderJson() + "\n"};
-}
-
 obs::HttpResponse ServeApp::HandleIndexz(const obs::HttpRequest& request) {
   std::size_t hot_n = 0;
   if (!ParseCountParam(request.query, kHotLeafDefault, &hot_n)) {
@@ -1106,9 +1039,6 @@ void ServeApp::FinishSessionObservability(const Session& session,
   }
 
   obs::CountSessionOutcome(session.outcome);
-  // Sessions only record; the SLOs evaluate here at most once per cadence
-  // (and on every /metrics, /sloz and /statusz render).
-  slo_engine_->EvaluateIfDue();
   if (wide_events_ == nullptr) return;
 
   const std::uint64_t unix_ms = static_cast<std::uint64_t>(
@@ -1116,9 +1046,7 @@ void ServeApp::FinishSessionObservability(const Session& session,
           std::chrono::system_clock::now().time_since_epoch())
           .count());
   // The wide event is the session's audit record plus what only the serve
-  // layer knows, and the SLO state at completion (one field per definition
-  // plus the worst state) so offline slicing can filter sessions by health.
-  // That state is the last evaluation's: up to one SLO cadence old.
+  // layer knows.
   std::string event;
   obs::JsonWriter w(&event);
   w.BeginObject();
@@ -1132,10 +1060,6 @@ void ServeApp::FinishSessionObservability(const Session& session,
   w.Key("load_generation")
       .Uint(load_generation_.load(std::memory_order_relaxed));
   w.Key("leaves_touched").Uint(access.size());
-  w.Key("slo_worst").String(obs::SloStateName(slo_engine_->WorstState()));
-  for (const obs::SloStatus& status : slo_engine_->Snapshot()) {
-    w.Key("slo_" + status.name).String(obs::SloStateName(status.state));
-  }
   w.EndObject();
   wide_events_->Emit(event);
 }

@@ -17,7 +17,6 @@
 #include "qdcbir/dataset/database.h"
 #include "qdcbir/obs/http_server.h"
 #include "qdcbir/obs/query_log.h"
-#include "qdcbir/obs/slo.h"
 #include "qdcbir/obs/task_context.h"
 #include "qdcbir/obs/wide_event.h"
 #include "qdcbir/query/qd_engine.h"
@@ -84,17 +83,12 @@ struct ServeOptions {
   /// `ThreadPool::Global()`.
   ThreadPool* pool = nullptr;
   /// JSON-lines wide-event file: one event per completed session joining
-  /// trace id, engine config, resource stats, cache traffic, outcome, and
-  /// SLO state. Empty disables the sink.
+  /// trace id, engine config, resource stats, cache traffic and outcome.
+  /// Empty disables the sink.
   std::string wide_events_path;
   /// Size cap of the live wide-event file; past it the file rotates to
   /// `<path>.1` (replacing the previous rollover).
   std::size_t wide_events_max_mb = 64;
-  /// Latency SLO: this fraction of sessions must finalize within
-  /// `slo_latency_ms` (evaluated as multi-window burn rates; see
-  /// obs/slo.h and `/sloz`).
-  double slo_latency_ms = 2000.0;
-  double slo_latency_objective = 0.95;
 };
 
 /// The admin/serving application: loads a database snapshot and RFS tree
@@ -112,7 +106,6 @@ struct ServeOptions {
 ///                       keeps only the newest N records)
 ///   GET  /tracez        recent sampled and slow span trees
 ///   GET  /logz          structured log ring (?n=N keeps the newest N)
-///   GET  /sloz          SLO definitions and burn-rate states (JSON)
 ///   GET  /indexz        RFS tree geometry joined with live per-leaf access
 ///                       stats, hot-leaf/skew summary, and co-access pairs
 ///                       (?n=N sizes the hot-leaf and pair tables)
@@ -138,11 +131,8 @@ class ServeApp {
   ServeApp& operator=(const ServeApp&) = delete;
 
   /// Binds the listener and starts the background snapshot load. Returns
-  /// false (with `*error`) only when the SLO options are invalid (a latency
-  /// objective that is not a finite number in [0, 1], or a latency target
-  /// that is not a finite non-negative number) or the socket cannot be
-  /// bound — load failures surface through `/readyz` and `readiness()`
-  /// instead.
+  /// false (with `*error`) only when the socket cannot be bound — load
+  /// failures surface through `/readyz` and `readiness()` instead.
   bool Start(std::string* error);
 
   /// Stops the server, joins the loader, and drains open connections.
@@ -203,7 +193,6 @@ class ServeApp {
   obs::HttpResponse HandleApiReload(const obs::HttpRequest& request);
   obs::HttpResponse HandleStatusz(const obs::HttpRequest& request);
   obs::HttpResponse HandleProfilez(const obs::HttpRequest& request);
-  obs::HttpResponse HandleSloz(const obs::HttpRequest& request);
   obs::HttpResponse HandleIndexz(const obs::HttpRequest& request);
 
   /// The session's `/queryz` record as of now: identity, engine stats,
@@ -211,10 +200,10 @@ class ServeApp {
   /// and time; the `Stop()` sweep records it as is.
   static obs::QueryAuditRecord AuditRecord(const Session& session);
 
-  /// Drains the session's leaf-access heatmap, counts its outcome,
-  /// re-evaluates the SLOs and emits its wide event. Called with the
-  /// session off the map (finalize) or during teardown (abandoned/errored)
-  /// — purely observational, after the response is built.
+  /// Drains the session's leaf-access heatmap, counts its outcome and
+  /// emits its wide event. Called with the session off the map (finalize)
+  /// or during teardown (abandoned/errored) — purely observational, after
+  /// the response is built.
   void FinishSessionObservability(const Session& session,
                                   std::uint64_t session_id,
                                   const obs::QueryAuditRecord& record);
@@ -271,10 +260,6 @@ class ServeApp {
   /// exactly what it armed, leaving externally-started captures alone).
   bool profiler_armed_ = false;
 
-  /// In-process SLO engine (obs/slo.h); evaluated from the /metrics,
-  /// /sloz, and /statusz handlers, and at most once per cadence after a
-  /// session finalize.
-  std::unique_ptr<obs::SloEngine> slo_engine_;
   /// Wide-event sink (null when `wide_events_path` is empty).
   std::unique_ptr<obs::WideEventSink> wide_events_;
 };

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <set>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -171,7 +172,8 @@ TEST(RStarTreeTest, LeafDistancesAreDegenerateRectMinDistBitForBit) {
   // Coordinates on a coarse grid, with whole rows repeated: many exact
   // duplicates and distance ties. The index reads leaf points from the
   // store, yet every distance it reports must be the bits of
-  // `Rect(point).MinDistSquared`, and its ranking a sort by that key.
+  // `Rect(point).MinDistSquared`, and its ranking a sort by that key with
+  // ties broken by id.
   Rng rng(29);
   std::vector<FeatureVector> points;
   for (int i = 0; i < 400; ++i) {
@@ -190,20 +192,18 @@ TEST(RStarTreeTest, LeafDistancesAreDegenerateRectMinDistBitForBit) {
 
   const auto check = [&](NodeId subtree, const FeatureVector& query,
                          std::size_t k) {
-    std::vector<double> expected;
+    std::vector<std::pair<double, ImageId>> expected;
     for (const ImageId id : tree.CollectSubtree(subtree)) {
-      expected.push_back(Rect(points[id]).MinDistSquared(query));
+      expected.emplace_back(Rect(points[id]).MinDistSquared(query), id);
     }
     std::sort(expected.begin(), expected.end());
     expected.resize(std::min(k, expected.size()));
     const auto actual = tree.KnnSearchInSubtree(subtree, query, k);
     ASSERT_EQ(actual.size(), expected.size());
-    std::set<ImageId> seen;
     for (std::size_t i = 0; i < actual.size(); ++i) {
-      EXPECT_TRUE(SameBits(actual[i].distance_squared, expected[i])) << i;
-      EXPECT_TRUE(SameBits(actual[i].distance_squared,
-                           Rect(points[actual[i].id]).MinDistSquared(query)));
-      EXPECT_TRUE(seen.insert(actual[i].id).second) << "repeated id";
+      EXPECT_TRUE(SameBits(actual[i].distance_squared, expected[i].first))
+          << i;
+      EXPECT_EQ(actual[i].id, expected[i].second) << i;
     }
   };
   std::vector<NodeId> subtrees = {tree.root()};

@@ -1,12 +1,16 @@
 #include "qdcbir/query/qd_engine.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <set>
+#include <utility>
 
 #include <gtest/gtest.h>
 
+#include "qdcbir/core/distance.h"
 #include "qdcbir/core/rng.h"
+#include "qdcbir/query/multipoint.h"
 #include "qdcbir/rfs/rfs_builder.h"
 
 namespace qdcbir {
@@ -53,6 +57,37 @@ QdOptions TestOptions() {
   options.display_size = 21;
   options.seed = 5;
   return options;
+}
+
+/// Drops the picks outside the first pick's leaf, so the session has one
+/// subquery.
+void KeepFirstPicksLeaf(const RfsTree& tree, std::vector<ImageId>* picks) {
+  const NodeId leaf = tree.LeafOf(picks->front());
+  const auto elsewhere = [&](ImageId id) { return tree.LeafOf(id) != leaf; };
+  picks->erase(std::remove_if(picks->begin(), picks->end(), elsewhere),
+               picks->end());
+}
+
+/// QD's result for a one-subquery session by definition: the `k` of
+/// `candidates` nearest the picks' centroid, nearest first, ties by id.
+/// A brute-force scan with scalar distances; no index, cache or kernels.
+std::vector<ImageId> ReferenceKnn(const RfsTree& tree,
+                                  const std::vector<ImageId>& picks,
+                                  const std::vector<ImageId>& candidates,
+                                  std::size_t k) {
+  std::vector<FeatureVector> points;
+  for (const ImageId id : picks) points.push_back(tree.feature(id));
+  const FeatureVector centroid = MultipointQuery(std::move(points)).Centroid();
+  std::vector<std::pair<double, ImageId>> scored;
+  for (const ImageId id : candidates) {
+    scored.emplace_back(SquaredL2(tree.feature(id), centroid), id);
+  }
+  std::sort(scored.begin(), scored.end());
+  std::vector<ImageId> ids;
+  for (std::size_t i = 0; i < scored.size() && i < k; ++i) {
+    ids.push_back(scored[i].second);
+  }
+  return ids;
 }
 
 TEST(QdSessionTest, FeedbackBeforeStartFails) {
@@ -273,6 +308,7 @@ TEST(QdSessionTest, BoundaryThresholdZeroForcesExpansion) {
     if (picks.empty()) display = session.Resample();
   }
   ASSERT_FALSE(picks.empty());
+  KeepFirstPicksLeaf(tree, &picks);
   ASSERT_TRUE(session.Feedback(picks).ok());
   const QdResult result = session.Finalize(10).value();
   // With threshold 0 every query image is "near the boundary": the search
@@ -281,6 +317,12 @@ TEST(QdSessionTest, BoundaryThresholdZeroForcesExpansion) {
   for (const ResultGroup& g : result.groups) {
     EXPECT_EQ(g.search_node, tree.root());
   }
+  // So the one subquery is a global k-NN from the picks' centroid.
+  std::vector<ImageId> every_image(tree.num_images());
+  for (std::size_t id = 0; id < every_image.size(); ++id) {
+    every_image[id] = static_cast<ImageId>(id);
+  }
+  EXPECT_EQ(result.Flatten(), ReferenceKnn(tree, picks, every_image, 10));
 }
 
 TEST(QdSessionTest, HighThresholdAvoidsExpansion) {
@@ -295,9 +337,14 @@ TEST(QdSessionTest, HighThresholdAvoidsExpansion) {
     if (picks.empty()) display = session.Resample();
   }
   ASSERT_FALSE(picks.empty());
+  KeepFirstPicksLeaf(tree, &picks);
   ASSERT_TRUE(session.Feedback(picks).ok());
-  session.Finalize(10).value();
+  const QdResult result = session.Finalize(10).value();
   EXPECT_EQ(session.stats().boundary_expansions, 0u);
+  // So the one subquery is a k-NN over its leaf from the picks' centroid.
+  const NodeId leaf = tree.LeafOf(picks.front());
+  EXPECT_EQ(result.Flatten(),
+            ReferenceKnn(tree, picks, tree.index().CollectSubtree(leaf), 10));
 }
 
 TEST(QdSessionTest, StatsTrackSessionActivity) {

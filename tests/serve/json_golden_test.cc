@@ -1,5 +1,5 @@
 // Golden bytes of every JSON document the repository renders: the admin
-// endpoints (/varz, /queryz, /tracez, /logz, /sloz, /indexz,
+// endpoints (/varz, /queryz, /tracez, /logz, /indexz,
 // /profilez?format=json), a wide event, the /api bodies, a BENCH_*.json
 // record and a Chrome trace. Inputs are fixed; fields that read a clock are
 // zeroed before the comparison, so any change to field order, number format
@@ -30,7 +30,6 @@
 #include "qdcbir/obs/metrics.h"
 #include "qdcbir/obs/profiler.h"
 #include "qdcbir/obs/query_log.h"
-#include "qdcbir/obs/slo.h"
 #include "qdcbir/obs/trace.h"
 #include "qdcbir/obs/trace_tree.h"
 #include "qdcbir/rfs/rfs_builder.h"
@@ -40,8 +39,6 @@
 
 namespace qdcbir {
 namespace {
-
-constexpr std::uint64_t kSecond = 1000ull * 1000 * 1000;
 
 /// `json` with the integer or decimal value of every field named in `keys`
 /// (a regex alternation) replaced by 0.
@@ -201,43 +198,6 @@ TEST(JsonGoldenTest, Logz) {
             "{\"sequence\":1,\"unix_ms\":0,\"mono_ns\":0,\"level\":\"debug\","
             "\"trace\":\"\",\"site\":\"log.cc:7\",\"message\":\"tab\\there\","
             "\"suppressed\":4}]}");
-}
-
-TEST(JsonGoldenTest, Sloz) {
-  obs::MetricsRegistry registry;
-  obs::Histogram& latency = registry.GetHistogram("serve.latency_ns");
-  obs::Counter& requests = registry.GetCounter("http.requests");
-  obs::Counter& bad = registry.GetCounter("http.bad");
-  std::uint64_t now = 0;
-  obs::SloDefinition latency_slo;
-  latency_slo.name = "session_latency";
-  latency_slo.kind = obs::SloKind::kLatencyQuantile;
-  latency_slo.metric = "serve.latency_ns";
-  latency_slo.threshold = 1e6;
-  latency_slo.objective = 0.95;
-  obs::SloDefinition availability;
-  availability.name = "http_availability";
-  availability.kind = obs::SloKind::kAvailability;
-  availability.metric = "http.requests";
-  availability.bad_metric = "http.bad";
-  availability.objective = 0.999;
-  obs::SloEngine engine({latency_slo, availability}, &registry,
-                        [&now] { return now; });
-  engine.Evaluate();
-  for (int i = 0; i < 7; ++i) latency.Record(500);
-  latency.Record(5000000);
-  requests.Add(300);
-  bad.Add(1);
-  now = 10 * kSecond;
-  engine.Evaluate();
-  EXPECT_EQ(engine.RenderJson(),
-            "{\"slos\":[{\"name\":\"session_latency\",\"kind\":"
-            "\"latency_quantile\",\"state\":\"ok\",\"objective\":0.95,"
-            "\"threshold\":1e+06,\"fast_burn\":2.5,\"slow_burn\":2.5,"
-            "\"good\":7,\"total\":8},{\"name\":\"http_availability\","
-            "\"kind\":\"availability\",\"state\":\"ok\",\"objective\":0.999,"
-            "\"threshold\":0,\"fast_burn\":3.33333,\"slow_burn\":3.33333,"
-            "\"good\":299,\"total\":300}]}");
 }
 
 TEST(JsonGoldenTest, Indexz) {
@@ -486,7 +446,7 @@ TEST_F(JsonGoldenServeTest, ApiBodiesAndWideEvent) {
   app.Stop();
 
   // A wide event is the session's audit record (the /queryz schema, with
-  // the full label) plus the serve-side extras and SLO states. The cold
+  // the full label) plus the serve-side extras. The cold
   // finalize misses the leaf-scan cache once per subquery.
   EXPECT_EQ(ZeroFields(ReadAll(events_path),
                        "unix_ms|sequence|rounds_ns|finalize_ns|total_ns"),
@@ -502,9 +462,7 @@ TEST_F(JsonGoldenServeTest, ApiBodiesAndWideEvent) {
             "ized\",\"trace\":\"4bf92f3577b34da6a3ce929d0e0e4736\","
             "\"display_size\":6,\"boundary_threshold\":0.4,\"cache_mb\":64,"
             "\"load_generation\":1,\"leaves_touched\":" GOLDEN_LEAVES_TOUCHED
-            ",\"slo_worst\":\"ok\""
-            ",\"slo_session_latency\":\"ok\",\"slo_http_availability\":\"ok\","
-            "\"slo_cache_hit_rate\":\"ok\"}\n"
+            "}\n"
             "{\"event\":\"session\",\"unix_ms\":0,\"session\":2,\"sequence\":0"
             ",\"engine\":\"qd\",\"label\":\"http\",\"seed\":8,\"rounds\":0,"
             "\"picks\":0,\"results\":0,\"subqueries\":0,\"boundary_expansions\""
@@ -516,9 +474,7 @@ TEST_F(JsonGoldenServeTest, ApiBodiesAndWideEvent) {
             "\"cache_misses\":0,"
             "\"outcome\":\"errored\",\"trace\":\"4bf92f3577b34da6a3ce929d0e0e4"
             "736\",\"display_size\":6,\"boundary_threshold\":0.4,\"cache_mb\":"
-            "64,\"load_generation\":1,\"leaves_touched\":0,\"slo_worst\":\""
-            "ok\",\"slo_session_latency\":\"ok\",\"slo_http_availability\":\"o"
-            "k\",\"slo_cache_hit_rate\":\"ok\""
+            "64,\"load_generation\":1,\"leaves_touched\":0"
             "}\n");
   std::filesystem::remove(events_path);
 }

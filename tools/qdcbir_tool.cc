@@ -44,22 +44,20 @@
 //                      [--port=0] [--port-file=PATH] [--threads=N]
 //                      [--max-seconds=0] [--profile-hz=0] [--cache-mb=64]
 //                      [--wide-events=PATH] [--wide-events-max-mb=64]
-//                      [--slo-latency-ms=2000] [--slo-latency-objective=.95]
 //       Start the admin/serving HTTP endpoint: /healthz /readyz /statusz
-//       /varz /metrics /queryz /tracez /logz /sloz /profilez plus
+//       /varz /metrics /queryz /tracez /logz /indexz /profilez plus
 //       /api/query, /api/feedback, /api/rep, and /api/reload for driving
 //       relevance-feedback sessions over the wire. --port=0 binds an
 //       ephemeral port (written to --port-file for scripts). --profile-hz
 //       arms the always-on background sampling profiler (bare --profile-hz
 //       picks the low default rate). --cache-mb sets the result-cache
 //       budget (0 disables caching). --wide-events appends one JSON session
-//       event per completed session (size-capped, rotates to PATH.1); the
-//       --slo-* flags tune the session-latency SLO shown at /sloz
-//       (docs/observability.md). Runs until SIGINT/SIGTERM, or
+//       event per completed session (size-capped, rotates to PATH.1;
+//       docs/observability.md). Runs until SIGINT/SIGTERM, or
 //       --max-seconds if positive.
 //   qdcbir_tool events summarize --in=wide_events.jsonl
-//       Aggregate a wide-event file into outcome counts, a latency
-//       distribution, and worst-SLO-state counts.
+//       Aggregate a wide-event file into outcome counts and a latency
+//       distribution.
 //   qdcbir_tool profile --db=db.bin --rfs=rfs.bin [--seconds=5] [--hz=99]
 //                      [--format=collapsed|json] [--out=PATH] [--query=..]
 //       Drive simulated relevance-feedback sessions under the sampling
@@ -655,9 +653,9 @@ int CmdProfile(int argc, char** argv) {
 
 /// `events summarize --in=wide_events.jsonl`: aggregate a wide-event file
 /// (one JSON session event per line; see docs/observability.md) into a
-/// human-readable digest — outcome counts, latency distribution, and
-/// worst-SLO-state counts. Unparseable lines are counted and
-/// skipped, so a file caught mid-rotation still summarizes.
+/// human-readable digest — outcome counts and latency distribution.
+/// Unparseable lines are counted and skipped, so a file caught mid-rotation
+/// still summarizes.
 int CmdEvents(int argc, char** argv) {
   const std::string sub = argc > 2 ? argv[2] : "";
   const std::string in_path = Flag(argc, argv, "in", "wide_events.jsonl");
@@ -675,7 +673,6 @@ int CmdEvents(int argc, char** argv) {
   std::size_t events = 0;
   std::size_t malformed = 0;
   std::map<std::string, std::size_t> outcomes;
-  std::map<std::string, std::size_t> slo_worst;
   std::vector<double> latency_ms;
   std::uint64_t rounds_sum = 0;
   std::uint64_t picks_sum = 0;
@@ -692,9 +689,6 @@ int CmdEvents(int argc, char** argv) {
     const serve::JsonValue& event = *parsed;
     if (const serve::JsonValue* outcome = event.Find("outcome")) {
       ++outcomes[outcome->string];
-    }
-    if (const serve::JsonValue* worst = event.Find("slo_worst")) {
-      ++slo_worst[worst->string];
     }
     if (const serve::JsonValue* total_ns = event.Find("total_ns")) {
       if (total_ns->is_number()) latency_ms.push_back(total_ns->number / 1e6);
@@ -726,9 +720,6 @@ int CmdEvents(int argc, char** argv) {
   std::printf("  rounds/session %.2f  picks/session %.2f\n",
               static_cast<double>(rounds_sum) / static_cast<double>(events),
               static_cast<double>(picks_sum) / static_cast<double>(events));
-  for (const auto& [state, count] : slo_worst) {
-    std::printf("  slo worst=%-7s %zu\n", state.c_str(), count);
-  }
   return 0;
 }
 
@@ -758,10 +749,6 @@ int CmdServe(int argc, char** argv) {
   options.wide_events_max_mb = static_cast<std::size_t>(
       IntFlag(argc, argv, "wide-events-max-mb",
               static_cast<std::int64_t>(options.wide_events_max_mb)));
-  options.slo_latency_ms =
-      DoubleFlag(argc, argv, "slo-latency-ms", options.slo_latency_ms);
-  options.slo_latency_objective = DoubleFlag(
-      argc, argv, "slo-latency-objective", options.slo_latency_objective);
   for (int i = 2; i < argc; ++i) {
     // Bare --profile-hz (no value) means "on at the low background rate".
     if (std::strcmp(argv[i], "--profile-hz") == 0) {
@@ -830,8 +817,6 @@ int Usage() {
                "[--slow-trace-ms=250] [--profile-hz=0]\n"
                "                [--wide-events=<jsonl>] "
                "[--wide-events-max-mb=64]\n"
-               "                [--slo-latency-ms=2000] "
-               "[--slo-latency-objective=0.95]\n"
                "events:         qdcbir_tool events summarize "
                "--in=<events.jsonl>\n"
                "profile flags:  --db=<path> --rfs=<path> [--seconds=5] "

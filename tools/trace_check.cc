@@ -30,13 +30,6 @@
 // reported is the matched bucket's upper bound, so the gate inherits the
 // HDR layout's bounded relative error.
 //
-// SLO gates read a /sloz scrape:
-//
-//   --sloz=<sloz.json> [--require-slo=<name>:<state>]...
-//
-// Each --require-slo fails unless the named SLO reports exactly the given
-// state (ok, warn, or breach).
-//
 // Index-access gates read a /indexz scrape:
 //
 //   --indexz=<indexz.json> [--require-leaf-scans=N]
@@ -259,37 +252,6 @@ bool CheckRequiredQuantile(const std::string& spec, const std::string& text) {
   return true;
 }
 
-/// Checks one `<name>:<state>` spec against the `slos` array of a /sloz
-/// scrape.
-bool CheckRequiredSlo(const std::string& spec, const JsonValue& slos) {
-  const std::size_t colon = spec.rfind(':');
-  if (colon == std::string::npos || colon == 0 || colon + 1 >= spec.size()) {
-    std::fprintf(stderr, "bad --require-slo spec (want <name>:<state>): %s\n",
-                 spec.c_str());
-    return false;
-  }
-  const std::string name = spec.substr(0, colon);
-  const std::string want_state = spec.substr(colon + 1);
-  for (const JsonValue& slo : slos.items) {
-    const JsonValue* slo_name = slo.Find("name");
-    if (slo_name == nullptr || slo_name->string != name) continue;
-    const JsonValue* state = slo.Find("state");
-    if (state == nullptr || !state->is_string()) {
-      std::fprintf(stderr, "slo %s carries no state field\n", name.c_str());
-      return false;
-    }
-    if (state->string != want_state) {
-      std::fprintf(stderr, "slo %s state is %s, required %s\n", name.c_str(),
-                   state->string.c_str(), want_state.c_str());
-      return false;
-    }
-    std::printf("  slo %-36s %s\n", name.c_str(), state->string.c_str());
-    return true;
-  }
-  std::fprintf(stderr, "slo %s not present in sloz document\n", name.c_str());
-  return false;
-}
-
 /// One parsed collapsed-stack line: the root (span) frame and the count.
 struct CollapsedStack {
   std::string root;
@@ -402,16 +364,13 @@ int main(int argc, char** argv) {
       FlagList(argc, argv, "require-profile-span");
   const std::vector<std::string> required_quantiles =
       FlagList(argc, argv, "require-quantile");
-  const std::string sloz_path = Flag(argc, argv, "sloz");
-  const std::vector<std::string> required_slos =
-      FlagList(argc, argv, "require-slo");
   const std::string indexz_path = Flag(argc, argv, "indexz");
   const std::string required_leaf_scans =
       Flag(argc, argv, "require-leaf-scans");
   const std::string required_coaccess_pairs =
       Flag(argc, argv, "require-coaccess-pairs");
   if (trace_path.empty() && metrics_path.empty() && prom_path.empty() &&
-      profile_path.empty() && sloz_path.empty() && indexz_path.empty()) {
+      profile_path.empty() && indexz_path.empty()) {
     std::fprintf(stderr,
                  "usage: trace_check --trace=<file>"
                  " [--require-span=<name>[:min_count]]\n"
@@ -419,8 +378,6 @@ int main(int argc, char** argv) {
                  " [--require-metric=<name>[:min]]\n"
                  "                   "
                  "[--require-quantile=<hist>:<p>:<max>]\n"
-                 "                   [--sloz=<file>]"
-                 " [--require-slo=<name>:<state>]\n"
                  "                   [--profile=<collapsed file>]"
                  " [--require-profile-samples=N]\n"
                  "                   "
@@ -445,10 +402,6 @@ int main(int argc, char** argv) {
   }
   if (!required_quantiles.empty() && prom_path.empty()) {
     std::fprintf(stderr, "--require-quantile needs --prom=<file>\n");
-    return 1;
-  }
-  if (!required_slos.empty() && sloz_path.empty()) {
-    std::fprintf(stderr, "--require-slo needs --sloz=<file>\n");
     return 1;
   }
 
@@ -541,22 +494,6 @@ int main(int argc, char** argv) {
     }
     for (const std::string& spec : required_quantiles) {
       if (!CheckRequiredQuantile(spec, text)) return 1;
-    }
-  }
-
-  if (!sloz_path.empty()) {
-    JsonValue doc;
-    if (!ReadJsonFile(sloz_path, "sloz", &doc)) return 1;
-    const JsonValue* slos = doc.Find("slos");
-    if (slos == nullptr || !slos->is_array()) {
-      std::fprintf(stderr, "sloz file %s missing \"slos\" array\n",
-                   sloz_path.c_str());
-      return 1;
-    }
-    std::printf("sloz ok: %s (%zu slos)\n", sloz_path.c_str(),
-                slos->items.size());
-    for (const std::string& spec : required_slos) {
-      if (!CheckRequiredSlo(spec, *slos)) return 1;
     }
   }
 
