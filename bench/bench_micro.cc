@@ -16,7 +16,6 @@
 
 #include "qdcbir/obs/metrics.h"
 #include "qdcbir/obs/profiler.h"
-#include "qdcbir/obs/trace.h"
 
 #include "qdcbir/cache/cache_manager.h"
 #include "qdcbir/cluster/kmeans.h"
@@ -492,9 +491,8 @@ BENCHMARK(BM_HaarTransform);
 }  // namespace qdcbir
 
 // Custom main (instead of BENCHMARK_MAIN) so the run can export its
-// observability state deterministically: the metrics registry snapshot goes
-// to $QDCBIR_METRICS_JSON if set, and an active $QDCBIR_TRACE tracer is
-// flushed before exit rather than relying on atexit ordering.
+// observability state: the metrics registry snapshot, span histograms
+// included, goes to $QDCBIR_METRICS_JSON if set.
 int main(int argc, char** argv) {
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
@@ -528,14 +526,6 @@ int main(int argc, char** argv) {
     out << qdcbir::obs::MetricsRegistry::Global().SnapshotJson() << "\n";
     if (!out) {
       std::fprintf(stderr, "[bench_micro] cannot write metrics to %s\n", path);
-      return 1;
-    }
-  }
-  if (qdcbir::obs::Tracer::Global().enabled()) {
-    std::string error;
-    if (!qdcbir::obs::Tracer::Global().Stop(&error)) {
-      std::fprintf(stderr, "[bench_micro] trace flush failed: %s\n",
-                   error.c_str());
       return 1;
     }
   }

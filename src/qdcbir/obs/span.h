@@ -4,7 +4,6 @@
 #include "qdcbir/obs/clock.h"
 #include "qdcbir/obs/metrics.h"
 #include "qdcbir/obs/span_stack.h"
-#include "qdcbir/obs/trace.h"
 #include "qdcbir/obs/trace_context.h"
 #include "qdcbir/obs/trace_tree.h"
 
@@ -12,17 +11,16 @@ namespace qdcbir {
 namespace obs {
 
 /// RAII phase marker. On destruction it records the span's wall-time into
-/// its latency histogram (`span.<name>`, nanoseconds) and, when the tracer
-/// is armed, streams a balanced "B"/"E" event pair to the Chrome trace.
-/// When the calling thread carries a recording `TraceContext` (a serve
-/// request with tree capture on), the span additionally registers itself as
-/// the thread's innermost span for its lifetime and appends a `SpanRecord`
-/// — parent links come from the context, so trees stay correct across the
-/// thread pool's capture/restore.
+/// its latency histogram (`span.<name>`, nanoseconds). When the calling
+/// thread carries a recording `TraceContext` (a serve request with tree
+/// capture on), the span additionally registers itself as the thread's
+/// innermost span for its lifetime and appends a `SpanRecord` (name,
+/// start, end, tid) — parent links come from the context, so trees stay
+/// correct across the thread pool's capture/restore.
 /// Instantiate through `QDCBIR_SPAN` — the macro resolves the histogram
-/// once per call site, so steady-state cost is two clock reads plus one
-/// sharded histogram increment (~tens of nanoseconds) plus one relaxed
-/// thread-local check for tree capture.
+/// once per call site, so steady-state cost is two clock reads, one push
+/// and pop of the span stack, one thread-local check for tree capture and
+/// one sharded histogram increment (~tens of nanoseconds).
 class ScopedSpan {
  public:
   ScopedSpan(const char* name, Histogram& histogram)
@@ -30,8 +28,6 @@ class ScopedSpan {
     // Always mirrored onto the signal-safe span stack, so the sampling
     // profiler can attribute CPU samples even when no trace is recording.
     CurrentSpanStack().Push(name_);
-    Tracer& tracer = Tracer::Global();
-    if (tracer.enabled()) tracer.Begin(name_);
     TraceContext& context = MutableCurrentTraceContext();
     if (context.buffer != nullptr) {
       parent_id_ = context.span_id;
@@ -46,8 +42,6 @@ class ScopedSpan {
   ~ScopedSpan() {
     CurrentSpanStack().Pop();
     const std::uint64_t end_ns = MonotonicNanos();
-    Tracer& tracer = Tracer::Global();
-    if (tracer.enabled()) tracer.End(name_);
     if (span_id_ != 0) {
       TraceContext& context = MutableCurrentTraceContext();
       // Spans and context scopes nest strictly, so the buffer seen here is
@@ -83,7 +77,7 @@ inline void AnnotateCurrentSpan(const char* key, std::int64_t value) {
 }  // namespace qdcbir
 
 /// `QDCBIR_SPAN("qd.finalize.subquery");` times the enclosing scope.
-/// `name` must be a string literal (the tracer stores the pointer). Span
+/// `name` must be a string literal (span records store the pointer). Span
 /// taxonomy lives in docs/observability.md. Building with
 /// -DQDCBIR_DISABLE_OBS compiles every span to nothing.
 #ifndef QDCBIR_DISABLE_OBS

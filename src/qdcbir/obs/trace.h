@@ -1,79 +1,20 @@
 #ifndef QDCBIR_OBS_TRACE_H_
 #define QDCBIR_OBS_TRACE_H_
 
-#include <atomic>
-#include <cstdint>
+#include <cstddef>
 #include <map>
-#include <mutex>
 #include <string>
-#include <vector>
 
 namespace qdcbir {
 namespace obs {
 
-/// Chrome `trace_event` recorder. When enabled, spans stream balanced
-/// "B"/"E" duration events into an in-memory buffer that `Stop()` (or
-/// process exit) writes as a JSON file loadable in `chrome://tracing` and
-/// Perfetto.
-///
-/// Activation:
-///  - environment: `QDCBIR_TRACE=<path>` arms the global tracer at first
-///    use and flushes to `<path>` at process exit;
-///  - programmatic: `Tracer::Global().Start(path)` / `Stop()`, used by
-///    `qdcbir_tool --trace-out=...` and the trace tests.
-///
-/// Recording takes one mutex-guarded append per event; tracing is a
-/// diagnostic mode, not a production hot path. When disabled, `enabled()`
-/// is a single relaxed atomic load and nothing else happens.
-class Tracer {
- public:
-  /// The process-wide tracer (leaked; flushed via `atexit`).
-  static Tracer& Global();
-
-  bool enabled() const { return enabled_.load(std::memory_order_acquire); }
-
-  /// Begins buffering events for a later flush to `path`. Fails if already
-  /// started.
-  bool Start(const std::string& path, std::string* error = nullptr);
-
-  /// Disables recording and writes the buffered events to the path given
-  /// at `Start`. Returns false (with `error`) if not started or the file
-  /// cannot be written.
-  bool Stop(std::string* error = nullptr);
-
-  /// Emits a begin/end duration event pair boundary. `name` must point to
-  /// storage outliving the tracer (string literals; `QDCBIR_SPAN` passes
-  /// literals). Callers must keep pairs balanced per thread — RAII spans
-  /// guarantee this.
-  void Begin(const char* name);
-  void End(const char* name);
-
-  /// Events currently buffered (diagnostics/tests).
-  std::size_t buffered_events() const;
-
- private:
-  struct Event {
-    const char* name;
-    std::uint64_t ts_ns;
-    std::uint32_t tid;
-    char ph;  // 'B' or 'E'
-  };
-
-  void Append(const char* name, char ph);
-
-  std::atomic<bool> enabled_{false};
-  mutable std::mutex mu_;
-  std::string path_;
-  std::uint64_t start_ns_ = 0;
-  std::vector<Event> events_;
-};
-
-/// Structural validation of a Chrome trace JSON document (the subset the
-/// tracer emits): a `traceEvents` array of flat objects, every event
-/// carrying name/ph/ts/tid, "B"/"E" pairs balanced and well-nested per
-/// thread, timestamps non-decreasing per thread. On success, fills
-/// `begin_counts` (if non-null) with the number of "B" events per span
-/// name. Returns false and sets `error` on the first violation.
+/// Structural validation of a Chrome trace JSON document (such as
+/// bench_serve's client-side trace): a `traceEvents` array of flat objects,
+/// every event carrying name/ph/ts/tid, "B"/"E" pairs balanced and
+/// well-nested per thread, timestamps non-decreasing per thread. On
+/// success, fills `begin_counts` (if non-null) with the number of "B"
+/// events per span name. Returns false and sets `error` on the first
+/// violation.
 bool ValidateChromeTrace(const std::string& json, std::string* error,
                          std::map<std::string, std::size_t>* begin_counts);
 

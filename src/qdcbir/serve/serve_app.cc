@@ -260,8 +260,6 @@ ServeApp::ServeApp(ServeOptions options)
   if (!options_.wide_events_path.empty()) {
     obs::WideEventSinkOptions sink_options;
     sink_options.path = options_.wide_events_path;
-    sink_options.max_bytes =
-        static_cast<std::uint64_t>(options_.wide_events_max_mb) << 20;
     wide_events_ = std::make_unique<obs::WideEventSink>(sink_options);
   }
 }
@@ -391,7 +389,6 @@ void ServeApp::LoadInBackground() {
   // RFS blob is ever read into memory whole.
   SnapshotLoadOptions load_options;
   load_options.pool = &QueryPool();
-  load_options.verify_checksums = options_.verify_checksums;
   StatusOr<ImageDatabase> db =
       DatabaseIo::LoadDatabase(options_.db_path, load_options);
   if (!db.ok()) return fail(db.status());

@@ -56,7 +56,6 @@ struct ServeOptions {
   std::size_t default_k = 50;
   /// Concurrent interactive sessions held before `/api/query` answers 429.
   std::size_t max_sessions = 64;
-  bool verify_checksums = true;
   /// Head sampling: every Nth opened session records its full span tree
   /// and publishes it to `/tracez` as "sampled". 0 disables head sampling.
   std::size_t trace_sample_every = 8;
@@ -84,11 +83,9 @@ struct ServeOptions {
   ThreadPool* pool = nullptr;
   /// JSON-lines wide-event file: one event per completed session joining
   /// trace id, engine config, resource stats, cache traffic and outcome.
-  /// Empty disables the sink.
+  /// Past 64 MiB the file rotates to `<path>.1` (replacing the previous
+  /// rollover). Empty disables the sink.
   std::string wide_events_path;
-  /// Size cap of the live wide-event file; past it the file rotates to
-  /// `<path>.1` (replacing the previous rollover).
-  std::size_t wide_events_max_mb = 64;
 };
 
 /// The admin/serving application: loads a database snapshot and RFS tree

@@ -1,17 +1,16 @@
 // Observability must not disturb the engine's determinism contract: the
 // same scripted QD session must return byte-identical results at 1/2/4/8
-// pool lanes, with the tracer disarmed AND with it armed (tracing adds
-// mutex-serialized event appends on every span — none of that may leak
-// into result ordering or scoring). The same holds for index-access
-// telemetry: ranked results AND the logical cost model (QdSessionStats)
-// must be byte-identical with it on vs off. And the two work sinks must
-// agree: every engine's per-session totals are the sum of its per-leaf
-// rows.
+// pool lanes, with span-tree recording off AND on (recording appends each
+// span to a mutex-guarded buffer from whichever lane closes it — none of
+// that may leak into result ordering or scoring). The same holds for
+// index-access telemetry: ranked results AND the logical cost model
+// (QdSessionStats) must be byte-identical with it on vs off. And the two
+// work sinks must agree: every engine's per-session totals are the sum of
+// its per-leaf rows.
 
 #include <gtest/gtest.h>
 
-#include <fstream>
-#include <sstream>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -20,7 +19,8 @@
 #include "qdcbir/dataset/synthesizer.h"
 #include "qdcbir/obs/access_stats.h"
 #include "qdcbir/obs/task_context.h"
-#include "qdcbir/obs/trace.h"
+#include "qdcbir/obs/trace_context.h"
+#include "qdcbir/obs/trace_tree.h"
 #include "qdcbir/query/fagin_engine.h"
 #include "qdcbir/query/mv_engine.h"
 #include "qdcbir/query/qcluster_engine.h"
@@ -111,7 +111,7 @@ void ExpectIdenticalStats(const QdSessionStats& a, const QdSessionStats& b) {
 }
 
 TEST_F(InstrumentedDeterminismTest, IdenticalAcrossThreadCountsTracingOff) {
-  ASSERT_FALSE(obs::Tracer::Global().enabled());
+  ASSERT_FALSE(obs::CurrentTraceContext().recording());
   ThreadPool pool1(1);
   const QdResult baseline = RunScriptedSession(&pool1);
   for (const std::size_t lanes : {2u, 4u, 8u}) {
@@ -123,27 +123,27 @@ TEST_F(InstrumentedDeterminismTest, IdenticalAcrossThreadCountsTracingOff) {
 
 TEST_F(InstrumentedDeterminismTest, IdenticalAcrossThreadCountsTracingOn) {
   // Untraced baseline first, then every traced run must match it exactly:
-  // arming the tracer may change timing, never results.
+  // recording a span tree may change timing, never results.
   ThreadPool pool1(1);
   const QdResult baseline = RunScriptedSession(&pool1);
 
-  const std::string path =
-      ::testing::TempDir() + "/instrumented_determinism_trace.json";
-  std::string error;
-  ASSERT_TRUE(obs::Tracer::Global().Start(path, &error)) << error;
   for (const std::size_t lanes : {1u, 2u, 4u, 8u}) {
     ThreadPool pool(lanes);
-    const QdResult result = RunScriptedSession(&pool);
+    obs::TraceContext context = obs::NewTraceContext();
+    context.buffer = std::make_shared<obs::TraceBuffer>();
+    QdResult result;
+    {
+      const obs::ScopedTraceContext scoped(context);
+      result = RunScriptedSession(&pool);
+    }
     ExpectIdenticalResults(baseline, result);
+#ifdef QDCBIR_DISABLE_OBS
+    EXPECT_TRUE(context.buffer->spans().empty());  // the spans compile out
+#else
+    // The recording must actually have been on.
+    EXPECT_FALSE(context.buffer->spans().empty()) << lanes << " lanes";
+#endif
   }
-  ASSERT_TRUE(obs::Tracer::Global().Stop(&error)) << error;
-
-  // The traced runs also must have produced a structurally valid file.
-  std::ifstream in(path);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  EXPECT_TRUE(obs::ValidateChromeTrace(buffer.str(), &error, nullptr))
-      << error;
 }
 
 TEST_F(InstrumentedDeterminismTest, IdenticalWithAccessTelemetryOnVsOff) {

@@ -1,9 +1,9 @@
 // Golden bytes of every JSON document the repository renders: the admin
 // endpoints (/varz, /queryz, /tracez, /logz, /indexz,
-// /profilez?format=json), a wide event, the /api bodies, a BENCH_*.json
-// record and a Chrome trace. Inputs are fixed; fields that read a clock are
-// zeroed before the comparison, so any change to field order, number format
-// or escaping shows up as a byte diff.
+// /profilez?format=json), a wide event, the /api bodies and a BENCH_*.json
+// record. Inputs are fixed; fields that read a clock are zeroed before the
+// comparison, so any change to field order, number format or escaping
+// shows up as a byte diff.
 
 #include <gtest/gtest.h>
 
@@ -30,7 +30,6 @@
 #include "qdcbir/obs/metrics.h"
 #include "qdcbir/obs/profiler.h"
 #include "qdcbir/obs/query_log.h"
-#include "qdcbir/obs/trace.h"
 #include "qdcbir/obs/trace_tree.h"
 #include "qdcbir/rfs/rfs_builder.h"
 #include "qdcbir/rfs/rfs_introspect.h"
@@ -272,28 +271,6 @@ TEST(JsonGoldenTest, ProfilezJson) {
             "{\"stack\":\"qd.feedback\",\"count\":3},"
             "{\"stack\":\"(no-span)\",\"count\":1},"
             "{\"stack\":\"serve.api.query\",\"count\":1}]}");
-}
-
-TEST(JsonGoldenTest, ChromeTrace) {
-  const std::string path = ::testing::TempDir() + "json_golden_trace.json";
-  obs::Tracer tracer;
-  ASSERT_TRUE(tracer.Start(path));
-  tracer.Begin("session");
-  tracer.Begin("qd.finalize");
-  tracer.End("qd.finalize");
-  tracer.End("session");
-  ASSERT_TRUE(tracer.Stop());
-  EXPECT_EQ(ZeroFields(ReadAll(path), "ts|tid"),
-            "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n"
-            "{\"name\":\"session\",\"cat\":\"qdcbir\",\"ph\":\"B\",\"ts\":0,"
-            "\"pid\":1,\"tid\":0},\n"
-            "{\"name\":\"qd.finalize\",\"cat\":\"qdcbir\",\"ph\":\"B\","
-            "\"ts\":0,\"pid\":1,\"tid\":0},\n"
-            "{\"name\":\"qd.finalize\",\"cat\":\"qdcbir\",\"ph\":\"E\","
-            "\"ts\":0,\"pid\":1,\"tid\":0},\n"
-            "{\"name\":\"session\",\"cat\":\"qdcbir\",\"ph\":\"E\",\"ts\":0,"
-            "\"pid\":1,\"tid\":0}\n]}\n");
-  std::remove(path.c_str());
 }
 
 TEST(JsonGoldenTest, BenchRecord) {

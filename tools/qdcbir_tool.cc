@@ -43,7 +43,7 @@
 //   qdcbir_tool serve  --db=db.bin [--rfs=rfs.bin] [--address=127.0.0.1]
 //                      [--port=0] [--port-file=PATH] [--threads=N]
 //                      [--max-seconds=0] [--profile-hz=0] [--cache-mb=64]
-//                      [--wide-events=PATH] [--wide-events-max-mb=64]
+//                      [--wide-events=PATH]
 //       Start the admin/serving HTTP endpoint: /healthz /readyz /statusz
 //       /varz /metrics /queryz /tracez /logz /indexz /profilez plus
 //       /api/query, /api/feedback, /api/rep, and /api/reload for driving
@@ -52,7 +52,7 @@
 //       arms the always-on background sampling profiler (bare --profile-hz
 //       picks the low default rate). --cache-mb sets the result-cache
 //       budget (0 disables caching). --wide-events appends one JSON session
-//       event per completed session (size-capped, rotates to PATH.1;
+//       event per completed session (rotates to PATH.1 past 64 MiB;
 //       docs/observability.md). Runs until SIGINT/SIGTERM, or
 //       --max-seconds if positive.
 //   qdcbir_tool events summarize --in=wide_events.jsonl
@@ -746,9 +746,6 @@ int CmdServe(int argc, char** argv) {
       IntFlag(argc, argv, "cache-mb",
               static_cast<std::int64_t>(options.cache_mb)));
   options.wide_events_path = Flag(argc, argv, "wide-events", "");
-  options.wide_events_max_mb = static_cast<std::size_t>(
-      IntFlag(argc, argv, "wide-events-max-mb",
-              static_cast<std::int64_t>(options.wide_events_max_mb)));
   for (int i = 2; i < argc; ++i) {
     // Bare --profile-hz (no value) means "on at the low background rate".
     if (std::strcmp(argv[i], "--profile-hz") == 0) {
@@ -815,8 +812,7 @@ int Usage() {
                "                [--port-file=<path>] [--max-seconds=0]\n"
                "                [--trace-sample-every=8] "
                "[--slow-trace-ms=250] [--profile-hz=0]\n"
-               "                [--wide-events=<jsonl>] "
-               "[--wide-events-max-mb=64]\n"
+               "                [--wide-events=<jsonl>]\n"
                "events:         qdcbir_tool events summarize "
                "--in=<events.jsonl>\n"
                "profile flags:  --db=<path> --rfs=<path> [--seconds=5] "
@@ -827,8 +823,6 @@ int Usage() {
                "qdcbir_tool --version prints build info as JSON\n"
                "global flags: --metrics-json=<path>  dump the metrics "
                "registry snapshot after the command\n"
-               "              --trace-out=<path>     record a Chrome trace "
-               "of the command\n"
                "              --queryz-json=<path>   dump the /queryz "
                "session audit ring after the command\n");
   return 1;
@@ -857,17 +851,8 @@ int Run(int argc, char** argv) {
     std::printf("%s\n", obs::BuildInfoJson().c_str());
     return 0;
   }
-  const std::string trace_out = Flag(argc, argv, "trace-out", "");
   const std::string metrics_json = Flag(argc, argv, "metrics-json", "");
   const std::string queryz_json = Flag(argc, argv, "queryz-json", "");
-
-  if (!trace_out.empty()) {
-    std::string error;
-    if (!obs::Tracer::Global().Start(trace_out, &error)) {
-      std::fprintf(stderr, "cannot start trace: %s\n", error.c_str());
-      return 1;
-    }
-  }
 
   const int code = Dispatch(argc, argv, command);
 
@@ -886,13 +871,6 @@ int Run(int argc, char** argv) {
     if (!out) {
       std::fprintf(stderr, "cannot write session audit to %s\n",
                    queryz_json.c_str());
-      return 1;
-    }
-  }
-  if (!trace_out.empty()) {
-    std::string error;
-    if (!obs::Tracer::Global().Stop(&error)) {
-      std::fprintf(stderr, "trace flush failed: %s\n", error.c_str());
       return 1;
     }
   }

@@ -19,7 +19,9 @@
 // Each --require-metric names a sample that must exist, optionally with a
 // minimum value after a colon. With --prom it matches exposition sample
 // names (qdcbir_dist_block_batch); with only --metrics it matches the
-// registry's dotted counter names in the JSON snapshot (dist.block.batch).
+// registry's dotted counter names in the JSON snapshot (dist.block.batch)
+// and each histogram's count as <name>.count (span.qd.finalize.merge.count,
+// which matches qdcbir_span_qd_finalize_merge_count under --prom).
 //
 // Latency-percentile gates run against the same --prom scrape:
 //
@@ -52,7 +54,9 @@
 // starts with the given prefix ("qd." matches every engine-phase span).
 // Every JSON artifact is read with the repository's one JSON reader
 // (obs/json.h), so a document that does not parse fails its gate.
-// Exit code 0 means all checks passed; diagnostics go to stderr. CI runs
+// Exit code 0 means all checks passed; diagnostics go to stderr. Any
+// argument but the flags above as --<flag>=<value> prints the usage and
+// exits 1, so a misspelt gate cannot pass unchecked. CI runs
 // this against the bench_micro and serve-smoke artifacts so a
 // silently-broken exporter (or a profiler that stopped attributing
 // samples) fails the build.
@@ -63,6 +67,7 @@
 #include <fstream>
 #include <limits>
 #include <map>
+#include <set>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -77,17 +82,12 @@ namespace {
 using qdcbir::obs::JsonValue;
 using qdcbir::obs::ParseJson;
 
-std::string Flag(int argc, char** argv, const std::string& name) {
-  const std::string prefix = "--" + name + "=";
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind(prefix, 0) == 0) return arg.substr(prefix.size());
-  }
-  return "";
-}
+/// Every flag name main() reads; any other argument is rejected.
+std::set<std::string> g_flags_read;
 
 std::vector<std::string> FlagList(int argc, char** argv,
                                   const std::string& name) {
+  g_flags_read.insert(name);
   const std::string prefix = "--" + name + "=";
   std::vector<std::string> out;
   for (int i = 1; i < argc; ++i) {
@@ -95,6 +95,11 @@ std::vector<std::string> FlagList(int argc, char** argv,
     if (arg.rfind(prefix, 0) == 0) out.push_back(arg.substr(prefix.size()));
   }
   return out;
+}
+
+std::string Flag(int argc, char** argv, const std::string& name) {
+  const std::vector<std::string> values = FlagList(argc, argv, name);
+  return values.empty() ? "" : values.front();
 }
 
 bool ReadFile(const std::string& path, std::string* out) {
@@ -369,8 +374,20 @@ int main(int argc, char** argv) {
       Flag(argc, argv, "require-leaf-scans");
   const std::string required_coaccess_pairs =
       Flag(argc, argv, "require-coaccess-pairs");
-  if (trace_path.empty() && metrics_path.empty() && prom_path.empty() &&
-      profile_path.empty() && indexz_path.empty()) {
+  // Every flag has been read above, so g_flags_read is complete.
+  bool unknown_flag = false;
+  for (int i = 1; i < argc; ++i) {
+    const std::string arg = argv[i];
+    const std::size_t eq = arg.find('=');
+    if (arg.rfind("--", 0) != 0 || eq == std::string::npos ||
+        g_flags_read.count(arg.substr(2, eq - 2)) == 0) {
+      std::fprintf(stderr, "unknown flag: %s\n", arg.c_str());
+      unknown_flag = true;
+    }
+  }
+  if (unknown_flag || (trace_path.empty() && metrics_path.empty() &&
+                       prom_path.empty() && profile_path.empty() &&
+                       indexz_path.empty())) {
     std::fprintf(stderr,
                  "usage: trace_check --trace=<file>"
                  " [--require-span=<name>[:min_count]]\n"
@@ -465,6 +482,11 @@ int main(int argc, char** argv) {
       std::map<std::string, double> samples;
       for (const auto& [name, value] : counters.fields) {
         if (value.is_number()) samples[name] = value.number;
+      }
+      for (const auto& [name, histogram] : doc.Find("histograms")->fields) {
+        if (const JsonValue* count = NumberAt(&histogram, "count")) {
+          samples[name + ".count"] = count->number;
+        }
       }
       for (const std::string& spec : required_metrics) {
         if (!CheckRequiredMetric(spec, samples, "metrics json")) return 1;
