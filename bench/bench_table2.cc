@@ -6,9 +6,15 @@
 // undefined ("n/a") for rounds 1 and 2 — exactly as the paper reports.
 //
 // Flags: --images=15000 --seeds=5 --cache=bench_cache
+//
+// Each round averages every completed session, and the output says how
+// many queries those sessions cover. A query with none
+// turns both verdicts into INCOMPLETE, naming it, and exits 1: a partial
+// table is never reported as the paper's shape.
 
 #include <cstdio>
 #include <iostream>
+#include <string>
 
 #include "bench_common.h"
 #include "qdcbir/eval/ground_truth.h"
@@ -61,10 +67,13 @@ int Run(int argc, char** argv) {
   double qd_prec[kRounds] = {0}, qd_gtir[kRounds] = {0};
   int mv_runs = 0, qd_runs = 0;
   SessionTally mv_tally, qd_tally;
+  std::size_t qd_queries = 0, mv_queries = 0;  // with a completed seed
+  std::string incomplete;  // the queries no seed completed, comma-separated
 
   for (const QueryConceptSpec& spec : db->catalog().queries()) {
     StatusOr<QueryGroundTruth> gt = BuildGroundTruth(*db, spec);
     if (!gt.ok()) return 1;
+    int qd_done = 0, mv_done = 0;
     for (int seed = 1; seed <= seeds; ++seed) {
       const ProtocolOptions protocol = PaperProtocol(seed);
       StatusOr<RunOutcome> qd =
@@ -77,6 +86,7 @@ int Run(int argc, char** argv) {
           }
         }
         ++qd_runs;
+        ++qd_done;
       }
       MvEngine mv_engine(&*db);
       StatusOr<RunOutcome> mv =
@@ -87,7 +97,13 @@ int Run(int argc, char** argv) {
           mv_prec[r] += mv->rounds[r].precision;
         }
         ++mv_runs;
+        ++mv_done;
       }
+    }
+    qd_queries += qd_done > 0 ? 1 : 0;
+    mv_queries += mv_done > 0 ? 1 : 0;
+    if (qd_done == 0 || mv_done == 0) {
+      incomplete += (incomplete.empty() ? "" : ", ") + spec.name;
     }
   }
   qd_tally.Print("qd");
@@ -113,7 +129,19 @@ int Run(int argc, char** argv) {
          TablePrinter::Num(qd_gtir[r] / qd_runs)});
   }
   table.Print(std::cout);
+  const std::size_t total_queries = db->catalog().queries().size();
+  std::printf("Rounds average %d QD sessions over %zu of %zu queries and "
+              "%d MV sessions over %zu of %zu.\n",
+              qd_runs, qd_queries, total_queries, mv_runs, mv_queries,
+              total_queries);
 
+  const std::string incomplete_verdict =
+      "INCOMPLETE (no completed seed: " + incomplete + ")";
+  const auto verdict = [&](bool holds) {
+    return !incomplete.empty() ? incomplete_verdict.c_str()
+           : holds             ? "HOLDS"
+                               : "VIOLATED";
+  };
   const bool mv_plateaus =
       mv_gtir[2] / mv_runs <= mv_gtir[1] / mv_runs + 0.02;
   std::printf(
@@ -122,13 +150,10 @@ int Run(int argc, char** argv) {
       "%.2f -> %.2f): %s\n"
       "  - MV GTIR plateaus after round 2 (measured %.2f -> %.2f): %s\n",
       qd_gtir[0] / qd_runs, qd_gtir[1] / qd_runs, qd_gtir[2] / qd_runs,
-      (qd_gtir[2] / qd_runs > qd_gtir[0] / qd_runs &&
-       qd_gtir[2] / qd_runs > 0.9)
-          ? "HOLDS"
-          : "VIOLATED",
-      mv_gtir[1] / mv_runs, mv_gtir[2] / mv_runs,
-      mv_plateaus ? "HOLDS" : "VIOLATED");
-  return 0;
+      verdict(qd_gtir[2] / qd_runs > qd_gtir[0] / qd_runs &&
+              qd_gtir[2] / qd_runs > 0.9),
+      mv_gtir[1] / mv_runs, mv_gtir[2] / mv_runs, verdict(mv_plateaus));
+  return incomplete.empty() ? 0 : 1;
 }
 
 }  // namespace

@@ -42,8 +42,10 @@ const Tables& GetTables() {
 
 }  // namespace
 
-std::uint32_t Crc32c::Extend(std::uint32_t crc, const void* data,
-                             std::size_t n) {
+namespace internal {
+
+std::uint32_t Crc32cPortableExtend(std::uint32_t crc, const void* data,
+                                   std::size_t n) {
   const Tables& tb = GetTables();
   const unsigned char* p = static_cast<const unsigned char*>(data);
   crc = ~crc;
@@ -72,6 +74,17 @@ std::uint32_t Crc32c::Extend(std::uint32_t crc, const void* data,
     --n;
   }
   return ~crc;
+}
+
+}  // namespace internal
+
+std::uint32_t Crc32c::Extend(std::uint32_t crc, const void* data,
+                             std::size_t n) {
+  static const internal::Crc32cExtendFn extend = [] {
+    const internal::Crc32cExtendFn hardware = internal::Crc32cSse42Extend();
+    return hardware != nullptr ? hardware : &internal::Crc32cPortableExtend;
+  }();
+  return extend(crc, data, n);
 }
 
 }  // namespace qdcbir

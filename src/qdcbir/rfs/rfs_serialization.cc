@@ -14,7 +14,8 @@ namespace qdcbir {
 
 namespace {
 
-constexpr char kMagic[] = "QDRFS001";
+constexpr char kMagic[] = "QDRFS002";
+constexpr char kMagicV1[] = "QDRFS001";
 constexpr std::size_t kMagicLen = 8;
 
 class Writer {
@@ -68,20 +69,16 @@ std::string RfsSerializer::Serialize(const RfsTree& tree) {
     w.U32(index.parent_[i]);
     w.U64(node.entries.size());
     for (const RStarTree::Entry& e : node.entries) {
+      // A leaf entry is its (child, image) pair: its point is the image's
+      // feature row, written once above.
       w.U32(e.child);
       w.U32(e.data);
-      if (node.IsLeaf()) {
-        // The format keeps a leaf entry's degenerate rect: lo == hi == the
-        // entry's feature row.
-        w.Doubles(index.point(e.data).values());
-        w.Doubles(index.point(e.data).values());
-      } else {
-        // An internal entry's rect is its child's MBR, which the child
-        // node holds.
-        const Rect& rect = index.node(e.child).rect;
-        w.Doubles(rect.lo());
-        w.Doubles(rect.hi());
-      }
+      if (node.IsLeaf()) continue;
+      // An internal entry's rect is its child's MBR, which the child node
+      // holds.
+      const Rect& rect = index.node(e.child).rect;
+      w.Doubles(rect.lo());
+      w.Doubles(rect.hi());
     }
   }
 
@@ -119,6 +116,11 @@ StatusOr<RfsTree> RfsSerializer::Decode(
   };
   char magic[kMagicLen];
   if (!r.Raw(magic, kMagicLen)) return r.status();
+  if (std::memcmp(magic, kMagicV1, kMagicLen) == 0) {
+    return Status::VersionMismatch(
+        "RFS format v1 is no longer read; rebuild the file with "
+        "`qdcbir_tool rfs`");
+  }
   if (std::memcmp(magic, kMagic, kMagicLen) != 0) {
     return Status::Corrupt("not an RFS blob (bad magic)");
   }
@@ -182,9 +184,8 @@ StatusOr<RfsTree> RfsSerializer::Decode(
   index.nodes_.resize(node_slots);
   index.parent_.assign(node_slots, kInvalidNodeId);
 
-  const std::uint64_t entry_bytes = 8 + 2 * dim * sizeof(double);
-  const std::size_t row_bytes = static_cast<std::size_t>(dim) * sizeof(double);
-  std::vector<double> scratch(static_cast<std::size_t>(dim));
+  const std::uint64_t leaf_entry_bytes = 8;
+  const std::uint64_t internal_entry_bytes = 8 + 2 * dim * sizeof(double);
   // An internal entry's rect is its child's MBR. The child may sit in a
   // later slot, so each rect waits here until every node exists.
   std::vector<std::pair<NodeId, Rect>> child_rects;
@@ -201,35 +202,30 @@ StatusOr<RfsTree> RfsSerializer::Decode(
     auto node = std::make_unique<RStarTree::Node>();
     std::uint32_t parent = 0;
     std::uint64_t entry_count = 0;
-    if (!r.Pod(&node->level) || !r.Pod(&parent) ||
-        !r.Count(&entry_count, entry_bytes)) {
+    if (!r.Pod(&node->level) || !r.Pod(&parent)) return r.status();
+    if (node->level < 0) return corrupt("negative node level");
+    if (!r.Count(&entry_count, node->IsLeaf() ? leaf_entry_bytes
+                                              : internal_entry_bytes)) {
       return r.status();
     }
-    if (node->level < 0) return corrupt("negative node level");
     index.parent_[i] = parent;
     node->entries.reserve(entry_count);
     for (std::uint64_t e = 0; e < entry_count; ++e) {
       RStarTree::Entry entry;
       if (!r.Pod(&entry.child) || !r.Pod(&entry.data)) return r.status();
-      if (!node->IsLeaf()) {
+      if (node->IsLeaf()) {
+        // A leaf entry is its image id; its point is that image's row.
+        if (entry.child != kInvalidNodeId) {
+          return corrupt("leaf entry names a child node");
+        }
+        if (entry.data >= num_images) {
+          return corrupt("leaf entry image out of range");
+        }
+      } else {
         std::vector<double> lo, hi;
         if (!r.Doubles(&lo, dim) || !r.Doubles(&hi, dim)) return r.status();
         child_rects.emplace_back(entry.child,
                                  Rect(std::move(lo), std::move(hi)));
-        node->entries.push_back(entry);
-        continue;
-      }
-      // A leaf entry is its image id: the stored lo and hi must both equal
-      // that image's feature row, and neither is kept.
-      if (entry.data >= num_images) {
-        return corrupt("leaf entry image out of range");
-      }
-      const double* expected = store->rows()[entry.data].data();
-      for (int bound = 0; bound < 2; ++bound) {
-        if (!r.Raw(scratch.data(), row_bytes)) return r.status();
-        if (std::memcmp(scratch.data(), expected, row_bytes) != 0) {
-          return corrupt("leaf entry point disagrees with features");
-        }
       }
       node->entries.push_back(entry);
     }

@@ -16,8 +16,9 @@ namespace qdcbir {
 /// the RFS over 15k images costs seconds; persisting it lets the benchmark
 /// binaries and a client-side feedback process (paper §4) reuse one build.
 ///
-/// The format is host-endian and versioned by a magic string; it is a cache
-/// format, not an interchange format. Every load path runs through one
+/// The format is host-endian and versioned by a magic string (`QDRFS002`;
+/// a v1 `QDRFS001` file fails `kVersionMismatch`); it is a cache format,
+/// not an interchange format. Every load path runs through one
 /// streaming decoder (`Decode`) that reads its source through a fixed-size
 /// buffer and bounds every count and id by the bytes left before it
 /// allocates: damage yields `kTruncated` (the bytes end before a declared

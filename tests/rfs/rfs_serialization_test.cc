@@ -105,10 +105,11 @@ std::size_t FirstDifference(const std::string& a, const std::string& b) {
 }
 
 TEST(RfsSerializationTest, ReserializeIsByteIdentical) {
-  // RFS bytes are canonical: leaf entries hold only image ids in memory
-  // (the writer rebuilds each leaf's lo/hi from the store) and annotations
-  // are written in node-id order, so a decoded tree writes back exactly
-  // the bytes it was read from, whether it owns its store or shares one.
+  // RFS bytes are canonical: a leaf entry is written as the (child, image)
+  // pair it is in memory, an internal entry's rect is rebuilt from its
+  // child's MBR, and annotations are written in node-id order, so a decoded
+  // tree writes back exactly the bytes it was read from, whether it owns
+  // its store or shares one.
   for (const RfsBuildStrategy strategy :
        {RfsBuildStrategy::kClustered, RfsBuildStrategy::kTgsBulkLoad,
         RfsBuildStrategy::kInsertion}) {
@@ -127,25 +128,107 @@ TEST(RfsSerializationTest, ReserializeIsByteIdentical) {
   }
 }
 
+template <typename T>
+T Peek(const std::string& blob, std::size_t offset) {
+  T value;
+  std::memcpy(&value, blob.data() + offset, sizeof(T));
+  return value;
+}
+
+/// Calls `visit(offset, leaf)` for every entry of every node in `blob`,
+/// in slot order: a free slot is its presence byte; a node is 17 header
+/// bytes (presence, level, parent, entry count) followed by its entries,
+/// 8 bytes (child, image) in a leaf and 8 + 16 * dim (child, image, lo,
+/// hi) in an internal node. Returns the offset past the last slot.
+template <typename Visit>
+std::size_t WalkEntries(const std::string& blob, Visit visit) {
+  const std::uint64_t images = Peek<std::uint64_t>(blob, 8);
+  const std::uint64_t dim = Peek<std::uint64_t>(blob, 16);
+  const std::size_t index = 24 + images * dim * sizeof(double);
+  const std::uint64_t slots = Peek<std::uint64_t>(blob, index + 24);
+  std::size_t at = index + 44;
+  for (std::uint64_t s = 0; s < slots; ++s) {
+    if (Peek<std::uint8_t>(blob, at) == 0) {
+      ++at;
+      continue;
+    }
+    const bool leaf = Peek<std::int32_t>(blob, at + 1) == 0;
+    const std::uint64_t count = Peek<std::uint64_t>(blob, at + 9);
+    at += 17;
+    for (std::uint64_t e = 0; e < count; ++e) {
+      visit(at, leaf);
+      at += leaf ? 8 : 8 + 2 * dim * sizeof(double);
+    }
+  }
+  return at;
+}
+
+/// The v1 (`QDRFS001`) bytes of the tree whose v2 bytes are `v2`: the same
+/// bytes with each leaf entry followed by its image's feature row twice,
+/// as lo and hi of its degenerate rect.
+std::string ExpandToV1(const std::string& v2) {
+  const std::size_t row_bytes = Peek<std::uint64_t>(v2, 16) * sizeof(double);
+  std::string v1 = "QDRFS001";
+  std::size_t copied = 8;
+  WalkEntries(v2, [&](std::size_t entry, bool leaf) {
+    if (!leaf) return;
+    v1.append(v2, copied, entry + 8 - copied);
+    copied = entry + 8;
+    const std::size_t row = 24 + Peek<ImageId>(v2, entry + 4) * row_bytes;
+    v1.append(v2, row, row_bytes);
+    v1.append(v2, row, row_bytes);
+  });
+  v1.append(v2, copied, std::string::npos);
+  return v1;
+}
+
 TEST(RfsSerializationTest, BytesMatchRecordedDigests) {
   // The RFS format is frozen: each strategy's tree over one fixed corpus
   // must serialize to the bytes whose CRC32C was recorded here, however
-  // the tree holds its MBRs in memory.
+  // the tree holds its MBRs in memory. The v1 digests were recorded before
+  // v2 dropped each leaf entry's rect; re-expanding the v2 bytes to the v1
+  // layout must still reproduce them, so v2 stores the same trees.
   const struct {
     RfsBuildStrategy strategy;
-    std::uint32_t crc32c;
+    std::uint32_t v1_crc32c;
+    std::uint32_t v2_crc32c;
   } kCases[] = {
-      {RfsBuildStrategy::kClustered, 0x1bee3b7du},
-      {RfsBuildStrategy::kTgsBulkLoad, 0x7e1c42bfu},
-      {RfsBuildStrategy::kInsertion, 0x7fe94f94u},
+      {RfsBuildStrategy::kClustered, 0x1bee3b7du, 0x0666a51cu},
+      {RfsBuildStrategy::kTgsBulkLoad, 0x7e1c42bfu, 0xe9e614deu},
+      {RfsBuildStrategy::kInsertion, 0x7fe94f94u, 0x10037dcdu},
   };
   for (const auto& c : kCases) {
     SCOPED_TRACE(RfsBuildStrategyName(c.strategy));
     const std::string bytes =
         RfsSerializer::Serialize(MakeTree(23, 500, 5, c.strategy));
-    EXPECT_EQ(Crc32c::Compute(bytes), c.crc32c)
+    EXPECT_EQ(Crc32c::Compute(bytes), c.v2_crc32c)
         << std::hex << Crc32c::Compute(bytes);
+    const std::string v1 = ExpandToV1(bytes);
+    EXPECT_EQ(v1.size(), bytes.size() + 500 * 2 * 5 * sizeof(double));
+    EXPECT_EQ(Crc32c::Compute(v1), c.v1_crc32c)
+        << std::hex << Crc32c::Compute(v1);
   }
+}
+
+TEST(RfsSerializationTest, RetiredV1MagicIsAVersionMismatch) {
+  // RFS format v1 (magic QDRFS001) is no longer read: its magic alone is a
+  // typed version mismatch, never a decode attempt.
+  const std::string v1 = ExpandToV1(RfsSerializer::Serialize(MakeTree(29)));
+  for (const std::string& bytes : {v1, std::string("QDRFS001")}) {
+    const Status status = RfsSerializer::Deserialize(bytes).status();
+    EXPECT_EQ(status.code(), StatusCode::kVersionMismatch)
+        << status.ToString();
+  }
+  const std::string path = ::testing::TempDir() + "/qdcbir_rfs_v1.bin";
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  ASSERT_NE(f, nullptr);
+  ASSERT_EQ(std::fwrite(v1.data(), 1, v1.size(), f), v1.size());
+  std::fclose(f);
+  EXPECT_EQ(RfsSerializer::LoadFromFile(path).status().code(),
+            StatusCode::kVersionMismatch);
+  std::remove(path.c_str());
+  // Any other magic is not an RFS blob at all.
+  EXPECT_EQ(DecodeCode("QDRFS003" + v1.substr(8)), StatusCode::kCorrupt);
 }
 
 TEST(RfsSerializationTest, RejectsBadMagic) {
@@ -210,30 +293,13 @@ std::string Forge(std::string blob, std::size_t offset, T value) {
   return blob;
 }
 
-template <typename T>
-T Peek(const std::string& blob, std::size_t offset) {
-  T value;
-  std::memcpy(&value, blob.data() + offset, sizeof(T));
-  return value;
-}
-
-/// Offset of the first entry of the first leaf node, walking the node
-/// slots: a free slot is its presence byte; a node is 17 header bytes
-/// (presence, level, parent, entry count) followed by its entries.
-std::size_t FirstLeafEntry(const RfsTree& tree, const std::string& blob,
-                           const BlobLayout& layout) {
-  const std::size_t entry_bytes = 8 + 2 * tree.feature_dim() * sizeof(double);
-  const std::uint64_t slots = Peek<std::uint64_t>(blob, layout.index + 24);
-  std::size_t slot = layout.first_node;
-  for (std::uint64_t s = 0; s < slots; ++s) {
-    if (Peek<std::uint8_t>(blob, slot) == 0) {
-      ++slot;
-      continue;
-    }
-    if (Peek<std::int32_t>(blob, slot + 1) == 0) return slot + 17;
-    slot += 17 + Peek<std::uint64_t>(blob, slot + 9) * entry_bytes;
-  }
-  return 0;
+/// Offset of the first entry of the first leaf node, or 0 when none.
+std::size_t FirstLeafEntry(const std::string& blob) {
+  std::size_t first = 0;
+  WalkEntries(blob, [&first](std::size_t entry, bool leaf) {
+    if (leaf && first == 0) first = entry;
+  });
+  return first;
 }
 
 /// The corruption contract of the streaming decoder: damaged RFS bytes
@@ -272,6 +338,7 @@ TEST_F(RfsCorruptionTest, LayoutMatchesTheWriter) {
   EXPECT_EQ(Peek<std::uint8_t>(*blob_, layout_->first_node), 1u);
   EXPECT_EQ(Peek<std::uint64_t>(*blob_, layout_->info),
             tree_->ComputeStats().node_count);
+  EXPECT_EQ(WalkEntries(*blob_, [](std::size_t, bool) {}), layout_->info);
   ASSERT_TRUE(RfsSerializer::Deserialize(*blob_).ok());
 }
 
@@ -373,25 +440,27 @@ TEST_F(RfsCorruptionTest, OutOfRangeIdsAreCorrupt) {
   EXPECT_EQ(DecodeCode("BADMAGIC" + blob_->substr(8)), StatusCode::kCorrupt);
 }
 
-TEST_F(RfsCorruptionTest, LeafEntryPointMustEqualItsFeatureRow) {
-  // A leaf entry's lo and hi are its image's feature row, written from the
-  // store; one flipped bit in either disagrees with the features.
-  const std::size_t first = FirstLeafEntry(*tree_, *blob_, *layout_);
+TEST_F(RfsCorruptionTest, EveryLeafEntryBitFlipIsCorrupt) {
+  // A leaf entry is 8 bytes: no child (kInvalidNodeId), then its image id.
+  // A flipped bit in the child names a node; one in the image id names an
+  // image past the table or one that another leaf entry already holds.
+  const std::size_t first = FirstLeafEntry(*blob_);
   ASSERT_NE(first, 0u);
-  const std::size_t row_bytes = tree_->feature_dim() * sizeof(double);
-  const ImageId image = Peek<std::uint32_t>(*blob_, first + 4);
-  ASSERT_EQ(std::memcmp(blob_->data() + first + 8,
-                        tree_->feature(image).data(), row_bytes),
-            0);
-  for (const std::size_t offset :
-       {first + 8, first + 8 + row_bytes, first + 7 + 2 * row_bytes}) {
-    SCOPED_TRACE("bit flip at " + std::to_string(offset));
+  ASSERT_EQ(Peek<NodeId>(*blob_, first), kInvalidNodeId);
+  const ImageId image = Peek<ImageId>(*blob_, first + 4);
+  ASSERT_LT(image, tree_->num_images());
+  for (std::size_t bit = 0; bit < 64; ++bit) {
+    SCOPED_TRACE("bit " + std::to_string(bit));
     std::string bytes = *blob_;
-    bytes[offset] ^= 0x01;
+    bytes[first + bit / 8] ^= static_cast<char>(1u << (bit % 8));
     const Status owning = RfsSerializer::Deserialize(bytes).status();
     EXPECT_EQ(owning.code(), StatusCode::kCorrupt);
+    const ImageId flipped = Peek<ImageId>(bytes, first + 4);
     EXPECT_EQ(owning.message(),
-              "RFS blob: leaf entry point disagrees with features");
+              bit < 32 ? "RFS blob: leaf entry names a child node"
+              : flipped >= tree_->num_images()
+                  ? "RFS blob: leaf entry image out of range"
+                  : "RFS blob: image in more than one leaf entry");
     EXPECT_EQ(RfsSerializer::Decode(MemoryByteSource(bytes),
                                     tree_->feature_store())
                   .status()
@@ -401,17 +470,14 @@ TEST_F(RfsCorruptionTest, LeafEntryPointMustEqualItsFeatureRow) {
 }
 
 TEST_F(RfsCorruptionTest, LeavesMustHoldEveryImageOnce) {
-  // The leaf's second entry becomes a copy of its first (image, lo and hi):
-  // each entry still matches its feature row, but one image now sits in
-  // two leaf entries and another in none.
-  const std::size_t first = FirstLeafEntry(*tree_, *blob_, *layout_);
+  // The leaf's second entry becomes a copy of its first: each entry is
+  // still a valid image id, but one image now sits in two leaf entries and
+  // another in none.
+  const std::size_t first = FirstLeafEntry(*blob_);
   ASSERT_NE(first, 0u);
   ASSERT_GE(Peek<std::uint64_t>(*blob_, first - 8), 2u);
-  const std::size_t entry_bytes =
-      8 + 2 * tree_->feature_dim() * sizeof(double);
   std::string bytes = *blob_;
-  bytes.replace(first + entry_bytes + 4, entry_bytes - 4, *blob_, first + 4,
-                entry_bytes - 4);
+  bytes.replace(first + 8, 8, *blob_, first, 8);
   Status status = RfsSerializer::Deserialize(bytes).status();
   EXPECT_EQ(status.code(), StatusCode::kCorrupt);
   EXPECT_EQ(status.message(), "RFS blob: image in more than one leaf entry");
@@ -460,7 +526,7 @@ std::string ChainBlob(std::uint32_t depth, std::uint64_t reps,
   const auto put = [&b](auto value) {
     b.append(reinterpret_cast<const char*>(&value), sizeof(value));
   };
-  b.append("QDRFS001", 8);
+  b.append("QDRFS002", 8);
   put(std::uint64_t{2});  // images
   put(std::uint64_t{1});  // dim
   put(0.0);
@@ -495,10 +561,15 @@ std::string ChainBlob(std::uint32_t depth, std::uint64_t reps,
       put(static_cast<std::int32_t>(depth - 1 - k));
       put(parent_of(c, k));
       put(std::uint64_t{1});
-      put(k + 1 < depth ? node_of(c, k + 1) : kInvalidNodeId);
-      put(static_cast<ImageId>(c));
-      put(static_cast<double>(c));
-      put(static_cast<double>(c));
+      if (k + 1 < depth) {
+        put(node_of(c, k + 1));
+        put(static_cast<ImageId>(c));
+        put(static_cast<double>(c));  // lo
+        put(static_cast<double>(c));  // hi
+      } else {
+        put(kInvalidNodeId);  // the leaf's one entry: image c
+        put(static_cast<ImageId>(c));
+      }
     }
   }
   put(std::uint64_t{1} + 2 * depth);  // annotations

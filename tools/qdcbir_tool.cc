@@ -63,9 +63,16 @@
 //       Drive simulated relevance-feedback sessions under the sampling
 //       profiler and write a span-attributed CPU profile (collapsed stacks
 //       by default, ready for flamegraph.pl — see docs/profiling.md).
+//
+// A numeric flag's value must be one whole number (`--images=3k` is not):
+// a malformed one prints an error naming the flag and exits 1. An empty
+// value is read as the flag's default.
 
 #include <algorithm>
+#include <cctype>
+#include <cerrno>
 #include <chrono>
+#include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -74,6 +81,7 @@
 #include <fstream>
 #include <map>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -97,16 +105,43 @@ std::string Flag(int argc, char** argv, const std::string& name,
   return fallback;
 }
 
+/// A numeric flag whose value is not one whole number; `Run` reports it
+/// and exits 1.
+class BadFlag : public std::runtime_error {
+ public:
+  BadFlag(const std::string& name, const std::string& value, const char* want)
+      : std::runtime_error("--" + name + "=" + value + " is not " + want) {}
+};
+
+/// True when `end` closed a parse of all of `v` that started on no blank
+/// and set no range error.
+bool ParsedWhole(const std::string& v, const char* end) {
+  return !std::isspace(static_cast<unsigned char>(v.front())) &&
+         end == v.c_str() + v.size() && errno != ERANGE;
+}
+
 std::int64_t IntFlag(int argc, char** argv, const std::string& name,
                      std::int64_t fallback) {
   const std::string v = Flag(argc, argv, name, "");
-  return v.empty() ? fallback : std::strtoll(v.c_str(), nullptr, 10);
+  if (v.empty()) return fallback;
+  char* end = nullptr;
+  errno = 0;
+  const long long value = std::strtoll(v.c_str(), &end, 10);
+  if (!ParsedWhole(v, end)) throw BadFlag(name, v, "an integer");
+  return value;
 }
 
 double DoubleFlag(int argc, char** argv, const std::string& name,
                   double fallback) {
   const std::string v = Flag(argc, argv, name, "");
-  return v.empty() ? fallback : std::strtod(v.c_str(), nullptr);
+  if (v.empty()) return fallback;
+  char* end = nullptr;
+  errno = 0;
+  const double value = std::strtod(v.c_str(), &end);
+  if (!ParsedWhole(v, end) || !std::isfinite(value)) {
+    throw BadFlag(name, v, "a finite number");
+  }
+  return value;
 }
 
 int Fail(const Status& status) {
@@ -854,7 +889,13 @@ int Run(int argc, char** argv) {
   const std::string metrics_json = Flag(argc, argv, "metrics-json", "");
   const std::string queryz_json = Flag(argc, argv, "queryz-json", "");
 
-  const int code = Dispatch(argc, argv, command);
+  int code = 1;
+  try {
+    code = Dispatch(argc, argv, command);
+  } catch (const BadFlag& bad) {
+    std::fprintf(stderr, "error: %s\n", bad.what());
+    return 1;
+  }
 
   if (!metrics_json.empty()) {
     std::ofstream out(metrics_json);

@@ -56,11 +56,15 @@
 // (obs/json.h), so a document that does not parse fails its gate.
 // Exit code 0 means all checks passed; diagnostics go to stderr. Any
 // argument but the flags above as --<flag>=<value> prints the usage and
-// exits 1, so a misspelt gate cannot pass unchecked. CI runs
+// exits 1, so a misspelt gate cannot pass unchecked; so does a minimum,
+// count or quantile that is not one whole number (`cache.hit:many`). CI runs
 // this against the bench_micro and serve-smoke artifacts so a
 // silently-broken exporter (or a profiler that stopped attributing
 // samples) fails the build.
 
+#include <cctype>
+#include <cerrno>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -128,6 +132,41 @@ bool ReadJsonFile(const std::string& path, const char* kind, JsonValue* doc) {
   return true;
 }
 
+/// Reads all of `text` as one finite number. On anything else (empty,
+/// trailing characters, NaN, infinity) prints a diagnostic naming `flag`
+/// and returns false.
+bool ParseNumber(const char* flag, const std::string& text, double* out) {
+  char* end = nullptr;
+  errno = 0;
+  const double value = std::strtod(text.c_str(), &end);
+  if (text.empty() || std::isspace(static_cast<unsigned char>(text[0])) ||
+      end != text.c_str() + text.size() || errno == ERANGE ||
+      !std::isfinite(value)) {
+    std::fprintf(stderr, "--%s: \"%s\" is not a number\n", flag,
+                 text.c_str());
+    return false;
+  }
+  *out = value;
+  return true;
+}
+
+/// Reads all of `text` as one unsigned decimal count; fails as
+/// `ParseNumber` does.
+bool ParseCount(const char* flag, const std::string& text,
+                std::uint64_t* out) {
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long long value = std::strtoull(text.c_str(), &end, 10);
+  if (text.empty() || !std::isdigit(static_cast<unsigned char>(text[0])) ||
+      end != text.c_str() + text.size() || errno == ERANGE) {
+    std::fprintf(stderr, "--%s: \"%s\" is not a count\n", flag,
+                 text.c_str());
+    return false;
+  }
+  *out = value;
+  return true;
+}
+
 /// `object[key]` when it is a number, else nullptr.
 const JsonValue* NumberAt(const JsonValue* object, const char* key) {
   const JsonValue* value = object != nullptr ? object->Find(key) : nullptr;
@@ -145,7 +184,9 @@ bool CheckRequiredMetric(const std::string& spec,
   const std::size_t colon = spec.rfind(':');
   if (colon != std::string::npos) {
     name = spec.substr(0, colon);
-    min_value = std::strtod(spec.c_str() + colon + 1, nullptr);
+    if (!ParseNumber("require-metric", spec.substr(colon + 1), &min_value)) {
+      return false;
+    }
     has_min = true;
   }
   auto it = samples.find(name);
@@ -217,9 +258,13 @@ bool CheckRequiredQuantile(const std::string& spec, const std::string& text) {
     return false;
   }
   const std::string family = spec.substr(0, c1);
-  double p = std::strtod(spec.c_str() + c1 + 1, nullptr);
+  double p = 0.0, max_value = 0.0;
+  if (!ParseNumber("require-quantile", spec.substr(c1 + 1, c2 - c1 - 1),
+                   &p) ||
+      !ParseNumber("require-quantile", spec.substr(c2 + 1), &max_value)) {
+    return false;
+  }
   if (p > 1.0) p /= 100.0;  // accept 95 and 0.95
-  const double max_value = std::strtod(spec.c_str() + c2 + 1, nullptr);
   if (p <= 0.0 || p > 1.0) {
     std::fprintf(stderr, "quantile p out of range in spec: %s\n",
                  spec.c_str());
@@ -331,7 +376,10 @@ bool CheckIndexz(const JsonValue& doc, const std::string& path,
   std::printf("indexz ok: %s (%g leaf scans, %zu co-access pairs)\n",
               path.c_str(), total_scans, pair_count);
   if (!min_scans_spec.empty()) {
-    const double min_scans = std::strtod(min_scans_spec.c_str(), nullptr);
+    double min_scans = 0.0;
+    if (!ParseNumber("require-leaf-scans", min_scans_spec, &min_scans)) {
+      return false;
+    }
     if (total_scans < min_scans) {
       std::fprintf(stderr, "indexz leaf scans %g below required %g\n",
                    total_scans, min_scans);
@@ -340,14 +388,17 @@ bool CheckIndexz(const JsonValue& doc, const std::string& path,
     std::printf("  leaf scans %g (>= %g)\n", total_scans, min_scans);
   }
   if (!min_pairs_spec.empty()) {
-    const std::size_t min_pairs = static_cast<std::size_t>(
-        std::strtoull(min_pairs_spec.c_str(), nullptr, 10));
-    if (pair_count < min_pairs) {
-      std::fprintf(stderr, "indexz co-access pairs %zu below required %zu\n",
-                   pair_count, min_pairs);
+    std::uint64_t min_pairs = 0;
+    if (!ParseCount("require-coaccess-pairs", min_pairs_spec, &min_pairs)) {
       return false;
     }
-    std::printf("  co-access pairs %zu (>= %zu)\n", pair_count, min_pairs);
+    if (pair_count < min_pairs) {
+      std::fprintf(stderr, "indexz co-access pairs %zu below required %llu\n",
+                   pair_count, static_cast<unsigned long long>(min_pairs));
+      return false;
+    }
+    std::printf("  co-access pairs %zu (>= %llu)\n", pair_count,
+                static_cast<unsigned long long>(min_pairs));
   }
   return true;
 }
@@ -445,9 +496,11 @@ int main(int argc, char** argv) {
       const std::size_t colon = spec.rfind(':');
       if (colon != std::string::npos) {
         name = spec.substr(0, colon);
-        min_count = static_cast<std::size_t>(
-            std::strtoull(spec.c_str() + colon + 1, nullptr, 10));
-        if (min_count == 0) min_count = 1;
+        std::uint64_t parsed = 0;
+        if (!ParseCount("require-span", spec.substr(colon + 1), &parsed)) {
+          return 1;
+        }
+        min_count = parsed == 0 ? 1 : static_cast<std::size_t>(parsed);
       }
       const auto it = begin_counts.find(name);
       const std::size_t count = it == begin_counts.end() ? 0 : it->second;
@@ -548,16 +601,20 @@ int main(int argc, char** argv) {
                 profile_path.c_str(), stacks.size(),
                 static_cast<unsigned long long>(total));
     if (!required_samples_spec.empty()) {
-      const unsigned long long min_samples =
-          std::strtoull(required_samples_spec.c_str(), nullptr, 10);
+      std::uint64_t min_samples = 0;
+      if (!ParseCount("require-profile-samples", required_samples_spec,
+                      &min_samples)) {
+        return 1;
+      }
       if (total < min_samples) {
-        std::fprintf(stderr,
-                     "profile has %llu samples, need >= %llu\n",
-                     static_cast<unsigned long long>(total), min_samples);
+        std::fprintf(stderr, "profile has %llu samples, need >= %llu\n",
+                     static_cast<unsigned long long>(total),
+                     static_cast<unsigned long long>(min_samples));
         return 1;
       }
       std::printf("  samples %llu (>= %llu)\n",
-                  static_cast<unsigned long long>(total), min_samples);
+                  static_cast<unsigned long long>(total),
+                  static_cast<unsigned long long>(min_samples));
     }
     for (const std::string& spec : required_profile_spans) {
       std::string prefix = spec;
@@ -565,7 +622,10 @@ int main(int argc, char** argv) {
       const std::size_t colon = spec.rfind(':');
       if (colon != std::string::npos) {
         prefix = spec.substr(0, colon);
-        min_count = std::strtoull(spec.c_str() + colon + 1, nullptr, 10);
+        if (!ParseCount("require-profile-span", spec.substr(colon + 1),
+                        &min_count)) {
+          return 1;
+        }
         if (min_count == 0) min_count = 1;
       }
       std::uint64_t count = 0;
