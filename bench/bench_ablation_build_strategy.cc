@@ -47,7 +47,7 @@ int Run(int argc, char** argv) {
     build.strategy = strategy;
 
     WallTimer timer;
-    StatusOr<RfsTree> rfs = RfsBuilder::Build(db->features(), build);
+    StatusOr<RfsTree> rfs = RfsBuilder::Build(db->feature_store(), build);
     const double build_seconds = timer.Seconds();
     if (!rfs.ok()) {
       std::fprintf(stderr, "%s: %s\n", RfsBuildStrategyName(strategy),

@@ -180,11 +180,18 @@ StatusOr<RfsTree> GetRfs(const ImageDatabase& db,
   const std::string path = cache_dir + "/rfs_" + cache_key + "_" +
                            std::to_string(db.size()) + ".bin";
   if (std::filesystem::exists(path)) {
-    StatusOr<RfsTree> cached = RfsSerializer::LoadFromFile(path);
-    if (cached.ok() && cached->num_images() == db.size()) return cached;
+    // Decoded against the database's store: the tree shares it, and a
+    // cache built from another corpus fails "RFS features disagree with
+    // snapshot" and is rebuilt below.
+    StatusOr<RfsTree> cached =
+        RfsSerializer::LoadFromFile(path, db.feature_store());
+    if (cached.ok()) return cached;
+    std::fprintf(stderr, "[bench] RFS cache at %s unusable (%s); "
+                 "rebuilding\n",
+                 path.c_str(), cached.status().ToString().c_str());
   }
   WallTimer timer;
-  StatusOr<RfsTree> tree = RfsBuilder::Build(db.features(), options);
+  StatusOr<RfsTree> tree = RfsBuilder::Build(db.feature_store(), options);
   if (!tree.ok()) return tree.status();
   std::fprintf(stderr, "[bench] built RFS (%zu images) in %.1f s\n", db.size(),
                timer.Seconds());

@@ -45,7 +45,12 @@ int Run(int argc, char** argv) {
   // Fit PCA on the whole database (as the paper does) and project the
   // white-sedan images.
   Pca pca;
-  const Status fit = pca.Fit(db->features(), 3);
+  std::vector<FeatureVector> points;
+  points.reserve(db->size());
+  for (ImageId id = 0; id < db->size(); ++id) {
+    points.emplace_back(db->feature(id));
+  }
+  const Status fit = pca.Fit(points, 3);
   if (!fit.ok()) {
     std::fprintf(stderr, "pca: %s\n", fit.ToString().c_str());
     return 1;

@@ -174,7 +174,7 @@ BENCHMARK(BM_GatherTile);
 
 void BM_BruteForceKnn(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
-  const auto table = RandomPoints(n, kPaperFeatureDim, 2);
+  const FeatureStore table(RandomPoints(n, kPaperFeatureDim, 2));
   const auto query = RandomPoints(1, kPaperFeatureDim, 3)[0];
   for (auto _ : state) {
     benchmark::DoNotOptimize(BruteForceKnn(table, query, 20));

@@ -34,7 +34,7 @@ int Run(int argc, char** argv) {
 
   // Build fresh (uncached) to time construction.
   WallTimer timer;
-  StatusOr<RfsTree> rfs = RfsBuilder::Build(db->features(), PaperRfsOptions());
+  StatusOr<RfsTree> rfs = RfsBuilder::Build(db->feature_store(), PaperRfsOptions());
   const double build_seconds = timer.Seconds();
   if (!rfs.ok()) {
     std::fprintf(stderr, "rfs: %s\n", rfs.status().ToString().c_str());

@@ -48,7 +48,7 @@ int main(int argc, char** argv) {
   build.representatives.fraction = std::max(
       0.05, 3.0 * static_cast<double>(catalog->subconcepts().size()) /
                 static_cast<double>(total_images));
-  StatusOr<RfsTree> rfs = RfsBuilder::Build(db->features(), build);
+  StatusOr<RfsTree> rfs = RfsBuilder::Build(db->feature_store(), build);
   if (!rfs.ok()) {
     std::fprintf(stderr, "%s\n", rfs.status().ToString().c_str());
     return 1;

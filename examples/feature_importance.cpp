@@ -33,7 +33,7 @@ int main(int argc, char** argv) {
   std::printf("synthesizing %zu images...\n", total_images);
   StatusOr<ImageDatabase> db = DatabaseSynthesizer::Synthesize(*catalog, synth);
   if (!db.ok()) return 1;
-  StatusOr<RfsTree> rfs = RfsBuilder::Build(db->features(), RfsBuildOptions{});
+  StatusOr<RfsTree> rfs = RfsBuilder::Build(db->feature_store(), RfsBuildOptions{});
   if (!rfs.ok()) return 1;
 
   StatusOr<QueryGroundTruth> gt =

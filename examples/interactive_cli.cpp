@@ -66,7 +66,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "%s\n", db.status().ToString().c_str());
     return 1;
   }
-  StatusOr<RfsTree> rfs = RfsBuilder::Build(db->features(), RfsBuildOptions{});
+  StatusOr<RfsTree> rfs = RfsBuilder::Build(db->feature_store(), RfsBuildOptions{});
   if (!rfs.ok()) {
     std::fprintf(stderr, "%s\n", rfs.status().ToString().c_str());
     return 1;

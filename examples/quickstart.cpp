@@ -43,7 +43,7 @@ int main() {
   RfsBuildOptions build_options;
   build_options.tree.max_entries = 60;
   build_options.tree.min_entries = 24;
-  StatusOr<RfsTree> rfs = RfsBuilder::Build(db->features(), build_options);
+  StatusOr<RfsTree> rfs = RfsBuilder::Build(db->feature_store(), build_options);
   if (!rfs.ok()) {
     std::fprintf(stderr, "rfs: %s\n", rfs.status().ToString().c_str());
     return 1;

@@ -36,7 +36,7 @@ int main(int argc, char** argv) {
   if (!db.ok()) return 1;
 
   StatusOr<RfsTree> server_rfs =
-      RfsBuilder::Build(db->features(), RfsBuildOptions{});
+      RfsBuilder::Build(db->feature_store(), RfsBuildOptions{});
   if (!server_rfs.ok()) return 1;
 
   // "Download" the RFS structure to the client. The paper's scalability

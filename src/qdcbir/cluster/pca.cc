@@ -124,12 +124,12 @@ Status Pca::Fit(const std::vector<FeatureVector>& points,
   return Status::Ok();
 }
 
-StatusOr<FeatureVector> Pca::Transform(const FeatureVector& point) const {
+StatusOr<FeatureVector> Pca::Transform(FeatureRow point) const {
   if (!fitted()) return Status::FailedPrecondition("PCA not fitted");
-  if (point.dim() != input_dim()) {
+  if (point.size() != input_dim()) {
     return Status::InvalidArgument("dimension mismatch in PCA Transform");
   }
-  FeatureVector centered = point - mean_;
+  const FeatureVector centered = FeatureVector(point) - mean_;
   FeatureVector out(components_.size());
   for (std::size_t c = 0; c < components_.size(); ++c) {
     out[c] = components_[c].Dot(centered);

@@ -30,7 +30,7 @@ class Pca {
   std::size_t num_components() const { return components_.size(); }
 
   /// Projects one point onto the principal subspace.
-  StatusOr<FeatureVector> Transform(const FeatureVector& point) const;
+  StatusOr<FeatureVector> Transform(FeatureRow point) const;
 
   /// Projects a batch of points.
   StatusOr<std::vector<FeatureVector>> TransformBatch(

@@ -82,23 +82,41 @@ ByteReader::ByteReader(const ByteSource& source, const char* what,
       window_(static_cast<std::size_t>(
           std::min<std::uint64_t>(size_, kWindowBytes))) {}
 
-bool ByteReader::Raw(void* data, std::size_t n) {
+template <typename Visit>
+bool ByteReader::Walk(std::size_t n, Visit visit) {
   if (!status_.ok()) return false;
   if (n > Remaining()) {
     return Fail(Status::Truncated(std::string(what_) +
                                   " ends inside a field"));
   }
-  char* out = static_cast<char*>(data);
   while (n > 0) {
     if (pos_ == window_end_ && !ReadWindow()) return false;
     const std::size_t take = static_cast<std::size_t>(
         std::min<std::uint64_t>(n, window_end_ - pos_));
-    std::memcpy(out, window_.data() + (pos_ - window_start_), take);
-    out += take;
+    const char* piece = window_.data() + (pos_ - window_start_);
     pos_ += take;
     n -= take;
+    if (!visit(piece, take)) return false;
   }
   return true;
+}
+
+bool ByteReader::Raw(void* data, std::size_t n) {
+  char* out = static_cast<char*>(data);
+  return Walk(n, [&out](const char* piece, std::size_t take) {
+    std::memcpy(out, piece, take);
+    out += take;
+    return true;
+  });
+}
+
+bool ByteReader::Matches(const void* expected, std::size_t n) {
+  const char* want = static_cast<const char*>(expected);
+  return Walk(n, [&want](const char* piece, std::size_t take) {
+    const bool same = std::memcmp(want, piece, take) == 0;
+    want += take;
+    return same;
+  });
 }
 
 bool ByteReader::Count(std::uint64_t* n, std::uint64_t min_bytes_each) {

@@ -130,6 +130,11 @@ class ByteReader {
   bool Count(std::uint64_t* n, std::uint64_t min_bytes_each);
   /// Reads `n` doubles into `v`, bounded by the bytes left before resizing.
   bool Doubles(std::vector<double>* v, std::uint64_t n);
+  /// Reads the next `n` bytes and compares them with `expected` where they
+  /// sit in the window, copying nothing out. False on a failed read
+  /// (`status()` says why) or at the first byte that differs (`status()`
+  /// stays OK).
+  bool Matches(const void* expected, std::size_t n);
 
   /// Reads every window the cursor has not reached and moves it to the
   /// end. Returns the source's read error, including one that stopped an
@@ -141,6 +146,10 @@ class ByteReader {
 
  private:
   bool Fail(Status status);
+  /// Passes the next `n` bytes to `visit(window_bytes, count)` one window
+  /// piece at a time, stopping early when `visit` returns false.
+  template <typename Visit>
+  bool Walk(std::size_t n, Visit visit);
   /// Reads the next window, at `window_end_`.
   bool ReadWindow();
 

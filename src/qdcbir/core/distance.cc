@@ -33,26 +33,23 @@ double SquaredL2(const double* a, const double* b, std::size_t dim) {
   return sum;
 }
 
-double SquaredL2(const FeatureVector& a, const FeatureVector& b) {
-  assert(a.dim() == b.dim());
-  return SquaredL2(a.data(), b.data(), a.dim());
+double SquaredL2(FeatureRow a, FeatureRow b) {
+  assert(a.size() == b.size());
+  return SquaredL2(a.data(), b.data(), a.size());
 }
 
-double L2Distance::Distance(const FeatureVector& a,
-                            const FeatureVector& b) const {
+double L2Distance::Distance(FeatureRow a, FeatureRow b) const {
   return std::sqrt(SquaredL2(a, b));
 }
 
-double L2Distance::Compare(const FeatureVector& a,
-                           const FeatureVector& b) const {
+double L2Distance::Compare(FeatureRow a, FeatureRow b) const {
   return SquaredL2(a, b);
 }
 
-double L1Distance::Distance(const FeatureVector& a,
-                            const FeatureVector& b) const {
-  assert(a.dim() == b.dim());
+double L1Distance::Distance(FeatureRow a, FeatureRow b) const {
+  assert(a.size() == b.size());
   double sum = 0.0;
-  for (std::size_t i = 0; i < a.dim(); ++i) sum += std::fabs(a[i] - b[i]);
+  for (std::size_t i = 0; i < a.size(); ++i) sum += std::fabs(a[i] - b[i]);
   return sum;
 }
 
@@ -85,16 +82,14 @@ StatusOr<WeightedL2Distance> WeightedL2Distance::Create(
   return WeightedL2Distance(std::move(weights));
 }
 
-double WeightedL2Distance::Distance(const FeatureVector& a,
-                                    const FeatureVector& b) const {
+double WeightedL2Distance::Distance(FeatureRow a, FeatureRow b) const {
   return std::sqrt(Compare(a, b));
 }
 
-double WeightedL2Distance::Compare(const FeatureVector& a,
-                                   const FeatureVector& b) const {
-  CheckWeightedDims(a.dim(), b.dim(), weights_.size());
+double WeightedL2Distance::Compare(FeatureRow a, FeatureRow b) const {
+  CheckWeightedDims(a.size(), b.size(), weights_.size());
   double sum = 0.0;
-  for (std::size_t i = 0; i < a.dim(); ++i) {
+  for (std::size_t i = 0; i < a.size(); ++i) {
     const double d = a[i] - b[i];
     sum += weights_[i] * d * d;
   }

@@ -19,12 +19,10 @@ class DistanceMetric {
   virtual ~DistanceMetric() = default;
 
   /// The metric value d(a, b).
-  virtual double Distance(const FeatureVector& a,
-                          const FeatureVector& b) const = 0;
+  virtual double Distance(FeatureRow a, FeatureRow b) const = 0;
 
   /// A value monotone in `Distance`, potentially cheaper (default: same).
-  virtual double Compare(const FeatureVector& a,
-                         const FeatureVector& b) const {
+  virtual double Compare(FeatureRow a, FeatureRow b) const {
     return Distance(a, b);
   }
 
@@ -35,18 +33,15 @@ class DistanceMetric {
 /// Euclidean distance; `Compare` returns the squared distance.
 class L2Distance final : public DistanceMetric {
  public:
-  double Distance(const FeatureVector& a,
-                  const FeatureVector& b) const override;
-  double Compare(const FeatureVector& a,
-                 const FeatureVector& b) const override;
+  double Distance(FeatureRow a, FeatureRow b) const override;
+  double Compare(FeatureRow a, FeatureRow b) const override;
   const char* Name() const override { return "l2"; }
 };
 
 /// Manhattan (city-block) distance.
 class L1Distance final : public DistanceMetric {
  public:
-  double Distance(const FeatureVector& a,
-                  const FeatureVector& b) const override;
+  double Distance(FeatureRow a, FeatureRow b) const override;
   const char* Name() const override { return "l1"; }
 };
 
@@ -68,10 +63,8 @@ class WeightedL2Distance final : public DistanceMetric {
   static StatusOr<WeightedL2Distance> Create(std::vector<double> weights,
                                              std::size_t dim);
 
-  double Distance(const FeatureVector& a,
-                  const FeatureVector& b) const override;
-  double Compare(const FeatureVector& a,
-                 const FeatureVector& b) const override;
+  double Distance(FeatureRow a, FeatureRow b) const override;
+  double Compare(FeatureRow a, FeatureRow b) const override;
   const char* Name() const override { return "weighted_l2"; }
 
   const std::vector<double>& weights() const { return weights_; }
@@ -85,7 +78,7 @@ class WeightedL2Distance final : public DistanceMetric {
 double SquaredL2(const double* a, const double* b, std::size_t dim);
 
 /// Squared Euclidean distance between two feature vectors (dims must match).
-double SquaredL2(const FeatureVector& a, const FeatureVector& b);
+double SquaredL2(FeatureRow a, FeatureRow b);
 
 }  // namespace qdcbir
 

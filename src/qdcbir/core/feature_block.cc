@@ -13,6 +13,15 @@ std::size_t RoundUp(std::size_t value, std::size_t multiple) {
   return (value + multiple - 1) / multiple * multiple;
 }
 
+std::vector<double> Flatten(const std::vector<FeatureVector>& features) {
+  std::vector<double> rows;
+  for (const FeatureVector& f : features) {
+    assert(f.dim() == features.front().dim());
+    rows.insert(rows.end(), f.values().begin(), f.values().end());
+  }
+  return rows;
+}
+
 }  // namespace
 
 void FeatureBlockTable::Allocate() {
@@ -29,22 +38,26 @@ void FeatureBlockTable::Allocate() {
   std::memset(data_.get(), 0, bytes);
 }
 
-FeatureBlockTable::FeatureBlockTable(
-    const std::vector<FeatureVector>& features) {
-  size_ = features.size();
-  dim_ = features.empty() ? 0 : features.front().dim();
-  num_blocks_ = (size_ + kBlockWidth - 1) / kBlockWidth;
+FeatureBlockTable::FeatureBlockTable(const double* rows, std::size_t size,
+                                     std::size_t dim)
+    : size_(size),
+      dim_(dim),
+      num_blocks_((size + kBlockWidth - 1) / kBlockWidth) {
   Allocate();
   for (std::size_t i = 0; i < size_; ++i) {
-    assert(features[i].dim() == dim_);
     double* tile = data_.get() + (i / kBlockWidth) * dim_ * kBlockWidth;
     const std::size_t lane = i % kBlockWidth;
-    const double* src = features[i].data();
+    const double* src = rows + i * dim_;
     for (std::size_t d = 0; d < dim_; ++d) {
       tile[d * kBlockWidth + lane] = src[d];
     }
   }
 }
+
+FeatureBlockTable::FeatureBlockTable(
+    const std::vector<FeatureVector>& features)
+    : FeatureBlockTable(Flatten(features).data(), features.size(),
+                        features.empty() ? 0 : features.front().dim()) {}
 
 FeatureBlockTable::FeatureBlockTable(const FeatureBlockTable& other)
     : size_(other.size_), dim_(other.dim_), num_blocks_(other.num_blocks_) {

@@ -28,14 +28,18 @@ inline constexpr std::size_t kBlockWidth = 8;
 /// unit-stride, 64-byte-aligned loads. The last block is zero-padded in the
 /// lanes past `size()`; callers must ignore those lanes' outputs.
 ///
-/// The table is an immutable snapshot of a row-major `FeatureVector`
-/// table, which stays authoritative for per-vector access. A corpus builds
-/// it on the first whole-table sweep (`FeatureStore::blocks()`); scans over
+/// The table is an immutable snapshot of a row-major feature block, which
+/// stays authoritative for per-vector access. A corpus builds it on the
+/// first whole-table sweep (`FeatureStore::blocks()`); scans over
 /// arbitrary id sets gather from the rows instead
 /// (`FeatureStore::GatherTile`).
 class FeatureBlockTable {
  public:
   FeatureBlockTable() = default;
+
+  /// Builds the blocked copy of `size` rows of `dim` doubles, row-major at
+  /// `rows`.
+  FeatureBlockTable(const double* rows, std::size_t size, std::size_t dim);
 
   /// Builds the blocked copy of `features`. All vectors must share one
   /// dimensionality (enforced by the feature pipeline upstream).

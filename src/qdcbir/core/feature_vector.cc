@@ -5,14 +5,14 @@
 
 namespace qdcbir {
 
-FeatureVector& FeatureVector::operator+=(const FeatureVector& other) {
-  assert(dim() == other.dim());
+FeatureVector& FeatureVector::operator+=(FeatureRow other) {
+  assert(dim() == other.size());
   for (std::size_t i = 0; i < values_.size(); ++i) values_[i] += other[i];
   return *this;
 }
 
-FeatureVector& FeatureVector::operator-=(const FeatureVector& other) {
-  assert(dim() == other.dim());
+FeatureVector& FeatureVector::operator-=(FeatureRow other) {
+  assert(dim() == other.size());
   for (std::size_t i = 0; i < values_.size(); ++i) values_[i] -= other[i];
   return *this;
 }
@@ -22,8 +22,8 @@ FeatureVector& FeatureVector::operator*=(double s) {
   return *this;
 }
 
-double FeatureVector::Dot(const FeatureVector& other) const {
-  assert(dim() == other.dim());
+double FeatureVector::Dot(FeatureRow other) const {
+  assert(dim() == other.size());
   double sum = 0.0;
   for (std::size_t i = 0; i < values_.size(); ++i) sum += values_[i] * other[i];
   return sum;

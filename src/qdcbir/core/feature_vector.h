@@ -4,10 +4,17 @@
 #include <cassert>
 #include <cstddef>
 #include <initializer_list>
+#include <span>
 #include <string>
 #include <vector>
 
 namespace qdcbir {
+
+/// A read-only view of one feature vector's values: a row of a
+/// `FeatureStore`, or a `FeatureVector` (which converts to one). Every
+/// read-only feature parameter takes this, so stored rows are never copied
+/// to be compared.
+using FeatureRow = std::span<const double>;
 
 /// Dense real-valued feature vector of an image.
 ///
@@ -26,6 +33,11 @@ class FeatureVector {
       : values_(std::move(values)) {}
 
   FeatureVector(std::initializer_list<double> values) : values_(values) {}
+
+  /// Creates a vector holding a copy of `row`.
+  explicit FeatureVector(FeatureRow row) : values_(row.begin(), row.end()) {}
+
+  operator FeatureRow() const { return values_; }
 
   std::size_t dim() const { return values_.size(); }
   bool empty() const { return values_.empty(); }
@@ -46,17 +58,17 @@ class FeatureVector {
   double* data() { return values_.data(); }
 
   /// Element-wise addition. Dimensions must match.
-  FeatureVector& operator+=(const FeatureVector& other);
+  FeatureVector& operator+=(FeatureRow other);
   /// Element-wise subtraction. Dimensions must match.
-  FeatureVector& operator-=(const FeatureVector& other);
+  FeatureVector& operator-=(FeatureRow other);
   /// Scalar multiplication.
   FeatureVector& operator*=(double s);
 
-  friend FeatureVector operator+(FeatureVector a, const FeatureVector& b) {
+  friend FeatureVector operator+(FeatureVector a, FeatureRow b) {
     a += b;
     return a;
   }
-  friend FeatureVector operator-(FeatureVector a, const FeatureVector& b) {
+  friend FeatureVector operator-(FeatureVector a, FeatureRow b) {
     a -= b;
     return a;
   }
@@ -74,7 +86,7 @@ class FeatureVector {
   }
 
   /// Dot product with `other`. Dimensions must match.
-  double Dot(const FeatureVector& other) const;
+  double Dot(FeatureRow other) const;
 
   /// Euclidean (L2) norm.
   double Norm() const;

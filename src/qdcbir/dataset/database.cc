@@ -6,12 +6,12 @@
 namespace qdcbir {
 
 void ImageDatabase::InstallFeatures(
-    std::array<std::vector<FeatureVector>, kNumViewpointChannels> tables) {
-  stores_[0] = std::make_shared<const FeatureStore>(std::move(tables[0]));
-  for (int c = 1; c < kNumViewpointChannels; ++c) {
-    stores_[c] = tables[c].empty() ? FeatureStore::Empty()
-                                   : std::make_shared<const FeatureStore>(
-                                         std::move(tables[c]));
+    std::array<std::shared_ptr<const FeatureStore>, kNumViewpointChannels>
+        stores) {
+  for (int c = 0; c < kNumViewpointChannels; ++c) {
+    stores_[c] = stores[c] != nullptr && !stores[c]->empty()
+                     ? std::move(stores[c])
+                     : FeatureStore::Empty();
   }
 }
 

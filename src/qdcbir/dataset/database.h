@@ -52,24 +52,20 @@ class ImageDatabase {
   const std::vector<ImageRecord>& records() const { return records_; }
 
   /// Normalized feature vector of an image (main channel).
-  const FeatureVector& feature(ImageId id) const { return features()[id]; }
-  const std::vector<FeatureVector>& features() const {
-    return stores_[0]->rows();
-  }
+  FeatureRow feature(ImageId id) const { return features().row(id); }
+  const FeatureStore& features() const { return *stores_[0]; }
 
   /// Normalized feature vector as seen through a viewpoint channel.
-  const FeatureVector& channel_feature(ViewpointChannel channel,
-                                       ImageId id) const {
-    return channel_features(channel)[id];
+  FeatureRow channel_feature(ViewpointChannel channel, ImageId id) const {
+    return channel_features(channel).row(id);
   }
-  const std::vector<FeatureVector>& channel_features(
-      ViewpointChannel channel) const {
-    return stores_[static_cast<int>(channel)]->rows();
+  const FeatureStore& channel_features(ViewpointChannel channel) const {
+    return *stores_[static_cast<int>(channel)];
   }
 
   /// Blocked SoA copy of the main-channel feature table, which the
   /// whole-table sweeps (global k-NN, QPM, Qcluster, Fagin) scan instead of
-  /// `features()`. Built on the first call, once per store.
+  /// the rows. Built on the first call, once per store.
   const FeatureBlockTable& feature_blocks() const {
     return stores_[0]->blocks();
   }
@@ -107,13 +103,14 @@ class ImageDatabase {
   friend class DatabaseSynthesizer;
   friend class DatabaseIo;
 
-  /// Installs the feature tables as stores (`tables[0]` is the main
-  /// channel; an empty extra channel maps to the shared empty store).
-  /// Every construction path (synthesize / subsample / snapshot load) calls
-  /// this once the tables are final, and channel 0 aliases the main store
+  /// Installs the feature stores (`stores[0]` is the main channel; a null
+  /// or empty extra channel maps to the shared empty store). Every
+  /// construction path (synthesize / subsample / snapshot load) calls this
+  /// once the tables are final, and channel 0 aliases the main store
   /// instead of copying it.
   void InstallFeatures(
-      std::array<std::vector<FeatureVector>, kNumViewpointChannels> tables);
+      std::array<std::shared_ptr<const FeatureStore>, kNumViewpointChannels>
+          stores);
 
   Catalog catalog_;
   std::vector<ImageRecord> records_;

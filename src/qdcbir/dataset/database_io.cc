@@ -4,6 +4,7 @@
 #include <cstring>
 #include <fstream>
 #include <functional>
+#include <memory>
 #include <utility>
 
 #include "qdcbir/core/crc32c.h"
@@ -70,10 +71,6 @@ class Writer {
     Pod<std::uint64_t>(s.size());
     Raw(s.data(), s.size());
   }
-  void Doubles(const std::vector<double>& v) {
-    Pod<std::uint64_t>(v.size());
-    Raw(v.data(), v.size() * sizeof(double));
-  }
   std::string Take() { return std::move(out_); }
 
  private:
@@ -86,12 +83,6 @@ bool ReadStr(ByteReader& r, std::string* s) {
   if (!r.Count(&n, 1)) return false;
   s->resize(static_cast<std::size_t>(n));
   return r.Raw(s->data(), s->size());
-}
-
-/// A length-prefixed vector of doubles.
-bool ReadDoubles(ByteReader& r, std::vector<double>* v) {
-  std::uint64_t n = 0;
-  return r.Count(&n, sizeof(double)) && r.Doubles(v, n);
 }
 
 void WriteRecipe(Writer& w, const SubConceptRecipe& r) {
@@ -224,25 +215,42 @@ bool ReadCatalogBody(ByteReader& r, std::vector<CategorySpec>* categories,
   return true;
 }
 
-void WriteFeatureTable(Writer& w, const std::vector<FeatureVector>& table) {
+/// A feature table: its row count, then each row as its length and its
+/// doubles.
+void WriteFeatureTable(Writer& w, const FeatureStore& table) {
   w.Pod<std::uint64_t>(table.size());
-  for (const FeatureVector& f : table) w.Doubles(f.values());
+  for (ImageId i = 0; i < table.size(); ++i) {
+    const FeatureRow row = table.row(i);
+    w.Pod<std::uint64_t>(row.size());
+    w.Raw(row.data(), row.size_bytes());
+  }
 }
 
-/// Reads a feature table row by row. Every row must have the first row's
-/// length: the store, its blocked table and every distance kernel take one
-/// dimensionality from row 0.
-bool ReadFeatureTable(ByteReader& r, std::vector<FeatureVector>* table) {
-  std::uint64_t n = 0;
+/// Reads a feature table into one row-major block. Every row must have row
+/// 0's length, and it must not be 0: the store, its blocked table and every
+/// distance kernel take one dimensionality from row 0. The rows' extent,
+/// n * (8 + 8 * dim) bytes, is checked against the chunk before the block
+/// is allocated; each row is then copied from the reader's window straight
+/// into its place.
+bool ReadFeatureTable(ByteReader& r,
+                      std::shared_ptr<const FeatureStore>* table) {
+  std::uint64_t n = 0, dim = 0;
   if (!r.Count(&n, sizeof(std::uint64_t))) return false;
-  table->clear();
-  table->reserve(n);
-  for (std::uint64_t i = 0; i < n; ++i) {
-    std::vector<double> values;
-    if (!ReadDoubles(r, &values)) return false;
-    if (i > 0 && values.size() != table->front().dim()) return false;
-    table->emplace_back(std::move(values));
+  if (n == 0) {
+    *table = FeatureStore::Empty();
+    return true;
   }
+  if (!r.Count(&dim, sizeof(double)) || dim == 0) return false;
+  // Row 0's length is read already.
+  const std::uint64_t row_bytes = sizeof(std::uint64_t) + dim * sizeof(double);
+  if (n > (r.Remaining() + sizeof(std::uint64_t)) / row_bytes) return false;
+  auto values = std::make_unique_for_overwrite<double[]>(n * dim);
+  for (std::uint64_t i = 0; i < n; ++i) {
+    std::uint64_t length = dim;
+    if (i > 0 && (!r.Pod(&length) || length != dim)) return false;
+    if (!r.Raw(values.get() + i * dim, dim * sizeof(double))) return false;
+  }
+  *table = std::make_shared<const FeatureStore>(std::move(values), n, dim);
   return true;
 }
 
@@ -373,7 +381,8 @@ struct Staging {
   std::vector<ImageRecord> records;
 
   bool has_table[kNumViewpointChannels] = {};
-  std::array<std::vector<FeatureVector>, kNumViewpointChannels> tables;
+  std::array<std::shared_ptr<const FeatureStore>, kNumViewpointChannels>
+      tables;
 
   bool has_norm[kNumViewpointChannels] = {};
   FeatureNormalizer norms[kNumViewpointChannels];
@@ -667,7 +676,7 @@ StatusOr<ImageDatabase> DatabaseIo::LoadDatabaseFrom(
     db.subconcept_images_[rec.subconcept].push_back(rec.id);
   }
 
-  if (st.tables[0].size() != db.records_.size()) {
+  if (st.tables[0]->size() != db.records_.size()) {
     return Status::Corrupt("feature table size mismatch");
   }
   db.normalizer_ = std::move(st.norms[0]);
@@ -679,13 +688,12 @@ StatusOr<ImageDatabase> DatabaseIo::LoadDatabaseFrom(
       return Status::Corrupt("channel chunks disagree with snapshot meta");
     }
     if (channels) {
-      if (st.tables[c].size() != db.records_.size()) {
+      if (st.tables[c]->size() != db.records_.size()) {
         return Status::Corrupt("channel feature table size mismatch");
       }
       // Each table's rows share one length (`ReadFeatureTable`); a channel
       // is compared with queries of the main table's dimensionality.
-      if (!st.tables[c].empty() &&
-          st.tables[c].front().dim() != st.tables[0].front().dim()) {
+      if (st.tables[c]->dim() != st.tables[0]->dim()) {
         return Status::Corrupt("channel feature table dimension mismatch");
       }
       db.channel_normalizers_[c] = std::move(st.norms[c]);

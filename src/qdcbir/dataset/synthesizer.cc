@@ -8,6 +8,24 @@
 
 namespace qdcbir {
 
+namespace {
+
+/// One store per table, for `ImageDatabase::InstallFeatures` (which maps an
+/// empty one to the shared empty store).
+std::array<std::shared_ptr<const FeatureStore>, kNumViewpointChannels>
+MakeStores(
+    const std::array<std::vector<FeatureVector>, kNumViewpointChannels>&
+        tables) {
+  std::array<std::shared_ptr<const FeatureStore>, kNumViewpointChannels>
+      stores;
+  for (int c = 0; c < kNumViewpointChannels; ++c) {
+    stores[c] = std::make_shared<const FeatureStore>(tables[c]);
+  }
+  return stores;
+}
+
+}  // namespace
+
 StatusOr<ImageDatabase> DatabaseSynthesizer::Synthesize(
     const Catalog& catalog, const SynthesizerOptions& options) {
   if (options.total_images == 0) {
@@ -113,7 +131,7 @@ StatusOr<ImageDatabase> DatabaseSynthesizer::Synthesize(
     }
   }
   raw_channels[0] = std::move(raw_main);
-  db.InstallFeatures(std::move(raw_channels));
+  db.InstallFeatures(MakeStores(raw_channels));
   return db;
 }
 
@@ -170,13 +188,13 @@ StatusOr<ImageDatabase> DatabaseSynthesizer::Subsample(
     ImageRecord rec = db.records_[old_id];
     rec.id = static_cast<ImageId>(out.records_.size());
     for (int c = 0; c < channels; ++c) {
-      tables[c].push_back(
+      tables[c].emplace_back(
           db.channel_feature(static_cast<ViewpointChannel>(c), old_id));
     }
     out.subconcept_images_[rec.subconcept].push_back(rec.id);
     out.records_.push_back(rec);
   }
-  out.InstallFeatures(std::move(tables));
+  out.InstallFeatures(MakeStores(tables));
   return out;
 }
 

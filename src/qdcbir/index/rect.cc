@@ -7,8 +7,8 @@
 
 namespace qdcbir {
 
-Rect::Rect(const FeatureVector& point)
-    : lo_(point.values()), hi_(point.values()) {}
+Rect::Rect(FeatureRow point)
+    : lo_(point.begin(), point.end()), hi_(point.begin(), point.end()) {}
 
 Rect::Rect(std::vector<double> lo, std::vector<double> hi)
     : lo_(std::move(lo)), hi_(std::move(hi)) {
@@ -54,8 +54,8 @@ bool Rect::Contains(const Rect& other) const {
   return true;
 }
 
-bool Rect::ContainsPoint(const FeatureVector& point) const {
-  assert(dim() == point.dim());
+bool Rect::ContainsPoint(FeatureRow point) const {
+  assert(dim() == point.size());
   for (std::size_t i = 0; i < dim(); ++i) {
     if (point[i] < lo_[i] || point[i] > hi_[i]) return false;
   }
@@ -82,13 +82,13 @@ void Rect::Extend(const Rect& other) {
   }
 }
 
-void Rect::Extend(const FeatureVector& point) {
+void Rect::Extend(FeatureRow point) {
   if (empty()) {
-    lo_ = point.values();
-    hi_ = point.values();
+    lo_.assign(point.begin(), point.end());
+    hi_.assign(point.begin(), point.end());
     return;
   }
-  assert(dim() == point.dim());
+  assert(dim() == point.size());
   for (std::size_t i = 0; i < dim(); ++i) {
     lo_[i] = std::min(lo_[i], point[i]);
     hi_[i] = std::max(hi_[i], point[i]);
@@ -116,15 +116,15 @@ double Rect::Diagonal() const {
   return std::sqrt(sum);
 }
 
-double Rect::MinDistSquared(const FeatureVector& point) const {
-  assert(dim() == point.dim());
+double Rect::MinDistSquared(FeatureRow point) const {
+  assert(dim() == point.size());
   return MinDistSquared(lo_.data(), hi_.data(), point);
 }
 
 double Rect::MinDistSquared(const double* lo, const double* hi,
-                            const FeatureVector& point) {
+                            FeatureRow point) {
   double sum = 0.0;
-  for (std::size_t i = 0; i < point.dim(); ++i) {
+  for (std::size_t i = 0; i < point.size(); ++i) {
     double d = 0.0;
     if (point[i] < lo[i]) {
       d = lo[i] - point[i];

@@ -16,7 +16,7 @@ class Rect {
   Rect() = default;
 
   /// Degenerate rectangle covering exactly `point`.
-  explicit Rect(const FeatureVector& point);
+  explicit Rect(FeatureRow point);
 
   /// Rectangle with explicit bounds; requires lo[i] <= hi[i] for all i.
   Rect(std::vector<double> lo, std::vector<double> hi);
@@ -43,7 +43,7 @@ class Rect {
 
   /// Whether this rect fully contains `other` / `point`.
   bool Contains(const Rect& other) const;
-  bool ContainsPoint(const FeatureVector& point) const;
+  bool ContainsPoint(FeatureRow point) const;
 
   /// Whether this rect intersects `other`.
   bool Intersects(const Rect& other) const;
@@ -51,7 +51,7 @@ class Rect {
   /// Extends this rect to cover `other` / `point` (the latter exactly as
   /// `Extend(Rect(point))`, without building the degenerate rect).
   void Extend(const Rect& other);
-  void Extend(const FeatureVector& point);
+  void Extend(FeatureRow point);
 
   /// Smallest rect covering both inputs.
   static Rect Union(const Rect& a, const Rect& b);
@@ -65,14 +65,14 @@ class Rect {
 
   /// MINDIST: squared Euclidean distance from `point` to the nearest point
   /// of the rect (0 when inside). Drives best-first k-NN search.
-  double MinDistSquared(const FeatureVector& point) const;
+  double MinDistSquared(FeatureRow point) const;
 
   /// MINDIST from `point` to the box with bounds `lo`/`hi` (each
-  /// `point.dim()` long). The member above is this over the rect's own
+  /// `point.size()` long). The member above is this over the rect's own
   /// bounds; an R*-tree leaf entry passes its stored point as both bounds,
   /// so point and box distances share one arithmetic bit for bit.
   static double MinDistSquared(const double* lo, const double* hi,
-                               const FeatureVector& point);
+                               FeatureRow point);
 
   std::string ToString() const;
 

@@ -417,7 +417,7 @@ Status RStarTree::Delete(ImageId id) {
   if (id >= store_->size()) {
     return Status::InvalidArgument("image id is not a row of the store");
   }
-  const FeatureVector& target = point(id);
+  const FeatureRow target = point(id);
   // Locate the leaf holding the entry, descending only into children whose
   // MBR contains the row's point.
   NodeId found_leaf = kInvalidNodeId;
@@ -523,16 +523,16 @@ std::vector<ImageId> RStarTree::RangeSearch(const Rect& range) const {
   return out;
 }
 
-std::vector<KnnMatch> RStarTree::KnnSearch(const FeatureVector& query,
+std::vector<KnnMatch> RStarTree::KnnSearch(FeatureRow query,
                                            std::size_t k) const {
   return KnnSearchInSubtree(root_, query, k);
 }
 
 std::vector<KnnMatch> RStarTree::KnnSearchInSubtree(
-    NodeId subtree, const FeatureVector& query, std::size_t k,
+    NodeId subtree, FeatureRow query, std::size_t k,
     SearchStats* stats) const {
   std::vector<KnnMatch> results;
-  if (k == 0 || query.dim() != dim()) return results;
+  if (k == 0 || query.size() != dim()) return results;
 
   struct Item {
     double dist;

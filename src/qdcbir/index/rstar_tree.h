@@ -93,7 +93,7 @@ class RStarTree {
   /// The feature store whose rows the leaf entries name.
   const std::shared_ptr<const FeatureStore>& store() const { return store_; }
   /// The point of a leaf entry: row `id` of the store.
-  const FeatureVector& point(ImageId id) const { return store_->rows()[id]; }
+  FeatureRow point(ImageId id) const { return store_->row(id); }
 
   /// Indexes store row `id`. InvalidArgument when `id` is not a row of the
   /// store. The tree does not deduplicate ids; callers keep them unique.
@@ -108,15 +108,13 @@ class RStarTree {
 
   /// The k nearest data points to `query`, ascending by distance, ties by
   /// id (best-first search with MINDIST pruning).
-  std::vector<KnnMatch> KnnSearch(const FeatureVector& query,
-                                  std::size_t k) const;
+  std::vector<KnnMatch> KnnSearch(FeatureRow query, std::size_t k) const;
 
   /// The k nearest data points *within the subtree rooted at `subtree`*.
   /// This is the paper's "localized k-NN computation": the final round of
   /// query decomposition searches only the relevant subclusters.
   /// `stats`, when non-null, accumulates the node/entry visit counts.
-  std::vector<KnnMatch> KnnSearchInSubtree(NodeId subtree,
-                                           const FeatureVector& query,
+  std::vector<KnnMatch> KnnSearchInSubtree(NodeId subtree, FeatureRow query,
                                            std::size_t k,
                                            SearchStats* stats = nullptr) const;
 

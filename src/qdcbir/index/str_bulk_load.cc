@@ -13,21 +13,21 @@ namespace {
 /// boundaries (as begin offsets) to `bounds`.
 void PartitionBalanced(std::vector<std::size_t>& indices, std::size_t begin,
                        std::size_t end, std::size_t groups,
-                       const std::vector<const FeatureVector*>& points,
+                       const std::vector<FeatureRow>& points,
                        std::vector<std::pair<std::size_t, std::size_t>>& out) {
   if (groups <= 1 || end - begin <= 1) {
     out.emplace_back(begin, end);
     return;
   }
   // Axis of largest spread within this partition.
-  const std::size_t dim = points[indices[begin]]->dim();
+  const std::size_t dim = points[indices[begin]].size();
   std::size_t best_axis = 0;
   double best_spread = -1.0;
   for (std::size_t a = 0; a < dim; ++a) {
-    double lo = (*points[indices[begin]])[a];
+    double lo = points[indices[begin]][a];
     double hi = lo;
     for (std::size_t i = begin + 1; i < end; ++i) {
-      const double v = (*points[indices[i]])[a];
+      const double v = points[indices[i]][a];
       lo = std::min(lo, v);
       hi = std::max(hi, v);
     }
@@ -46,7 +46,7 @@ void PartitionBalanced(std::vector<std::size_t>& indices, std::size_t begin,
                                                                  left_count),
                    indices.begin() + static_cast<std::ptrdiff_t>(end),
                    [&](std::size_t a, std::size_t b) {
-                     return (*points[a])[best_axis] < (*points[b])[best_axis];
+                     return points[a][best_axis] < points[b][best_axis];
                    });
 
   PartitionBalanced(indices, begin, begin + left_count, left_groups, points,
@@ -94,16 +94,16 @@ StatusOr<RStarTree> BulkLoadRStarTree(std::shared_ptr<const FeatureStore> store,
   };
 
   // --- Leaf level ------------------------------------------------------
-  std::vector<const FeatureVector*> point_ptrs(ids.size());
+  std::vector<FeatureRow> point_rows(ids.size());
   for (std::size_t i = 0; i < ids.size(); ++i) {
-    point_ptrs[i] = &tree.point(ids[i]);
+    point_rows[i] = tree.point(ids[i]);
   }
   std::vector<std::size_t> indices(ids.size());
   std::iota(indices.begin(), indices.end(), 0u);
 
   std::vector<std::pair<std::size_t, std::size_t>> bounds;
   PartitionBalanced(indices, 0, indices.size(), group_count(ids.size()),
-                    point_ptrs, bounds);
+                    point_rows, bounds);
 
   std::vector<NodeId> level_nodes;
   std::vector<FeatureVector> level_centers;
@@ -123,15 +123,13 @@ StatusOr<RStarTree> BulkLoadRStarTree(std::shared_ptr<const FeatureStore> store,
   // --- Upper levels ------------------------------------------------------
   int level = 1;
   while (level_nodes.size() > 1) {
-    std::vector<const FeatureVector*> center_ptrs(level_centers.size());
-    for (std::size_t i = 0; i < level_centers.size(); ++i) {
-      center_ptrs[i] = &level_centers[i];
-    }
+    const std::vector<FeatureRow> center_rows(level_centers.begin(),
+                                              level_centers.end());
     std::vector<std::size_t> node_indices(level_nodes.size());
     std::iota(node_indices.begin(), node_indices.end(), 0u);
     bounds.clear();
     PartitionBalanced(node_indices, 0, node_indices.size(),
-                      group_count(level_nodes.size()), center_ptrs, bounds);
+                      group_count(level_nodes.size()), center_rows, bounds);
 
     std::vector<NodeId> next_nodes;
     std::vector<FeatureVector> next_centers;

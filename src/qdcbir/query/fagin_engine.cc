@@ -29,8 +29,7 @@ FaginEngine::FaginEngine(const ImageDatabase* db, const FaginOptions& options)
   }
 }
 
-double FaginEngine::SubspaceDistance(const FeatureVector& a,
-                                     const FeatureVector& b,
+double FaginEngine::SubspaceDistance(FeatureRow a, FeatureRow b,
                                      const Subsystem& subsystem) {
   double sum = 0.0;
   for (std::size_t d = subsystem.begin; d < subsystem.end; ++d) {
@@ -45,11 +44,11 @@ StatusOr<Ranking> FaginEngine::ComputeRanking(std::size_t k) {
   if (relevant().empty()) {
     return Status::FailedPrecondition("Fagin has no relevant feedback yet");
   }
-  const std::vector<FeatureVector>& table = db_->features();
+  const FeatureStore& table = db_->features();
 
   // Query point: centroid of the relevant images.
-  FeatureVector centroid(table.front().dim());
-  for (const ImageId id : relevant()) centroid += table[id];
+  FeatureVector centroid(table.dim());
+  for (const ImageId id : relevant()) centroid += table.row(id);
   centroid *= 1.0 / static_cast<double>(relevant().size());
 
   // Each subsystem produces a ranking by its subspace distance (sorted
@@ -134,7 +133,7 @@ StatusOr<Ranking> FaginEngine::ComputeRanking(std::size_t k) {
           total += seen.score;
         } else {
           total +=
-              SubspaceDistance(table[seen.id], centroid, subsystems_[t]);
+              SubspaceDistance(table.row(seen.id), centroid, subsystems_[t]);
           ++last_ta_accesses_;
         }
       }

@@ -53,8 +53,7 @@ class FaginEngine final : public GlobalFeedbackEngineBase {
   };
 
   /// Distance between `a` and `b` restricted to a subsystem's dimensions.
-  static double SubspaceDistance(const FeatureVector& a,
-                                 const FeatureVector& b,
+  static double SubspaceDistance(FeatureRow a, FeatureRow b,
                                  const Subsystem& subsystem);
 
   FaginOptions options_;

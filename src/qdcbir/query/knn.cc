@@ -47,38 +47,37 @@ class TopK {
 
 }  // namespace
 
-Ranking BruteForceKnn(const std::vector<FeatureVector>& table,
-                      const FeatureVector& query, std::size_t k) {
+Ranking BruteForceKnn(const FeatureStore& table, FeatureRow query,
+                      std::size_t k) {
   TopK top(k);
-  for (std::size_t i = 0; i < table.size(); ++i) {
-    top.Offer(static_cast<ImageId>(i), SquaredL2(table[i], query));
+  for (ImageId i = 0; i < table.size(); ++i) {
+    top.Offer(i, SquaredL2(table.row(i), query));
   }
   return top.Take();
 }
 
-Ranking BruteForceKnnSubset(const std::vector<FeatureVector>& table,
+Ranking BruteForceKnnSubset(const FeatureStore& table,
                             const std::vector<ImageId>& candidates,
-                            const FeatureVector& query, std::size_t k) {
+                            FeatureRow query, std::size_t k) {
   TopK top(k);
   for (const ImageId id : candidates) {
-    top.Offer(id, SquaredL2(table[id], query));
+    top.Offer(id, SquaredL2(table.row(id), query));
   }
   return top.Take();
 }
 
-Ranking BruteForceKnnWithMetric(const std::vector<FeatureVector>& table,
-                                const FeatureVector& query, std::size_t k,
-                                const DistanceMetric& metric) {
+Ranking BruteForceKnnWithMetric(const FeatureStore& table, FeatureRow query,
+                                std::size_t k, const DistanceMetric& metric) {
   TopK top(k);
-  for (std::size_t i = 0; i < table.size(); ++i) {
-    top.Offer(static_cast<ImageId>(i), metric.Compare(table[i], query));
+  for (ImageId i = 0; i < table.size(); ++i) {
+    top.Offer(i, metric.Compare(table.row(i), query));
   }
   return top.Take();
 }
 
-Ranking BruteForceKnnBlocked(const FeatureBlockTable& blocks,
-                             const FeatureVector& query, std::size_t k) {
-  assert(blocks.empty() || query.dim() == blocks.dim());
+Ranking BruteForceKnnBlocked(const FeatureBlockTable& blocks, FeatureRow query,
+                             std::size_t k) {
+  assert(blocks.empty() || query.size() == blocks.dim());
   const DistanceKernels& kernels = ActiveKernels();
   TopK top(k);
   double out[kBlockWidth];
@@ -96,11 +95,11 @@ Ranking BruteForceKnnBlocked(const FeatureBlockTable& blocks,
 }
 
 Ranking BruteForceWeightedKnnBlocked(const FeatureBlockTable& blocks,
-                                     const FeatureVector& query,
+                                     FeatureRow query,
                                      const std::vector<double>& weights,
                                      std::size_t k) {
   assert(blocks.empty() ||
-         (query.dim() == blocks.dim() && weights.size() == blocks.dim()));
+         (query.size() == blocks.dim() && weights.size() == blocks.dim()));
   const DistanceKernels& kernels = ActiveKernels();
   TopK top(k);
   double out[kBlockWidth];

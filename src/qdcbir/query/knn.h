@@ -5,6 +5,7 @@
 
 #include "qdcbir/core/distance.h"
 #include "qdcbir/core/feature_block.h"
+#include "qdcbir/core/feature_store.h"
 #include "qdcbir/core/feature_vector.h"
 #include "qdcbir/core/types.h"
 #include "qdcbir/index/rstar_tree.h"
@@ -14,34 +15,33 @@ namespace qdcbir {
 /// A ranked retrieval list (ascending distance).
 using Ranking = std::vector<KnnMatch>;
 
-/// Brute-force k-NN over a full feature table (image id = table index).
+/// Brute-force k-NN over a full feature table (image id = row).
 /// Distances are squared L2. This is what the traditional relevance-feedback
 /// baselines execute against the whole database every round — the cost the
 /// RFS structure avoids.
-Ranking BruteForceKnn(const std::vector<FeatureVector>& table,
-                      const FeatureVector& query, std::size_t k);
+Ranking BruteForceKnn(const FeatureStore& table, FeatureRow query,
+                      std::size_t k);
 
-/// Brute-force k-NN restricted to `candidates` (ids into `table`).
-Ranking BruteForceKnnSubset(const std::vector<FeatureVector>& table,
+/// Brute-force k-NN restricted to `candidates` (rows of `table`).
+Ranking BruteForceKnnSubset(const FeatureStore& table,
                             const std::vector<ImageId>& candidates,
-                            const FeatureVector& query, std::size_t k);
+                            FeatureRow query, std::size_t k);
 
 /// Brute-force k-NN under an arbitrary metric (uses `Compare`).
-Ranking BruteForceKnnWithMetric(const std::vector<FeatureVector>& table,
-                                const FeatureVector& query, std::size_t k,
-                                const DistanceMetric& metric);
+Ranking BruteForceKnnWithMetric(const FeatureStore& table, FeatureRow query,
+                                std::size_t k, const DistanceMetric& metric);
 
 /// Blocked brute-force k-NN: scans a `FeatureBlockTable` with the batched
 /// distance kernels (`ActiveKernels()`), `kBlockWidth` candidates per tile.
 /// Produces the same ranking, byte for byte, as the per-vector overload —
 /// the kernels share the scalar path's operation order.
-Ranking BruteForceKnnBlocked(const FeatureBlockTable& blocks,
-                             const FeatureVector& query, std::size_t k);
+Ranking BruteForceKnnBlocked(const FeatureBlockTable& blocks, FeatureRow query,
+                             std::size_t k);
 
 /// Blocked weighted brute-force k-NN (per-dimension weighted squared L2,
 /// the QPM/MindReader ranking). `weights.size()` must equal `blocks.dim()`.
 Ranking BruteForceWeightedKnnBlocked(const FeatureBlockTable& blocks,
-                                     const FeatureVector& query,
+                                     FeatureRow query,
                                      const std::vector<double>& weights,
                                      std::size_t k);
 

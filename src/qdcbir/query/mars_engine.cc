@@ -18,11 +18,13 @@ StatusOr<Ranking> MarsEngine::ComputeRanking(std::size_t k) {
   if (relevant().empty()) {
     return Status::FailedPrecondition("MARS has no relevant feedback yet");
   }
-  const std::vector<FeatureVector>& table = db_->features();
+  const FeatureStore& table = db_->features();
 
   std::vector<FeatureVector> relevant_points;
   relevant_points.reserve(relevant().size());
-  for (const ImageId id : relevant()) relevant_points.push_back(table[id]);
+  for (const ImageId id : relevant()) {
+    relevant_points.emplace_back(table.row(id));
+  }
 
   KMeansOptions km;
   km.k = std::min<int>(options_.max_clusters,
@@ -52,9 +54,8 @@ StatusOr<Ranking> MarsEngine::ComputeRanking(std::size_t k) {
 
   Ranking ranking;
   ranking.reserve(table.size());
-  for (std::size_t i = 0; i < table.size(); ++i) {
-    ranking.push_back(
-        KnnMatch{static_cast<ImageId>(i), query.AggregateScore(table[i])});
+  for (ImageId i = 0; i < table.size(); ++i) {
+    ranking.push_back(KnnMatch{i, query.AggregateScore(table.row(i))});
   }
   stats_.global_knn_computations += 1;
   stats_.candidates_scanned += table.size();

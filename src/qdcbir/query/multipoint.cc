@@ -33,11 +33,11 @@ const FeatureVector& MultipointQuery::Centroid() const {
   return centroid_;
 }
 
-double MultipointQuery::CentroidScore(const FeatureVector& x) const {
+double MultipointQuery::CentroidScore(FeatureRow x) const {
   return SquaredL2(Centroid(), x);
 }
 
-double MultipointQuery::AggregateScore(const FeatureVector& x) const {
+double MultipointQuery::AggregateScore(FeatureRow x) const {
   assert(!points_.empty());
   double total_weight = 0.0;
   for (double w : weights_) total_weight += w;
@@ -48,7 +48,7 @@ double MultipointQuery::AggregateScore(const FeatureVector& x) const {
   return total_weight > 0.0 ? score / total_weight : score;
 }
 
-double MultipointQuery::DisjunctiveScore(const FeatureVector& x) const {
+double MultipointQuery::DisjunctiveScore(FeatureRow x) const {
   assert(!points_.empty());
   double best = std::numeric_limits<double>::infinity();
   for (const FeatureVector& p : points_) {

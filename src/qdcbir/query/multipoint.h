@@ -32,15 +32,15 @@ class MultipointQuery {
 
   /// Paper §3.4 scoring: squared Euclidean distance from `x` to the
   /// centroid (monotone in the Euclidean distance the paper uses).
-  double CentroidScore(const FeatureVector& x) const;
+  double CentroidScore(FeatureRow x) const;
 
   /// MARS-style scoring: weighted sum of the distances from `x` to each
   /// query point (weights normalized to sum 1).
-  double AggregateScore(const FeatureVector& x) const;
+  double AggregateScore(FeatureRow x) const;
 
   /// Qcluster-style disjunctive scoring: distance to the *nearest* query
   /// point, so multiple separate contours are honored.
-  double DisjunctiveScore(const FeatureVector& x) const;
+  double DisjunctiveScore(FeatureRow x) const;
 
  private:
   std::vector<FeatureVector> points_;

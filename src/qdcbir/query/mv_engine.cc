@@ -24,12 +24,12 @@ StatusOr<std::vector<Ranking>> MvEngine::PerChannelRankings(std::size_t k) {
   std::vector<Ranking> rankings;
   for (int c = 0; c < options_.num_channels; ++c) {
     const auto channel = static_cast<ViewpointChannel>(c);
-    const std::vector<FeatureVector>& table = db_->channel_features(channel);
+    const FeatureStore& table = db_->channel_features(channel);
 
     // Channel query point: centroid of the relevant images as seen through
     // this channel.
-    FeatureVector centroid(table.front().dim());
-    for (const ImageId id : relevant()) centroid += table[id];
+    FeatureVector centroid(table.dim());
+    for (const ImageId id : relevant()) centroid += table.row(id);
     centroid *= 1.0 / static_cast<double>(relevant().size());
 
     rankings.push_back(

@@ -26,7 +26,7 @@ StatusOr<Ranking> QclusterEngine::ComputeRanking(std::size_t k) {
   if (relevant().empty()) {
     return Status::FailedPrecondition("Qcluster has no relevant feedback yet");
   }
-  const std::vector<FeatureVector>& table = db_->features();
+  const FeatureStore& table = db_->features();
 
   // Finalized-ranking cache: the relevant set plus the clustering and scan
   // configuration fully determine the ranking (the chunked scan's
@@ -62,7 +62,9 @@ StatusOr<Ranking> QclusterEngine::ComputeRanking(std::size_t k) {
 
   std::vector<FeatureVector> relevant_points;
   relevant_points.reserve(relevant().size());
-  for (const ImageId id : relevant()) relevant_points.push_back(table[id]);
+  for (const ImageId id : relevant()) {
+    relevant_points.emplace_back(table.row(id));
+  }
 
   // Adaptive cluster count: run k-means for k = 1..max and keep the k with
   // the largest relative inertia improvement (elbow heuristic). The runs
@@ -143,7 +145,9 @@ StatusOr<Ranking> QclusterEngine::ComputeRanking(std::size_t k) {
         std::size_t i = lo;
         const std::size_t head_end = std::min(
             hi, (lo + kBlockWidth - 1) / kBlockWidth * kBlockWidth);
-        for (; i < head_end; ++i) offer(i, query.DisjunctiveScore(table[i]));
+        for (; i < head_end; ++i) {
+          offer(i, query.DisjunctiveScore(table.row(i)));
+        }
         double out[kBlockWidth];
         double best[kBlockWidth];
         while (i + kBlockWidth <= hi) {
@@ -162,7 +166,7 @@ StatusOr<Ranking> QclusterEngine::ComputeRanking(std::size_t k) {
           chunk_batches[chunk] += 1;
           i += kBlockWidth;
         }
-        for (; i < hi; ++i) offer(i, query.DisjunctiveScore(table[i]));
+        for (; i < hi; ++i) offer(i, query.DisjunctiveScore(table.row(i)));
       });
   std::size_t total_batches = 0;
   for (const std::size_t n : chunk_batches) total_batches += n;

@@ -444,7 +444,7 @@ StatusOr<QdResult> QdSession::Finalize(std::size_t k) {
     std::vector<FeatureVector> points;
     points.reserve(local.relevant->size());
     for (const ImageId image : *local.relevant) {
-      points.push_back(rfs_->feature(image));
+      points.emplace_back(rfs_->feature(image));
     }
     const MultipointQuery query(std::move(points));
 

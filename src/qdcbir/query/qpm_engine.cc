@@ -17,14 +17,15 @@ StatusOr<Ranking> QpmEngine::ComputeRanking(std::size_t k) {
   if (relevant().empty()) {
     return Status::FailedPrecondition("QPM has no relevant feedback yet");
   }
-  const std::vector<FeatureVector>& table = db_->features();
-  const std::size_t dim = table.front().dim();
+  const FeatureStore& table = db_->features();
+  const std::size_t dim = table.dim();
 
   // Query point: centroid of the relevant images. Weights: inverse standard
   // deviation per dimension (MindReader's diagonal metric).
   std::vector<MomentAccumulator> acc(dim);
   for (const ImageId id : relevant()) {
-    for (std::size_t d = 0; d < dim; ++d) acc[d].Add(table[id][d]);
+    const FeatureRow row = table.row(id);
+    for (std::size_t d = 0; d < dim; ++d) acc[d].Add(row[d]);
   }
   FeatureVector centroid(dim);
   std::vector<double> weights(dim);

@@ -179,7 +179,7 @@ StatusOr<RStarTree> ClusteredTreeBuilder::Build(
   // The leaf level clusters a build-time copy of the indexed rows.
   std::vector<FeatureVector> points;
   points.reserve(ids.size());
-  for (const ImageId id : ids) points.push_back(store->rows()[id]);
+  for (const ImageId id : ids) points.emplace_back(store->row(id));
 
   RStarTree tree(std::move(store), tree_options);
   tree.nodes_.clear();

@@ -21,7 +21,7 @@ std::size_t RepresentativeCount(std::size_t subtree_size,
 
 StatusOr<SelectedRepresentatives> SelectRepresentatives(
     const std::vector<RepresentativeCandidate>& candidates,
-    const std::vector<FeatureVector>& features, std::size_t target_count,
+    const FeatureStore& features, std::size_t target_count,
     const RepresentativeOptions& options) {
   if (candidates.empty()) {
     return Status::InvalidArgument("no representative candidates");
@@ -32,7 +32,7 @@ StatusOr<SelectedRepresentatives> SelectRepresentatives(
   std::vector<FeatureVector> points;
   points.reserve(candidates.size());
   for (const RepresentativeCandidate& c : candidates) {
-    points.push_back(features[c.image]);
+    points.emplace_back(features.row(c.image));
   }
 
   KMeansOptions km;

@@ -4,7 +4,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "qdcbir/core/feature_vector.h"
+#include "qdcbir/core/feature_store.h"
 #include "qdcbir/core/status.h"
 #include "qdcbir/core/types.h"
 
@@ -40,15 +40,15 @@ struct SelectedRepresentatives {
 /// Selects `target_count` representatives from `candidates` by k-means:
 /// candidates are clustered into `target_count` subclusters and the
 /// candidate nearest each subcluster center is selected (duplicates
-/// collapse, so fewer may be returned). `features[c.image]` supplies the
-/// feature vector of each candidate.
+/// collapse, so fewer may be returned). `features.row(c.image)` supplies
+/// the feature vector of each candidate.
 ///
 /// Because k-means assigns more clusters where candidates are dense, the
 /// number of representatives drawn from each child is roughly proportional
 /// to the child's share of candidates — the paper's proportionality rule.
 StatusOr<SelectedRepresentatives> SelectRepresentatives(
     const std::vector<RepresentativeCandidate>& candidates,
-    const std::vector<FeatureVector>& features, std::size_t target_count,
+    const FeatureStore& features, std::size_t target_count,
     const RepresentativeOptions& options);
 
 /// The representative count for a subtree of `subtree_size` images.

@@ -51,15 +51,24 @@ StatusOr<RStarTree> BuildIndex(std::shared_ptr<const FeatureStore> store,
 
 }  // namespace
 
-StatusOr<RfsTree> RfsBuilder::Build(std::vector<FeatureVector> features,
+StatusOr<RfsTree> RfsBuilder::Build(const std::vector<FeatureVector>& points,
                                     const RfsBuildOptions& options) {
-  if (features.empty()) {
-    return Status::InvalidArgument("cannot build RFS over an empty database");
-  }
-  for (const FeatureVector& f : features) {
-    if (f.dim() != features.front().dim()) {
+  for (const FeatureVector& p : points) {
+    if (p.dim() != points.front().dim()) {
       return Status::InvalidArgument("point dimensionality mismatch");
     }
+  }
+  return Build(std::make_shared<const FeatureStore>(points), options);
+}
+
+StatusOr<RfsTree> RfsBuilder::Build(std::shared_ptr<const FeatureStore> store,
+                                    const RfsBuildOptions& options) {
+  if (store == nullptr || store->empty()) {
+    return Status::InvalidArgument("cannot build RFS over an empty database");
+  }
+  if (store->dim() == 0) {
+    return Status::InvalidArgument(
+        "cannot build RFS over zero-dimension points");
   }
   QDCBIR_RETURN_IF_ERROR(options.tree.Validate());
   QDCBIR_SPAN("rfs.build");
@@ -67,10 +76,8 @@ StatusOr<RfsTree> RfsBuilder::Build(std::vector<FeatureVector> features,
   ThreadPool& pool = options.pool != nullptr ? *options.pool
                                              : ThreadPool::Global();
 
-  // The features move into the one store the index and the tree share.
-  StatusOr<RStarTree> index = BuildIndex(
-      std::make_shared<const FeatureStore>(std::move(features)), options,
-      pool);
+  // The index and the tree share the store.
+  StatusOr<RStarTree> index = BuildIndex(std::move(store), options, pool);
   if (!index.ok()) return index.status();
   RfsTree rfs(std::move(index).value());
 

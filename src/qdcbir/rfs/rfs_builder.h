@@ -1,8 +1,10 @@
 #ifndef QDCBIR_RFS_RFS_BUILDER_H_
 #define QDCBIR_RFS_RFS_BUILDER_H_
 
+#include <memory>
 #include <vector>
 
+#include "qdcbir/core/feature_store.h"
 #include "qdcbir/core/feature_vector.h"
 #include "qdcbir/core/status.h"
 #include "qdcbir/index/rstar_tree.h"
@@ -46,12 +48,18 @@ struct RfsBuildOptions {
 /// followed by bottom-up representative selection.
 class RfsBuilder {
  public:
-  /// Builds an RFS tree over `features` (image id i = index i).
-  /// The two construction stages:
+  /// Builds an RFS tree over every row of `store` (image id i = row i),
+  /// which the tree then shares. InvalidArgument for a null or empty store
+  /// or zero-dimension rows. The two construction stages:
   ///  1. Data clustering: an R*-tree organizes the images hierarchically.
   ///  2. Representative selection, bottom-up: leaves k-means their images;
   ///     internal nodes k-means the union of children's representatives.
-  static StatusOr<RfsTree> Build(std::vector<FeatureVector> features,
+  static StatusOr<RfsTree> Build(std::shared_ptr<const FeatureStore> store,
+                                 const RfsBuildOptions& options = RfsBuildOptions());
+
+  /// Builds over a store of its own holding a copy of `points`, which must
+  /// share one dimensionality (InvalidArgument otherwise).
+  static StatusOr<RfsTree> Build(const std::vector<FeatureVector>& points,
                                  const RfsBuildOptions& options = RfsBuildOptions());
 
  private:

@@ -46,10 +46,11 @@ std::string RfsSerializer::Serialize(const RfsTree& tree) {
   Writer w;
   w.Raw(kMagic, kMagicLen);
 
-  // Features.
+  // Features: the store's block, row after row.
   w.U64(tree.num_images());
   w.U64(tree.feature_dim());
-  for (const FeatureVector& f : tree.features()) w.Doubles(f.values());
+  const std::span<const double> features = tree.features().values();
+  w.Raw(features.data(), features.size_bytes());
 
   // Index options and shape.
   const RStarTree& index = tree.index_;
@@ -125,8 +126,9 @@ StatusOr<RfsTree> RfsSerializer::Decode(
     return Status::Corrupt("not an RFS blob (bad magic)");
   }
 
-  // Features: decoded into a store of the tree's own, or compared row by
-  // row against `shared` and not kept at all.
+  // Features: the dense n x dim section, read into a block of the tree's
+  // own with one read, or compared window by window against the block of
+  // `shared` and not kept at all.
   std::uint64_t num_images = 0, dim = 0;
   if (!r.Pod(&num_images) || !r.Count(&dim, sizeof(double))) {
     return r.status();
@@ -135,28 +137,19 @@ StatusOr<RfsTree> RfsSerializer::Decode(
   if (dim > 0 && num_images > r.Remaining() / (dim * sizeof(double))) {
     return Status::Truncated("RFS blob declares more features than it holds");
   }
-  const auto disagree = [] {
+  const std::size_t feature_bytes = num_images * dim * sizeof(double);
+  std::shared_ptr<const FeatureStore> store = std::move(shared);
+  if (store == nullptr) {
+    auto values = std::make_unique_for_overwrite<double[]>(num_images * dim);
+    if (!r.Raw(values.get(), feature_bytes)) return r.status();
+    store = std::make_shared<const FeatureStore>(std::move(values), num_images,
+                                                 dim);
+  } else if (store->size() != num_images ||
+             (num_images > 0 && store->dim() != dim) ||
+             !r.Matches(store->values().data(), feature_bytes)) {
+    if (!r.status().ok()) return r.status();
     return Status::Corrupt("RFS features disagree with snapshot");
-  };
-  if (shared != nullptr && shared->size() != num_images) return disagree();
-  std::vector<FeatureVector> rows;
-  if (shared == nullptr) rows.reserve(num_images);
-  std::vector<double> row;
-  for (std::uint64_t i = 0; i < num_images; ++i) {
-    if (!r.Doubles(&row, dim)) return r.status();
-    if (shared == nullptr) {
-      rows.emplace_back(std::move(row));
-      continue;
-    }
-    const FeatureVector& expected = shared->rows()[i];
-    if (expected.dim() != dim ||
-        std::memcmp(expected.data(), row.data(), dim * sizeof(double)) != 0) {
-      return disagree();
-    }
   }
-  std::shared_ptr<const FeatureStore> store =
-      shared != nullptr ? std::move(shared)
-                        : std::make_shared<const FeatureStore>(std::move(rows));
 
   // Index options and shape.
   RStarTreeOptions options;
@@ -384,19 +377,20 @@ Status RfsSerializer::SaveToFile(const RfsTree& tree, const std::string& path) {
   return Status::Ok();
 }
 
-StatusOr<RfsTree> RfsSerializer::LoadFromFile(const std::string& path) {
+StatusOr<RfsTree> RfsSerializer::LoadFromFile(
+    const std::string& path, std::shared_ptr<const FeatureStore> shared) {
   StatusOr<std::unique_ptr<FileByteSource>> file = FileByteSource::Open(path);
   if (!file.ok()) return file.status();
-  return Decode(**file);
+  return Decode(**file, std::move(shared));
 }
 
 StatusOr<RfsTree> RfsSerializer::LoadForSnapshot(
     const std::string& db_path, const std::string& rfs_path,
     std::shared_ptr<const FeatureStore> shared) {
+  if (!rfs_path.empty()) return LoadFromFile(rfs_path, std::move(shared));
   StatusOr<std::unique_ptr<FileByteSource>> file =
-      FileByteSource::Open(rfs_path.empty() ? db_path : rfs_path);
+      FileByteSource::Open(db_path);
   if (!file.ok()) return file.status();
-  if (!rfs_path.empty()) return Decode(**file, std::move(shared));
   StatusOr<SnapshotChunkInfo> chunk = DatabaseIo::FindEmbeddedRfs(**file);
   if (!chunk.ok()) return chunk.status();
   return Decode(SliceByteSource(**file, chunk->offset, chunk->length),

@@ -41,9 +41,11 @@ class RfsSerializer {
   static StatusOr<RfsTree> Deserialize(const std::string& bytes);
 
   /// File convenience wrappers (`LoadFromFile` decodes from a
-  /// `FileByteSource`).
+  /// `FileByteSource`, against `shared` as `Decode` does).
   static Status SaveToFile(const RfsTree& tree, const std::string& path);
-  static StatusOr<RfsTree> LoadFromFile(const std::string& path);
+  static StatusOr<RfsTree> LoadFromFile(
+      const std::string& path,
+      std::shared_ptr<const FeatureStore> shared = nullptr);
 
   /// The one way to load the RFS that pairs with the snapshot at `db_path`:
   /// the standalone file `rfs_path` when it is non-empty, otherwise the

@@ -63,10 +63,8 @@ class RfsTree {
   std::size_t num_images() const { return feature_store()->size(); }
   std::size_t feature_dim() const { return feature_store()->dim(); }
 
-  const FeatureVector& feature(ImageId id) const { return features()[id]; }
-  const std::vector<FeatureVector>& features() const {
-    return feature_store()->rows();
-  }
+  FeatureRow feature(ImageId id) const { return features().row(id); }
+  const FeatureStore& features() const { return *feature_store(); }
 
   /// The shared store behind `features()`: the one the index reads its
   /// leaf points from and weighted localized scans gather tiles from.

@@ -3,6 +3,7 @@
 #include <atomic>
 #include <cstdint>
 #include <cstring>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -24,6 +25,33 @@ std::vector<FeatureVector> RandomFeatures(std::size_t n, std::size_t dim,
     out.push_back(std::move(v));
   }
   return out;
+}
+
+TEST(FeatureStoreTest, RowsAreOneRowMajorBlock) {
+  const std::vector<FeatureVector> rows = RandomFeatures(29, 37, 7);
+  const FeatureStore store(rows);
+  ASSERT_EQ(store.size(), 29u);
+  ASSERT_EQ(store.dim(), 37u);
+  // The block is the rows and nothing else: no per-row header or padding.
+  EXPECT_EQ(store.values().size_bytes(), 29u * 37u * sizeof(double));
+  EXPECT_EQ(store.values().data(), store.row(0).data());
+  for (ImageId i = 0; i < store.size(); ++i) {
+    ASSERT_EQ(store.row(i).size(), store.dim());
+    EXPECT_EQ(std::memcmp(store.row(i).data(), rows[i].data(),
+                          store.dim() * sizeof(double)),
+              0)
+        << "row " << i;
+    if (i + 1 < store.size()) {
+      EXPECT_EQ(store.row(i + 1).data(), store.row(i).data() + store.dim());
+    }
+  }
+
+  // An adopted block is served in place.
+  auto block = std::make_unique_for_overwrite<double[]>(3 * 2);
+  const double* at = block.get();
+  const FeatureStore adopted(std::move(block), 3, 2);
+  EXPECT_EQ(adopted.row(2).data(), at + 4);
+  EXPECT_EQ(adopted.values().size(), 6u);
 }
 
 TEST(FeatureStoreTest, ConcurrentFirstBlocksCallsBuildOneTable) {

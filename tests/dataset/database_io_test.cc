@@ -1,5 +1,6 @@
 #include "qdcbir/dataset/database_io.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <mutex>
@@ -25,7 +26,7 @@ void ExpectDatabasesEqual(const ImageDatabase& a, const ImageDatabase& b) {
             b.catalog().subconcepts().size());
   ASSERT_EQ(a.catalog().queries().size(), b.catalog().queries().size());
   for (ImageId i = 0; i < a.size(); ++i) {
-    ASSERT_EQ(a.feature(i), b.feature(i));
+    ASSERT_TRUE(std::ranges::equal(a.feature(i), b.feature(i)));
     ASSERT_EQ(a.record(i).subconcept, b.record(i).subconcept);
     ASSERT_EQ(a.record(i).category, b.record(i).category);
     ASSERT_EQ(a.record(i).render_seed, b.record(i).render_seed);
@@ -35,7 +36,8 @@ void ExpectDatabasesEqual(const ImageDatabase& a, const ImageDatabase& b) {
       for (const ViewpointChannel c :
            {ViewpointChannel::kNegative, ViewpointChannel::kGray,
             ViewpointChannel::kGrayNegative}) {
-        ASSERT_EQ(a.channel_feature(c, i), b.channel_feature(c, i));
+        ASSERT_TRUE(std::ranges::equal(a.channel_feature(c, i),
+                                       b.channel_feature(c, i)));
       }
     }
   }
@@ -260,27 +262,46 @@ TEST_F(DatabaseIoTest, HostileLengthFieldsFailFastWithoutOverAllocating) {
   EXPECT_EQ(catalog.status().code(), StatusCode::kTruncated);
 }
 
+/// The one chunk of `info` named `id`.
+const SnapshotChunkInfo& ChunkNamed(const SnapshotInfo& info,
+                                    const std::string& id) {
+  const SnapshotChunkInfo* found = nullptr;
+  for (const SnapshotChunkInfo& chunk : info.chunks) {
+    if (chunk.id != id) continue;
+    EXPECT_EQ(found, nullptr) << "two chunks " << id;
+    found = &chunk;
+  }
+  if (found != nullptr) return *found;
+  ADD_FAILURE() << "no chunk " << id;
+  return info.chunks.front();
+}
+
 TEST_F(DatabaseIoTest, HostileChunkCountInsideVerifiedChunkIsRejected) {
   // Bypass the CRC shield (verify_checksums=false) to prove the decode
   // layer itself is hardened, not just the checksum in front of it. Each
   // chunk below opens with an element count; a resize to the planted count
   // would throw (it exceeds any vector's max_size) instead of failing
-  // typed.
+  // typed. FTB0's row 0 length is one more such field: the widest row that
+  // fits the chunk passes on its own, but n rows of it overrun the chunk,
+  // which the decode checks before it allocates the n x dim block.
   const std::string clean = DatabaseIo::SerializeDatabase(*db_);
   StatusOr<SnapshotInfo> info =
       DatabaseIo::InspectSnapshot(MemoryByteSource(clean));
   ASSERT_TRUE(info.ok());
   const std::uint64_t huge = ~std::uint64_t{0} / 2;
-  for (const char* id : {"FTB0", "RECS"}) {
-    SCOPED_TRACE(id);
+  const std::uint64_t widest_row =
+      (ChunkNamed(*info, "FTB0").length - 16) / sizeof(double);
+  struct Plant {
+    const char* id;
+    std::uint64_t at;  ///< offset into the chunk
+    std::uint64_t value;
+  };
+  for (const Plant& plant : {Plant{"FTB0", 0, huge}, Plant{"RECS", 0, huge},
+                             Plant{"FTB0", 8, widest_row}}) {
+    SCOPED_TRACE(std::string(plant.id) + " at " + std::to_string(plant.at));
     std::string blob = clean;
-    int planted = 0;
-    for (const SnapshotChunkInfo& chunk : info->chunks) {
-      if (chunk.id != id) continue;
-      std::memcpy(blob.data() + chunk.offset, &huge, sizeof(huge));
-      ++planted;
-    }
-    ASSERT_EQ(planted, 1);
+    std::memcpy(blob.data() + ChunkNamed(*info, plant.id).offset + plant.at,
+                &plant.value, sizeof(plant.value));
     MemoryByteSource source(blob);
     SnapshotLoadOptions options;
     options.verify_checksums = false;
@@ -289,6 +310,35 @@ TEST_F(DatabaseIoTest, HostileChunkCountInsideVerifiedChunkIsRejected) {
     ASSERT_FALSE(db.ok());
     EXPECT_EQ(db.status().code(), StatusCode::kCorrupt)
         << db.status().ToString();
+  }
+}
+
+TEST_F(DatabaseIoTest, LastFeatureRowOfAnotherLengthIsRejected) {
+  // Every row must have row 0's length, the last one included: one double
+  // more or one less is a malformed table (decode layer, CRC bypassed).
+  const std::string clean = DatabaseIo::SerializeDatabase(*db_);
+  const StatusOr<SnapshotInfo> info =
+      DatabaseIo::InspectSnapshot(MemoryByteSource(clean));
+  ASSERT_TRUE(info.ok());
+  const std::uint64_t dim = db_->feature_dim();
+  const std::uint64_t last_row =
+      ChunkNamed(*info, "FTB0").offset + sizeof(std::uint64_t) +
+      (db_->size() - 1) * (sizeof(std::uint64_t) + dim * sizeof(double));
+  std::uint64_t stored = 0;
+  std::memcpy(&stored, clean.data() + last_row, sizeof(stored));
+  ASSERT_EQ(stored, dim);
+  for (const std::uint64_t length : {dim - 1, dim + 1}) {
+    SCOPED_TRACE(length);
+    std::string blob = clean;
+    std::memcpy(blob.data() + last_row, &length, sizeof(length));
+    MemoryByteSource source(blob);
+    SnapshotLoadOptions options;
+    options.verify_checksums = false;
+    const StatusOr<ImageDatabase> db =
+        DatabaseIo::LoadDatabaseFrom(source, options);
+    ASSERT_FALSE(db.ok());
+    EXPECT_EQ(db.status().code(), StatusCode::kCorrupt);
+    EXPECT_EQ(db.status().message(), "chunk FTB0 malformed");
   }
 }
 

@@ -69,6 +69,15 @@ void ShortenRow(std::string* table, std::size_t row) {
   table->erase(at + sizeof(n) + n * sizeof(double), sizeof(double));
 }
 
+/// Rewrites a feature-table payload as the same number of rows, each of
+/// length 0.
+void EmptyRows(std::string* table) {
+  std::uint64_t rows = 0;
+  std::memcpy(&rows, table->data(), sizeof(rows));
+  table->assign(sizeof(rows) * (rows + 1), '\0');
+  std::memcpy(table->data(), &rows, sizeof(rows));
+}
+
 /// The corruption contract: a damaged snapshot must always yield a typed
 /// I/O error — never a crash, never an OOM, and never a silently wrong
 /// database. Each sweep below damages a snapshot in a different way at
@@ -241,6 +250,26 @@ TEST_F(SnapshotCorruptionTest, RaggedFeatureRowsAreCorrupt) {
   EXPECT_EQ(channel.status().code(), StatusCode::kCorrupt);
   EXPECT_EQ(channel.status().message(),
             "channel feature table dimension mismatch");
+
+  // Every row of FTB0 of length 0, in a snapshot without channels (so no
+  // channel table's dimensionality disagrees): consistent, but a table of
+  // images without features.
+  CatalogOptions catalog_options;
+  catalog_options.num_categories = 12;
+  SynthesizerOptions options;
+  options.total_images = 30;
+  options.image_width = 12;
+  options.image_height = 12;
+  options.extract_viewpoint_channels = false;
+  const std::string bare = DatabaseIo::SerializeDatabase(
+      DatabaseSynthesizer::Synthesize(Catalog::Build(catalog_options).value(),
+                                      options)
+          .value());
+  const StatusOr<ImageDatabase> zero =
+      DatabaseIo::DeserializeDatabase(ForgeChunk(bare, "FTB0", EmptyRows));
+  ASSERT_FALSE(zero.ok()) << "zero-dimension feature table loaded";
+  EXPECT_EQ(zero.status().code(), StatusCode::kCorrupt);
+  EXPECT_EQ(zero.status().message(), "chunk FTB0 malformed");
 }
 
 TEST_F(SnapshotCorruptionTest, ChecksumMismatchWinsOverAMalformedBody) {

@@ -1,5 +1,6 @@
 #include "qdcbir/dataset/synthesizer.h"
 
+#include <algorithm>
 #include <set>
 
 #include <gtest/gtest.h>
@@ -70,7 +71,9 @@ TEST_F(SynthesizerTest, RecordsAreConsistent) {
 TEST_F(SynthesizerTest, FeaturesAreNormalized) {
   for (std::size_t d = 0; d < db_->feature_dim(); ++d) {
     std::vector<double> column;
-    for (const FeatureVector& f : db_->features()) column.push_back(f[d]);
+    for (ImageId i = 0; i < db_->size(); ++i) {
+      column.push_back(db_->feature(i)[d]);
+    }
     EXPECT_NEAR(Mean(column), 0.0, 1e-6) << "dim " << d;
     const double sd = StdDev(column);
     // Constant dimensions normalize to zero, all others to unit scale.
@@ -80,11 +83,11 @@ TEST_F(SynthesizerTest, FeaturesAreNormalized) {
 
 TEST_F(SynthesizerTest, ChannelFeaturesPresentAndDistinct) {
   ASSERT_TRUE(db_->has_channel_features());
-  const FeatureVector& original =
+  const FeatureRow original =
       db_->channel_feature(ViewpointChannel::kOriginal, 0);
-  const FeatureVector& gray = db_->channel_feature(ViewpointChannel::kGray, 0);
-  EXPECT_EQ(original.dim(), gray.dim());
-  EXPECT_FALSE(original == gray);
+  const FeatureRow gray = db_->channel_feature(ViewpointChannel::kGray, 0);
+  EXPECT_EQ(original.size(), gray.size());
+  EXPECT_FALSE(std::ranges::equal(original, gray));
 }
 
 TEST_F(SynthesizerTest, RenderIsDeterministic) {
@@ -101,13 +104,14 @@ TEST_F(SynthesizerTest, LabelsAreHumanReadable) {
 
 TEST_F(SynthesizerTest, SubconceptsFormSeparatedClusters) {
   // The dataset reproduces the paper's premise: sub-concepts cluster.
+  std::vector<FeatureVector> points;
   std::vector<int> labels;
   labels.reserve(db_->size());
   for (const ImageRecord& rec : db_->records()) {
+    points.emplace_back(db_->feature(rec.id));
     labels.push_back(static_cast<int>(rec.subconcept));
   }
-  const ClusterSeparationStats stats =
-      ComputeSeparation(db_->features(), labels);
+  const ClusterSeparationStats stats = ComputeSeparation(points, labels);
   EXPECT_GT(stats.mean_inter_centroid_dist,
             3.0 * stats.mean_intra_radius);
 }
@@ -124,7 +128,7 @@ TEST_F(SynthesizerTest, DeterministicAcrossRuns) {
       DatabaseSynthesizer::Synthesize(*catalog_, options).value();
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a.feature(i), b.feature(i));
+    EXPECT_TRUE(std::ranges::equal(a.feature(i), b.feature(i)));
   }
 }
 

@@ -30,7 +30,7 @@ class SessionRunnerTest : public ::testing::Test {
     RfsBuildOptions build;
     build.tree.max_entries = 40;
     build.tree.min_entries = 16;
-    rfs_ = new RfsTree(RfsBuilder::Build(db_->features(), build).value());
+    rfs_ = new RfsTree(RfsBuilder::Build(db_->feature_store(), build).value());
   }
   static void TearDownTestSuite() {
     delete rfs_;

@@ -81,7 +81,7 @@ TEST_P(RStarFuzzTest, MixedWorkloadKeepsInvariantsAndAnswers) {
         const std::size_t k = 1 + rng.UniformInt(10);
         std::vector<double> expected;
         for (const ImageId id : reference) {
-          expected.push_back(SquaredL2(store->rows()[id], q));
+          expected.push_back(SquaredL2(store->row(id), q));
         }
         std::sort(expected.begin(), expected.end());
         expected.resize(std::min(k, expected.size()));
@@ -103,7 +103,7 @@ TEST_P(RStarFuzzTest, MixedWorkloadKeepsInvariantsAndAnswers) {
         const Rect range(lo, hi);
         std::set<ImageId> expected_ids;
         for (const ImageId id : reference) {
-          if (range.ContainsPoint(store->rows()[id])) expected_ids.insert(id);
+          if (range.ContainsPoint(store->row(id))) expected_ids.insert(id);
         }
         const auto found = tree.RangeSearch(range);
         const std::set<ImageId> actual_ids(found.begin(), found.end());

@@ -119,7 +119,8 @@ TEST(RStarTreeTest, LeafEntriesAreStoreRows) {
     for (const RStarTree::Entry& e : tree.node(leaf).entries) {
       EXPECT_TRUE(mbr.ContainsPoint(tree.point(e.data)));
       EXPECT_EQ(e.child, kInvalidNodeId);
-      EXPECT_EQ(&tree.point(e.data), &tree.store()->rows()[e.data]);
+      EXPECT_EQ(tree.point(e.data).data(),
+                tree.store()->row(e.data).data());
     }
   }
 }

@@ -38,7 +38,7 @@ class IntegrationTest : public ::testing::Test {
     // representatives per sub-concept) needs a larger fraction.
     build.representatives.fraction = 0.12;
     build.representatives.min_per_node = 4;
-    rfs_ = new RfsTree(RfsBuilder::Build(db_->features(), build).value());
+    rfs_ = new RfsTree(RfsBuilder::Build(db_->feature_store(), build).value());
   }
   static void TearDownTestSuite() {
     delete rfs_;
@@ -159,7 +159,7 @@ TEST_F(IntegrationTest, SubsampledDatabaseStillSupportsSessions) {
   RfsBuildOptions build;
   build.tree.max_entries = 40;
   build.tree.min_entries = 16;
-  const RfsTree tree = RfsBuilder::Build(small.features(), build).value();
+  const RfsTree tree = RfsBuilder::Build(small.feature_store(), build).value();
   const QueryGroundTruth gt =
       BuildGroundTruth(small, small.catalog().FindQuery("bird").value())
           .value();

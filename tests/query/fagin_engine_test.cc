@@ -47,7 +47,7 @@ std::vector<ImageId> BruteAggregateTopK(const ImageDatabase& db,
   std::vector<Scored> all;
   const FeatureLayout layout = kPaperLayout;
   for (std::size_t i = 0; i < db.size(); ++i) {
-    const FeatureVector& x = db.feature(i);
+    const FeatureRow x = db.feature(i);
     auto group = [&](std::size_t b, std::size_t e) {
       double s = 0.0;
       for (std::size_t d = b; d < e; ++d) {

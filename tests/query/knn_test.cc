@@ -9,13 +9,13 @@
 namespace qdcbir {
 namespace {
 
-std::vector<FeatureVector> LinePoints(std::size_t n) {
+FeatureStore LinePoints(std::size_t n) {
   // Points at x = 0, 1, 2, ... on a line: distances are predictable.
   std::vector<FeatureVector> out;
   for (std::size_t i = 0; i < n; ++i) {
     out.push_back(FeatureVector{static_cast<double>(i), 0.0});
   }
-  return out;
+  return FeatureStore(out);
 }
 
 TEST(BruteForceKnnTest, FindsExactNeighbors) {
@@ -43,7 +43,8 @@ TEST(BruteForceKnnTest, ResultsSortedAscending) {
     table.push_back(
         FeatureVector{rng.UniformDouble(-5, 5), rng.UniformDouble(-5, 5)});
   }
-  const Ranking r = BruteForceKnn(table, FeatureVector{0.0, 0.0}, 50);
+  const Ranking r =
+      BruteForceKnn(FeatureStore(table), FeatureVector{0.0, 0.0}, 50);
   for (std::size_t i = 1; i < r.size(); ++i) {
     EXPECT_LE(r[i - 1].distance_squared, r[i].distance_squared);
   }
@@ -68,8 +69,8 @@ TEST(BruteForceKnnSubsetTest, EmptyCandidates) {
 TEST(BruteForceKnnWithMetricTest, WeightedMetricChangesRanking) {
   // Two points: (2, 0) and (0, 3). Plain L2 prefers the first; weighting
   // the x dimension heavily prefers the second.
-  const std::vector<FeatureVector> table = {FeatureVector{2.0, 0.0},
-                                            FeatureVector{0.0, 3.0}};
+  const FeatureStore table(std::vector<FeatureVector>{
+      FeatureVector{2.0, 0.0}, FeatureVector{0.0, 3.0}});
   const FeatureVector query{0.0, 0.0};
   L2Distance plain;
   EXPECT_EQ(BruteForceKnnWithMetric(table, query, 1, plain)[0].id, 0u);
@@ -117,7 +118,7 @@ TEST(BruteForceKnnBlockedTest, MatchesPerVectorScanBitwise) {
     const FeatureBlockTable blocks(table);
     FeatureVector query(11);
     for (std::size_t d = 0; d < 11; ++d) query[d] = 0.1 * double(d) - 0.5;
-    const Ranking legacy = BruteForceKnn(table, query, 20);
+    const Ranking legacy = BruteForceKnn(FeatureStore(table), query, 20);
     const Ranking blocked = BruteForceKnnBlocked(blocks, query, 20);
     ASSERT_EQ(legacy.size(), blocked.size()) << "n=" << n;
     for (std::size_t i = 0; i < legacy.size(); ++i) {
@@ -140,7 +141,8 @@ TEST(BruteForceWeightedKnnBlockedTest, MatchesMetricScanBitwise) {
       weights[d] = d % 3 == 0 ? 0.0 : rng.UniformDouble(0.0, 2.0);
     }
     const WeightedL2Distance metric(weights);
-    const Ranking legacy = BruteForceKnnWithMetric(table, query, 15, metric);
+    const Ranking legacy =
+        BruteForceKnnWithMetric(FeatureStore(table), query, 15, metric);
     const Ranking blocked =
         BruteForceWeightedKnnBlocked(blocks, query, weights, 15);
     ASSERT_EQ(legacy.size(), blocked.size()) << "n=" << n;

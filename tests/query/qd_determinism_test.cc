@@ -43,7 +43,12 @@ class QdDeterminismTest : public ::testing::Test {
     RfsBuildOptions build;
     build.tree.max_entries = 40;
     build.tree.min_entries = 16;
-    rfs_ = new RfsTree(RfsBuilder::Build(db_->features(), build).value());
+    // A tree over a copy of the rows, which it owns.
+    std::vector<FeatureVector> rows;
+    for (ImageId id = 0; id < db_->size(); ++id) {
+      rows.emplace_back(db_->feature(id));
+    }
+    rfs_ = new RfsTree(RfsBuilder::Build(rows, build).value());
     // The same tree decoded against the database: it adopts the
     // database's feature store instead of owning a copy.
     shared_rfs_ = new RfsTree(
@@ -329,9 +334,9 @@ TEST_F(QdDeterminismTest, RfsBuildIsByteIdenticalAcrossThreadCounts) {
   build.tree.min_entries = 16;
 
   build.pool = &sequential;
-  const RfsTree tree1 = RfsBuilder::Build(db_->features(), build).value();
+  const RfsTree tree1 = RfsBuilder::Build(db_->feature_store(), build).value();
   build.pool = &wide;
-  const RfsTree tree8 = RfsBuilder::Build(db_->features(), build).value();
+  const RfsTree tree8 = RfsBuilder::Build(db_->feature_store(), build).value();
 
   EXPECT_EQ(RfsSerializer::Serialize(tree1), RfsSerializer::Serialize(tree8));
 }

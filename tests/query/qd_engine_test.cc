@@ -76,7 +76,7 @@ std::vector<ImageId> ReferenceKnn(const RfsTree& tree,
                                   const std::vector<ImageId>& candidates,
                                   std::size_t k) {
   std::vector<FeatureVector> points;
-  for (const ImageId id : picks) points.push_back(tree.feature(id));
+  for (const ImageId id : picks) points.emplace_back(tree.feature(id));
   const FeatureVector centroid = MultipointQuery(std::move(points)).Centroid();
   std::vector<std::pair<double, ImageId>> scored;
   for (const ImageId id : candidates) {

@@ -42,14 +42,17 @@ TEST(RepresentativeCountTest, FollowsFractionWithFloor) {
 
 TEST(SelectRepresentativesTest, RejectsEmptyCandidates) {
   RepresentativeOptions options;
-  EXPECT_FALSE(SelectRepresentatives({}, {}, 3, options).ok());
+  EXPECT_FALSE(
+      SelectRepresentatives({}, *FeatureStore::Empty(), 3, options).ok());
 }
 
 TEST(SelectRepresentativesTest, SelectsOnePerSubcluster) {
   const CandidateSet set = MakeBlobs(3, 20, 5);
   RepresentativeOptions options;
   const SelectedRepresentatives selected =
-      SelectRepresentatives(set.candidates, set.features, 3, options).value();
+      SelectRepresentatives(set.candidates, FeatureStore(set.features), 3,
+                            options)
+          .value();
   ASSERT_EQ(selected.images.size(), 3u);
   // One representative per blob (blobs are well separated).
   std::set<NodeId> origins(selected.origins.begin(), selected.origins.end());
@@ -60,7 +63,9 @@ TEST(SelectRepresentativesTest, RepresentativesAreRealCandidates) {
   const CandidateSet set = MakeBlobs(4, 10, 7);
   RepresentativeOptions options;
   const SelectedRepresentatives selected =
-      SelectRepresentatives(set.candidates, set.features, 6, options).value();
+      SelectRepresentatives(set.candidates, FeatureStore(set.features), 6,
+                            options)
+          .value();
   std::set<ImageId> candidate_ids;
   for (const RepresentativeCandidate& c : set.candidates) {
     candidate_ids.insert(c.image);
@@ -77,7 +82,9 @@ TEST(SelectRepresentativesTest, NoDuplicates) {
   const CandidateSet set = MakeBlobs(2, 5, 9);
   RepresentativeOptions options;
   const SelectedRepresentatives selected =
-      SelectRepresentatives(set.candidates, set.features, 10, options).value();
+      SelectRepresentatives(set.candidates, FeatureStore(set.features), 10,
+                            options)
+          .value();
   std::set<ImageId> unique(selected.images.begin(), selected.images.end());
   EXPECT_EQ(unique.size(), selected.images.size());
 }
@@ -86,7 +93,8 @@ TEST(SelectRepresentativesTest, TargetLargerThanCandidatesClamps) {
   const CandidateSet set = MakeBlobs(1, 4, 11);
   RepresentativeOptions options;
   const SelectedRepresentatives selected =
-      SelectRepresentatives(set.candidates, set.features, 100, options)
+      SelectRepresentatives(set.candidates, FeatureStore(set.features), 100,
+                            options)
           .value();
   EXPECT_LE(selected.images.size(), 4u);
   EXPECT_GE(selected.images.size(), 1u);
@@ -110,7 +118,9 @@ TEST(SelectRepresentativesTest, ProportionalToDensity) {
   }
   RepresentativeOptions options;
   const SelectedRepresentatives selected =
-      SelectRepresentatives(set.candidates, set.features, 10, options).value();
+      SelectRepresentatives(set.candidates, FeatureStore(set.features), 10,
+                            options)
+          .value();
   int from_large = 0, from_small = 0;
   for (const NodeId origin : selected.origins) {
     (origin == 0 ? from_large : from_small) += 1;
@@ -127,7 +137,9 @@ TEST(SelectRepresentativesTest, IdenticalCandidatesYieldSingleton) {
   }
   RepresentativeOptions options;
   const SelectedRepresentatives selected =
-      SelectRepresentatives(set.candidates, set.features, 3, options).value();
+      SelectRepresentatives(set.candidates, FeatureStore(set.features), 3,
+                            options)
+          .value();
   EXPECT_GE(selected.images.size(), 1u);
 }
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <set>
 
 #include <gtest/gtest.h>
@@ -56,7 +57,8 @@ TEST(RfsSerializationTest, RoundTripPreservesEverything) {
 
   // Features identical.
   for (ImageId i = 0; i < original.num_images(); ++i) {
-    EXPECT_EQ(restored->feature(i), original.feature(i));
+    EXPECT_TRUE(
+        std::ranges::equal(restored->feature(i), original.feature(i)));
     EXPECT_EQ(restored->LeafOf(i), original.LeafOf(i));
   }
 
@@ -677,7 +679,7 @@ class RfsSharedStoreTest : public ::testing::Test {
     build.tree.max_entries = 40;
     build.tree.min_entries = 16;
     return RfsSerializer::Serialize(
-        RfsBuilder::Build(db.features(), build).value());
+        RfsBuilder::Build(db.feature_store(), build).value());
   }
   static void WriteFile(const std::string& path, const std::string& bytes) {
     std::FILE* f = std::fopen(path.c_str(), "wb");
@@ -748,6 +750,33 @@ TEST_F(RfsSharedStoreTest, MismatchedPairIsCorrupt) {
   EXPECT_EQ(other.status().message(), "RFS features disagree with snapshot");
   // Unpaired, the same file decodes fine.
   EXPECT_TRUE(RfsSerializer::LoadFromFile(*other_rfs_path_).ok());
+
+  // One flipped byte anywhere in the feature section disagrees: in the
+  // first double, on either side of the reader's first window edge, and in
+  // the last double of the last row.
+  std::string blob(std::filesystem::file_size(*rfs_path_), '\0');
+  {
+    std::FILE* f = std::fopen(rfs_path_->c_str(), "rb");
+    ASSERT_NE(f, nullptr);
+    ASSERT_EQ(std::fread(blob.data(), 1, blob.size(), f), blob.size());
+    std::fclose(f);
+  }
+  const std::size_t features_end =
+      24 + db.size() * db.feature_dim() * sizeof(double);
+  ASSERT_GT(features_end, ByteReader::kWindowBytes + 1);
+  for (const std::size_t at :
+       {std::size_t{24}, ByteReader::kWindowBytes - 1,
+        ByteReader::kWindowBytes, features_end - 1}) {
+    SCOPED_TRACE(at);
+    std::string flipped = blob;
+    flipped[at] ^= 0x01;
+    const StatusOr<RfsTree> damaged = RfsSerializer::Decode(
+        MemoryByteSource(flipped), db.feature_store());
+    ASSERT_FALSE(damaged.ok());
+    EXPECT_EQ(damaged.status().code(), StatusCode::kCorrupt);
+    EXPECT_EQ(damaged.status().message(),
+              "RFS features disagree with snapshot");
+  }
 
   // A store of another size disagrees too.
   const ImageDatabase half = DatabaseSynthesizer::Subsample(db, 150).value();

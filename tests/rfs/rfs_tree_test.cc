@@ -52,7 +52,18 @@ class RfsTreeTest : public ::testing::Test {
 const RfsTree* RfsTreeTest::tree_ = nullptr;
 
 TEST_F(RfsTreeTest, BuildRejectsEmptyInput) {
-  EXPECT_FALSE(RfsBuilder::Build({}, SmallOptions()).ok());
+  EXPECT_FALSE(
+      RfsBuilder::Build(std::vector<FeatureVector>{}, SmallOptions()).ok());
+  EXPECT_FALSE(RfsBuilder::Build(FeatureStore::Empty(), SmallOptions()).ok());
+  // Images without features, and images of mixed dimensionality.
+  for (const std::vector<FeatureVector>& points :
+       {std::vector<FeatureVector>(5),
+        std::vector<FeatureVector>{FeatureVector{1.0},
+                                   FeatureVector{1.0, 2.0}}}) {
+    const StatusOr<RfsTree> rfs = RfsBuilder::Build(points, SmallOptions());
+    ASSERT_FALSE(rfs.ok());
+    EXPECT_EQ(rfs.status().code(), StatusCode::kInvalidArgument);
+  }
 }
 
 TEST_F(RfsTreeTest, InvariantsHold) {

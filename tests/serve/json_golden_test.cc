@@ -348,7 +348,7 @@ class JsonGoldenServeTest : public ::testing::Test {
     build.tree.max_entries = 40;
     build.tree.min_entries = 16;
     const std::string blob = RfsSerializer::Serialize(
-        RfsBuilder::Build(db.features(), build).value());
+        RfsBuilder::Build(db.feature_store(), build).value());
     db_path_ = ::testing::TempDir() + "json_golden.qdb";
     ASSERT_TRUE(DatabaseIo::SaveDatabase(db, db_path_, &blob).ok());
   }

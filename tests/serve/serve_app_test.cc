@@ -147,7 +147,7 @@ class ServeAppTest : public ::testing::Test {
     RfsBuildOptions build;
     build.tree.max_entries = 40;
     build.tree.min_entries = 16;
-    const RfsTree rfs = RfsBuilder::Build(db.features(), build).value();
+    const RfsTree rfs = RfsBuilder::Build(db.feature_store(), build).value();
     const std::string blob = RfsSerializer::Serialize(rfs);
 
     db_path_ = new std::string(::testing::TempDir() + "serve_test.qdb");
@@ -202,7 +202,7 @@ TEST_F(ServeAppTest, RfsFromAnotherCorpusFailsTheLoad) {
   build.tree.min_entries = 16;
   const std::string rfs_path = ::testing::TempDir() + "serve_test_other.rfs";
   ASSERT_TRUE(RfsSerializer::SaveToFile(
-                  RfsBuilder::Build(other.features(), build).value(), rfs_path)
+                  RfsBuilder::Build(other.feature_store(), build).value(), rfs_path)
                   .ok());
 
   ThreadPool pool(2);

@@ -196,7 +196,7 @@ int CmdRfs(int argc, char** argv) {
   }
 
   WallTimer timer;
-  StatusOr<RfsTree> rfs = RfsBuilder::Build(db->features(), options);
+  StatusOr<RfsTree> rfs = RfsBuilder::Build(db->feature_store(), options);
   if (!rfs.ok()) return Fail(rfs.status());
   std::printf("built RFS in %.1f s\n", timer.Seconds());
   const Status save = RfsSerializer::SaveToFile(*rfs, out);
